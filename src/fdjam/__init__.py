@@ -25,8 +25,8 @@ from .optimizer import (GridSpec, HdResult, Step1Result, Step2Result,
                         optimize, solve_hd, solve_step1, solve_step2, v_of_y)
 from .params import (DerivedConstants, FdParams, HdParams, SwitchedSolution,
                      SystemParams, derived_constants, validate)
-from .sim import (ChannelDraw, EveField, McEstimate, SimReport,
-                  empirical_sop, run_online, sample_eve_field)
+from .sim import (EveField, McEstimate, SimReport, empirical_sop, run_online,
+                  sample_eve_field)
 from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
 
 __all__ = [
@@ -48,6 +48,6 @@ __all__ = [
     # online
     "Mode", "Action", "decide",
     # sim
-    "ChannelDraw", "EveField", "McEstimate", "SimReport", "sample_eve_field",
-    "empirical_sop", "run_online",
+    "EveField", "McEstimate", "SimReport", "sample_eve_field", "empirical_sop",
+    "run_online",
 ]

@@ -29,7 +29,7 @@ from functools import lru_cache
 from scipy import integrate
 
 from .errors import QuadratureError, ValidationError
-from .params import SwitchedSolution, SystemParams
+from .params import SwitchedSolution, SystemParams, _beta_eta
 
 __all__ = [
     "LinkState",
@@ -157,8 +157,7 @@ def cdf_phi_e_approx(x: float, p_a: float, p_b: float, params: SystemParams) -> 
     exp(-beta * lambda_e * (p_b*x/p_a + 1)^-1 * (sigma_e2*x/p_a)^(-2/alpha)).
     """
     _check_sinr_args(x, p_a, p_b)
-    beta = (2.0 * math.pi / params.alpha) * math.gamma(2.0 / params.alpha)
-    eta = 2.0 / params.alpha
+    beta, eta = _beta_eta(params.alpha)
     exposure = (beta * params.lambda_e
                 / (p_b * x / p_a + 1.0)
                 * (params.sigma_e2 * x / p_a) ** (-eta))

@@ -6,7 +6,8 @@ CSV out), ``sweep`` (one design per grid point of a swept variable, CSV
 out), and ``simulate`` (slot-level Monte Carlo of a saved design, JSON
 out).  Every output embeds the fully resolved configuration and package
 version, so any row can be recomputed.  Exit codes: 0 success, 1
-configuration/validation error, 2 solver infeasibility.
+configuration/validation error, 2 solver infeasibility or quadrature
+failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -26,12 +28,11 @@ import numpy as np
 
 from . import __version__
 from .analytics import comparison_metrics, sop_approx, sop_exact
-from .config import Config, load_config, resolved_dict, sweep_values
-from .errors import InfeasibleError, ValidationError
-from .optimizer import optimize, solve_hd, solve_step2
+from .config import Config, _value_db, load_config, resolved_dict, sweep_values
+from .errors import InfeasibleError, QuadratureError, ValidationError
+from .optimizer import optimize
 from .params import solution_from_dict, solution_to_dict, validate
 from .sim import empirical_sop, run_online
-from .units import linear_to_db, watts_to_dbm
 
 __all__ = ["main"]
 
@@ -43,17 +44,22 @@ _SWEEP_COLUMNS = [
 ]
 
 
+def _scalar(v):
+    """numpy scalars as Python numbers; non-finite floats as None."""
+    if isinstance(v, (np.floating, np.integer)):
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
+
+
 def _jsonable(obj):
     """Recursively replace non-finite floats by None for strict JSON."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
+    return _scalar(obj)
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
@@ -77,31 +83,19 @@ def _csv_text(config: Config, extra_header: Dict[str, object],
     header = dict(resolved_dict(config))
     header.update(extra_header)
     lines += [f"# {k} = {v}" for k, v in header.items()]
-    out: List[str] = []
-    writer_target = _StrWriter(out)
-    writer = csv.DictWriter(writer_target, fieldnames=list(columns))
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(columns))
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
-    return "\n".join(lines) + "\n" + "".join(out)
-
-
-class _StrWriter:
-    def __init__(self, sink: List[str]):
-        self._sink = sink
-
-    def write(self, s: str) -> None:
-        self._sink.append(s)
+    return "\n".join(lines) + "\n" + buf.getvalue()
 
 
 def _csv_cell(v):
+    v = _scalar(v)
     if v is None:
         return ""
-    if isinstance(v, (np.floating, np.integer)):
-        v = v.item()
     if isinstance(v, float):
-        if not math.isfinite(v):
-            return ""
         return repr(v)
     return v
 
@@ -116,9 +110,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         warnings.simplefilter("always")
         solution = optimize(config.system, config.grid)
 
-    # Re-derive solver diagnostics at the winning switch threshold.
-    step2 = solve_step2(solution.mu_b, config.system, config.grid)
-    hd = solve_hd(solution.mu_b, config.system)
+    step2, hd = solution.step2, solution.hd_result
     diagnostics = {
         "step1_residual": step2.step1.residual,
         "step1_omega_forms_gap": step2.step1.omega_forms_gap,
@@ -215,42 +207,24 @@ def _sweep_point(task) -> Dict:
     base, grid, variable, value, index = task
     row: Dict = {"index": index, "variable": variable, "value": value,
                  "value_db": None, "error": None}
+    params = base if variable in ("mu_b", "p_b") \
+        else replace(base, **{variable: value})
     try:
         if variable == "mu_b":
-            solution = optimize(base, grid, forced_mu_b=[value])
+            solution = optimize(params, grid, forced_mu_b=[value])
         elif variable == "p_b":
-            solution = optimize(base, grid, forced_p_b=value)
+            solution = optimize(params, grid, forced_p_b=value)
         else:
-            solution = optimize(replace(base, **{variable: value}), grid)
+            solution = optimize(params, grid)
     except (ValidationError, InfeasibleError) as exc:
         row["error"] = str(exc)
         return row
-    params = base if variable in ("mu_b", "p_b") \
-        else replace(base, **{variable: value})
-    metrics = comparison_metrics(solution, params)
-    if value > 0.0:
-        row["value_db"] = watts_to_dbm(value) if variable in (
-            "p_a_max", "p_b_max", "p_b", "sigma_b2", "sigma_e2") \
-            else linear_to_db(value) if variable in ("rho", "mu_b") else None
-    row.update({
-        "omega_s": solution.omega_s,
-        "omega_fd": solution.omega_fd,
-        "omega_hd": solution.omega_hd,
-        "omega_fd_comp": metrics.omega_fd_comp,
-        "omega_hd_comp": metrics.omega_hd_comp,
-        "p_fd": metrics.p_fd,
-        "p_hd": metrics.p_hd,
-        "mu_b": solution.mu_b,
-        "fd_r_c": solution.fd.r_c,
-        "fd_r_s": solution.fd.r_s,
-        "fd_mu_a": solution.fd.mu_a,
-        "fd_p_b_w": solution.fd.p_b,
-        "hd_r_c": solution.hd.r_c,
-        "hd_r_s": solution.hd.r_s,
-        "hd_mu_a": solution.hd.mu_a,
-        "degenerate_fd": solution.degenerate_fd,
-        "capped_fd": solution.capped_fd,
-    })
+    row["value_db"] = _value_db(variable, value)
+    flat = solution_to_dict(solution)
+    for group in ("fd", "hd"):
+        flat.update({f"{group}_{k}": v for k, v in flat.pop(group).items()})
+    row.update(flat)
+    row.update(dataclasses.asdict(comparison_metrics(solution, params)))
     return row
 
 
@@ -370,6 +344,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except InfeasibleError as exc:
         print(f"fdjam: infeasible: {exc}", file=sys.stderr)
+        return 2
+    except QuadratureError as exc:
+        # scipy's convergence reports span several lines; keep one
+        print(f"fdjam: quadrature failure: {' '.join(str(exc).split())}",
+              file=sys.stderr)
         return 2
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -120,6 +120,18 @@ def sweep_values(spec: SweepSpec) -> np.ndarray:
     return np.array([conv(v) for v in raw])
 
 
+def _value_db(variable: str, value: float) -> Optional[float]:
+    """A swept value in dBm (power fields) or dB (ratio fields); None when
+    the variable has no dB form or the value is not positive."""
+    if value <= 0.0:
+        return None
+    if variable in _POWER_FIELDS:
+        return watts_to_dbm(value)
+    if variable in _RATIO_FIELDS:
+        return linear_to_db(value)
+    return None
+
+
 @dataclass(frozen=True)
 class Config:
     """A fully resolved configuration file."""
@@ -185,28 +197,20 @@ def load_config(path: str) -> Config:
         raise ValidationError("config missing required [system] section")
 
     sec = _section(cp, "system")
-    system = SystemParams(
-        alpha=_require(_pop_float(sec, "system", "alpha"), "system", "alpha"),
-        d_ab=_require(_pop_float(sec, "system", "d_ab_m"), "system", "d_ab_m"),
-        lambda_e=_require(_pop_float(sec, "system", "lambda_e_per_m2"),
-                          "system", "lambda_e_per_m2"),
-        epsilon=_require(_pop_float(sec, "system", "epsilon"), "system", "epsilon"),
-        sigma_b2=_require(_pop_unit(sec, "system", "sigma_b2", "sigma_b2_dbm",
-                                    dbm_to_watts, "sigma_b2_w"),
-                          "system", "sigma_b2_dbm/sigma_b2_w"),
-        sigma_e2=_require(_pop_unit(sec, "system", "sigma_e2", "sigma_e2_dbm",
-                                    dbm_to_watts, "sigma_e2_w"),
-                          "system", "sigma_e2_dbm/sigma_e2_w"),
-        rho=_require(_pop_unit(sec, "system", "rho", "rho_db",
-                               db_to_linear, "rho"),
-                     "system", "rho_db/rho"),
-        p_a_max=_require(_pop_unit(sec, "system", "p_a_max", "p_a_max_dbm",
-                                   dbm_to_watts, "p_a_max_w"),
-                         "system", "p_a_max_dbm/p_a_max_w"),
-        p_b_max=_require(_pop_unit(sec, "system", "p_b_max", "p_b_max_dbm",
-                                   dbm_to_watts, "p_b_max_w"),
-                         "system", "p_b_max_dbm/p_b_max_w"),
-    )
+    spellings: Dict[str, List[str]] = {}
+    for key, (name, _) in _SYSTEM_KEY_MAP.items():
+        spellings.setdefault(name, []).append(key)
+    values: Dict[str, float] = {}
+    for name, keys in spellings.items():
+        given = [k for k in keys if k in sec]
+        if len(given) > 1:
+            raise ValidationError(
+                f"[system] give {name} as {keys[0]} or {keys[1]}, not both")
+        if not given:
+            raise ValidationError(f"[system] missing required key for {'/'.join(keys)}")
+        key = given[0]
+        values[name] = _SYSTEM_KEY_MAP[key][1](_pop_float(sec, "system", key))
+    system = SystemParams(**values)
     if sec:
         raise ValidationError(f"[system] unknown keys: {sorted(sec)}")
     validate(system)

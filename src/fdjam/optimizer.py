@@ -320,13 +320,13 @@ def _w_of(v: float, p_b: float, params: SystemParams, eta: float) -> float:
     return eta * params.p_a_max + (1.0 + eta) * p_b * v
 
 
-def _derivative_sign(p_b: float, mu_b: float, params: SystemParams) -> float:
-    """Sign-carrying bracket of d(omega_tilde*)/d(p_b).
+def _derivative_sign(p_b: float, r1: Step1Result, params: SystemParams) -> float:
+    """Sign-carrying bracket of d(omega_tilde*)/d(p_b), from the step-1
+    solution ``r1`` at ``p_b``.
 
     Equals u*v^2*(1+y)/(w*(1+v)) - varpi*y after exact cancellation of the
     varpi/u terms; computed in log form to survive extreme y.
     """
-    r1 = solve_step1(p_b, mu_b, params)
     dc = r1.constants
     v = v_of_y(r1.y_star, dc.u)
     w = _w_of(v, p_b, params, dc.eta)
@@ -335,9 +335,9 @@ def _derivative_sign(p_b: float, mu_b: float, params: SystemParams) -> float:
     return gain - dc.varpi * r1.y_star
 
 
-def _residual_eq_step2(p_b: float, mu_b: float, params: SystemParams) -> float:
-    """Relative residual of varpi*y*w*(1+v) = u*v^2*(1+y) at p_b."""
-    r1 = solve_step1(p_b, mu_b, params)
+def _residual_eq_step2(p_b: float, r1: Step1Result, params: SystemParams) -> float:
+    """Relative residual of varpi*y*w*(1+v) = u*v^2*(1+y) at p_b, from the
+    step-1 solution ``r1`` there."""
     dc = r1.constants
     v = v_of_y(r1.y_star, dc.u)
     if dc.varpi == 0.0 or v <= 0.0:
@@ -365,8 +365,11 @@ def solve_step2(mu_b: float, params: SystemParams,
     grid = grid or GridSpec()
     grid.check(params)
 
+    def sign_at(p_b: float) -> float:
+        return _derivative_sign(p_b, solve_step1(p_b, mu_b, params), params)
+
     p_values = [float(p) for p in grid.p_b_values(params.p_b_max)]
-    signs = [_derivative_sign(p, mu_b, params) for p in p_values]
+    signs = [sign_at(p) for p in p_values]
 
     if signs[0] <= 0.0:
         p_dag, capped, degenerate = p_values[0], False, True
@@ -377,12 +380,11 @@ def solve_step2(mu_b: float, params: SystemParams,
     else:
         i = next(k for k, d in enumerate(signs) if d <= 0.0)
         lo, hi = math.log(p_values[i - 1]), math.log(p_values[i])
-        t_root, iters = _bisect(
-            lambda t: _derivative_sign(math.exp(t), mu_b, params), lo, hi, signs[i - 1])
+        t_root, iters = _bisect(lambda t: sign_at(math.exp(t)), lo, hi, signs[i - 1])
         p_dag, capped, degenerate = math.exp(t_root), False, False
 
     step1 = solve_step1(p_dag, mu_b, params)
-    residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, mu_b, params)
+    residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)
     return Step2Result(p_b_dagger=p_dag, capped=capped, degenerate=degenerate,
                        step1=step1, omega_tilde_dagger=step1.omega_tilde,
                        residual=residual, iterations=iters)
@@ -475,6 +477,12 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     that fail to solve are reported as warnings; only a fully infeasible
     grid raises.
 
+    The returned solution also carries the solver records behind it, for
+    diagnostics: ``step2`` is the winning point's :class:`Step2Result` (at a
+    forced power, the step-1 solve wrapped with ``residual = nan`` and
+    ``iterations = 0``), and ``hd_result`` is the single :class:`HdResult`,
+    solved at mu_b = 0 (so its ``omega_hd`` is unweighted).
+
     The grid points are independent pure computations, so callers may
     evaluate them in parallel as long as the reduction keeps the
     smallest-mu_b tie-break; the serial loop here is simply the reference
@@ -497,30 +505,32 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
         try:
             if forced_p_b is not None:
                 step1 = solve_step1(forced_p_b, mu_b, params)
-                p_b, capped, degenerate = forced_p_b, False, False
+                record = Step2Result(p_b_dagger=forced_p_b, capped=False,
+                                     degenerate=False, step1=step1,
+                                     omega_tilde_dagger=step1.omega_tilde,
+                                     residual=math.nan, iterations=0)
             else:
-                s2 = solve_step2(mu_b, params, grid)
-                step1, p_b = s2.step1, s2.p_b_dagger
-                capped, degenerate = s2.capped, s2.degenerate
+                record = solve_step2(mu_b, params, grid)
         except (InfeasibleError, ValidationError) as exc:
             failures += 1
             warnings.warn(f"switch-threshold grid point mu_b={mu_b:.3g} "
                           f"infeasible: {exc}", RuntimeWarning, stacklevel=2)
             continue
-        omega_fd = throughput_fd(step1.r_s, step1.mu_a, mu_b, params.rho)
+        omega_fd = throughput_fd(record.step1.r_s, record.step1.mu_a, mu_b, params.rho)
         omega_hd = throughput_hd(hd_core.hd.r_s, hd_core.hd.mu_a, mu_b, params.rho)
         omega_s = omega_fd + omega_hd
         if best is None or omega_s > best[0]:
-            best = (omega_s, omega_fd, omega_hd, mu_b, step1, p_b,
-                    capped, degenerate)
+            best = (omega_s, omega_fd, omega_hd, mu_b, record)
 
     if best is None:
         raise InfeasibleError(
             f"every switch-threshold grid point infeasible ({failures} tried)")
 
-    omega_s, omega_fd, omega_hd, mu_b, step1, p_b, capped, degenerate = best
-    fd = FdParams(r_c=step1.r_c, r_s=step1.r_s, mu_a=step1.mu_a, p_b=p_b)
+    omega_s, omega_fd, omega_hd, mu_b, record = best
+    step1 = record.step1
+    fd = FdParams(r_c=step1.r_c, r_s=step1.r_s, mu_a=step1.mu_a, p_b=record.p_b_dagger)
     return SwitchedSolution(mu_b=float(mu_b), fd=fd, hd=hd_core.hd,
                             omega_s=omega_s, omega_fd=omega_fd,
-                            omega_hd=omega_hd, degenerate_fd=degenerate,
-                            capped_fd=capped)
+                            omega_hd=omega_hd, degenerate_fd=record.degenerate,
+                            capped_fd=record.capped, step2=record,
+                            hd_result=hd_core)

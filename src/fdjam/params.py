@@ -10,11 +10,14 @@ eavesdropper field, that the optimizer itself rejects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Dict
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from .errors import ValidationError
 from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
+
+if TYPE_CHECKING:
+    from .optimizer import HdResult, Step2Result
 
 __all__ = [
     "SystemParams",
@@ -102,6 +105,11 @@ class SwitchedSolution:
     The receiver jams (FD group) while ``rho * gamma_bb <= mu_b`` and stays
     silent (HD group) otherwise.  ``omega_s = omega_fd + omega_hd`` is the
     predicted secrecy throughput in bits/s/Hz.
+
+    A solution returned by :func:`fdjam.optimizer.optimize` also carries
+    the solver records it was built from, ``step2`` and ``hd_result`` (see
+    there).  They are diagnostics only: not serialized, not compared, and
+    ``None`` on a solution built any other way.
     """
 
     mu_b: float
@@ -115,6 +123,8 @@ class SwitchedSolution:
     degenerate_fd: bool = False
     # True when the optimal jamming power is the budget p_b_max itself.
     capped_fd: bool = False
+    step2: Optional[Step2Result] = field(default=None, compare=False, repr=False)
+    hd_result: Optional[HdResult] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -136,19 +146,23 @@ class DerivedConstants:
     eta: float
 
 
+def _beta_eta(alpha: float) -> Tuple[float, float]:
+    """Field geometry factor beta = (2*pi/alpha)*Gamma(2/alpha) and eta = 2/alpha."""
+    return (2.0 * math.pi / alpha) * math.gamma(2.0 / alpha), 2.0 / alpha
+
+
 def derived_constants(params: SystemParams, p_b: float, mu_b: float) -> DerivedConstants:
     """Evaluate the derived constants at a given jamming power and switch threshold."""
     if p_b < 0.0:
         raise ValidationError(f"p_b must be >= 0 W: {p_b}")
     if mu_b < 0.0:
         raise ValidationError(f"mu_b must be >= 0: {mu_b}")
-    alpha = params.alpha
-    beta = (2.0 * math.pi / alpha) * math.gamma(2.0 / alpha)
+    beta, eta = _beta_eta(params.alpha)
     tau = -math.log1p(-params.epsilon) / (beta * params.lambda_e)
-    d_pow = params.d_ab ** alpha
+    d_pow = params.d_ab ** params.alpha
     u = d_pow * (params.sigma_b2 + p_b * mu_b) / params.p_a_max
     varpi = d_pow * mu_b / params.p_a_max
-    return DerivedConstants(beta=beta, tau=tau, u=u, varpi=varpi, eta=2.0 / alpha)
+    return DerivedConstants(beta=beta, tau=tau, u=u, varpi=varpi, eta=eta)
 
 
 def _group_to_dict(group) -> Dict[str, Any]:
@@ -193,8 +207,3 @@ def solution_from_dict(data: Dict[str, Any]) -> SwitchedSolution:
         degenerate_fd=bool(data.get("degenerate_fd", False)),
         capped_fd=bool(data.get("capped_fd", False)),
     )
-
-
-def with_overrides(params: SystemParams, **fields: float) -> SystemParams:
-    """Return a copy of ``params`` with the given fields replaced."""
-    return replace(params, **fields)

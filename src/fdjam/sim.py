@@ -33,7 +33,6 @@ from .online import Mode, decide
 from .params import SwitchedSolution, SystemParams
 
 __all__ = [
-    "ChannelDraw",
     "EveField",
     "McEstimate",
     "ModeCounts",
@@ -53,14 +52,6 @@ def sub_rng(seed: int, domain: int, index: int) -> np.random.Generator:
 def _exponential(rng: np.random.Generator, n: int | None = None):
     """Unit-mean exponential by inverse CDF (stable across numpy versions)."""
     return -np.log1p(-rng.random(n))
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One slot's main-channel and self-interference gains (exp(1) each)."""
-
-    gamma_ab: float
-    gamma_bb: float
 
 
 @dataclass(frozen=True)
@@ -219,14 +210,14 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
 
     for i in range(n_slots):
         rng = sub_rng(seed, 1, i)
-        draw = ChannelDraw(gamma_ab=float(_exponential(rng)),
-                           gamma_bb=float(_exponential(rng)))
-        action = decide(draw.gamma_ab, draw.gamma_bb, solution, params)
+        gamma_ab = float(_exponential(rng))
+        gamma_bb = float(_exponential(rng))
+        action = decide(gamma_ab, gamma_bb, solution, params)
         if not action.transmitting:
             continue
         if action.mode is Mode.FD:
             n_fd += 1
-            si = params.rho * action.p_b * draw.gamma_bb
+            si = params.rho * action.p_b * gamma_bb
         else:
             n_hd += 1
             si = 0.0
@@ -236,7 +227,7 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
         if _max_eve_sinr(*field, action.p_a, action.p_b, params) > thresholds[action.mode]:
             secrecy_outages += 1
 
-        c_b = math.log2(1.0 + action.p_a * draw.gamma_ab * loss
+        c_b = math.log2(1.0 + action.p_a * gamma_ab * loss
                         / (params.sigma_b2 + si))
         if c_b < r_c * (1.0 - _CONNECTION_RTOL):
             connection_outages += 1

@@ -1,12 +1,22 @@
 import csv
+import dataclasses
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fdjam.analytics import comparison_metrics
 from fdjam.cli import main
+from fdjam.config import load_config
+from fdjam.optimizer import optimize, solve_hd, solve_step2
+from fdjam.params import solution_to_dict
+from fdjam.units import watts_to_dbm
 import fdjam.cli
+
+DEFAULT_INI = str(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
 
 
 BASE_INI = """\
@@ -58,6 +68,33 @@ def test_optimize_emits_full_record(base_config, tmp_path):
     assert data["diagnostics"]["step1_residual"] <= 1e-9
 
 
+def test_optimize_diagnostics_match_direct_solves(base_config, tmp_path):
+    # the design pass reports its own solver records; they must equal a
+    # fresh solve at the chosen switch threshold
+    out = tmp_path / "sol.json"
+    assert main(["optimize", "--config", base_config, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    config = load_config(base_config)
+    mu_b = data["solution"]["mu_b"]
+    step2 = solve_step2(mu_b, config.system, config.grid)
+    hd = solve_hd(mu_b, config.system)
+
+    def jsonable(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    assert data["diagnostics"] == {
+        "step1_residual": step2.step1.residual,
+        "step1_omega_forms_gap": step2.step1.omega_forms_gap,
+        "step1_iterations": step2.step1.iterations,
+        "step2_residual": jsonable(step2.residual),
+        "step2_iterations": step2.iterations,
+        "hd_residual": hd.residual,
+        "hd_iterations": hd.iterations,
+        "mu_b_grid_points": config.grid.mu_b_steps + 1,
+        "p_b_grid_points": config.grid.p_b_steps,
+    }
+
+
 def test_optimize_deterministic(base_config, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["optimize", "--config", base_config, "--out", str(out1)])
@@ -107,6 +144,18 @@ def test_infeasible_maps_to_exit_code_2(base_config, monkeypatch):
 
 
 # ---------------------------------------------------------------- validate-sop
+
+def test_validate_sop_quadrature_failure_maps_to_exit_code_2(capsys):
+    # a 0.2 m link with jamming below the signal power, where the radial
+    # quadrature reports non-convergence
+    assert main(["validate-sop", "--config", DEFAULT_INI,
+                 "--d-ab", "0.2031818992364538", "--p-a-w", "0.5295026406593171",
+                 "--p-b-w", "0.4404555364279015",
+                 "--rate-gap", "1.5813836603180378", "--trials", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: quadrature failure: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
 
 def test_validate_sop_zero_density_row(base_config, tmp_path):
     out = tmp_path / "sop.csv"
@@ -204,6 +253,42 @@ fix_lambda_e_per_m2 = 1e-5
     for r in rows:
         assert float(r["omega_s"]) >= float(r["omega_fd_comp"]) - 1e-12
         assert float(r["omega_s"]) >= float(r["omega_hd_comp"]) - 1e-12
+
+
+def test_sweep_forced_jamming_power_rows_match_direct_designs(tmp_path):
+    cfg = _sweep_config(tmp_path, """
+[grid]
+mu_b_steps = 6
+
+[sweep]
+variable = p_b
+min = -20
+max = 10
+steps = 3
+scale = dB
+fix_epsilon = 0.08
+""")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _read_csv(str(out))
+    config = load_config(cfg)
+    params = dataclasses.replace(config.system, **config.sweep.fixed)
+    assert len(rows) == 3
+    for row in rows:
+        p_b = float(row["value"])
+        sol = optimize(params, config.grid, forced_p_b=p_b)
+        d = solution_to_dict(sol)
+        expected = {"mu_b": d["mu_b"], "omega_s": d["omega_s"],
+                    "omega_fd": d["omega_fd"], "omega_hd": d["omega_hd"],
+                    "fd_r_c": d["fd"]["r_c"], "fd_r_s": d["fd"]["r_s"],
+                    "fd_mu_a": d["fd"]["mu_a"], "fd_p_b_w": d["fd"]["p_b_w"],
+                    "hd_r_c": d["hd"]["r_c"], "hd_r_s": d["hd"]["r_s"],
+                    "hd_mu_a": d["hd"]["mu_a"], "value_db": watts_to_dbm(p_b),
+                    **dataclasses.asdict(comparison_metrics(sol, params))}
+        assert {k: float(row[k]) for k in expected} == expected
+        assert row["degenerate_fd"] == str(d["degenerate_fd"])
+        assert row["capped_fd"] == str(d["capped_fd"])
+        assert row["error"] == ""
 
 
 def test_sweep_requires_sweep_section(base_config, capsys):

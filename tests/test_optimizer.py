@@ -8,6 +8,7 @@ from fdjam import (GridSpec, InfeasibleError, ValidationError, dbm_to_watts,
                    optimize, solve_hd, solve_step1, solve_step2, v_of_y)
 from fdjam.analytics import comparison_metrics, hd_weight
 from fdjam.optimizer import mu_a_from_sop_constraint, omega_tilde_of_y
+from fdjam.params import solution_from_dict, solution_to_dict
 
 from oracles import (omega_tilde_formula, random_scenarios, sign_changes,
                      u_of, vi_defaults, yz_root_brentq)
@@ -245,6 +246,21 @@ def test_optimize_forced_jamming_power():
     assert sol.fd.p_b == 2e-3
     with pytest.raises(ValidationError):
         optimize(p, forced_p_b=2.0 * p.p_b_max)
+
+
+def test_optimize_carries_its_solver_records():
+    p = vi_defaults(lambda_e=1e-5, epsilon=0.05)
+    sol = optimize(p)
+    assert sol.step2 == solve_step2(sol.mu_b, p)
+    assert sol.step2.p_b_dagger == sol.fd.p_b
+    assert sol.hd_result == solve_hd(0.0, p)
+    assert sol.hd_result.hd == sol.hd
+    # diagnostics only: neither serialized nor compared
+    assert solution_from_dict(solution_to_dict(sol)) == sol
+
+    forced = optimize(p, forced_p_b=2e-3)
+    assert forced.step2.step1 == solve_step1(2e-3, forced.mu_b, p)
+    assert math.isnan(forced.step2.residual) and forced.step2.iterations == 0
 
 
 def test_optimize_rejects_zero_jamming_budget():
