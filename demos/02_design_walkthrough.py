@@ -4,8 +4,9 @@ Stage 1: for a fixed jamming power, the outage constraint pins the rate
 redundancy (2^(r_c - r_s) - 1), and a single scalar root pins the codeword
 rate; the on-off threshold falls out of the power budget.  Stage 2: the
 resulting throughput is single-peaked in the jamming power, so a sign
-change of its derivative locates the optimum.  Stage 3: a line search over
-the mode-switch threshold balances the jamming and half-duplex modes.
+change of its derivative locates the optimum.  Stage 3: a search for the
+single throughput peak over the mode-switch threshold balances the jamming
+and half-duplex modes.
 
 Run:  python demos/02_design_walkthrough.py
 """

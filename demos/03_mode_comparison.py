@@ -23,7 +23,7 @@ params = SystemParams(alpha=4.0, d_ab=10.0, lambda_e=1e-5,
 
 print(f"{'mu_b':>9} {'jam-mode':>9} {'hd-mode':>9} {'leader':>8}")
 for mu_b in np.logspace(-9, -3, 13):
-    forced = optimize(params, forced_mu_b=[float(mu_b)])
+    forced = optimize(params, forced_mu_b=float(mu_b))
     m = comparison_metrics(forced, params)
     leader = "jamming" if m.omega_fd_comp > m.omega_hd_comp else "hd"
     print(f"{mu_b:9.1e} {m.omega_fd_comp:9.4f} {m.omega_hd_comp:9.4f} {leader:>8}")

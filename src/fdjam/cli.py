@@ -7,7 +7,8 @@ out), and ``simulate`` (slot-level Monte Carlo of a saved design, JSON
 out).  Every output embeds the fully resolved configuration and package
 version, so any row can be recomputed.  Exit codes: 0 success, 1
 configuration/validation error, 2 solver infeasibility or quadrature
-failure.
+failure (``validate-sop`` writes its table first, with the failed rows'
+quadrature column empty).
 """
 
 from __future__ import annotations
@@ -155,6 +156,9 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
 
 
 def _cmd_validate_sop(args: argparse.Namespace) -> int:
+    """A row whose quadrature fails keeps its other columns, with
+    ``sop_exact`` left empty; the whole table is still written, and the
+    command then reports the failures on one stderr line and exits 2."""
     config = load_config(args.config)
     d_abs = _parse_float_list(args.d_ab, "--d-ab")
     if args.lambda_list:
@@ -169,14 +173,20 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
     r_c = 1.0 + args.rate_gap
 
     rows = []
+    failures = []
     index = 0
     for d_ab in d_abs:
         for lam in lambdas:
             params = replace(config.system, d_ab=d_ab, lambda_e=lam)
+            try:
+                exact = sop_exact(p_a, p_b, r_c, r_s, params)
+            except QuadratureError as exc:
+                exact = None
+                failures.append(exc)
             row = {
                 "lambda_e": lam,
                 "d_ab_m": d_ab,
-                "sop_exact": sop_exact(p_a, p_b, r_c, r_s, params),
+                "sop_exact": exact,
                 "sop_approx": sop_approx(p_a, p_b, r_c, r_s, params),
                 "sop_mc": None,
                 "mc_stderr": None,
@@ -195,6 +205,11 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
                      ["lambda_e", "d_ab_m", "sop_exact", "sop_approx",
                       "sop_mc", "mc_stderr"], rows)
     _emit_text(text, args.out)
+    if failures:
+        # scipy's convergence reports span several lines; keep one
+        print(f"fdjam: quadrature failure: {len(failures)} of {len(rows)} rows: "
+              f"{' '.join(str(failures[0]).split())}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -211,7 +226,7 @@ def _sweep_point(task) -> Dict:
         else replace(base, **{variable: value})
     try:
         if variable == "mu_b":
-            solution = optimize(params, grid, forced_mu_b=[value])
+            solution = optimize(params, grid, forced_mu_b=value)
         elif variable == "p_b":
             solution = optimize(params, grid, forced_p_b=value)
         else:
@@ -344,11 +359,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except InfeasibleError as exc:
         print(f"fdjam: infeasible: {exc}", file=sys.stderr)
-        return 2
-    except QuadratureError as exc:
-        # scipy's convergence reports span several lines; keep one
-        print(f"fdjam: quadrature failure: {' '.join(str(exc).split())}",
-              file=sys.stderr)
         return 2
 
 

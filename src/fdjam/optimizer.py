@@ -10,9 +10,14 @@ the secrecy-outage constraint pins ``yz`` (its left side is strictly
 decreasing), and the first-order optimality condition pins ``y`` through the
 strictly increasing map :func:`v_of_y`.  The throughput is quasi-concave in
 ``y``, in the jamming power, and the jamming-power derivative has a single
-sign change, so every search below is a bracketed bisection.  The remaining
-switch-threshold variable is a deterministic line search over a logarithmic
-grid (:func:`optimize`).
+sign change, so every search below is a bracketed bisection.  The jamming
+power's sign change is located on a logarithmic grid by binary search before
+the bisection refines it (:func:`solve_step2`), and the remaining
+switch-threshold variable is found on its grid by a Fibonacci search for the
+single peak of the throughput (:func:`optimize`).  Both searches return
+exactly what an exhaustive scan of their grid returns whenever the profile
+has the assumed shape; the test suite checks that shape rather than assume
+it.
 
 All bisections run on the logarithm of the unknown with geometric bracket
 expansion; failures raise :class:`~fdjam.errors.InfeasibleError` carrying
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -353,11 +358,15 @@ def solve_step2(mu_b: float, params: SystemParams,
                 grid: Optional[GridSpec] = None) -> Step2Result:
     """Maximize the step-1 throughput over the jamming power.
 
-    The derivative bracket has at most one sign change (quasi-concavity), so
-    the search scans a logarithmic power grid for the change and refines it
-    by bisection.  A derivative that is negative already at the floor means
+    The derivative bracket has at most one sign change, from + to -
+    (quasi-concavity), so the search binary-searches a logarithmic power grid
+    for the first grid power whose sign is <= 0 and refines the change by
+    bisection.  A derivative that is negative already at the floor means
     jamming only hurts (degenerate FD); positive up to the budget means the
-    budget binds (capped).
+    budget binds (capped).  The signs at the two grid ends decide those two
+    cases, and about log2(p_b_steps) more decide the bracket; grid powers
+    the search never visits are never solved, so a step-1 failure there
+    goes unnoticed.
     """
     validate(params)
     if mu_b < 0.0:
@@ -369,18 +378,26 @@ def solve_step2(mu_b: float, params: SystemParams,
         return _derivative_sign(p_b, solve_step1(p_b, mu_b, params), params)
 
     p_values = [float(p) for p in grid.p_b_values(params.p_b_max)]
-    signs = [sign_at(p) for p in p_values]
+    sign_lo = sign_at(p_values[0])
 
-    if signs[0] <= 0.0:
+    if sign_lo <= 0.0:
         p_dag, capped, degenerate = p_values[0], False, True
         iters = 0
-    elif signs[-1] > 0.0:
+    elif len(p_values) == 1 or sign_at(p_values[-1]) > 0.0:
         p_dag, capped, degenerate = params.p_b_max, True, False
         iters = 0
     else:
-        i = next(k for k, d in enumerate(signs) if d <= 0.0)
-        lo, hi = math.log(p_values[i - 1]), math.log(p_values[i])
-        t_root, iters = _bisect(lambda t: sign_at(math.exp(t)), lo, hi, signs[i - 1])
+        # invariant: sign(p_values[i]) > 0 and sign(p_values[j]) <= 0
+        i, j = 0, len(p_values) - 1
+        while j - i > 1:
+            k = (i + j) // 2
+            sign_k = sign_at(p_values[k])
+            if sign_k <= 0.0:
+                j = k
+            else:
+                i, sign_lo = k, sign_k
+        lo, hi = math.log(p_values[i]), math.log(p_values[j])
+        t_root, iters = _bisect(lambda t: sign_at(math.exp(t)), lo, hi, sign_lo)
         p_dag, capped, degenerate = math.exp(t_root), False, False
 
     step1 = solve_step1(p_dag, mu_b, params)
@@ -461,32 +478,59 @@ def solve_hd(mu_b: float, params: SystemParams) -> HdResult:
 
 
 # --------------------------------------------------------------------------
-# outer line search over the switch threshold
+# outer search over the switch threshold
 # --------------------------------------------------------------------------
 
+def _peak_bracket(value: Callable[[int], float], n: int) -> range:
+    """At most two indices that hold the first maximum of value(0..n-1).
+
+    Fibonacci search (Kiefer, "Sequential minimax search for a maximum",
+    1953) on the index, with indices past n-1 standing for -inf and never
+    evaluated.  Exact whenever the values increase strictly up to their
+    first maximum and never increase after it; each step reuses one probe,
+    so about log_phi(n) values are evaluated in all.
+    """
+    fib = [1, 1]
+    while fib[-1] < n + 1:
+        fib.append(fib[-1] + fib[-2])
+    k = len(fib) - 1
+    lo = -1   # the open bracket (lo, lo + fib[k]) holds the first maximum
+
+    def at(i: int) -> float:
+        return value(i) if i < n else -math.inf
+
+    while fib[k] > 3:
+        x1, x2 = lo + fib[k - 2], lo + fib[k - 1]
+        if at(x1) < at(x2):
+            lo = x1
+        k -= 1
+    return range(lo + 1, min(lo + fib[k], n))
+
+
 def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
-             forced_mu_b: Optional[Sequence[float]] = None,
+             forced_mu_b: Optional[float] = None,
              forced_p_b: Optional[float] = None) -> SwitchedSolution:
     """Full off-line design: argmax over the switch threshold grid.
 
-    For every candidate mu_b the jamming-mode group is optimized by
+    For a candidate mu_b the jamming-mode group is optimized by
     :func:`solve_step2` (or pinned to ``forced_p_b``), the half-duplex group
     is reused from a single solve (its unweighted throughput does not depend
     on mu_b), and the two are combined with the mode-occupancy weights.  The
-    smallest mu_b wins ties, making the search deterministic.  Grid points
-    that fail to solve are reported as warnings; only a fully infeasible
-    grid raises.
+    smallest mu_b wins ties, making the search deterministic.
+    ``forced_mu_b`` replaces the grid by that one threshold.
+
+    The throughput has a single peak over the grid, so a Fibonacci search
+    finds it from about ten of its points; the result equals that of a
+    scan of every point.  If a point the search visits fails to solve, the
+    search gives way to that full scan: failing points are reported as
+    warnings, and only a fully infeasible grid raises.  A failing point the
+    search never visits is never solved, so it is not reported.
 
     The returned solution also carries the solver records behind it, for
     diagnostics: ``step2`` is the winning point's :class:`Step2Result` (at a
     forced power, the step-1 solve wrapped with ``residual = nan`` and
     ``iterations = 0``), and ``hd_result`` is the single :class:`HdResult`,
     solved at mu_b = 0 (so its ``omega_hd`` is unweighted).
-
-    The grid points are independent pure computations, so callers may
-    evaluate them in parallel as long as the reduction keeps the
-    smallest-mu_b tie-break; the serial loop here is simply the reference
-    reduction.
     """
     validate(params)
     grid = grid or GridSpec()
@@ -496,35 +540,48 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
             f"forced p_b must be in (0, p_b_max]: {forced_p_b}")
 
     hd_core = solve_hd(0.0, params)
-    mu_b_grid = [float(v) for v in
-                 (forced_mu_b if forced_mu_b is not None else grid.mu_b_values())]
+    mu_b_grid = [float(forced_mu_b)] if forced_mu_b is not None \
+        else [float(v) for v in grid.mu_b_values()]
+    points = {}
 
-    best = None
-    failures = 0
-    for mu_b in mu_b_grid:
-        try:
-            if forced_p_b is not None:
-                step1 = solve_step1(forced_p_b, mu_b, params)
-                record = Step2Result(p_b_dagger=forced_p_b, capped=False,
-                                     degenerate=False, step1=step1,
-                                     omega_tilde_dagger=step1.omega_tilde,
-                                     residual=math.nan, iterations=0)
-            else:
-                record = solve_step2(mu_b, params, grid)
-        except (InfeasibleError, ValidationError) as exc:
-            failures += 1
-            warnings.warn(f"switch-threshold grid point mu_b={mu_b:.3g} "
-                          f"infeasible: {exc}", RuntimeWarning, stacklevel=2)
-            continue
+    def point(i: int):
+        """(omega_s, omega_fd, omega_hd, mu_b, record) at grid index i."""
+        if i in points:
+            return points[i]
+        mu_b = mu_b_grid[i]
+        if forced_p_b is not None:
+            step1 = solve_step1(forced_p_b, mu_b, params)
+            record = Step2Result(p_b_dagger=forced_p_b, capped=False,
+                                 degenerate=False, step1=step1,
+                                 omega_tilde_dagger=step1.omega_tilde,
+                                 residual=math.nan, iterations=0)
+        else:
+            record = solve_step2(mu_b, params, grid)
         omega_fd = throughput_fd(record.step1.r_s, record.step1.mu_a, mu_b, params.rho)
         omega_hd = throughput_hd(hd_core.hd.r_s, hd_core.hd.mu_a, mu_b, params.rho)
-        omega_s = omega_fd + omega_hd
-        if best is None or omega_s > best[0]:
-            best = (omega_s, omega_fd, omega_hd, mu_b, record)
+        points[i] = (omega_fd + omega_hd, omega_fd, omega_hd, mu_b, record)
+        return points[i]
 
-    if best is None:
-        raise InfeasibleError(
-            f"every switch-threshold grid point infeasible ({failures} tried)")
+    try:
+        candidates = [point(i) for i in
+                      _peak_bracket(lambda i: point(i)[0], len(mu_b_grid))]
+    except (InfeasibleError, ValidationError):
+        candidates = []
+        for i, mu_b in enumerate(mu_b_grid):
+            try:
+                candidates.append(point(i))
+            except (InfeasibleError, ValidationError) as exc:
+                warnings.warn(f"switch-threshold grid point mu_b={mu_b:.3g} "
+                              f"infeasible: {exc}", RuntimeWarning, stacklevel=2)
+        if not candidates:
+            raise InfeasibleError(
+                f"every switch-threshold grid point infeasible "
+                f"({len(mu_b_grid)} tried)") from None
+
+    best = None
+    for candidate in candidates:
+        if best is None or candidate[0] > best[0]:
+            best = candidate
 
     omega_s, omega_fd, omega_hd, mu_b, record = best
     step1 = record.step1

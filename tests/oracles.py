@@ -1,20 +1,29 @@
 """Shared oracle utilities for the test suite.
 
-Everything here deliberately avoids the package's own solvers: constraint
-roots come from scipy's brentq, objectives are evaluated from their raw
-formulas, and parameter sets are drawn from a seeded generator so the same
-scenarios reproduce everywhere.
+Apart from the reference scans at the end, everything here deliberately
+avoids the package's own solvers: constraint roots come from scipy's
+brentq, objectives are evaluated from their raw formulas, and parameter
+sets are drawn from a seeded generator so the same scenarios reproduce
+everywhere.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import optimize as sciopt
 
-from fdjam import SystemParams, dbm_to_watts
+from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
+                   dbm_to_watts, solve_hd, solve_step1)
+from fdjam.analytics import throughput_fd, throughput_hd
+from fdjam.optimizer import (Step2Result, _bisect, _derivative_sign,
+                             _residual_eq_step2)
+from fdjam.params import FdParams, SwitchedSolution, validate
 
 
 def vi_defaults(**overrides) -> SystemParams:
@@ -94,4 +103,124 @@ def random_scenarios(n: int, seed: int = 20251107) -> list[ScenarioDraw]:
             params.p_b_max * 10.0 ** rng.uniform(-3.0, 0.0))
         mu_b = 0.0 if rng.random() < 0.25 else float(10.0 ** rng.uniform(-9.0, -5.0))
         out.append(ScenarioDraw(params=params, p_b=p_b, mu_b=mu_b))
+    return out
+
+
+# --------------------------------------------------------------------------
+# Reference scans: the exhaustive searches that the optimizer's structured
+# searches replace.  They reuse the package's step-1 solver and bisection on
+# purpose, so a comparison isolates the search strategy and may demand
+# bit-identical results.  The step-2 references are memoised, because the
+# tests inspect the same scans and records that the references reduce.
+# --------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def derivative_signs(mu_b: float, params: SystemParams,
+                     grid: GridSpec = GridSpec()) -> tuple[float, ...]:
+    """Jamming-power derivative sign at every power of the step-2 grid."""
+    return tuple(_derivative_sign(p, solve_step1(p, mu_b, params), params)
+                 for p in map(float, grid.p_b_values(params.p_b_max)))
+
+
+@lru_cache(maxsize=None)
+def solve_step2_reference(mu_b: float, params: SystemParams,
+                          grid: Optional[GridSpec] = None) -> Step2Result:
+    """Step 2 by a linear scan of the whole power grid for the first
+    derivative sign <= 0, refined by the optimizer's bisection."""
+    validate(params)
+    if mu_b < 0.0:
+        raise ValidationError(f"mu_b must be >= 0: {mu_b}")
+    grid = grid or GridSpec()
+    grid.check(params)
+
+    def sign_at(p_b: float) -> float:
+        return _derivative_sign(p_b, solve_step1(p_b, mu_b, params), params)
+
+    p_values = [float(p) for p in grid.p_b_values(params.p_b_max)]
+    signs = derivative_signs(mu_b, params, grid)
+
+    if signs[0] <= 0.0:
+        p_dag, capped, degenerate = p_values[0], False, True
+        iters = 0
+    elif signs[-1] > 0.0:
+        p_dag, capped, degenerate = params.p_b_max, True, False
+        iters = 0
+    else:
+        i = next(k for k, d in enumerate(signs) if d <= 0.0)
+        lo, hi = math.log(p_values[i - 1]), math.log(p_values[i])
+        t_root, iters = _bisect(lambda t: sign_at(math.exp(t)), lo, hi, signs[i - 1])
+        p_dag, capped, degenerate = math.exp(t_root), False, False
+
+    step1 = solve_step1(p_dag, mu_b, params)
+    residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)
+    return Step2Result(p_b_dagger=p_dag, capped=capped, degenerate=degenerate,
+                       step1=step1, omega_tilde_dagger=step1.omega_tilde,
+                       residual=residual, iterations=iters)
+
+
+def optimize_reference(params: SystemParams, grid: Optional[GridSpec] = None, *,
+                       forced_p_b: Optional[float] = None,
+                       step2: Callable[..., Step2Result] = solve_step2_reference,
+                       ) -> SwitchedSolution:
+    """The full design by a loop over every switch threshold of the grid,
+    keeping the first strict maximum; infeasible points warn and are skipped."""
+    validate(params)
+    grid = grid or GridSpec()
+    grid.check(params)
+    if forced_p_b is not None and not 0.0 < forced_p_b <= params.p_b_max:
+        raise ValidationError(
+            f"forced p_b must be in (0, p_b_max]: {forced_p_b}")
+
+    hd_core = solve_hd(0.0, params)
+    best = None
+    failures = 0
+    for mu_b in map(float, grid.mu_b_values()):
+        try:
+            if forced_p_b is not None:
+                step1 = solve_step1(forced_p_b, mu_b, params)
+                record = Step2Result(p_b_dagger=forced_p_b, capped=False,
+                                     degenerate=False, step1=step1,
+                                     omega_tilde_dagger=step1.omega_tilde,
+                                     residual=math.nan, iterations=0)
+            else:
+                record = step2(mu_b, params, grid)
+        except (InfeasibleError, ValidationError) as exc:
+            failures += 1
+            warnings.warn(f"switch-threshold grid point mu_b={mu_b:.3g} "
+                          f"infeasible: {exc}", RuntimeWarning, stacklevel=2)
+            continue
+        omega_fd = throughput_fd(record.step1.r_s, record.step1.mu_a, mu_b, params.rho)
+        omega_hd = throughput_hd(hd_core.hd.r_s, hd_core.hd.mu_a, mu_b, params.rho)
+        omega_s = omega_fd + omega_hd
+        if best is None or omega_s > best[0]:
+            best = (omega_s, omega_fd, omega_hd, mu_b, record)
+
+    if best is None:
+        raise InfeasibleError(
+            f"every switch-threshold grid point infeasible ({failures} tried)")
+
+    omega_s, omega_fd, omega_hd, mu_b, record = best
+    step1 = record.step1
+    fd = FdParams(r_c=step1.r_c, r_s=step1.r_s, mu_a=step1.mu_a, p_b=record.p_b_dagger)
+    return SwitchedSolution(mu_b=float(mu_b), fd=fd, hd=hd_core.hd,
+                            omega_s=omega_s, omega_fd=omega_fd,
+                            omega_hd=omega_hd, degenerate_fd=record.degenerate,
+                            capped_fd=record.capped, step2=record,
+                            hd_result=hd_core)
+
+
+def omega_s_profile(params: SystemParams, grid: Optional[GridSpec] = None, *,
+                    forced_p_b: Optional[float] = None) -> list[float]:
+    """Switched throughput at every switch threshold of the grid, each point
+    designed by the reference step 2 (or at the forced jamming power)."""
+    grid = grid or GridSpec()
+    hd = solve_hd(0.0, params).hd
+    out = []
+    for mu_b in map(float, grid.mu_b_values()):
+        if forced_p_b is None:
+            fd = solve_step2_reference(mu_b, params, grid).step1
+        else:
+            fd = solve_step1(forced_p_b, mu_b, params)
+        out.append(throughput_fd(fd.r_s, fd.mu_a, mu_b, params.rho)
+                   + throughput_hd(hd.r_s, hd.mu_a, mu_b, params.rho))
     return out

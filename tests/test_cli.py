@@ -157,6 +157,27 @@ def test_validate_sop_quadrature_failure_maps_to_exit_code_2(capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_validate_sop_keeps_the_table_when_one_distance_fails(tmp_path, capsys):
+    # the recorded failing geometry beside a 10 m link: the 10 m rows must
+    # be written as if asked for alone, the failed rows keep sop_approx
+    recorded = ["--p-a-w", "0.5295026406593171", "--p-b-w", "0.4404555364279015",
+                "--rate-gap", "1.5813836603180378", "--trials", "0"]
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab",
+                 "10,0.2031818992364538", "--out", str(both)] + recorded) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: quadrature failure: 25 of 50 rows: ")
+    assert err.count("\n") == 1
+    assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10",
+                 "--out", str(alone)] + recorded) == 0
+    _, rows = _read_csv(str(both))
+    _, rows_alone = _read_csv(str(alone))
+    assert [r for r in rows if r["d_ab_m"] == "10.0"] == rows_alone
+    failed = [r for r in rows if r["d_ab_m"] != "10.0"]
+    assert len(failed) == 25
+    assert all(r["sop_exact"] == "" and r["sop_approx"] != "" for r in failed)
+
+
 def test_validate_sop_zero_density_row(base_config, tmp_path):
     out = tmp_path / "sop.csv"
     assert main(["validate-sop", "--config", base_config, "--d-ab", "10",

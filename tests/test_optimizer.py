@@ -1,17 +1,22 @@
 import dataclasses
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdjam.optimizer
 from fdjam import (GridSpec, InfeasibleError, ValidationError, dbm_to_watts,
                    optimize, solve_hd, solve_step1, solve_step2, v_of_y)
 from fdjam.analytics import comparison_metrics, hd_weight
+from fdjam.config import load_config
 from fdjam.optimizer import mu_a_from_sop_constraint, omega_tilde_of_y
 from fdjam.params import solution_from_dict, solution_to_dict
 
-from oracles import (omega_tilde_formula, random_scenarios, sign_changes,
-                     u_of, vi_defaults, yz_root_brentq)
+from oracles import (derivative_signs, omega_s_profile, omega_tilde_formula,
+                     optimize_reference, random_scenarios, sign_changes,
+                     solve_step2_reference, u_of, vi_defaults, yz_root_brentq)
 
 VI_PB = dbm_to_watts(10.0)
 VI_MU_B = 1e-7
@@ -205,7 +210,7 @@ def test_hd_weight_applied():
 
 def test_optimize_pure_hd_when_switch_disabled():
     p = vi_defaults()
-    sol = optimize(p, forced_mu_b=[0.0])
+    sol = optimize(p, forced_mu_b=0.0)
     assert sol.mu_b == 0.0
     assert sol.omega_fd == 0.0
     hd = solve_hd(0.0, p)
@@ -282,3 +287,100 @@ def test_grid_spec_validation():
 def test_omega_tilde_helper_matches_formula():
     assert omega_tilde_of_y(10.0, 3.0, 0.01) == pytest.approx(
         omega_tilde_formula(10.0, 3.0, 0.01), rel=1e-14)
+
+
+# ------------------------------------------- searches against full scans
+
+def _search_scenarios():
+    """(name, params, grid): default.ini, the seeded random scenarios, perfect
+    SI suppression, and a jamming budget below the power-grid floor."""
+    default = load_config(str(Path(__file__).resolve().parents[1]
+                              / "configs" / "default.ini"))
+    out = [("default", default.system, default.grid)]
+    out += [(f"random{i}", sc.params, GridSpec())
+            for i, sc in enumerate(random_scenarios(40))]
+    out.append(("rho0", dataclasses.replace(default.system, rho=0.0), default.grid))
+    out.append(("p_b_max_-30dBm", dataclasses.replace(
+        default.system, p_b_max=dbm_to_watts(-30.0)), default.grid))
+    return out
+
+
+SEARCH_SCENARIOS = _search_scenarios()
+SEARCH_IDS = [name for name, _, _ in SEARCH_SCENARIOS]
+
+
+def _forced_powers(params):
+    return (params.p_b_max * 1e-3, params.p_b_max * 0.1, params.p_b_max)
+
+
+def _rises_then_falls(values):
+    """Strictly increasing up to the first maximum and never increasing
+    after it: the single peak on which the Fibonacci search is exact."""
+    peak = values.index(max(values))
+    return (all(a < b for a, b in zip(values[:peak], values[1:peak + 1]))
+            and all(a >= b for a, b in zip(values[peak:], values[peak + 1:])))
+
+
+@pytest.mark.parametrize("name, params, grid", SEARCH_SCENARIOS, ids=SEARCH_IDS)
+def test_search_assumptions_hold(name, params, grid):
+    # a model change that breaks quasi-concavity must fail here, not shift
+    # the optimum the searches return
+    for mu_b in map(float, grid.mu_b_values()):
+        positive = [s > 0.0 for s in derivative_signs(mu_b, params, grid)]
+        assert positive == sorted(positive, reverse=True), \
+            f"derivative sign changes other than once from + to - at mu_b={mu_b}"
+    assert _rises_then_falls(omega_s_profile(params, grid))
+    for p_b in _forced_powers(params):
+        assert _rises_then_falls(omega_s_profile(params, grid, forced_p_b=p_b))
+
+
+@pytest.mark.parametrize("name, params, grid", SEARCH_SCENARIOS, ids=SEARCH_IDS)
+def test_searches_equal_full_scans_bit_for_bit(name, params, grid):
+    for mu_b in map(float, grid.mu_b_values()):
+        assert solve_step2(mu_b, params, grid) == \
+            solve_step2_reference(mu_b, params, grid)
+    sol, ref = optimize(params, grid), optimize_reference(params, grid)
+    assert sol == ref
+    assert sol.step2 == ref.step2 and sol.hd_result == ref.hd_result
+    for p_b in _forced_powers(params):
+        sol = optimize(params, grid, forced_p_b=p_b)
+        ref = optimize_reference(params, grid, forced_p_b=p_b)
+        assert sol == ref and sol.step2 == ref.step2
+
+
+def _failing_above(mu_b_max):
+    def step2(mu_b, params, grid=None):
+        if mu_b > mu_b_max:
+            raise InfeasibleError(f"forced above {mu_b_max}")
+        return solve_step2_reference(mu_b, params, grid)
+    return step2
+
+
+def _with_warnings(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("index", [1, 20, 38, 60])
+def test_optimize_falls_back_to_full_scan_on_infeasible_points(monkeypatch, index):
+    p = vi_defaults(lambda_e=1e-5, epsilon=0.05)
+    mu_b_grid = GridSpec().mu_b_values()
+    step2 = _failing_above(float(mu_b_grid[index]))
+    monkeypatch.setattr(fdjam.optimizer, "solve_step2", step2)
+    sol, caught = _with_warnings(optimize, p)
+    ref, ref_caught = _with_warnings(optimize_reference, p, step2=step2)
+    assert sol == ref and sol.step2 == ref.step2
+    assert caught == ref_caught
+    assert len(caught) == len(mu_b_grid) - 1 - index
+
+
+def test_optimize_reports_a_fully_infeasible_grid(monkeypatch):
+    p = vi_defaults()
+    monkeypatch.setattr(fdjam.optimizer, "solve_step2", _failing_above(-1.0))
+    with pytest.raises(InfeasibleError) as exc, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        optimize(p)
+    assert str(exc.value) == \
+        "every switch-threshold grid point infeasible (61 tried)"

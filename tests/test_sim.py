@@ -117,7 +117,7 @@ def test_empirical_sop_argument_checks():
 # ---------------------------------------------------------------- on-line
 
 def test_online_no_jamming_mode_when_switch_disabled():
-    sol = optimize(ONLINE_PARAMS, forced_mu_b=[0.0])
+    sol = optimize(ONLINE_PARAMS, forced_mu_b=0.0)
     rep = run_online(sol, ONLINE_PARAMS, n_slots=4000, r_cut=400.0, seed=2)
     assert rep.mode_counts.fd == 0
     assert rep.mode_counts.hd + rep.mode_counts.silent == 4000
