@@ -119,7 +119,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "step2_residual": step2.residual,
         "step2_iterations": step2.iterations,
         "hd_residual": hd.residual,
-        "hd_iterations": hd.iterations,
         "mu_b_grid_points": int(config.grid.mu_b_steps) + 1,
         "p_b_grid_points": int(config.grid.p_b_steps),
     }
@@ -176,13 +175,19 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
     failures = []
     index = 0
     for d_ab in d_abs:
+        # J(x) does not depend on lambda_e: a geometry that fails once fails
+        # at every density, so it is not integrated again
+        failure = None
         for lam in lambdas:
             params = replace(config.system, d_ab=d_ab, lambda_e=lam)
-            try:
-                exact = sop_exact(p_a, p_b, r_c, r_s, params)
-            except QuadratureError as exc:
-                exact = None
-                failures.append(exc)
+            exact = None
+            if failure is None:
+                try:
+                    exact = sop_exact(p_a, p_b, r_c, r_s, params)
+                except QuadratureError as exc:
+                    failure = exc
+            if failure is not None:
+                failures.append(failure)
             row = {
                 "lambda_e": lam,
                 "d_ab_m": d_ab,

@@ -9,10 +9,11 @@ class ValidationError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """A solver could not bracket a root or the problem has no feasible point.
+    """A root has no sign change in its window, a closed form leaves double
+    range, or the problem has no feasible point.
 
-    The message reports the bracket endpoints (or the offending derived
-    quantity) so the caller can see how far the search went.
+    The message names the quantity and its window (or the offending derived
+    value), so the caller can see where the design left the feasible range.
     """
 
 

@@ -8,20 +8,27 @@ scalar root problems in the substituted variables
 
 the secrecy-outage constraint pins ``yz`` (its left side is strictly
 decreasing), and the first-order optimality condition pins ``y`` through the
-strictly increasing map :func:`v_of_y`.  The throughput is quasi-concave in
-``y``, in the jamming power, and the jamming-power derivative has a single
-sign change, so every search below is a bracketed bisection.  The jamming
-power's sign change is located on a logarithmic grid by binary search before
-the bisection refines it (:func:`solve_step2`), and the remaining
-switch-threshold variable is found on its grid by a Fibonacci search for the
-single peak of the throughput (:func:`optimize`).  Both searches return
-exactly what an exhaustive scan of their grid returns whenever the profile
-has the assumed shape; the test suite checks that shape rather than assume
-it.
+strictly increasing map :func:`v_of_y`.  The outage root has no closed form
+and is found by Brent's method (Brent, *Algorithms for Minimization without
+Derivatives*, 1973; :func:`scipy.optimize.brentq`) on ln yz in a fixed
+window.  The optimality condition, like the half-duplex rate condition,
+becomes w + ln w = x in a suitable variable w, the defining equation of the
+Wright omega function (Corless and Jeffrey, "The Wright omega function",
+2002), so both rates are closed forms evaluated by
+:func:`scipy.special.wrightomega`.
 
-All bisections run on the logarithm of the unknown with geometric bracket
-expansion; failures raise :class:`~fdjam.errors.InfeasibleError` carrying
-the bracket endpoints.
+The throughput is quasi-concave in the jamming power and its derivative has
+a single sign change, which is located on a logarithmic grid by binary
+search before Brent's method refines it on ln p_b (:func:`solve_step2`); the
+remaining switch-threshold variable is found on its grid by a Fibonacci
+search for the single peak of the throughput (:func:`optimize`).  Both
+searches return exactly what an exhaustive scan of their grid returns
+whenever the profile has the assumed shape; the test suite checks that shape
+rather than assume it.
+
+A root without a sign change in its window, a root search that does not
+converge, and a rate beyond double range raise
+:class:`~fdjam.errors.InfeasibleError` naming the quantity and its window.
 """
 
 from __future__ import annotations
@@ -29,9 +36,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import wrightomega
 
 from .analytics import hd_weight, throughput_fd, throughput_hd
 from .errors import InfeasibleError, ValidationError
@@ -45,9 +54,7 @@ __all__ = [
     "Step2Result",
     "HdResult",
     "v_of_y",
-    "omega_tilde_of_y",
     "solve_step1",
-    "mu_a_from_sop_constraint",
     "solve_step2",
     "solve_hd",
     "optimize",
@@ -55,12 +62,8 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-# Log-space search window; exp(+-700) stays clear of double overflow.
-_T_MIN, _T_MAX = -700.0, 700.0
-# Initial bracket for y and yz searches: [1e-9, 2^40], expanded on demand.
-_T_LO0, _T_HI0 = math.log(1e-9), 40.0 * LN2
+# Root tolerance on the logarithm of the unknown.
 _XTOL_LOG = 1e-13
-_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -108,60 +111,6 @@ class GridSpec:
 
 
 # --------------------------------------------------------------------------
-# scalar root finding on log-transformed unknowns
-# --------------------------------------------------------------------------
-
-def _expand_bracket(g: Callable[[float], float], lo: float, hi: float,
-                    what: str) -> Tuple[float, float, float, float]:
-    """Geometrically widen [lo, hi] until g changes sign across it."""
-    g_lo, g_hi = g(lo), g(hi)
-    while (g_lo > 0.0) == (g_hi > 0.0):
-        width = hi - lo
-        moved = False
-        if lo > _T_MIN:
-            lo = max(_T_MIN, lo - width)
-            g_lo = g(lo)
-            moved = True
-            if (g_lo > 0.0) != (g_hi > 0.0):
-                break
-        if hi < _T_MAX:
-            hi = min(_T_MAX, hi + width)
-            g_hi = g(hi)
-            moved = True
-        if not moved:
-            raise InfeasibleError(
-                f"no sign change bracketing {what}: "
-                f"f({math.exp(lo):.6g}) = {g_lo:.6g}, "
-                f"f({math.exp(hi):.6g}) = {g_hi:.6g}")
-    return lo, hi, g_lo, g_hi
-
-
-def _bisect(g: Callable[[float], float], lo: float, hi: float,
-            g_lo: float, *, xtol: float = _XTOL_LOG) -> Tuple[float, int]:
-    """Bisection on a bracketed sign change; returns (root, iterations)."""
-    lo_pos = g_lo > 0.0
-    iters = 0
-    while hi - lo > xtol and iters < _MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        iters += 1
-        if g_mid == 0.0:
-            return mid, iters
-        if (g_mid > 0.0) == lo_pos:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), iters
-
-
-def _solve_log(g: Callable[[float], float], what: str,
-               t_lo: float = _T_LO0, t_hi: float = _T_HI0) -> Tuple[float, int]:
-    lo, hi, g_lo, _ = _expand_bracket(g, t_lo, t_hi, what)
-    t_root, iters = _bisect(g, lo, hi, g_lo)
-    return math.exp(t_root), iters
-
-
-# --------------------------------------------------------------------------
 # step 1: rates and on-off threshold for a given jamming power
 # --------------------------------------------------------------------------
 
@@ -177,11 +126,6 @@ def v_of_y(y: float, u: float) -> float:
     if u <= 0.0:
         raise ValidationError(f"u must be > 0: {u}")
     return (1.0 + y) * math.exp(-1.0 / (u * (1.0 + y))) - 1.0
-
-
-def omega_tilde_of_y(y: float, yz: float, u: float) -> float:
-    """Unweighted throughput objective log2((1+y)/(1+yz)) * exp(-u*y)."""
-    return (math.log1p(y) - math.log1p(yz)) / LN2 * math.exp(-u * y)
 
 
 def _log_sop_lhs(log_s: float, p_b: float, p_a_max: float,
@@ -204,45 +148,43 @@ class Step1Result:
     omega_tilde: float    # r_s * exp(-mu_a)
     residual: float       # relative residual of the optimality equation at y_star
     omega_forms_gap: float  # relative gap between the two closed forms of omega_tilde
-    iterations: int       # total bisection iterations (yz plus y searches)
+    iterations: int       # Brent iterations for yz (the rates are closed-form)
     constants: DerivedConstants
 
 
 def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     """Maximize r_s*exp(-mu_a) over rates and on-off threshold at fixed p_b.
 
-    Two bisections: the outage constraint pins yz (decreasing left side),
-    then v(y) = yz pins y.  The second root is solved through the
-    substitution z = 1/(u*(1+y)), which turns v(y) = yz into the strictly
-    increasing scalar equation z + ln z = -ln u - ln(1+yz) and yields the
-    secrecy rate r_s = z/ln2 and ln(1+y) = ln(1+yz) + z without subtractive
-    cancellation, even when the rate gap is many orders below the rates.
-    mu_a = u*y saturates the power budget exactly at the threshold.
+    The outage constraint pins yz (its left side is strictly decreasing),
+    found by Brent's method on ln yz in [-700, 700]; then v(y) = yz pins y
+    in closed form.  The substitution z = 1/(u*(1+y)) turns v(y) = yz into
+    z + ln z = -ln u - ln(1+yz), whose solution is the Wright omega function
+    of the right-hand side; it yields the secrecy rate r_s = z/ln2 and
+    ln(1+y) = ln(1+yz) + z without subtractive cancellation, even when the
+    rate gap is many orders below the rates.  mu_a = u*y saturates the power
+    budget exactly at the threshold.
     """
     validate(params)
     dc = derived_constants(params, p_b, mu_b)
     log_tau = math.log(dc.tau)
 
-    yz_star, it_s = _solve_log(
-        lambda t: _log_sop_lhs(t, p_b, params.p_a_max, params.sigma_e2, dc.eta) - log_tau,
-        "the outage-constraint root yz")
-    if not math.isfinite(yz_star):
-        raise InfeasibleError(f"outage-constraint root not finite (tau={dc.tau})")
+    try:
+        # exp(+-700) stays clear of double overflow
+        t_root, info = brentq(
+            lambda t: _log_sop_lhs(t, p_b, params.p_a_max, params.sigma_e2, dc.eta) - log_tau,
+            -700.0, 700.0, xtol=_XTOL_LOG, full_output=True)
+    except (ValueError, RuntimeError) as exc:
+        raise InfeasibleError(
+            f"outage-constraint root yz not found for ln yz in [-700, 700] "
+            f"(tau={dc.tau}): {exc}") from exc
+    yz_star = math.exp(t_root)
 
     log1p_yz = math.log1p(yz_star)
     c_rhs = -math.log(dc.u) - log1p_yz
-
-    def g_z(s: float) -> float:
-        return math.exp(s) + s - c_rhs
-
-    if g_z(-690.0) > 0.0:
+    if c_rhs < -690.0:
         raise InfeasibleError(
             f"secrecy rate underflows: yz={yz_star}, u={dc.u}, tau={dc.tau}")
-    s_hi = 8.0
-    while g_z(s_hi) < 0.0 and s_hi < 700.0:
-        s_hi += 5.0
-    s_root, it_y = _bisect(g_z, -690.0, s_hi, g_z(-690.0))
-    z_star = math.exp(s_root)
+    z_star = float(wrightomega(c_rhs))
 
     log1p_y = log1p_yz + z_star
     if log1p_y > 700.0:
@@ -271,37 +213,8 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
 
     return Step1Result(y_star=y_star, yz_star=yz_star, r_c=r_c, r_s=r_s,
                        mu_a=mu_a, omega_tilde=omega_tilde, residual=residual,
-                       omega_forms_gap=forms_gap, iterations=it_s + it_y,
+                       omega_forms_gap=forms_gap, iterations=info.iterations,
                        constants=dc)
-
-
-def mu_a_from_sop_constraint(r_c: float, r_s: float, p_b: float, mu_b: float,
-                             params: SystemParams) -> float:
-    """On-off threshold required by the outage constraint alone.
-
-    Inverts the worst-case outage exposure (evaluated at the on-off gain
-    threshold and the switch-level residual SI) with respect to mu_a; the
-    exposure is strictly decreasing in mu_a, so this is a log-space
-    bisection.  Independent of the step-1 solve path on purpose: at a step-1
-    optimum it must reproduce mu_a = u * y_star.
-    """
-    validate(params)
-    dc = derived_constants(params, p_b, mu_b)
-    k = 2.0 ** (r_c - r_s) - 1.0
-    if k <= 0.0:
-        raise ValidationError(f"require r_s < r_c, got r_s={r_s}, r_c={r_c}")
-    den = (2.0 ** r_c - 1.0) * (params.sigma_b2 + p_b * mu_b)
-    scale = k * params.d_ab ** (-params.alpha) / den
-    log_tau = math.log(dc.tau)
-
-    def g(t: float) -> float:
-        mu_a = math.exp(t)
-        return (-math.log1p(p_b * scale * mu_a)
-                - dc.eta * math.log(params.sigma_e2 * scale * mu_a)
-                - log_tau)
-
-    root, _ = _solve_log(g, "the outage-constraint on-off threshold")
-    return root
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +231,7 @@ class Step2Result:
     step1: Step1Result      # rates/threshold recomputed at p_b_dagger
     omega_tilde_dagger: float
     residual: float         # relative residual of the stationarity equation
-    iterations: int
+    iterations: int         # Brent iterations refining the sign change, else 0
 
 
 def _w_of(v: float, p_b: float, params: SystemParams, eta: float) -> float:
@@ -361,12 +274,12 @@ def solve_step2(mu_b: float, params: SystemParams,
     The derivative bracket has at most one sign change, from + to -
     (quasi-concavity), so the search binary-searches a logarithmic power grid
     for the first grid power whose sign is <= 0 and refines the change by
-    bisection.  A derivative that is negative already at the floor means
-    jamming only hurts (degenerate FD); positive up to the budget means the
-    budget binds (capped).  The signs at the two grid ends decide those two
-    cases, and about log2(p_b_steps) more decide the bracket; grid powers
-    the search never visits are never solved, so a step-1 failure there
-    goes unnoticed.
+    Brent's method on ln p_b between that power and the one below it.  A
+    derivative that is negative already at the floor means jamming only
+    hurts (degenerate FD); positive up to the budget means the budget binds
+    (capped).  The signs at the two grid ends decide those two cases, and
+    about log2(p_b_steps) more decide the bracket; grid powers the search
+    never visits are never solved, so a step-1 failure there goes unnoticed.
     """
     validate(params)
     if mu_b < 0.0:
@@ -378,9 +291,7 @@ def solve_step2(mu_b: float, params: SystemParams,
         return _derivative_sign(p_b, solve_step1(p_b, mu_b, params), params)
 
     p_values = [float(p) for p in grid.p_b_values(params.p_b_max)]
-    sign_lo = sign_at(p_values[0])
-
-    if sign_lo <= 0.0:
+    if sign_at(p_values[0]) <= 0.0:
         p_dag, capped, degenerate = p_values[0], False, True
         iters = 0
     elif len(p_values) == 1 or sign_at(p_values[-1]) > 0.0:
@@ -391,14 +302,22 @@ def solve_step2(mu_b: float, params: SystemParams,
         i, j = 0, len(p_values) - 1
         while j - i > 1:
             k = (i + j) // 2
-            sign_k = sign_at(p_values[k])
-            if sign_k <= 0.0:
+            if sign_at(p_values[k]) <= 0.0:
                 j = k
             else:
-                i, sign_lo = k, sign_k
-        lo, hi = math.log(p_values[i]), math.log(p_values[j])
-        t_root, iters = _bisect(lambda t: sign_at(math.exp(t)), lo, hi, sign_lo)
+                i = k
+        try:
+            t_root, info = brentq(lambda t: sign_at(math.exp(t)),
+                                  math.log(p_values[i]), math.log(p_values[j]),
+                                  xtol=_XTOL_LOG, full_output=True)
+        except (InfeasibleError, ValidationError):
+            raise   # a step-1 failure keeps its own message
+        except (ValueError, RuntimeError) as exc:
+            raise InfeasibleError(
+                f"jamming-power root not found for p_b in "
+                f"[{p_values[i]:.6g}, {p_values[j]:.6g}] W: {exc}") from exc
         p_dag, capped, degenerate = math.exp(t_root), False, False
+        iters = info.iterations
 
     step1 = solve_step1(p_dag, mu_b, params)
     residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)
@@ -424,7 +343,6 @@ class HdResult:
     omega_tilde: float
     omega_hd: float
     residual: float
-    iterations: int
 
 
 def solve_hd(mu_b: float, params: SystemParams) -> HdResult:
@@ -434,10 +352,13 @@ def solve_hd(mu_b: float, params: SystemParams) -> HdResult:
     yz = (p_a_max/sigma_e2) * tau^(-alpha/2), and the rate optimality
     condition becomes a single increasing scalar equation in r_c,
 
-        2^r_c * (r_c - log2(1 + yz)) = p_a_max / (sigma_b2 * d_ab^alpha * ln 2),
+        2^r_c * (r_c - log2(1 + yz)) = p_a_max / (sigma_b2 * d_ab^alpha * ln 2).
 
-    solved here in log form.  This is a deliberately separate code path from
-    solve_step1(p_b=0); the two must agree and the tests enforce it.
+    In w = r_s*ln2, with r_s = r_c - log2(1 + yz), its logarithm reads
+    w + ln w = ln k - ln2*log2(1 + yz) + ln ln2 (k the right-hand side), so w
+    is the Wright omega function of that constant.  This is a deliberately
+    separate code path from solve_step1(p_b=0); the two must agree and the
+    tests enforce it.
     """
     validate(params)
     if mu_b < 0.0:
@@ -452,29 +373,23 @@ def solve_hd(mu_b: float, params: SystemParams) -> HdResult:
     log_k = math.log(params.p_a_max) - math.log(params.sigma_b2) \
         - params.alpha * math.log(params.d_ab) - math.log(LN2)
 
-    def g(s: float) -> float:
-        # ln of (2^r_c * (r_c - c) / k) at r_c = c + e^s; increasing in s.
-        return (c + math.exp(s)) * LN2 + s - log_k
-
-    s_lo, s_hi = -690.0, 5.0
-    if g(s_lo) > 0.0:
+    rhs = log_k - c * LN2
+    if rhs < -690.0:
         raise InfeasibleError(
             f"half-duplex secrecy rate underflows (tau={dc.tau})")
-    while g(s_hi) < 0.0 and s_hi < 700.0:
-        s_hi += 5.0
-    s_root, iters = _bisect(g, s_lo, s_hi, g(s_lo), xtol=1e-13)
-
-    r_s = math.exp(s_root)
+    r_s = float(wrightomega(rhs + math.log(LN2))) / LN2
     r_c = c + r_s
-    if r_s <= 0.0:
+    if r_c * LN2 > 700.0:
         raise InfeasibleError(
-            f"no positive half-duplex secrecy rate (tau={dc.tau})")
+            f"half-duplex codeword rate beyond representable range: r_c={r_c}")
     mu_a = dc.u * (2.0 ** r_c - 1.0)
     omega_tilde = r_s * math.exp(-mu_a)
     hd = HdParams(r_c=r_c, r_s=r_s, mu_a=mu_a)
+    # ln of 2^r_c * r_s / k, zero at the root
+    residual = abs(math.expm1(r_c * LN2 + math.log(r_s) - log_k))
     return HdResult(hd=hd, omega_tilde=omega_tilde,
                     omega_hd=omega_tilde * hd_weight(mu_b, params.rho),
-                    residual=abs(math.expm1(g(s_root))), iterations=iters)
+                    residual=residual)
 
 
 # --------------------------------------------------------------------------

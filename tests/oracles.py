@@ -21,7 +21,7 @@ from scipy import optimize as sciopt
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
                    dbm_to_watts, solve_hd, solve_step1)
 from fdjam.analytics import throughput_fd, throughput_hd
-from fdjam.optimizer import (Step2Result, _bisect, _derivative_sign,
+from fdjam.optimizer import (_XTOL_LOG, Step2Result, _derivative_sign,
                              _residual_eq_step2)
 from fdjam.params import FdParams, SwitchedSolution, validate
 
@@ -54,6 +54,33 @@ def yz_root_brentq(p_b: float, params: SystemParams) -> float:
         return (-math.log1p(s * p_b / params.p_a_max)
                 - eta * math.log(s * params.sigma_e2 / params.p_a_max)
                 - math.log(tau))
+
+    return math.exp(sciopt.brentq(f, -600.0, 600.0, xtol=1e-13))
+
+
+def mu_a_from_sop_constraint(r_c: float, r_s: float, p_b: float, mu_b: float,
+                             params: SystemParams) -> float:
+    """On-off threshold required by the outage constraint alone, via brentq.
+
+    Inverts the worst-case outage exposure (evaluated at the on-off gain
+    threshold and the switch-level residual SI) with respect to mu_a; the
+    exposure is strictly decreasing in mu_a.  Independent of the step-1
+    solve path on purpose: at a step-1 optimum it must reproduce
+    mu_a = u * y_star.
+    """
+    k = 2.0 ** (r_c - r_s) - 1.0
+    if k <= 0.0:
+        raise ValidationError(f"require r_s < r_c, got r_s={r_s}, r_c={r_c}")
+    den = (2.0 ** r_c - 1.0) * (params.sigma_b2 + p_b * mu_b)
+    scale = k * params.d_ab ** (-params.alpha) / den
+    log_tau = math.log(tau_of(params))
+    eta = 2.0 / params.alpha
+
+    def f(t: float) -> float:
+        mu_a = math.exp(t)
+        return (-math.log1p(p_b * scale * mu_a)
+                - eta * math.log(params.sigma_e2 * scale * mu_a)
+                - log_tau)
 
     return math.exp(sciopt.brentq(f, -600.0, 600.0, xtol=1e-13))
 
@@ -108,10 +135,11 @@ def random_scenarios(n: int, seed: int = 20251107) -> list[ScenarioDraw]:
 
 # --------------------------------------------------------------------------
 # Reference scans: the exhaustive searches that the optimizer's structured
-# searches replace.  They reuse the package's step-1 solver and bisection on
-# purpose, so a comparison isolates the search strategy and may demand
-# bit-identical results.  The step-2 references are memoised, because the
-# tests inspect the same scans and records that the references reduce.
+# searches replace.  They reuse the package's step-1 solver and call brentq
+# with the package's arguments on purpose, so a comparison isolates the
+# search strategy and may demand bit-identical results.  The step-2
+# references are memoised, because the tests inspect the same scans and
+# records that the references reduce.
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -126,7 +154,7 @@ def derivative_signs(mu_b: float, params: SystemParams,
 def solve_step2_reference(mu_b: float, params: SystemParams,
                           grid: Optional[GridSpec] = None) -> Step2Result:
     """Step 2 by a linear scan of the whole power grid for the first
-    derivative sign <= 0, refined by the optimizer's bisection."""
+    derivative sign <= 0, refined by brentq as in the optimizer."""
     validate(params)
     if mu_b < 0.0:
         raise ValidationError(f"mu_b must be >= 0: {mu_b}")
@@ -147,9 +175,11 @@ def solve_step2_reference(mu_b: float, params: SystemParams,
         iters = 0
     else:
         i = next(k for k, d in enumerate(signs) if d <= 0.0)
-        lo, hi = math.log(p_values[i - 1]), math.log(p_values[i])
-        t_root, iters = _bisect(lambda t: sign_at(math.exp(t)), lo, hi, signs[i - 1])
+        t_root, info = sciopt.brentq(lambda t: sign_at(math.exp(t)),
+                                     math.log(p_values[i - 1]), math.log(p_values[i]),
+                                     xtol=_XTOL_LOG, full_output=True)
         p_dag, capped, degenerate = math.exp(t_root), False, False
+        iters = info.iterations
 
     step1 = solve_step1(p_dag, mu_b, params)
     residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)

@@ -24,9 +24,8 @@ import pytest
 from fdjam import (GridSpec, comparison_metrics, dbm_to_watts, optimize,
                    run_online, solve_hd, solve_step1, solve_step2)
 from fdjam.cli import main
-from fdjam.optimizer import mu_a_from_sop_constraint
-from oracles import (omega_tilde_formula, random_scenarios, sign_changes,
-                     u_of, vi_defaults)
+from oracles import (mu_a_from_sop_constraint, omega_tilde_formula,
+                     random_scenarios, sign_changes, u_of, vi_defaults)
 
 SEED = 20260810
 

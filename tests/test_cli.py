@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdjam.analytics import comparison_metrics
+from fdjam.analytics import comparison_metrics, sop_exact
 from fdjam.cli import main
 from fdjam.config import load_config
 from fdjam.optimizer import optimize, solve_hd, solve_step2
@@ -89,7 +89,6 @@ def test_optimize_diagnostics_match_direct_solves(base_config, tmp_path):
         "step2_residual": jsonable(step2.residual),
         "step2_iterations": step2.iterations,
         "hd_residual": hd.residual,
-        "hd_iterations": hd.iterations,
         "mu_b_grid_points": config.grid.mu_b_steps + 1,
         "p_b_grid_points": config.grid.p_b_steps,
     }
@@ -143,6 +142,29 @@ def test_infeasible_maps_to_exit_code_2(base_config, monkeypatch):
     assert main(["optimize", "--config", base_config]) == 2
 
 
+def test_optimize_codeword_rate_beyond_double_range_exits_2(tmp_path, capsys):
+    # a vanishing outage bound pushes the half-duplex codeword rate past
+    # 1024 bits/s/Hz, where 2^r_c leaves double range
+    cfg = tmp_path / "huge_rate.ini"
+    cfg.write_text("""\
+[system]
+alpha = 2.222424702851874
+d_ab_m = 84.11148891270575
+lambda_e_per_m2 = 1.5944075667651158e-12
+epsilon = 2.0806126910474596e-278
+sigma_b2_dbm = -142.52
+sigma_e2_dbm = -54.95
+rho_db = -31.62
+p_a_max_dbm = 69.49
+p_b_max_dbm = 4.43
+""")
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: infeasible: half-duplex codeword rate "
+                          "beyond representable range")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- validate-sop
 
 def test_validate_sop_quadrature_failure_maps_to_exit_code_2(capsys):
@@ -157,14 +179,24 @@ def test_validate_sop_quadrature_failure_maps_to_exit_code_2(capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_validate_sop_keeps_the_table_when_one_distance_fails(tmp_path, capsys):
+def test_validate_sop_keeps_the_table_when_one_distance_fails(tmp_path, capsys,
+                                                              monkeypatch):
     # the recorded failing geometry beside a 10 m link: the 10 m rows must
     # be written as if asked for alone, the failed rows keep sop_approx
     recorded = ["--p-a-w", "0.5295026406593171", "--p-b-w", "0.4404555364279015",
                 "--rate-gap", "1.5813836603180378", "--trials", "0"]
     both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    calls = []
+
+    def counted_sop_exact(*args):
+        calls.append(args)
+        return sop_exact(*args)
+
+    monkeypatch.setattr(fdjam.cli, "sop_exact", counted_sop_exact)
     assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab",
                  "10,0.2031818992364538", "--out", str(both)] + recorded) == 2
+    # 25 densities at 10 m, then the failing geometry once, not 25 times
+    assert len(calls) == 26
     err = capsys.readouterr().err
     assert err.startswith("fdjam: quadrature failure: 25 of 50 rows: ")
     assert err.count("\n") == 1
