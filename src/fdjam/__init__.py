@@ -5,8 +5,8 @@ eavesdroppers.
 The package splits into:
 
 - :mod:`fdjam.params`    scenario types, validation, derived constants
-- :mod:`fdjam.analytics` outage probability (quadrature and closed form),
-  throughput expressions, comparison metrics
+- :mod:`fdjam.analytics` outage probability (fixed-node quadrature and
+  closed form), throughput expressions, comparison metrics
 - :mod:`fdjam.optimizer` the off-line design: rates, on-off threshold,
   jamming power, mode-switch threshold
 - :mod:`fdjam.online`    the per-slot transmit decision
@@ -16,30 +16,29 @@ The package splits into:
 
 __version__ = "0.1.0"
 
-from .analytics import (ComparisonMetrics, LinkState, cdf_phi_e_approx,
-                        cdf_phi_e_exact, comparison_metrics, hd_weight,
-                        sop_approx, sop_exact, throughput_fd, throughput_hd)
-from .errors import InfeasibleError, QuadratureError, ValidationError
+from .analytics import (ComparisonMetrics, cdf_phi_e_approx, cdf_phi_e_exact,
+                        comparison_metrics, hd_weight, sop_approx, sop_exact,
+                        throughput_fd, throughput_hd)
+from .errors import InfeasibleError, ValidationError
 from .online import Action, Mode, decide
 from .optimizer import (GridSpec, HdResult, Step1Result, Step2Result,
                         optimize, solve_hd, solve_step1, solve_step2, v_of_y)
 from .params import (DerivedConstants, FdParams, HdParams, SwitchedSolution,
                      SystemParams, derived_constants, validate)
-from .sim import (EveField, McEstimate, SimReport, empirical_sop, run_online,
-                  sample_eve_field)
+from .sim import McEstimate, SimReport, empirical_sop, run_online
 from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
 
 __all__ = [
     "__version__",
     # errors
-    "ValidationError", "InfeasibleError", "QuadratureError",
+    "ValidationError", "InfeasibleError",
     # units
     "dbm_to_watts", "watts_to_dbm", "db_to_linear", "linear_to_db",
     # params
     "SystemParams", "FdParams", "HdParams", "SwitchedSolution",
     "DerivedConstants", "validate", "derived_constants",
     # analytics
-    "LinkState", "ComparisonMetrics", "cdf_phi_e_exact", "cdf_phi_e_approx",
+    "ComparisonMetrics", "cdf_phi_e_exact", "cdf_phi_e_approx",
     "sop_exact", "sop_approx", "throughput_fd", "throughput_hd", "hd_weight",
     "comparison_metrics",
     # optimizer
@@ -48,6 +47,5 @@ __all__ = [
     # online
     "Mode", "Action", "decide",
     # sim
-    "EveField", "McEstimate", "SimReport", "sample_eve_field", "empirical_sop",
-    "run_online",
+    "McEstimate", "SimReport", "empirical_sop", "run_online",
 ]

@@ -10,7 +10,10 @@ gives
 
     F(x) = exp( -lambda_e/2 * J(x) ),
 
-with ``J`` a double integral over squared distance and azimuth.  In the
+with ``J`` a double integral over squared distance and azimuth.  ``J`` is
+evaluated by one fixed-node composite Gauss-Legendre rule, in log squared
+distance times azimuth, as a single numpy expression; it never fails to
+converge and is memoized, since it does not depend on ``lambda_e``.  In the
 small transmitter-receiver separation regime the jamming path loss equals
 the signal path loss and ``J`` collapses to a closed form; both routes are
 implemented and cross-validated (the simulator provides a third,
@@ -26,15 +29,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy import integrate
+import numpy as np
+from scipy.special import roots_legendre
 
-from .errors import QuadratureError, ValidationError
+from .errors import ValidationError
 from .params import SwitchedSolution, SystemParams, _beta_eta
 
 __all__ = [
-    "LinkState",
     "ComparisonMetrics",
-    "main_channel_sinr",
     "capacity",
     "exposure_integral",
     "cdf_phi_e_exact",
@@ -48,26 +50,28 @@ __all__ = [
 ]
 
 # Tail cutoff for the radial integral: beyond u_cut the integrand is bounded
-# by exp(-_TAIL_EXPONENT) ~ 2e-22, negligible against the 1e-8 relative
-# quadrature tolerance.
+# by exp(-_TAIL_EXPONENT) ~ 2e-22.
 _TAIL_EXPONENT = 50.0
-_QUAD_EPSREL = 1e-8
+# Fixed-node rule for J (composite Gauss-Legendre; Davis & Rabinowitz,
+# Methods of Numerical Integration, 1984): 12 nodes per panel on both axes.
+_GL_NODES, _GL_WEIGHTS = roots_legendre(12)
+_PANEL_WIDTH = 1.0                # widest radial panel, in t = ln u
+_LOW_EFOLDS = 40.0                # radial start below the smaller length scale
+_LN4 = math.log(4.0)
 
 
-@dataclass(frozen=True)
-class LinkState:
-    """One slot's transmit powers and fading gains on the A-B link."""
-
-    p_a: float       # Alice transmit power [W], > 0
-    p_b: float       # Bob jamming power [W], >= 0
-    gamma_ab: float  # main-channel gain, >= 0
-    gamma_bb: float  # self-interference channel gain, >= 0
+def _panel_rule(edges: np.ndarray):
+    """Nodes and weights of the composite rule on consecutive panel edges."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    width = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + width[:, None] * _GL_NODES).ravel(),
+            (width[:, None] * _GL_WEIGHTS).ravel())
 
 
-def main_channel_sinr(link: LinkState, params: SystemParams) -> float:
-    """SINR at the receiver: signal over noise plus residual self-interference."""
-    signal = link.p_a * link.gamma_ab * params.d_ab ** (-params.alpha)
-    return signal / (params.sigma_b2 + params.rho * link.p_b * link.gamma_bb)
+# azimuth panels graded toward the notch at theta = 0
+_THETA, _THETA_WEIGHTS = _panel_rule(
+    math.pi * np.array([0.0, 0.125, 0.25, 0.5, 1.0]))
+_SIN2_HALF_THETA = np.sin(0.5 * _THETA) ** 2
 
 
 def capacity(sinr: float) -> float:
@@ -84,44 +88,39 @@ def _exposure_integral_cached(x: float, p_a: float, p_b: float,
                               sigma_e2: float, alpha: float, d_ab: float) -> float:
     """The double integral J(x); see module docstring.
 
-    Integrates over u = (eavesdropper-to-transmitter distance)^2 and the
-    azimuth theta, exploiting the theta -> 2*pi - theta symmetry.  The
-    integrand has a sharp notch where an eavesdropper sits on top of the
-    receiver (jamming diverges), so breakpoints around u = d_ab^2 are passed
-    to the adaptive scheme.
+    One tensor-product composite Gauss-Legendre rule over t = ln u, with
+    u = (eavesdropper-to-transmitter distance)^2, integrating u*f dt, and
+    the azimuth theta in [0, pi], exploiting the theta -> 2*pi - theta
+    symmetry.  The radial axis runs from _LOW_EFOLDS below the smaller of
+    the link scale d_ab^2 and the decay scale a^(-2/alpha) up to the tail
+    cutoff, on panels at most _PANEL_WIDTH wide that also break at
+    d_ab^2/4, d_ab^2, 4*d_ab^2 and the decay scale, so the notch where an
+    eavesdropper sits on top of the receiver (jamming diverges) falls on a
+    panel corner; the azimuth panels halve toward that corner.  The
+    receiver distance is formed as
+    (sqrt(u) - d_ab)^2 + 4*d_ab*sqrt(u)*sin^2(theta/2), a sum of
+    non-negative terms, so it cannot cancel to a negative value.
     """
     a = sigma_e2 * x / p_a            # radial decay coefficient
     q = p_b * x / p_a                 # jamming-to-signal weight
     half = alpha / 2.0
-    u_cut = (_TAIL_EXPONENT / a) ** (1.0 / half)
-    s = d_ab * d_ab
-
-    def inner(theta: float) -> float:
-        two_d_cos = 2.0 * d_ab * math.cos(theta)
-
-        def f(u: float) -> float:
-            d_bk2 = s + u - two_d_cos * math.sqrt(u)
-            return math.exp(-a * u ** half) / (1.0 + q * (u / d_bk2) ** half)
-
-        pts = sorted({p for p in (0.25 * s, s, 4.0 * s, a ** (-1.0 / half))
-                      if 0.0 < p < u_cut})
-        out = integrate.quad(f, 0.0, u_cut, points=pts or None,
-                             limit=400, epsabs=0.0, epsrel=_QUAD_EPSREL * 0.1,
-                             full_output=1)
-        if len(out) > 3:
-            raise QuadratureError(
-                f"radial quadrature did not converge at theta={theta}: {out[3]}")
-        return out[0]
-
-    out = integrate.quad(inner, 0.0, math.pi, limit=200,
-                         epsabs=0.0, epsrel=_QUAD_EPSREL, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"azimuthal quadrature did not converge: {out[3]}")
-    val, abserr = out[0], out[1]
-    if abserr > 10.0 * _QUAD_EPSREL * abs(val) + 1e-300:
-        raise QuadratureError(
-            f"quadrature error estimate {abserr} exceeds tolerance for J={val}")
-    return 2.0 * val
+    t_link = 2.0 * math.log(d_ab)
+    t_decay = -math.log(a) / half
+    t_lo = min(t_link, t_decay) - _LOW_EFOLDS
+    t_cut = t_decay + math.log(_TAIL_EXPONENT) / half
+    breaks = sorted({t_lo, t_cut} | {
+        t for t in (t_link - _LN4, t_link, t_link + _LN4, t_decay)
+        if t_lo < t < t_cut})
+    t, w = _panel_rule(np.concatenate(
+        [np.linspace(lo, hi, math.ceil((hi - lo) / _PANEL_WIDTH) + 1)[:-1]
+         for lo, hi in zip(breaks, breaks[1:])] + [[t_cut]]))
+    u = np.exp(t)
+    root_u = np.exp(0.5 * t)
+    d_bk2 = (((root_u - d_ab) ** 2)[:, None]
+             + (4.0 * d_ab * root_u)[:, None] * _SIN2_HALF_THETA)
+    jam = 1.0 / (1.0 + q * (u[:, None] / d_bk2) ** half)
+    radial = w * u * np.exp(-a * u ** half)
+    return float(2.0 * (radial @ jam @ _THETA_WEIGHTS))
 
 
 def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
@@ -146,7 +145,7 @@ def _check_sinr_args(x: float, p_a: float, p_b: float) -> None:
 
 
 def cdf_phi_e_exact(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
-    """Best-eavesdropper SINR CDF by adaptive double quadrature."""
+    """Best-eavesdropper SINR CDF by the fixed-node double quadrature of J."""
     j = exposure_integral(x, p_a, p_b, params)
     return _clamp01(math.exp(-0.5 * params.lambda_e * j))
 

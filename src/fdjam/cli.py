@@ -1,14 +1,12 @@
 """Command-line front end.
 
 Four subcommands: ``optimize`` (one off-line design, JSON out),
-``validate-sop`` (closed-form vs quadrature vs Monte Carlo outage table,
-CSV out), ``sweep`` (one design per grid point of a swept variable, CSV
-out), and ``simulate`` (slot-level Monte Carlo of a saved design, JSON
-out).  Every output embeds the fully resolved configuration and package
-version, so any row can be recomputed.  Exit codes: 0 success, 1
-configuration/validation error, 2 solver infeasibility or quadrature
-failure (``validate-sop`` writes its table first, with the failed rows'
-quadrature column empty).
+``validate-sop`` (closed-form vs fixed-node quadrature vs Monte Carlo
+outage table, CSV out), ``sweep`` (one design per grid point of a swept
+variable, CSV out), and ``simulate`` (slot-level Monte Carlo of a saved
+design, JSON out).  Every output embeds the fully resolved configuration
+and package version, so any row can be recomputed.  Exit codes: 0 success,
+1 configuration/validation error, 2 solver infeasibility.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 from . import __version__
 from .analytics import comparison_metrics, sop_approx, sop_exact
 from .config import Config, _value_db, load_config, resolved_dict, sweep_values
-from .errors import InfeasibleError, QuadratureError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .optimizer import optimize
 from .params import solution_from_dict, solution_to_dict, validate
 from .sim import empirical_sop, run_online
@@ -155,9 +153,9 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
 
 
 def _cmd_validate_sop(args: argparse.Namespace) -> int:
-    """A row whose quadrature fails keeps its other columns, with
-    ``sop_exact`` left empty; the whole table is still written, and the
-    command then reports the failures on one stderr line and exits 2."""
+    """One row per (distance, density): the fixed-node quadrature, the
+    small-separation closed form and, with ``--trials`` > 0, the Monte Carlo
+    oracle."""
     config = load_config(args.config)
     d_abs = _parse_float_list(args.d_ab, "--d-ab")
     if args.lambda_list:
@@ -172,26 +170,14 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
     r_c = 1.0 + args.rate_gap
 
     rows = []
-    failures = []
     index = 0
     for d_ab in d_abs:
-        # J(x) does not depend on lambda_e: a geometry that fails once fails
-        # at every density, so it is not integrated again
-        failure = None
         for lam in lambdas:
             params = replace(config.system, d_ab=d_ab, lambda_e=lam)
-            exact = None
-            if failure is None:
-                try:
-                    exact = sop_exact(p_a, p_b, r_c, r_s, params)
-                except QuadratureError as exc:
-                    failure = exc
-            if failure is not None:
-                failures.append(failure)
             row = {
                 "lambda_e": lam,
                 "d_ab_m": d_ab,
-                "sop_exact": exact,
+                "sop_exact": sop_exact(p_a, p_b, r_c, r_s, params),
                 "sop_approx": sop_approx(p_a, p_b, r_c, r_s, params),
                 "sop_mc": None,
                 "mc_stderr": None,
@@ -210,11 +196,6 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
                      ["lambda_e", "d_ab_m", "sop_exact", "sop_approx",
                       "sop_mc", "mc_stderr"], rows)
     _emit_text(text, args.out)
-    if failures:
-        # scipy's convergence reports span several lines; keep one
-        print(f"fdjam: quadrature failure: {len(failures)} of {len(rows)} rows: "
-              f"{' '.join(str(failures[0]).split())}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -16,6 +16,3 @@ class InfeasibleError(RuntimeError):
     value), so the caller can see where the design left the feasible range.
     """
 
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach its requested tolerance."""

@@ -287,8 +287,17 @@ def solve_step2(mu_b: float, params: SystemParams,
     grid = grid or GridSpec()
     grid.check(params)
 
+    # step-1 solves by exact p_b, so the final solve at p_dag reuses the one
+    # a grid end or brentq's last evaluation already made
+    solves: dict[float, Step1Result] = {}
+
+    def step1_at(p_b: float) -> Step1Result:
+        if p_b not in solves:
+            solves[p_b] = solve_step1(p_b, mu_b, params)
+        return solves[p_b]
+
     def sign_at(p_b: float) -> float:
-        return _derivative_sign(p_b, solve_step1(p_b, mu_b, params), params)
+        return _derivative_sign(p_b, step1_at(p_b), params)
 
     p_values = [float(p) for p in grid.p_b_values(params.p_b_max)]
     if sign_at(p_values[0]) <= 0.0:
@@ -319,7 +328,7 @@ def solve_step2(mu_b: float, params: SystemParams,
         p_dag, capped, degenerate = math.exp(t_root), False, False
         iters = info.iterations
 
-    step1 = solve_step1(p_dag, mu_b, params)
+    step1 = step1_at(p_dag)
     residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)
     return Step2Result(p_b_dagger=p_dag, capped=capped, degenerate=degenerate,
                        step1=step1, omega_tilde_dagger=step1.omega_tilde,

@@ -33,12 +33,10 @@ from .online import Mode, decide
 from .params import SwitchedSolution, SystemParams
 
 __all__ = [
-    "EveField",
     "McEstimate",
     "ModeCounts",
     "SimReport",
     "sub_rng",
-    "sample_eve_field",
     "empirical_sop",
     "run_online",
 ]
@@ -54,23 +52,6 @@ def _exponential(rng: np.random.Generator, n: int | None = None):
     return -np.log1p(-rng.random(n))
 
 
-@dataclass(frozen=True)
-class EveField:
-    """One realization of eavesdropper positions and per-path fading gains.
-
-    Positions are polar around the transmitter; ``d_ak`` in meters,
-    ``theta_k`` in radians.  Arrays share a common length (possibly zero).
-    """
-
-    d_ak: np.ndarray
-    theta_k: np.ndarray
-    gamma_ak: np.ndarray
-    gamma_bk: np.ndarray
-
-    def __len__(self) -> int:
-        return self.d_ak.size
-
-
 def _draw_field(rng: np.random.Generator, lambda_e: float, r_cut: float
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(d_ak^2, theta, gamma_ak, gamma_bk) for one PPP realization."""
@@ -80,16 +61,6 @@ def _draw_field(rng: np.random.Generator, lambda_e: float, r_cut: float
     gamma_ak = _exponential(rng, n)
     gamma_bk = _exponential(rng, n)
     return d_ak2, theta, gamma_ak, gamma_bk
-
-
-def sample_eve_field(params: SystemParams, r_cut: float, rng_seed: int) -> EveField:
-    """Draw one eavesdropper field on the disk of radius ``r_cut``."""
-    if r_cut <= 0.0:
-        raise ValidationError(f"r_cut must be > 0 m: {r_cut}")
-    d_ak2, theta, g_a, g_b = _draw_field(sub_rng(rng_seed, 0, 0),
-                                         params.lambda_e, r_cut)
-    return EveField(d_ak=np.sqrt(d_ak2), theta_k=theta,
-                    gamma_ak=g_a, gamma_bk=g_b)
 
 
 def _max_eve_sinr(d_ak2: np.ndarray, theta: np.ndarray, gamma_ak: np.ndarray,

@@ -16,7 +16,9 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import integrate
 from scipy import optimize as sciopt
+from scipy.special import roots_legendre
 
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
                    dbm_to_watts, solve_hd, solve_step1)
@@ -24,6 +26,7 @@ from fdjam.analytics import throughput_fd, throughput_hd
 from fdjam.optimizer import (_XTOL_LOG, Step2Result, _derivative_sign,
                              _residual_eq_step2)
 from fdjam.params import FdParams, SwitchedSolution, validate
+from fdjam.sim import _draw_field, sub_rng
 
 
 def vi_defaults(**overrides) -> SystemParams:
@@ -85,6 +88,97 @@ def mu_a_from_sop_constraint(r_c: float, r_s: float, p_b: float, mu_b: float,
     return math.exp(sciopt.brentq(f, -600.0, 600.0, xtol=1e-13))
 
 
+# Tail cutoff and relative tolerance of the adaptive exposure integral.
+_TAIL_EXPONENT = 50.0
+_QUAD_EPSREL = 1e-8
+
+
+def exposure_integral_adaptive(x: float, p_a: float, p_b: float,
+                               sigma_e2: float, alpha: float, d_ab: float) -> float:
+    """J(x) by nested adaptive scipy ``quad``: the rule the package's
+    fixed-node J replaced, kept as its reference.
+
+    Integrates over u = (eavesdropper-to-transmitter distance)^2 and the
+    azimuth theta, exploiting the theta -> 2*pi - theta symmetry.  The
+    integrand has a sharp notch where an eavesdropper sits on top of the
+    receiver (jamming diverges), so breakpoints around u = d_ab^2 are passed
+    to the adaptive scheme.  Raises RuntimeError where ``quad`` does not
+    converge (short links with weak jamming, e.g. d_ab = 0.2 m).
+    """
+    a = sigma_e2 * x / p_a            # radial decay coefficient
+    q = p_b * x / p_a                 # jamming-to-signal weight
+    half = alpha / 2.0
+    u_cut = (_TAIL_EXPONENT / a) ** (1.0 / half)
+    s = d_ab * d_ab
+
+    def inner(theta: float) -> float:
+        two_d_cos = 2.0 * d_ab * math.cos(theta)
+
+        def f(u: float) -> float:
+            d_bk2 = s + u - two_d_cos * math.sqrt(u)
+            return math.exp(-a * u ** half) / (1.0 + q * (u / d_bk2) ** half)
+
+        pts = sorted({p for p in (0.25 * s, s, 4.0 * s, a ** (-1.0 / half))
+                      if 0.0 < p < u_cut})
+        out = integrate.quad(f, 0.0, u_cut, points=pts or None,
+                             limit=400, epsabs=0.0, epsrel=_QUAD_EPSREL * 0.1,
+                             full_output=1)
+        if len(out) > 3:
+            raise RuntimeError(
+                f"radial quadrature did not converge at theta={theta}: {out[3]}")
+        return out[0]
+
+    out = integrate.quad(inner, 0.0, math.pi, limit=200,
+                         epsabs=0.0, epsrel=_QUAD_EPSREL, full_output=1)
+    if len(out) > 3:
+        raise RuntimeError(f"azimuthal quadrature did not converge: {out[3]}")
+    val, abserr = out[0], out[1]
+    if abserr > 10.0 * _QUAD_EPSREL * abs(val) + 1e-300:
+        raise RuntimeError(
+            f"quadrature error estimate {abserr} exceeds tolerance for J={val}")
+    return 2.0 * val
+
+
+def exposure_integral_refined(x: float, p_a: float, p_b: float,
+                              sigma_e2: float, alpha: float, d_ab: float) -> float:
+    """J(x) by a much finer fixed-node rule than the package's: 24
+    Gauss-Legendre nodes per panel, radial panels at most 0.5 wide in
+    t = ln u from 60 e-folds below the smaller length scale, and azimuth
+    panels graded geometrically toward the notch at theta = 0.  A
+    convergence reference where adaptive ``quad`` is itself unreliable (its
+    error reaches 1e-8 relative on sub-meter links)."""
+    nodes, weights = roots_legendre(24)
+
+    def rule(edges):
+        edges = np.asarray(edges)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        width = 0.5 * (edges[1:] - edges[:-1])
+        return ((mid[:, None] + width[:, None] * nodes).ravel(),
+                (width[:, None] * weights).ravel())
+
+    a = sigma_e2 * x / p_a
+    q = p_b * x / p_a
+    half = alpha / 2.0
+    t_link = 2.0 * math.log(d_ab)
+    t_decay = -math.log(a) / half
+    t_lo = min(t_link, t_decay) - 60.0
+    t_cut = t_decay + math.log(_TAIL_EXPONENT) / half
+    breaks = sorted({t_lo, t_cut} | {
+        t for t in (t_link - math.log(4.0), t_link, t_link + math.log(4.0), t_decay)
+        if t_lo < t < t_cut})
+    t, w = rule(np.concatenate(
+        [np.linspace(lo, hi, math.ceil((hi - lo) / 0.5) + 1)[:-1]
+         for lo, hi in zip(breaks, breaks[1:])] + [[t_cut]]))
+    theta, theta_w = rule(np.concatenate(
+        [[0.0], math.pi * 2.0 ** -np.arange(12.0, 2.0, -1.0),
+         np.linspace(0.25 * math.pi, math.pi, 4)]))
+    u = np.exp(t)
+    d_bk2 = ((np.sqrt(u) - d_ab) ** 2)[:, None] \
+        + (4.0 * d_ab * np.sqrt(u))[:, None] * np.sin(0.5 * theta) ** 2
+    jam = 1.0 / (1.0 + q * (u[:, None] / d_bk2) ** half)
+    return float(2.0 * (w * u * np.exp(-a * u ** half)) @ jam @ theta_w)
+
+
 def omega_tilde_formula(y: float, yz: float, u: float) -> float:
     """Objective log2((1+y)/(1+yz)) * exp(-u*y), straight from its definition."""
     if y <= yz:
@@ -101,6 +195,50 @@ def sign_changes(values: np.ndarray) -> int:
     diffs = np.diff(values)
     signs = np.sign(diffs[diffs != 0.0])
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+@dataclass(frozen=True)
+class LinkState:
+    """One slot's transmit powers and fading gains on the A-B link."""
+
+    p_a: float       # Alice transmit power [W], > 0
+    p_b: float       # Bob jamming power [W], >= 0
+    gamma_ab: float  # main-channel gain, >= 0
+    gamma_bb: float  # self-interference channel gain, >= 0
+
+
+def main_channel_sinr(link: LinkState, params: SystemParams) -> float:
+    """SINR at the receiver: signal over noise plus residual self-interference."""
+    signal = link.p_a * link.gamma_ab * params.d_ab ** (-params.alpha)
+    return signal / (params.sigma_b2 + params.rho * link.p_b * link.gamma_bb)
+
+
+@dataclass(frozen=True)
+class EveField:
+    """One realization of eavesdropper positions and per-path fading gains.
+
+    Positions are polar around the transmitter; ``d_ak`` in meters,
+    ``theta_k`` in radians.  Arrays share a common length (possibly zero).
+    """
+
+    d_ak: np.ndarray
+    theta_k: np.ndarray
+    gamma_ak: np.ndarray
+    gamma_bk: np.ndarray
+
+    def __len__(self) -> int:
+        return self.d_ak.size
+
+
+def sample_eve_field(params: SystemParams, r_cut: float, rng_seed: int) -> EveField:
+    """Draw one eavesdropper field on the disk of radius ``r_cut``, from the
+    simulator's own substream and draw order."""
+    if r_cut <= 0.0:
+        raise ValidationError(f"r_cut must be > 0 m: {r_cut}")
+    d_ak2, theta, g_a, g_b = _draw_field(sub_rng(rng_seed, 0, 0),
+                                         params.lambda_e, r_cut)
+    return EveField(d_ak=np.sqrt(d_ak2), theta_k=theta,
+                    gamma_ak=g_a, gamma_bk=g_b)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,19 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdjam import (LinkState, ValidationError, cdf_phi_e_approx,
-                   cdf_phi_e_exact, comparison_metrics, dbm_to_watts,
-                   empirical_sop, hd_weight, sop_approx, sop_exact,
-                   throughput_fd, throughput_hd)
-from fdjam.analytics import capacity, exposure_integral, main_channel_sinr
+from fdjam import (ValidationError, cdf_phi_e_approx, cdf_phi_e_exact,
+                   comparison_metrics, dbm_to_watts, empirical_sop, hd_weight,
+                   sop_approx, sop_exact, throughput_fd, throughput_hd)
+from fdjam.analytics import capacity, exposure_integral
 from fdjam.params import FdParams, HdParams, SwitchedSolution
 
-from oracles import beta_of, vi_defaults
+from oracles import (LinkState, beta_of, exposure_integral_adaptive,
+                     exposure_integral_refined, main_channel_sinr, vi_defaults)
 
 # Outage-validation scenario: 20 dBm signal, 30 dBm jamming, 3 bits/s/Hz gap.
 P_A = dbm_to_watts(20.0)
@@ -122,6 +123,77 @@ def test_exposure_integral_reused_across_densities():
     j1 = exposure_integral(X, P_A, P_B, p)
     j2 = exposure_integral(X, P_A, P_B, dataclasses.replace(p, lambda_e=1e-2))
     assert j1 == j2  # cached; independent of lambda_e
+
+
+def _geometry(rng, d_lo, d_hi):
+    """One outage-validation geometry: alpha 2.5-5, jamming -5 to +15 dB
+    relative to the signal, a 1-4 bit rate gap, -100 to -80 dBm noise."""
+    p_a = dbm_to_watts(float(rng.uniform(0.0, 30.0)))
+    return dict(x=2.0 ** float(rng.uniform(1.0, 4.0)) - 1.0, p_a=p_a,
+                p_b=p_a * 10.0 ** (float(rng.uniform(-5.0, 15.0)) / 10.0),
+                sigma_e2=dbm_to_watts(float(rng.uniform(-100.0, -80.0))),
+                alpha=float(rng.uniform(2.5, 5.0)),
+                d_ab=float(rng.uniform(d_lo, d_hi)))
+
+
+def _fixed_node_j(g):
+    params = vi_defaults(alpha=g["alpha"], d_ab=g["d_ab"], sigma_e2=g["sigma_e2"])
+    return exposure_integral(g["x"], g["p_a"], g["p_b"], params)
+
+
+def test_exposure_integral_matches_adaptive_quadrature():
+    rng = np.random.default_rng(20261018)
+    for _ in range(120):
+        g = _geometry(rng, 1.0, 100.0)
+        ref = exposure_integral_adaptive(**g)
+        assert _fixed_node_j(g) == pytest.approx(ref, rel=1e-8, abs=0.0), g
+
+
+def test_exposure_integral_converged_on_short_links():
+    # below 1 m adaptive quad is itself off by up to about 1e-8 (or does not
+    # converge at all), so short links are checked against a far finer
+    # fixed-node rule; the recorded 0.2 m geometry comes first
+    recorded = dict(x=2.0 ** 1.5813836603180378 - 1.0, p_a=0.5295026406593171,
+                    p_b=0.4404555364279015, sigma_e2=dbm_to_watts(-90.0),
+                    alpha=4.0, d_ab=0.2031818992364538)
+    rng = np.random.default_rng(20261019)
+    for g in [recorded] + [_geometry(rng, 0.2, 1.0) for _ in range(20)]:
+        ref = exposure_integral_refined(**g)
+        assert _fixed_node_j(g) == pytest.approx(ref, rel=1e-10, abs=0.0), g
+
+
+def test_exposure_integral_strictly_decreasing_in_x():
+    rng = np.random.default_rng(20261020)
+    xs = np.logspace(-3.0, 3.0, 31)
+    for _ in range(10):
+        g = _geometry(rng, 0.2, 100.0)
+        js = [_fixed_node_j(dict(g, x=float(x))) for x in xs]
+        assert all(a > b for a, b in zip(js, js[1:])), g
+
+
+def test_exposure_integral_finite_and_positive_on_extreme_inputs():
+    # far outside the physical range J is a finite positive number or the
+    # call raises the package's ValidationError; no numpy warning is raised
+    rng = np.random.default_rng(20261021)
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2000):
+            params = vi_defaults(alpha=float(rng.uniform(2.05, 8.0)),
+                                 d_ab=log_uniform(-3.0, 4.0),
+                                 sigma_e2=log_uniform(-22.0, 0.0))
+            x = log_uniform(-6.0, 6.0) * (-1.0 if rng.random() < 0.05 else 1.0)
+            p_a = log_uniform(-10.0, 12.0)
+            p_b = 0.0 if rng.random() < 0.25 else log_uniform(-10.0, 12.0)
+            try:
+                j = exposure_integral(x, p_a, p_b, params)
+            except ValidationError:
+                assert x < 0.0
+                continue
+            assert 0.0 < j < math.inf
 
 
 # ------------------------------------------------- Monte Carlo equivalence

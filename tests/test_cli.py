@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdjam.analytics import comparison_metrics, sop_exact
+from fdjam.analytics import comparison_metrics
 from fdjam.cli import main
 from fdjam.config import load_config
 from fdjam.optimizer import optimize, solve_hd, solve_step2
@@ -167,47 +167,43 @@ p_b_max_dbm = 4.43
 
 # ---------------------------------------------------------------- validate-sop
 
-def test_validate_sop_quadrature_failure_maps_to_exit_code_2(capsys):
-    # a 0.2 m link with jamming below the signal power, where the radial
-    # quadrature reports non-convergence
-    assert main(["validate-sop", "--config", DEFAULT_INI,
-                 "--d-ab", "0.2031818992364538", "--p-a-w", "0.5295026406593171",
-                 "--p-b-w", "0.4404555364279015",
-                 "--rate-gap", "1.5813836603180378", "--trials", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("fdjam: quadrature failure: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
+# the recorded 0.2 m link with jamming below the signal power, on which the
+# earlier adaptive quadrature did not converge
+SHORT_LINK = "0.2031818992364538"
+SHORT_LINK_POWERS = ["--p-a-w", "0.5295026406593171", "--p-b-w", "0.4404555364279015",
+                     "--rate-gap", "1.5813836603180378", "--trials", "0"]
 
 
-def test_validate_sop_keeps_the_table_when_one_distance_fails(tmp_path, capsys,
-                                                              monkeypatch):
-    # the recorded failing geometry beside a 10 m link: the 10 m rows must
-    # be written as if asked for alone, the failed rows keep sop_approx
-    recorded = ["--p-a-w", "0.5295026406593171", "--p-b-w", "0.4404555364279015",
-                "--rate-gap", "1.5813836603180378", "--trials", "0"]
+def _assert_sop_exact_is_a_cdf_in_lambda(rows):
+    sop = [float(r["sop_exact"]) for r in rows]
+    assert all(0.0 <= v <= 1.0 for v in sop)
+    assert all(a <= b for a, b in zip(sop, sop[1:]))
+
+
+def test_validate_sop_recorded_short_link_evaluates(tmp_path, capsys):
+    out = tmp_path / "short.csv"
+    assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab", SHORT_LINK,
+                 "--out", str(out)] + SHORT_LINK_POWERS) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(str(out))
+    assert len(rows) == 25
+    _assert_sop_exact_is_a_cdf_in_lambda(rows)
+
+
+def test_validate_sop_short_link_rows_beside_a_10m_link(tmp_path, capsys):
+    # the 10 m rows must be written as if asked for alone
     both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
-    calls = []
-
-    def counted_sop_exact(*args):
-        calls.append(args)
-        return sop_exact(*args)
-
-    monkeypatch.setattr(fdjam.cli, "sop_exact", counted_sop_exact)
     assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab",
-                 "10,0.2031818992364538", "--out", str(both)] + recorded) == 2
-    # 25 densities at 10 m, then the failing geometry once, not 25 times
-    assert len(calls) == 26
-    err = capsys.readouterr().err
-    assert err.startswith("fdjam: quadrature failure: 25 of 50 rows: ")
-    assert err.count("\n") == 1
+                 f"10,{SHORT_LINK}", "--out", str(both)] + SHORT_LINK_POWERS) == 0
     assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10",
-                 "--out", str(alone)] + recorded) == 0
+                 "--out", str(alone)] + SHORT_LINK_POWERS) == 0
+    assert capsys.readouterr().err == ""
     _, rows = _read_csv(str(both))
     _, rows_alone = _read_csv(str(alone))
     assert [r for r in rows if r["d_ab_m"] == "10.0"] == rows_alone
-    failed = [r for r in rows if r["d_ab_m"] != "10.0"]
-    assert len(failed) == 25
-    assert all(r["sop_exact"] == "" and r["sop_approx"] != "" for r in failed)
+    short = [r for r in rows if r["d_ab_m"] != "10.0"]
+    assert len(short) == 25
+    _assert_sop_exact_is_a_cdf_in_lambda(short)
 
 
 def test_validate_sop_zero_density_row(base_config, tmp_path):

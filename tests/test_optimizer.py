@@ -297,6 +297,24 @@ def test_optimize_carries_its_solver_records():
     assert math.isnan(forced.step2.residual) and forced.step2.iterations == 0
 
 
+def test_step1_solves_per_default_design(monkeypatch):
+    # within one step-2 solve each jamming power is solved once: the final
+    # solve at the chosen power reuses the grid end's or brentq's
+    config = load_config(str(Path(__file__).resolve().parents[1]
+                             / "configs" / "default.ini"))
+    calls = []
+    original = fdjam.optimizer.solve_step1
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fdjam.optimizer, "solve_step1", counted)
+    optimize(config.system, config.grid)
+    assert len(calls) == 24
+    assert len(set(calls)) == len(calls)
+
+
 def test_optimize_rejects_zero_jamming_budget():
     p = dataclasses.replace(vi_defaults(), p_b_max=0.0)
     with pytest.raises(ValidationError, match="p_b_max"):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from fdjam import (comparison_metrics, dbm_to_watts, empirical_sop, optimize,
-                   sample_eve_field, run_online, sop_exact, ValidationError)
+                   run_online, sop_exact, ValidationError)
 from fdjam.sim import ModeCounts, sub_rng, _draw_field, _max_eve_sinr
 
-from oracles import vi_defaults
+from oracles import sample_eve_field, vi_defaults
 
 P_A = dbm_to_watts(20.0)
 P_B = dbm_to_watts(30.0)
