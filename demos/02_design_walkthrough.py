@@ -4,17 +4,17 @@ Stage 1: for a fixed jamming power, the outage constraint pins the rate
 redundancy (2^(r_c - r_s) - 1), and a single scalar root pins the codeword
 rate; the on-off threshold falls out of the power budget.  Stage 2: the
 resulting throughput is single-peaked in the jamming power, so a sign
-change of its derivative locates the optimum.  Stage 3: a search for the
-single throughput peak over the mode-switch threshold balances the jamming
-and half-duplex modes.
+change of its derivative locates the optimum.  Stage 3: the half-duplex
+group is stage 1 with no jamming power, and a search for the single
+throughput peak over the mode-switch threshold balances the two modes.
 
 Run:  python demos/02_design_walkthrough.py
 """
 
 import numpy as np
 
-from fdjam import (GridSpec, SystemParams, dbm_to_watts, optimize, solve_hd,
-                   solve_step1, solve_step2, watts_to_dbm)
+from fdjam import (GridSpec, SystemParams, dbm_to_watts, optimize, solve_step1,
+                   solve_step2, watts_to_dbm)
 
 params = SystemParams(alpha=4.0, d_ab=10.0, lambda_e=1e-4,
                       sigma_b2=dbm_to_watts(-90.0), sigma_e2=dbm_to_watts(-90.0),
@@ -39,7 +39,7 @@ print(f"  -> stationary point p_b = {watts_to_dbm(s2.p_b_dagger):+.2f} dBm "
       f"(capped={s2.capped}, floor={s2.degenerate})")
 
 print("\n== stage 3: split the slots between the two modes ==")
-hd = solve_hd(mu_b, params)
+hd = solve_step1(0.0, mu_b, params)     # the silent receiver: no jamming
 print(f"  half-duplex core throughput = {hd.omega_tilde:.4f} bits/s/Hz")
 grid = GridSpec()
 solution = optimize(params, grid)

@@ -21,8 +21,8 @@ from .analytics import (ComparisonMetrics, cdf_phi_e_approx, cdf_phi_e_exact,
                         throughput_fd, throughput_hd)
 from .errors import InfeasibleError, ValidationError
 from .online import Action, Mode, decide
-from .optimizer import (GridSpec, HdResult, Step1Result, Step2Result,
-                        optimize, solve_hd, solve_step1, solve_step2, v_of_y)
+from .optimizer import (GridSpec, Step1Result, Step2Result, optimize,
+                        solve_step1, solve_step2, v_of_y)
 from .params import (DerivedConstants, FdParams, HdParams, SwitchedSolution,
                      SystemParams, derived_constants, validate)
 from .sim import McEstimate, SimReport, empirical_sop, run_online
@@ -42,8 +42,8 @@ __all__ = [
     "sop_exact", "sop_approx", "throughput_fd", "throughput_hd", "hd_weight",
     "comparison_metrics",
     # optimizer
-    "GridSpec", "Step1Result", "Step2Result", "HdResult", "v_of_y",
-    "solve_step1", "solve_step2", "solve_hd", "optimize",
+    "GridSpec", "Step1Result", "Step2Result", "v_of_y",
+    "solve_step1", "solve_step2", "optimize",
     # online
     "Mode", "Action", "decide",
     # sim

@@ -231,8 +231,8 @@ def comparison_metrics(solution: SwitchedSolution, params: SystemParams) -> Comp
     w = hd_weight(solution.mu_b, params.rho)
     fd, hd = solution.fd, solution.hd
     return ComparisonMetrics(
-        omega_fd_comp=fd.r_s * math.exp(-fd.mu_a) * (1.0 - w),
-        omega_hd_comp=hd.r_s * math.exp(-hd.mu_a) * (1.0 - w),
+        omega_fd_comp=throughput_fd(fd.r_s, fd.mu_a, solution.mu_b, params.rho),
+        omega_hd_comp=throughput_fd(hd.r_s, hd.mu_a, solution.mu_b, params.rho),
         p_fd=math.exp(-fd.mu_a) * (1.0 - w),
         p_hd=math.exp(-hd.mu_a) * w,
     )

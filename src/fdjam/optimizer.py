@@ -11,11 +11,12 @@ decreasing), and the first-order optimality condition pins ``y`` through the
 strictly increasing map :func:`v_of_y`.  The outage root has no closed form
 and is found by Brent's method (Brent, *Algorithms for Minimization without
 Derivatives*, 1973; :func:`scipy.optimize.brentq`) on ln yz in a fixed
-window.  The optimality condition, like the half-duplex rate condition,
-becomes w + ln w = x in a suitable variable w, the defining equation of the
-Wright omega function (Corless and Jeffrey, "The Wright omega function",
-2002), so both rates are closed forms evaluated by
-:func:`scipy.special.wrightomega`.
+window.  The optimality condition becomes w + ln w = x in a suitable
+variable w, the defining equation of the Wright omega function (Corless and
+Jeffrey, "The Wright omega function", 2002), so both rates are closed forms
+evaluated by :func:`scipy.special.wrightomega`.  The half-duplex receiver is
+the jamming receiver with no jamming power, so its group is this same
+solution at p_b = 0 (:func:`solve_step1`).
 
 The throughput is quasi-concave in the jamming power and its derivative has
 a single sign change, which is located on a logarithmic grid by binary
@@ -42,7 +43,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import wrightomega
 
-from .analytics import hd_weight, throughput_fd, throughput_hd
+from .analytics import throughput_fd, throughput_hd
 from .errors import InfeasibleError, ValidationError
 from .params import (DerivedConstants, FdParams, HdParams, SwitchedSolution,
                      SystemParams, derived_constants, validate)
@@ -52,11 +53,9 @@ __all__ = [
     "GridSpec",
     "Step1Result",
     "Step2Result",
-    "HdResult",
     "v_of_y",
     "solve_step1",
     "solve_step2",
-    "solve_hd",
     "optimize",
 ]
 
@@ -163,6 +162,10 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     ln(1+y) = ln(1+yz) + z without subtractive cancellation, even when the
     rate gap is many orders below the rates.  mu_a = u*y saturates the power
     budget exactly at the threshold.
+
+    At p_b = 0 this is the half-duplex group: with no jamming the switch
+    level drops out of u, and the same constraint and optimality condition
+    pin the silent receiver's rates.
     """
     validate(params)
     dc = derived_constants(params, p_b, mu_b)
@@ -234,8 +237,20 @@ class Step2Result:
     iterations: int         # Brent iterations refining the sign change, else 0
 
 
-def _w_of(v: float, p_b: float, params: SystemParams, eta: float) -> float:
-    return eta * params.p_a_max + (1.0 + eta) * p_b * v
+def _log_gain(p_b: float, r1: Step1Result, params: SystemParams) -> float:
+    """ln of the gain u*v^2*(1+y)/(w*(1+v)), w = eta*p_a_max + (1+eta)*p_b*v,
+    in the step-2 stationarity condition varpi*y = gain, from the step-1
+    solution ``r1`` at ``p_b``.
+
+    v = v(y*) equals the outage root yz* by construction and is taken from
+    there: recomputing it from y* cancels to zero or below once yz* falls
+    under about 1e-13.
+    """
+    dc = r1.constants
+    v = r1.yz_star
+    w = dc.eta * params.p_a_max + (1.0 + dc.eta) * p_b * v
+    return (math.log(dc.u) + 2.0 * math.log(v) + math.log1p(r1.y_star)
+            - math.log(w) - math.log1p(v))
 
 
 def _derivative_sign(p_b: float, r1: Step1Result, params: SystemParams) -> float:
@@ -243,28 +258,19 @@ def _derivative_sign(p_b: float, r1: Step1Result, params: SystemParams) -> float
     solution ``r1`` at ``p_b``.
 
     Equals u*v^2*(1+y)/(w*(1+v)) - varpi*y after exact cancellation of the
-    varpi/u terms; computed in log form to survive extreme y.
+    varpi/u terms; the first term is formed in log form to survive extreme y.
     """
-    dc = r1.constants
-    v = v_of_y(r1.y_star, dc.u)
-    w = _w_of(v, p_b, params, dc.eta)
-    gain = math.exp(math.log(dc.u) + 2.0 * math.log(v)
-                    + math.log1p(r1.y_star) - math.log(w) - math.log1p(v))
-    return gain - dc.varpi * r1.y_star
+    return math.exp(_log_gain(p_b, r1, params)) - r1.constants.varpi * r1.y_star
 
 
 def _residual_eq_step2(p_b: float, r1: Step1Result, params: SystemParams) -> float:
-    """Relative residual of varpi*y*w*(1+v) = u*v^2*(1+y) at p_b, from the
-    step-1 solution ``r1`` there."""
-    dc = r1.constants
-    v = v_of_y(r1.y_star, dc.u)
-    if dc.varpi == 0.0 or v <= 0.0:
+    """Relative residual of the stationarity condition at p_b, from the
+    step-1 solution ``r1`` there; nan without a switch level (varpi = 0)."""
+    varpi = r1.constants.varpi
+    if varpi == 0.0:
         return math.nan
-    w = _w_of(v, p_b, params, dc.eta)
-    log_lhs = (math.log(dc.varpi) + math.log(r1.y_star)
-               + math.log(w) + math.log1p(v))
-    log_rhs = math.log(dc.u) + 2.0 * math.log(v) + math.log1p(r1.y_star)
-    return abs(math.expm1(log_lhs - log_rhs))
+    return abs(math.expm1(math.log(varpi) + math.log(r1.y_star)
+                          - _log_gain(p_b, r1, params)))
 
 
 def solve_step2(mu_b: float, params: SystemParams,
@@ -336,72 +342,6 @@ def solve_step2(mu_b: float, params: SystemParams,
 
 
 # --------------------------------------------------------------------------
-# half-duplex receiver
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HdResult:
-    """Optimal half-duplex parameter group.
-
-    ``omega_tilde`` is the unweighted throughput r_s*exp(-mu_a); ``omega_hd``
-    multiplies in the probability that the receiver actually operates
-    half-duplex at the given switch threshold.
-    """
-
-    hd: HdParams
-    omega_tilde: float
-    omega_hd: float
-    residual: float
-
-
-def solve_hd(mu_b: float, params: SystemParams) -> HdResult:
-    """Solve the half-duplex design directly (no jamming power anywhere).
-
-    With zero jamming the outage constraint has the closed-form redundancy
-    yz = (p_a_max/sigma_e2) * tau^(-alpha/2), and the rate optimality
-    condition becomes a single increasing scalar equation in r_c,
-
-        2^r_c * (r_c - log2(1 + yz)) = p_a_max / (sigma_b2 * d_ab^alpha * ln 2).
-
-    In w = r_s*ln2, with r_s = r_c - log2(1 + yz), its logarithm reads
-    w + ln w = ln k - ln2*log2(1 + yz) + ln ln2 (k the right-hand side), so w
-    is the Wright omega function of that constant.  This is a deliberately
-    separate code path from solve_step1(p_b=0); the two must agree and the
-    tests enforce it.
-    """
-    validate(params)
-    if mu_b < 0.0:
-        raise ValidationError(f"mu_b must be >= 0: {mu_b}")
-    dc = derived_constants(params, 0.0, mu_b)
-
-    log_yz = (math.log(params.p_a_max / params.sigma_e2)
-              - 0.5 * params.alpha * math.log(dc.tau))
-    if not math.isfinite(log_yz):
-        raise InfeasibleError(f"outage constraint unsatisfiable: tau={dc.tau}")
-    c = float(np.logaddexp(0.0, log_yz)) / LN2    # log2(1 + yz)
-    log_k = math.log(params.p_a_max) - math.log(params.sigma_b2) \
-        - params.alpha * math.log(params.d_ab) - math.log(LN2)
-
-    rhs = log_k - c * LN2
-    if rhs < -690.0:
-        raise InfeasibleError(
-            f"half-duplex secrecy rate underflows (tau={dc.tau})")
-    r_s = float(wrightomega(rhs + math.log(LN2))) / LN2
-    r_c = c + r_s
-    if r_c * LN2 > 700.0:
-        raise InfeasibleError(
-            f"half-duplex codeword rate beyond representable range: r_c={r_c}")
-    mu_a = dc.u * (2.0 ** r_c - 1.0)
-    omega_tilde = r_s * math.exp(-mu_a)
-    hd = HdParams(r_c=r_c, r_s=r_s, mu_a=mu_a)
-    # ln of 2^r_c * r_s / k, zero at the root
-    residual = abs(math.expm1(r_c * LN2 + math.log(r_s) - log_k))
-    return HdResult(hd=hd, omega_tilde=omega_tilde,
-                    omega_hd=omega_tilde * hd_weight(mu_b, params.rho),
-                    residual=residual)
-
-
-# --------------------------------------------------------------------------
 # outer search over the switch threshold
 # --------------------------------------------------------------------------
 
@@ -438,10 +378,10 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
 
     For a candidate mu_b the jamming-mode group is optimized by
     :func:`solve_step2` (or pinned to ``forced_p_b``), the half-duplex group
-    is reused from a single solve (its unweighted throughput does not depend
-    on mu_b), and the two are combined with the mode-occupancy weights.  The
-    smallest mu_b wins ties, making the search deterministic.
-    ``forced_mu_b`` replaces the grid by that one threshold.
+    is reused from a single step-1 solve at p_b = mu_b = 0 (without jamming
+    it does not depend on mu_b), and the two are combined with the
+    mode-occupancy weights.  The smallest mu_b wins ties, making the search
+    deterministic.  ``forced_mu_b`` replaces the grid by that one threshold.
 
     The throughput has a single peak over the grid, so a Fibonacci search
     finds it from about ten of its points; the result equals that of a
@@ -453,8 +393,10 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     The returned solution also carries the solver records behind it, for
     diagnostics: ``step2`` is the winning point's :class:`Step2Result` (at a
     forced power, the step-1 solve wrapped with ``residual = nan`` and
-    ``iterations = 0``), and ``hd_result`` is the single :class:`HdResult`,
-    solved at mu_b = 0 (so its ``omega_hd`` is unweighted).
+    ``iterations = 0``), and ``hd_result`` is the half-duplex group's
+    :class:`Step1Result` at p_b = mu_b = 0 (so its ``omega_tilde`` is
+    unweighted).  If that solve fails, its error is raised prefixed with
+    ``half-duplex group:``.
     """
     validate(params)
     grid = grid or GridSpec()
@@ -463,7 +405,11 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
         raise ValidationError(
             f"forced p_b must be in (0, p_b_max]: {forced_p_b}")
 
-    hd_core = solve_hd(0.0, params)
+    try:
+        hd_core = solve_step1(0.0, 0.0, params)
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"half-duplex group: {exc}") from exc
+    hd = HdParams(r_c=hd_core.r_c, r_s=hd_core.r_s, mu_a=hd_core.mu_a)
     mu_b_grid = [float(forced_mu_b)] if forced_mu_b is not None \
         else [float(v) for v in grid.mu_b_values()]
     points = {}
@@ -482,7 +428,7 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
         else:
             record = solve_step2(mu_b, params, grid)
         omega_fd = throughput_fd(record.step1.r_s, record.step1.mu_a, mu_b, params.rho)
-        omega_hd = throughput_hd(hd_core.hd.r_s, hd_core.hd.mu_a, mu_b, params.rho)
+        omega_hd = throughput_hd(hd.r_s, hd.mu_a, mu_b, params.rho)
         points[i] = (omega_fd + omega_hd, omega_fd, omega_hd, mu_b, record)
         return points[i]
 
@@ -510,7 +456,7 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     omega_s, omega_fd, omega_hd, mu_b, record = best
     step1 = record.step1
     fd = FdParams(r_c=step1.r_c, r_s=step1.r_s, mu_a=step1.mu_a, p_b=record.p_b_dagger)
-    return SwitchedSolution(mu_b=float(mu_b), fd=fd, hd=hd_core.hd,
+    return SwitchedSolution(mu_b=float(mu_b), fd=fd, hd=hd,
                             omega_s=omega_s, omega_fd=omega_fd,
                             omega_hd=omega_hd, degenerate_fd=record.degenerate,
                             capped_fd=record.capped, step2=record,

@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
 
 if TYPE_CHECKING:
-    from .optimizer import HdResult, Step2Result
+    from .optimizer import Step1Result, Step2Result
 
 __all__ = [
     "SystemParams",
@@ -107,9 +107,11 @@ class SwitchedSolution:
     predicted secrecy throughput in bits/s/Hz.
 
     A solution returned by :func:`fdjam.optimizer.optimize` also carries
-    the solver records it was built from, ``step2`` and ``hd_result`` (see
-    there).  They are diagnostics only: not serialized, not compared, and
-    ``None`` on a solution built any other way.
+    the solver records it was built from: ``step2``, the jamming group's
+    step-2 record, and ``hd_result``, the step-1 record at zero jamming that
+    ``hd`` is taken from (see there).  They are diagnostics only: not
+    serialized, not compared, and ``None`` on a solution built any other
+    way.
     """
 
     mu_b: float
@@ -124,7 +126,7 @@ class SwitchedSolution:
     # True when the optimal jamming power is the budget p_b_max itself.
     capped_fd: bool = False
     step2: Optional[Step2Result] = field(default=None, compare=False, repr=False)
-    hd_result: Optional[HdResult] = field(default=None, compare=False, repr=False)
+    hd_result: Optional[Step1Result] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Apart from the reference scans at the end, everything here deliberately
 avoids the package's own solvers: constraint roots come from scipy's
-brentq, objectives are evaluated from their raw formulas, and parameter
+brentq or from closed forms, objectives are evaluated from their raw
+formulas, and parameter
 sets are drawn from a seeded generator so the same scenarios reproduce
 everywhere.
 """
@@ -18,14 +19,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 from scipy import optimize as sciopt
-from scipy.special import roots_legendre
+from scipy.special import roots_legendre, wrightomega
 
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
-                   dbm_to_watts, solve_hd, solve_step1)
+                   dbm_to_watts, solve_step1)
 from fdjam.analytics import throughput_fd, throughput_hd
-from fdjam.optimizer import (_XTOL_LOG, Step2Result, _derivative_sign,
-                             _residual_eq_step2)
-from fdjam.params import FdParams, SwitchedSolution, validate
+from fdjam.optimizer import (_XTOL_LOG, Step1Result, Step2Result,
+                             _derivative_sign, _residual_eq_step2)
+from fdjam.params import FdParams, HdParams, SwitchedSolution, validate
 from fdjam.sim import _draw_field, sub_rng
 
 
@@ -86,6 +87,57 @@ def mu_a_from_sop_constraint(r_c: float, r_s: float, p_b: float, mu_b: float,
                 - log_tau)
 
     return math.exp(sciopt.brentq(f, -600.0, 600.0, xtol=1e-13))
+
+
+@dataclass(frozen=True)
+class HdResult:
+    """Half-duplex group by the closed-form route, with the residual of its
+    rate condition."""
+
+    hd: HdParams
+    residual: float
+
+
+def solve_hd(mu_b: float, params: SystemParams) -> HdResult:
+    """The half-duplex design by a route of its own, as a reference for the
+    package's step-1 solve at zero jamming.
+
+    With zero jamming the outage constraint has the closed-form redundancy
+    yz = (p_a_max/sigma_e2) * tau^(-alpha/2), and the rate optimality
+    condition becomes a single increasing scalar equation in r_c,
+
+        2^r_c * (r_c - log2(1 + yz)) = p_a_max / (sigma_b2 * d_ab^alpha * ln 2).
+
+    In w = r_s*ln2, with r_s = r_c - log2(1 + yz), its logarithm reads
+    w + ln w = ln k - ln2*log2(1 + yz) + ln ln2 (k the right-hand side), so w
+    is the Wright omega function of that constant.  mu_a = u*(2^r_c - 1) is
+    formed with expm1, so it stays exact on low-rate links.
+    """
+    validate(params)
+    if mu_b < 0.0:
+        raise ValidationError(f"mu_b must be >= 0: {mu_b}")
+    ln2 = math.log(2.0)
+
+    log_yz = (math.log(params.p_a_max / params.sigma_e2)
+              - 0.5 * params.alpha * math.log(tau_of(params)))
+    if not math.isfinite(log_yz):
+        raise InfeasibleError(f"outage constraint unsatisfiable: log yz={log_yz}")
+    c = float(np.logaddexp(0.0, log_yz)) / ln2    # log2(1 + yz)
+    log_k = math.log(params.p_a_max) - math.log(params.sigma_b2) \
+        - params.alpha * math.log(params.d_ab) - math.log(ln2)
+
+    rhs = log_k - c * ln2
+    if rhs < -690.0:
+        raise InfeasibleError("half-duplex secrecy rate underflows")
+    r_s = float(wrightomega(rhs + math.log(ln2))) / ln2
+    r_c = c + r_s
+    if r_c * ln2 > 700.0:
+        raise InfeasibleError(
+            f"half-duplex codeword rate beyond representable range: r_c={r_c}")
+    mu_a = u_of(params, 0.0, mu_b) * math.expm1(r_c * ln2)
+    # ln of 2^r_c * r_s / k, zero at the root
+    residual = abs(math.expm1(r_c * ln2 + math.log(r_s) - log_k))
+    return HdResult(hd=HdParams(r_c=r_c, r_s=r_s, mu_a=mu_a), residual=residual)
 
 
 # Tail cutoff and relative tolerance of the adaptive exposure integral.
@@ -280,6 +332,13 @@ def random_scenarios(n: int, seed: int = 20251107) -> list[ScenarioDraw]:
 # records that the references reduce.
 # --------------------------------------------------------------------------
 
+def hd_group(params: SystemParams) -> tuple[HdParams, Step1Result]:
+    """The half-duplex group as the optimizer takes it: the step-1 solve at
+    zero jamming and zero switch level, and its rates."""
+    r0 = solve_step1(0.0, 0.0, params)
+    return HdParams(r_c=r0.r_c, r_s=r0.r_s, mu_a=r0.mu_a), r0
+
+
 @lru_cache(maxsize=None)
 def derivative_signs(mu_b: float, params: SystemParams,
                      grid: GridSpec = GridSpec()) -> tuple[float, ...]:
@@ -339,7 +398,7 @@ def optimize_reference(params: SystemParams, grid: Optional[GridSpec] = None, *,
         raise ValidationError(
             f"forced p_b must be in (0, p_b_max]: {forced_p_b}")
 
-    hd_core = solve_hd(0.0, params)
+    hd, hd_core = hd_group(params)
     best = None
     failures = 0
     for mu_b in map(float, grid.mu_b_values()):
@@ -358,7 +417,7 @@ def optimize_reference(params: SystemParams, grid: Optional[GridSpec] = None, *,
                           f"infeasible: {exc}", RuntimeWarning, stacklevel=2)
             continue
         omega_fd = throughput_fd(record.step1.r_s, record.step1.mu_a, mu_b, params.rho)
-        omega_hd = throughput_hd(hd_core.hd.r_s, hd_core.hd.mu_a, mu_b, params.rho)
+        omega_hd = throughput_hd(hd.r_s, hd.mu_a, mu_b, params.rho)
         omega_s = omega_fd + omega_hd
         if best is None or omega_s > best[0]:
             best = (omega_s, omega_fd, omega_hd, mu_b, record)
@@ -370,7 +429,7 @@ def optimize_reference(params: SystemParams, grid: Optional[GridSpec] = None, *,
     omega_s, omega_fd, omega_hd, mu_b, record = best
     step1 = record.step1
     fd = FdParams(r_c=step1.r_c, r_s=step1.r_s, mu_a=step1.mu_a, p_b=record.p_b_dagger)
-    return SwitchedSolution(mu_b=float(mu_b), fd=fd, hd=hd_core.hd,
+    return SwitchedSolution(mu_b=float(mu_b), fd=fd, hd=hd,
                             omega_s=omega_s, omega_fd=omega_fd,
                             omega_hd=omega_hd, degenerate_fd=record.degenerate,
                             capped_fd=record.capped, step2=record,
@@ -382,7 +441,7 @@ def omega_s_profile(params: SystemParams, grid: Optional[GridSpec] = None, *,
     """Switched throughput at every switch threshold of the grid, each point
     designed by the reference step 2 (or at the forced jamming power)."""
     grid = grid or GridSpec()
-    hd = solve_hd(0.0, params).hd
+    hd, _ = hd_group(params)
     out = []
     for mu_b in map(float, grid.mu_b_values()):
         if forced_p_b is None:

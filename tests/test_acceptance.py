@@ -22,10 +22,11 @@ import numpy as np
 import pytest
 
 from fdjam import (GridSpec, comparison_metrics, dbm_to_watts, optimize,
-                   run_online, solve_hd, solve_step1, solve_step2)
+                   run_online, solve_step1, solve_step2)
 from fdjam.cli import main
 from oracles import (mu_a_from_sop_constraint, omega_tilde_formula,
-                     random_scenarios, sign_changes, u_of, vi_defaults)
+                     random_scenarios, sign_changes, solve_hd, u_of,
+                     vi_defaults)
 
 SEED = 20260810
 

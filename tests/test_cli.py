@@ -11,7 +11,7 @@ import pytest
 from fdjam.analytics import comparison_metrics
 from fdjam.cli import main
 from fdjam.config import load_config
-from fdjam.optimizer import optimize, solve_hd, solve_step2
+from fdjam.optimizer import optimize, solve_step1, solve_step2
 from fdjam.params import solution_to_dict
 from fdjam.units import watts_to_dbm
 import fdjam.cli
@@ -77,7 +77,7 @@ def test_optimize_diagnostics_match_direct_solves(base_config, tmp_path):
     config = load_config(base_config)
     mu_b = data["solution"]["mu_b"]
     step2 = solve_step2(mu_b, config.system, config.grid)
-    hd = solve_hd(mu_b, config.system)
+    hd = solve_step1(0.0, 0.0, config.system)
 
     def jsonable(v):
         return None if isinstance(v, float) and not math.isfinite(v) else v
@@ -143,8 +143,9 @@ def test_infeasible_maps_to_exit_code_2(base_config, monkeypatch):
 
 
 def test_optimize_codeword_rate_beyond_double_range_exits_2(tmp_path, capsys):
-    # a vanishing outage bound pushes the half-duplex codeword rate past
-    # 1024 bits/s/Hz, where 2^r_c leaves double range
+    # a vanishing outage bound pushes the half-duplex rate redundancy, and
+    # with it the codeword rate, past double range; the one-line error names
+    # the half-duplex group
     cfg = tmp_path / "huge_rate.ini"
     cfg.write_text("""\
 [system]
@@ -160,9 +161,33 @@ p_b_max_dbm = 4.43
 """)
     assert main(["optimize", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("fdjam: infeasible: half-duplex codeword rate "
-                          "beyond representable range")
+    assert err.startswith("fdjam: infeasible: half-duplex group: ")
     assert err.count("\n") == 1
+
+
+def test_optimize_sparse_eavesdropper_link_exits_0(tmp_path, capsys):
+    # so few eavesdroppers that the outage root yz* falls below 1e-13, where
+    # recomputing it from the codeword rate cancels to zero; the step-2
+    # derivative once took its logarithm and died with a traceback
+    cfg = tmp_path / "sparse.ini"
+    cfg.write_text("""\
+[system]
+alpha = 4.0
+d_ab_m = 3.6843602018620816
+lambda_e_per_m2 = 1.4315159012186063e-12
+epsilon = 0.839073624282871
+sigma_b2_dbm = -90
+sigma_e2_dbm = -90
+rho_db = -70
+p_a_max_w = 0.002102164720944374
+p_b_max_w = 0.13481566664537806
+""")
+    out = tmp_path / "sol.json"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    sol = json.loads(out.read_text())["solution"]
+    assert sol["omega_s"] == pytest.approx(sol["omega_fd"] + sol["omega_hd"],
+                                           rel=1e-12)
 
 
 # ---------------------------------------------------------------- validate-sop

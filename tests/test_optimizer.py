@@ -8,16 +8,15 @@ import pytest
 
 import fdjam.optimizer
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
-                   dbm_to_watts, optimize, solve_hd, solve_step1, solve_step2,
-                   v_of_y)
+                   dbm_to_watts, optimize, solve_step1, solve_step2, v_of_y)
 from fdjam.analytics import comparison_metrics, hd_weight
 from fdjam.config import load_config
 from fdjam.params import solution_from_dict, solution_to_dict
 
 from oracles import (derivative_signs, mu_a_from_sop_constraint,
                      omega_s_profile, omega_tilde_formula, optimize_reference,
-                     random_scenarios, sign_changes, solve_step2_reference,
-                     u_of, vi_defaults, yz_root_brentq)
+                     random_scenarios, sign_changes, solve_hd,
+                     solve_step2_reference, u_of, vi_defaults, yz_root_brentq)
 
 VI_PB = dbm_to_watts(10.0)
 VI_MU_B = 1e-7
@@ -137,7 +136,7 @@ def test_rate_solvers_fail_only_with_package_errors_on_extreme_inputs():
         p_b = 0.0 if rng.random() < 0.25 else params.p_b_max * log_uniform(-6.0, 0.0)
         mu_b = 0.0 if rng.random() < 0.25 else log_uniform(-12.0, -2.0)
         for solve in (lambda: solve_step1(p_b, mu_b, params),
-                      lambda: solve_hd(mu_b, params).hd):
+                      lambda: solve_step2(mu_b, params).step1):
             try:
                 rates = solve()
             except (InfeasibleError, ValidationError):
@@ -211,10 +210,23 @@ def test_hd_equals_step1_without_jamming():
         assert hd.residual <= 1e-9
 
 
+def test_hd_on_off_threshold_exact_on_low_rate_link():
+    # r_c ~ 9e-11 on this long link, where u*(2^r_c - 1) cancels to 5e-7
+    # relative; the optimizer's half-duplex group must not
+    p = SystemParams(alpha=5.4512369396749385, d_ab=616.5157770528308,
+                     lambda_e=5.954258000023205e-08, sigma_b2=1.5933452164472334e-06,
+                     sigma_e2=3.9034501621761685e-05, rho=2.404240943713292e-09,
+                     epsilon=0.2910841779542763, p_a_max=0.15622474703373992,
+                     p_b_max=0.11134514558742532)
+    hd = optimize(p, forced_mu_b=0.0).hd
+    assert hd.mu_a == pytest.approx(
+        u_of(p, 0.0, 0.0) * math.expm1(hd.r_c * math.log(2.0)), rel=1e-12)
+
+
 def test_hd_redundancy_vanishes_without_eavesdroppers():
     p = dataclasses.replace(vi_defaults(), lambda_e=1e-12)
-    hd = solve_hd(0.0, p)
-    assert hd.hd.r_c - hd.hd.r_s < 1e-3 * hd.hd.r_c
+    hd = solve_step1(0.0, 0.0, p)
+    assert hd.r_c - hd.r_s < 1e-3 * hd.r_c
 
 
 def test_hd_throughput_grows_then_plateaus_in_power_budget():
@@ -223,16 +235,9 @@ def test_hd_throughput_grows_then_plateaus_in_power_budget():
         for p_dbm in range(-10, 45, 5):
             p = vi_defaults(lambda_e=lam, epsilon=eps,
                             p_a_max=dbm_to_watts(p_dbm), rho=1e-7)
-            omegas.append(solve_hd(VI_MU_B, p).omega_tilde)
+            omegas.append(solve_step1(0.0, VI_MU_B, p).omega_tilde)
         assert all(b >= a * (1.0 - 1e-9) for a, b in zip(omegas, omegas[1:]))
         assert omegas[-1] - omegas[-2] <= max(1e-9, 0.01 * omegas[-1])
-
-
-def test_hd_weight_applied():
-    p = vi_defaults()
-    hd = solve_hd(3e-7, p)
-    assert hd.omega_hd == pytest.approx(hd.omega_tilde * hd_weight(3e-7, p.rho),
-                                        rel=1e-12)
 
 
 # ---------------------------------------------------------------- optimize
@@ -242,7 +247,7 @@ def test_optimize_pure_hd_when_switch_disabled():
     sol = optimize(p, forced_mu_b=0.0)
     assert sol.mu_b == 0.0
     assert sol.omega_fd == 0.0
-    hd = solve_hd(0.0, p)
+    hd = solve_step1(0.0, 0.0, p)
     assert sol.omega_s == pytest.approx(hd.omega_tilde, rel=1e-12)
 
 
@@ -287,8 +292,9 @@ def test_optimize_carries_its_solver_records():
     sol = optimize(p)
     assert sol.step2 == solve_step2(sol.mu_b, p)
     assert sol.step2.p_b_dagger == sol.fd.p_b
-    assert sol.hd_result == solve_hd(0.0, p)
-    assert sol.hd_result.hd == sol.hd
+    assert sol.hd_result == solve_step1(0.0, 0.0, p)
+    assert (sol.hd.r_c, sol.hd.r_s, sol.hd.mu_a) == \
+        (sol.hd_result.r_c, sol.hd_result.r_s, sol.hd_result.mu_a)
     # diagnostics only: neither serialized nor compared
     assert solution_from_dict(solution_to_dict(sol)) == sol
 
@@ -299,7 +305,8 @@ def test_optimize_carries_its_solver_records():
 
 def test_step1_solves_per_default_design(monkeypatch):
     # within one step-2 solve each jamming power is solved once: the final
-    # solve at the chosen power reuses the grid end's or brentq's
+    # solve at the chosen power reuses the grid end's or brentq's; one more
+    # solve, at zero jamming, is the half-duplex group
     config = load_config(str(Path(__file__).resolve().parents[1]
                              / "configs" / "default.ini"))
     calls = []
@@ -311,7 +318,7 @@ def test_step1_solves_per_default_design(monkeypatch):
 
     monkeypatch.setattr(fdjam.optimizer, "solve_step1", counted)
     optimize(config.system, config.grid)
-    assert len(calls) == 24
+    assert len(calls) == 25
     assert len(set(calls)) == len(calls)
 
 
