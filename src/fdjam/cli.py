@@ -31,7 +31,7 @@ from .config import Config, _value_db, load_config, resolved_dict, sweep_values
 from .errors import InfeasibleError, ValidationError
 from .optimizer import optimize
 from .params import solution_from_dict, solution_to_dict, validate
-from .sim import empirical_sop, run_online
+from .sim import _BLOCK, empirical_sop, run_online
 
 __all__ = ["main"]
 
@@ -191,7 +191,7 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
             index += 1
 
     extra = {"p_a_w": p_a, "p_b_w": p_b, "rate_gap_bits": args.rate_gap,
-             "trials": args.trials, "seed": args.seed}
+             "trials": args.trials, "seed": args.seed, "block_size": _BLOCK}
     text = _csv_text(config, extra,
                      ["lambda_e", "d_ab_m", "sop_exact", "sop_approx",
                       "sop_mc", "mc_stderr"], rows)
@@ -271,7 +271,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = run_online(solution, config.system, args.slots, r_cut, args.seed)
     body = {
         "solution": solution_to_dict(solution),
-        "simulation": {"n_slots": args.slots, "r_cut_m": r_cut, "seed": args.seed},
+        "simulation": {"n_slots": args.slots, "r_cut_m": r_cut, "seed": args.seed,
+                       "block_size": _BLOCK},
         "report": dataclasses.asdict(report),
     }
     _emit_text(_json_payload(config, body), args.out)

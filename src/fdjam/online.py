@@ -1,20 +1,25 @@
 """Per-slot transmit decision for a designed switched FD/HD link.
 
 Everything heavy happens off-line in :mod:`fdjam.optimizer`; the slot-rate
-work is this one stateless function: compare two gains against two
-thresholds and, when transmitting, set the transmit power that makes the
-main channel support the mode's codeword rate with equality.
+work is one stateless rule: compare two gains against two thresholds and,
+when transmitting, set the transmit power that makes the main channel
+support the mode's codeword rate with equality.  :func:`decide_slots`
+applies it to arrays of slots (the simulator's kernel) and :func:`decide`
+to one slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Tuple
+
+import numpy as np
 
 from .errors import ValidationError
 from .params import SwitchedSolution, SystemParams
 
-__all__ = ["Mode", "Action", "decide"]
+__all__ = ["Mode", "Action", "decide", "decide_slots"]
 
 # Relative slack on the power-budget guarantee; the boundary case lands on
 # the budget exactly up to roundoff.
@@ -44,9 +49,14 @@ class Action:
         return self.mode is not Mode.SILENT
 
 
-def decide(gamma_ab: float, gamma_bb: float, solution: SwitchedSolution,
-           params: SystemParams) -> Action:
-    """Map one slot's channel gains to a transmit action.
+def decide_slots(gamma_ab: np.ndarray, gamma_bb: np.ndarray,
+                 solution: SwitchedSolution, params: SystemParams
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Map each slot's channel gains to a transmit action, as arrays.
+
+    Returns ``(fd, hd, p_a, p_b)``: masks of the slots that transmit in FD
+    and in HD mode, and each slot's powers (zero when silent; ``p_b`` is
+    also zero in HD mode).
 
     Residual self-interference at or below the switch threshold selects the
     jamming branch (ties jam); within a branch, transmission happens only if
@@ -55,28 +65,41 @@ def decide(gamma_ab: float, gamma_bb: float, solution: SwitchedSolution,
     codeword rate, so the realized capacity equals the rate exactly and the
     power never exceeds the budget (equality at the threshold corner).
     """
-    if gamma_ab < 0.0 or gamma_bb < 0.0:
+    gamma_ab = np.asarray(gamma_ab, dtype=float)
+    gamma_bb = np.asarray(gamma_bb, dtype=float)
+    negative = np.flatnonzero((gamma_ab < 0.0) | (gamma_bb < 0.0))
+    if negative.size:
+        i = negative[0]
         raise ValidationError(
-            f"channel gains must be >= 0: gamma_ab={gamma_ab}, gamma_bb={gamma_bb}")
-    gain_over_loss = gamma_ab * params.d_ab ** (-params.alpha)
+            f"channel gains must be >= 0: gamma_ab={float(gamma_ab[i])}, "
+            f"gamma_bb={float(gamma_bb[i])}")
+    fd, hd = solution.fd, solution.hd
+    jam = params.rho * gamma_bb <= solution.mu_b
+    is_fd = jam & (gamma_ab >= fd.mu_a)
+    is_hd = ~jam & (gamma_ab >= hd.mu_a)
+    tx = is_fd | is_hd
 
-    if params.rho * gamma_bb <= solution.mu_b:
-        fd = solution.fd
-        if gamma_ab >= fd.mu_a:
-            noise = params.sigma_b2 + params.rho * fd.p_b * gamma_bb
-            p_a = (2.0 ** fd.r_c - 1.0) * noise / gain_over_loss
-            return Action(Mode.FD, p_a=_cap(p_a, params), p_b=fd.p_b)
-    else:
-        hd = solution.hd
-        if gamma_ab >= hd.mu_a:
-            p_a = (2.0 ** hd.r_c - 1.0) * params.sigma_b2 / gain_over_loss
-            return Action(Mode.HD, p_a=_cap(p_a, params))
-    return Action(Mode.SILENT)
-
-
-def _cap(p_a: float, params: SystemParams) -> float:
-    if p_a > params.p_a_max * (1.0 + _BUDGET_RTOL):
+    noise = np.where(is_fd, params.sigma_b2 + params.rho * fd.p_b * gamma_bb,
+                     params.sigma_b2)
+    rate = np.where(is_fd, 2.0 ** fd.r_c - 1.0, 2.0 ** hd.r_c - 1.0)
+    p_a = np.zeros(gamma_ab.shape)
+    p_a[tx] = rate[tx] * noise[tx] / (gamma_ab[tx] * params.d_ab ** (-params.alpha))
+    over = np.flatnonzero(p_a > params.p_a_max * (1.0 + _BUDGET_RTOL))
+    if over.size:
         raise ValidationError(
-            f"required transmit power {p_a} W exceeds p_a_max "
+            f"required transmit power {float(p_a[over[0]])} W exceeds p_a_max "
             f"{params.p_a_max} W; the solution violates its threshold invariants")
-    return min(p_a, params.p_a_max)
+    return (is_fd, is_hd, np.minimum(p_a, params.p_a_max),
+            np.where(is_fd, fd.p_b, 0.0))
+
+
+def decide(gamma_ab: float, gamma_bb: float, solution: SwitchedSolution,
+           params: SystemParams) -> Action:
+    """One slot's transmit action: :func:`decide_slots` on a single slot."""
+    is_fd, is_hd, p_a, p_b = decide_slots(
+        np.array([gamma_ab]), np.array([gamma_bb]), solution, params)
+    if is_fd[0]:
+        return Action(Mode.FD, p_a=float(p_a[0]), p_b=float(p_b[0]))
+    if is_hd[0]:
+        return Action(Mode.HD, p_a=float(p_a[0]))
+    return Action(Mode.SILENT)

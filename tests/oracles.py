@@ -1,9 +1,9 @@
 """Shared oracle utilities for the test suite.
 
-Apart from the reference scans at the end, everything here deliberately
-avoids the package's own solvers: constraint roots come from scipy's
-brentq or from closed forms, objectives are evaluated from their raw
-formulas, and parameter
+Apart from the reference scans at the end, the unthinned field sampler and
+the scalar slot rule, everything here deliberately avoids the package's
+own solvers: constraint roots come from scipy's brentq or from closed
+forms, objectives are evaluated from their raw formulas, and parameter
 sets are drawn from a seeded generator so the same scenarios reproduce
 everywhere.
 """
@@ -27,7 +27,8 @@ from fdjam.analytics import throughput_fd, throughput_hd
 from fdjam.optimizer import (_XTOL_LOG, Step1Result, Step2Result,
                              _derivative_sign, _residual_eq_step2)
 from fdjam.params import FdParams, HdParams, SwitchedSolution, validate
-from fdjam.sim import _draw_field, sub_rng
+from fdjam.online import _BUDGET_RTOL, Action, Mode
+from fdjam.sim import McEstimate, _exponential, sub_rng
 
 
 def vi_defaults(**overrides) -> SystemParams:
@@ -265,6 +266,81 @@ def main_channel_sinr(link: LinkState, params: SystemParams) -> float:
     return signal / (params.sigma_b2 + params.rho * link.p_b * link.gamma_bb)
 
 
+def draw_field(rng: np.random.Generator, lambda_e: float, r_cut: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(d_ak^2, theta, gamma_ak, gamma_bk) for one unthinned PPP realization:
+    count ~ Poisson(lambda_e * pi * r_cut^2), then area-uniform squared
+    radii, azimuths, signal-path gains and jamming-path gains."""
+    n = int(rng.poisson(lambda_e * math.pi * r_cut * r_cut))
+    d_ak2 = rng.random(n) * (r_cut * r_cut)
+    theta = rng.random(n) * (2.0 * math.pi)
+    gamma_ak = _exponential(rng, n)
+    gamma_bk = _exponential(rng, n)
+    return d_ak2, theta, gamma_ak, gamma_bk
+
+
+def max_eve_sinr(d_ak2: np.ndarray, theta: np.ndarray, gamma_ak: np.ndarray,
+                 gamma_bk: np.ndarray, p_a: float, p_b: float,
+                 params: SystemParams) -> float:
+    """Largest per-eavesdropper SINR in a field; -inf for an empty field."""
+    if d_ak2.size == 0:
+        return -math.inf
+    half = params.alpha / 2.0
+    signal = p_a * gamma_ak * d_ak2 ** (-half)
+    if p_b > 0.0:
+        d_bk2 = (params.d_ab * params.d_ab + d_ak2
+                 - 2.0 * params.d_ab * np.sqrt(d_ak2) * np.cos(theta))
+        interference = params.sigma_e2 + p_b * gamma_bk * d_bk2 ** (-half)
+    else:
+        interference = params.sigma_e2
+    return float(np.max(signal / interference))
+
+
+def empirical_sop_reference(p_a: float, p_b: float, r_c: float, r_s: float,
+                            params: SystemParams, n_trials: int, r_cut: float,
+                            seed: int) -> McEstimate:
+    """The unthinned, one-trial-at-a-time Monte Carlo SOP: trial i draws a
+    whole field from ``sub_rng(seed, 0, i)`` and compares its best SINR with
+    2^(r_c - r_s) - 1."""
+    x = 2.0 ** (r_c - r_s) - 1.0
+    hits = sum(
+        max_eve_sinr(*draw_field(sub_rng(seed, 0, i), params.lambda_e, r_cut),
+                     p_a, p_b, params) > x
+        for i in range(n_trials))
+    p = hits / n_trials
+    return McEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n_trials),
+                      n_trials=n_trials)
+
+
+def decide_reference(gamma_ab: float, gamma_bb: float,
+                     solution: SwitchedSolution, params: SystemParams) -> Action:
+    """The slot rule written for one slot in scalar arithmetic."""
+    if gamma_ab < 0.0 or gamma_bb < 0.0:
+        raise ValidationError(
+            f"channel gains must be >= 0: gamma_ab={gamma_ab}, gamma_bb={gamma_bb}")
+    gain_over_loss = gamma_ab * params.d_ab ** (-params.alpha)
+
+    def cap(p_a: float) -> float:
+        if p_a > params.p_a_max * (1.0 + _BUDGET_RTOL):
+            raise ValidationError(
+                f"required transmit power {p_a} W exceeds p_a_max "
+                f"{params.p_a_max} W; the solution violates its threshold invariants")
+        return min(p_a, params.p_a_max)
+
+    if params.rho * gamma_bb <= solution.mu_b:
+        fd = solution.fd
+        if gamma_ab >= fd.mu_a:
+            noise = params.sigma_b2 + params.rho * fd.p_b * gamma_bb
+            p_a = (2.0 ** fd.r_c - 1.0) * noise / gain_over_loss
+            return Action(Mode.FD, p_a=cap(p_a), p_b=fd.p_b)
+    else:
+        hd = solution.hd
+        if gamma_ab >= hd.mu_a:
+            p_a = (2.0 ** hd.r_c - 1.0) * params.sigma_b2 / gain_over_loss
+            return Action(Mode.HD, p_a=cap(p_a))
+    return Action(Mode.SILENT)
+
+
 @dataclass(frozen=True)
 class EveField:
     """One realization of eavesdropper positions and per-path fading gains.
@@ -283,12 +359,12 @@ class EveField:
 
 
 def sample_eve_field(params: SystemParams, r_cut: float, rng_seed: int) -> EveField:
-    """Draw one eavesdropper field on the disk of radius ``r_cut``, from the
-    simulator's own substream and draw order."""
+    """Draw one unthinned eavesdropper field on the disk of radius ``r_cut``
+    with :func:`draw_field`."""
     if r_cut <= 0.0:
         raise ValidationError(f"r_cut must be > 0 m: {r_cut}")
-    d_ak2, theta, g_a, g_b = _draw_field(sub_rng(rng_seed, 0, 0),
-                                         params.lambda_e, r_cut)
+    d_ak2, theta, g_a, g_b = draw_field(sub_rng(rng_seed, 0, 0),
+                                        params.lambda_e, r_cut)
     return EveField(d_ak=np.sqrt(d_ak2), theta_k=theta,
                     gamma_ak=g_a, gamma_bk=g_b)
 

@@ -249,7 +249,8 @@ def test_validate_sop_monte_carlo_brackets_quadrature(base_config, tmp_path):
     assert main(["validate-sop", "--config", base_config, "--d-ab", "10",
                  "--lambda-list", "1e-4", "--trials", "3000", "--seed", "6",
                  "--out", str(out)]) == 0
-    _, rows = _read_csv(str(out))
+    comments, rows = _read_csv(str(out))
+    assert "# block_size = 64" in comments
     row = rows[0]
     assert abs(float(row["sop_mc"]) - float(row["sop_exact"])) \
         <= 3.0 * float(row["mc_stderr"])
@@ -404,6 +405,7 @@ def test_simulate_round_trip(base_config, tmp_path):
     assert counts["fd"] + counts["hd"] + counts["silent"] == 2000
     assert rep["connection_outages"] == 0
     assert data["simulation"]["r_cut_m"] == pytest.approx(600.0)
+    assert data["simulation"]["block_size"] == 64
 
 
 def test_simulate_deterministic(base_config, tmp_path):

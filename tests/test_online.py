@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdjam import Mode, ValidationError, decide, dbm_to_watts, optimize
+from fdjam.online import decide_slots
 from fdjam.params import FdParams, HdParams, SwitchedSolution
 
-from oracles import vi_defaults
+from oracles import decide_reference, vi_defaults
 
 PARAMS = vi_defaults(lambda_e=1e-5, epsilon=0.05)
 SOLUTION = optimize(PARAMS)
@@ -82,13 +84,67 @@ def test_rejects_negative_gains():
         decide(1.0, -1e-9, SOLUTION, PARAMS)
 
 
+# an on-off gate below the budget-saturating threshold demands p_a > p_a_max
+BAD_SOLUTION = SwitchedSolution(
+    mu_b=SOLUTION.mu_b,
+    fd=FdParams(r_c=SOLUTION.fd.r_c, r_s=SOLUTION.fd.r_s,
+                mu_a=SOLUTION.fd.mu_a / 4.0, p_b=SOLUTION.fd.p_b),
+    hd=SOLUTION.hd,
+    omega_s=0.0, omega_fd=0.0, omega_hd=0.0)
+
+
 def test_rejects_solution_violating_power_budget():
-    # an on-off gate below the budget-saturating threshold demands p_a > p_a_max
-    bad = SwitchedSolution(
-        mu_b=SOLUTION.mu_b,
-        fd=FdParams(r_c=SOLUTION.fd.r_c, r_s=SOLUTION.fd.r_s,
-                    mu_a=SOLUTION.fd.mu_a / 4.0, p_b=SOLUTION.fd.p_b),
-        hd=SOLUTION.hd,
-        omega_s=0.0, omega_fd=0.0, omega_hd=0.0)
-    with pytest.raises(ValidationError):
-        decide(bad.fd.mu_a, 0.5 * SOLUTION.mu_b / PARAMS.rho, bad, PARAMS)
+    with pytest.raises(ValidationError, match="p_a_max"):
+        decide(BAD_SOLUTION.fd.mu_a, 0.5 * SOLUTION.mu_b / PARAMS.rho,
+               BAD_SOLUTION, PARAMS)
+    # the array rule rejects a block in which any one slot breaks the budget
+    gamma_ab = np.array([10.0 * SOLUTION.fd.mu_a, BAD_SOLUTION.fd.mu_a])
+    gamma_bb = np.full(2, 0.5 * SOLUTION.mu_b / PARAMS.rho)
+    with pytest.raises(ValidationError, match="p_a_max"):
+        decide_slots(gamma_ab, gamma_bb, BAD_SOLUTION, PARAMS)
+    with pytest.raises(ValidationError, match="p_a_max"):
+        decide_reference(BAD_SOLUTION.fd.mu_a, 0.5 * SOLUTION.mu_b / PARAMS.rho,
+                         BAD_SOLUTION, PARAMS)
+
+
+def _switch_tie_gain() -> float:
+    """A self-interference gain with rho * gamma_bb == mu_b exactly."""
+    g = SOLUTION.mu_b / PARAMS.rho
+    for _ in range(8):
+        if PARAMS.rho * g == SOLUTION.mu_b:
+            return g
+        g = np.nextafter(g, math.inf if PARAMS.rho * g < SOLUTION.mu_b else -math.inf)
+    raise AssertionError("no exact tie within 8 ulps")
+
+
+def test_slot_kernel_equals_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    n = 10_000
+    # gains spread over three decades around each threshold
+    gate = min(SOLUTION.fd.mu_a, SOLUTION.hd.mu_a)
+    gamma_ab = gate * 10.0 ** rng.uniform(-1.5, 1.5, n)
+    gamma_bb = SOLUTION.mu_b / PARAMS.rho * 10.0 ** rng.uniform(-1.5, 1.5, n)
+    tie = _switch_tie_gain()
+    corners = [(SOLUTION.fd.mu_a, tie), (2.0 * SOLUTION.fd.mu_a, tie),
+               (SOLUTION.fd.mu_a, 0.0), (SOLUTION.hd.mu_a, 1e9),
+               (np.nextafter(SOLUTION.fd.mu_a, 0.0), 0.0),
+               (np.nextafter(SOLUTION.hd.mu_a, 0.0), 1e9), (0.0, 0.0)]
+    gamma_ab = np.concatenate([gamma_ab, [g for g, _ in corners]])
+    gamma_bb = np.concatenate([gamma_bb, [b for _, b in corners]])
+
+    is_fd, is_hd, p_a, p_b = decide_slots(gamma_ab, gamma_bb, SOLUTION, PARAMS)
+    modes = set()
+    for i in range(gamma_ab.size):
+        ref = decide_reference(float(gamma_ab[i]), float(gamma_bb[i]),
+                               SOLUTION, PARAMS)
+        mode = Mode.FD if is_fd[i] else Mode.HD if is_hd[i] else Mode.SILENT
+        assert (mode, p_a[i], p_b[i]) == (ref.mode, ref.p_a, ref.p_b), i
+        assert decide(float(gamma_ab[i]), float(gamma_bb[i]), SOLUTION, PARAMS) == ref
+        modes.add(mode)
+    assert modes == {Mode.FD, Mode.HD, Mode.SILENT}
+    # the corners land where the rule says: ties jam, gates are inclusive
+    tail = [decide_reference(g, b, SOLUTION, PARAMS).mode for g, b in corners]
+    assert tail == [Mode.FD, Mode.FD, Mode.FD, Mode.HD,
+                    Mode.SILENT, Mode.SILENT, Mode.SILENT]
+    # the FD gate at the tie saturates the budget
+    assert p_a[n] == pytest.approx(PARAMS.p_a_max, rel=1e-12)

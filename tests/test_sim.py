@@ -1,14 +1,20 @@
+import contextlib
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import gamma as gamma_fn, gammainc, hyp1f1
 
+import fdjam.sim as sim
 from fdjam import (comparison_metrics, dbm_to_watts, empirical_sop, optimize,
                    run_online, sop_exact, ValidationError)
-from fdjam.sim import ModeCounts, sub_rng, _draw_field, _max_eve_sinr
+from fdjam.sim import (ModeCounts, _CHUNK, _beats_jamming, _blocks,
+                       _kept_counts, _truncated_gamma, sub_rng)
 
-from oracles import sample_eve_field, vi_defaults
+from oracles import empirical_sop_reference, sample_eve_field, vi_defaults
 
 P_A = dbm_to_watts(20.0)
 P_B = dbm_to_watts(30.0)
@@ -52,30 +58,95 @@ def test_poisson_mean_small_field():
     assert abs(np.mean(counts) - mean_expect) <= 3.0 * stderr
 
 
+def _engine_blocks(seed, n, a, params, r_cut):
+    """The engine's draws for ``n`` jammed trials at thinning scale ``a``,
+    as ``(rng, counts, owner, v, d_ak)`` per block of one chunk."""
+    for block, m in _blocks(n):
+        rng = sub_rng(seed, 0, block)
+        c = np.full(m, a * r_cut ** params.alpha)
+        counts = _kept_counts(rng, c, params, r_cut)
+        owner = np.repeat(np.arange(m), counts)
+        assert owner.size <= _CHUNK
+        v, s = _truncated_gamma(rng, 2.0 / params.alpha, c[owner])
+        yield rng, counts, owner, v, r_cut * s
+
+
 def test_poisson_mean_large_field():
-    # lambda 1e-4 on a 2 km disk: mean count 1256.6
+    # lambda 1e-4 on a 2 km disk, nothing thinned (a = 0): mean count 1256.6
     p = vi_defaults()
     r_cut = 2000.0
     mean_expect = p.lambda_e * math.pi * r_cut ** 2
     assert mean_expect == pytest.approx(1256.637, abs=1e-3)
-    counts = [_draw_field(sub_rng(11, 0, i), p.lambda_e, r_cut)[0].size
-              for i in range(2000)]
+    counts = np.concatenate([_kept_counts(sub_rng(11, 0, block), np.zeros(m), p, r_cut)
+                             for block, m in _blocks(2000)])
+    assert counts.size == 2000
     stderr = math.sqrt(mean_expect / len(counts))
     assert abs(np.mean(counts) - mean_expect) <= 3.0 * stderr
 
 
+def test_kept_count_mean_is_the_thinned_intensity():
+    # lambda*pi*r_cut^2 * 1F1(k; k+1; -c) == lambda*pi*a^(-k)*Gamma(1+k)*P(k, c)
+    for alpha in (2.0, 2.5, 4.0, 6.0):
+        k = 2.0 / alpha
+        for c in (1e-12, 1e-6, 1e-3, 0.5, 1.0, 3.0, 28.7, 1e3, 1e6, 1e10):
+            r_cut = 500.0
+            a = c / r_cut ** alpha
+            thinned = r_cut ** 2 * hyp1f1(k, k + 1.0, -c)
+            gamma_form = a ** (-k) * gamma_fn(1.0 + k) * gammainc(k, c)
+            assert thinned == pytest.approx(gamma_form, rel=1e-14), (alpha, c)
+    # the sampler's counts follow it, on both sides of the proposal switch
+    p = vi_defaults(lambda_e=1e-4)
+    r_cut = 400.0
+    for c in (2e-3, 2.0):
+        a = c / r_cut ** p.alpha
+        mean_expect = p.lambda_e * math.pi * r_cut ** 2 * hyp1f1(0.5, 1.5, -c)
+        counts = np.concatenate([b[1] for b in _engine_blocks(12, 2000, a, p, r_cut)])
+        stderr = math.sqrt(mean_expect / len(counts))
+        assert abs(np.mean(counts) - mean_expect) <= 3.0 * stderr, c
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0])
+@pytest.mark.parametrize("c", [1e-3, 2.0, 50.0])
+def test_kept_points_follow_the_thinned_intensity(alpha, c):
+    # kept distances have CDF P(k, c (r/r_cut)^alpha) / P(k, c), and each
+    # point's v is a * d_ak^alpha
+    p = vi_defaults(alpha=alpha, lambda_e=1e-3)
+    r_cut, k = 200.0, 2.0 / alpha
+    a = c / r_cut ** alpha
+    blocks = list(_engine_blocks(13, 640, a, p, r_cut))
+    v = np.concatenate([b[3] for b in blocks])
+    d = np.concatenate([b[4] for b in blocks])
+    assert d.size > 2000
+    assert np.all((d >= 0.0) & (d <= r_cut))
+    assert np.allclose(v, a * d ** alpha, rtol=1e-12, atol=0.0)
+    ks = stats.kstest(d, lambda r: gammainc(k, c * (r / r_cut) ** alpha)
+                      / gammainc(k, c))
+    assert ks.pvalue > 1e-3, ks
+
+
 # ---------------------------------------------------------------- outage MC
+
+@contextlib.contextmanager
+def _warnings_raise():
+    """Turn every warning and floating-point error into an exception."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        yield
+
 
 def test_empirical_sop_zero_density():
     p = dataclasses.replace(vi_defaults(), lambda_e=0.0)
-    est = empirical_sop(P_A, P_B, R_C, R_S, p, n_trials=200, r_cut=500.0, seed=0)
+    with _warnings_raise():
+        est = empirical_sop(P_A, P_B, R_C, R_S, p, n_trials=200, r_cut=500.0, seed=0)
     assert est.value == 0.0
 
 
 def test_empirical_sop_zero_rate_gap_counts_nonempty_fields():
+    # rate gap 0 gives a = 0: nothing is thinned
     p = dataclasses.replace(vi_defaults(), lambda_e=1e-5)
     r_cut = 252.0  # mean about 2 per realization
-    est = empirical_sop(P_A, P_B, 2.0, 2.0, p, n_trials=3000, r_cut=r_cut, seed=4)
+    with _warnings_raise():
+        est = empirical_sop(P_A, P_B, 2.0, 2.0, p, n_trials=3000, r_cut=r_cut, seed=4)
     expected = 1.0 - math.exp(-p.lambda_e * math.pi * r_cut ** 2)
     assert abs(est.value - expected) <= 3.0 * est.stderr
 
@@ -90,20 +161,91 @@ def test_empirical_sop_matches_quadrature():
 def test_truncation_insensitive_beyond_cutoff():
     # same realizations, restricted to the inner disk: only the annulus differs
     p = vi_defaults()
-    x = 2.0 ** (R_C - R_S) - 1.0
+    a = p.sigma_e2 * (2.0 ** (R_C - R_S) - 1.0) / P_A
     n = 4000
     hits_full = hits_inner = 0
-    for i in range(n):
-        d2, th, ga, gb = _draw_field(sub_rng(21, 0, i), p.lambda_e, 1600.0)
-        inner = d2 <= 800.0 ** 2
-        if _max_eve_sinr(d2, th, ga, gb, P_A, P_B, p) > x:
-            hits_full += 1
-        if _max_eve_sinr(d2[inner], th[inner], ga[inner], gb[inner],
-                         P_A, P_B, p) > x:
-            hits_inner += 1
+    for rng, counts, owner, v, d_ak in _engine_blocks(21, n, a, p, 1600.0):
+        hit = _beats_jamming(rng, v, d_ak, P_B, p)
+        hits_full += np.count_nonzero(np.bincount(owner[hit], minlength=counts.size))
+        inner = hit & (d_ak <= 800.0)
+        hits_inner += np.count_nonzero(np.bincount(owner[inner], minlength=counts.size))
     p_full = hits_full / n
     stderr = math.sqrt(max(p_full * (1 - p_full), 1e-12) / n)
     assert abs(hits_full - hits_inner) / n < stderr
+
+
+# Engine against the unthinned reference: each case sets the density that
+# gives one eavesdropper per trial able to beat x without jamming.
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+@pytest.mark.parametrize("p_b", [0.0, P_B])
+@pytest.mark.parametrize("rate_gap", [0.0, 3.0])
+def test_empirical_sop_matches_unthinned_reference(alpha, p_b, rate_gap):
+    r_cut, n = 400.0, 4000
+    base = vi_defaults(alpha=alpha)
+    c = base.sigma_e2 * (2.0 ** rate_gap - 1.0) / P_A * r_cut ** alpha
+    k = 2.0 / alpha
+    p = dataclasses.replace(
+        base, lambda_e=1.0 / (math.pi * r_cut ** 2 * hyp1f1(k, k + 1.0, -c)))
+    r_c = 1.0 + rate_gap
+    est = empirical_sop(P_A, p_b, r_c, 1.0, p, n_trials=n, r_cut=r_cut, seed=31)
+    ref = empirical_sop_reference(P_A, p_b, r_c, 1.0, p, n_trials=n,
+                                  r_cut=r_cut, seed=31)
+    assert abs(est.value - ref.value) \
+        <= 3.0 * math.hypot(est.stderr, ref.stderr), (est.value, ref.value)
+
+
+def test_chunked_points_match_unthinned_reference(monkeypatch):
+    # a chunk of 7 points splits every block (about 40 kept points per trial)
+    monkeypatch.setattr(sim, "_CHUNK", 7)
+    r_cut, n = 400.0, 4000
+    base = vi_defaults()
+    c = base.sigma_e2 * 7.0 / P_A * r_cut ** base.alpha
+    p = dataclasses.replace(
+        base, lambda_e=40.0 / (math.pi * r_cut ** 2 * hyp1f1(0.5, 1.5, -c)))
+    est = empirical_sop(P_A, P_B, 4.0, 1.0, p, n_trials=n, r_cut=r_cut, seed=32)
+    ref = empirical_sop_reference(P_A, P_B, 4.0, 1.0, p, n_trials=n,
+                                  r_cut=r_cut, seed=32)
+    assert 0.2 < ref.value < 0.8
+    assert abs(est.value - ref.value) \
+        <= 3.0 * math.hypot(est.stderr, ref.stderr), (est.value, ref.value)
+
+
+class _CountingRng:
+    """A generator proxy that appends the size of every draw to ``tally``."""
+
+    def __init__(self, rng, tally):
+        self._rng = rng
+        self._tally = tally
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self._tally.append(np.size(out))
+            return out
+        return counted
+
+
+def test_thinning_stays_finite_where_it_barely_thins(monkeypatch):
+    """c <= 1e-6: no warning, no overflow, no more candidate eavesdroppers
+    than the unthinned field, and the unthinned sampler's answer."""
+    p = vi_defaults(lambda_e=1e-4)
+    r_cut, r_c, n = 100.0, 2.001, 2000
+    c = p.sigma_e2 * (2.0 ** (r_c - 2.0) - 1.0) / P_A * r_cut ** p.alpha
+    assert 0.0 < c <= 1e-6
+    tally = []
+    monkeypatch.setattr(sim, "sub_rng",
+                        lambda *key: _CountingRng(sub_rng(*key), tally))
+    with _warnings_raise():
+        est = empirical_sop(P_A, P_B, r_c, 2.0, p, n_trials=n, r_cut=r_cut, seed=43)
+    # one Poisson count per trial; each candidate costs four uniforms
+    # (position, acceptance, azimuth, jamming coin)
+    candidates = (sum(tally) - n) / 4.0
+    assert candidates <= 1.05 * n * p.lambda_e * math.pi * r_cut ** 2
+    ref = empirical_sop_reference(P_A, P_B, r_c, 2.0, p, n_trials=n,
+                                  r_cut=r_cut, seed=43)
+    assert abs(est.value - ref.value) <= 3.0 * math.hypot(est.stderr, ref.stderr)
 
 
 def test_empirical_sop_argument_checks():
@@ -112,6 +254,10 @@ def test_empirical_sop_argument_checks():
         empirical_sop(P_A, P_B, R_C, R_S, p, n_trials=0, r_cut=500.0, seed=0)
     with pytest.raises(ValidationError):
         empirical_sop(P_A, P_B, 1.0, 2.0, p, n_trials=10, r_cut=500.0, seed=0)
+    with pytest.raises(ValidationError, match="p_a"):
+        empirical_sop(0.0, P_B, R_C, R_S, p, n_trials=10, r_cut=500.0, seed=0)
+    with pytest.raises(ValidationError, match="p_b"):
+        empirical_sop(P_A, -1.0, R_C, R_S, p, n_trials=10, r_cut=500.0, seed=0)
 
 
 # ---------------------------------------------------------------- on-line
