@@ -16,9 +16,8 @@ The package splits into:
 
 __version__ = "0.1.0"
 
-from .analytics import (ComparisonMetrics, cdf_phi_e_approx, cdf_phi_e_exact,
-                        comparison_metrics, hd_weight, sop_approx, sop_exact,
-                        throughput_fd, throughput_hd)
+from .analytics import (ComparisonMetrics, comparison_metrics, hd_weight,
+                        sop_approx, sop_exact, throughput_fd, throughput_hd)
 from .errors import InfeasibleError, ValidationError
 from .online import Action, Mode, decide
 from .optimizer import (GridSpec, Step1Result, Step2Result, optimize,
@@ -38,9 +37,8 @@ __all__ = [
     "SystemParams", "FdParams", "HdParams", "SwitchedSolution",
     "DerivedConstants", "validate", "derived_constants",
     # analytics
-    "ComparisonMetrics", "cdf_phi_e_exact", "cdf_phi_e_approx",
-    "sop_exact", "sop_approx", "throughput_fd", "throughput_hd", "hd_weight",
-    "comparison_metrics",
+    "ComparisonMetrics", "sop_exact", "sop_approx", "throughput_fd",
+    "throughput_hd", "hd_weight", "comparison_metrics",
     # optimizer
     "GridSpec", "Step1Result", "Step2Result", "v_of_y",
     "solve_step1", "solve_step2", "optimize",

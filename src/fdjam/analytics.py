@@ -19,8 +19,16 @@ the signal path loss and ``J`` collapses to a closed form; both routes are
 implemented and cross-validated (the simulator provides a third,
 Monte Carlo, route).
 
+The closed form is the paper's outage model, defined here once for the
+optimizer's design and for :func:`sop_approx`.  With q = p_b*x/p_a,
+a = sigma_e2*x/p_a and eta = 2/alpha the exposure is
+beta*lambda_e*(1 + q)^-1*a^-eta; :func:`log_exposure_approx` is its log over
+beta*lambda_e, and :func:`root_slope_approx` is the slope term w of the
+outage root: differentiating -ln(1 + x*p_b/p_a) - eta*ln x = const in p_b
+gives dx/dp_b = -x^2/w with w = eta*p_a + (1 + eta)*p_b*x.
+
 All probabilities returned by this module are clamped to [0, 1] to guard
-against floating-point residue of order 1e-17.
+against floating-point residue of order 1e-17; a NaN stays NaN.
 """
 
 from __future__ import annotations
@@ -36,16 +44,9 @@ from .errors import ValidationError
 from .params import SwitchedSolution, SystemParams, _beta_eta
 
 __all__ = [
-    "ComparisonMetrics",
-    "capacity",
-    "exposure_integral",
-    "cdf_phi_e_exact",
-    "cdf_phi_e_approx",
-    "sop_exact",
-    "sop_approx",
-    "hd_weight",
-    "throughput_fd",
-    "throughput_hd",
+    "ComparisonMetrics", "exposure_integral", "log_exposure_approx",
+    "root_slope_approx", "cdf_phi_e_exact", "cdf_phi_e_approx", "sop_exact",
+    "sop_approx", "hd_weight", "throughput_fd", "throughput_hd",
     "comparison_metrics",
 ]
 
@@ -74,13 +75,8 @@ _THETA, _THETA_WEIGHTS = _panel_rule(
 _SIN2_HALF_THETA = np.sin(0.5 * _THETA) ** 2
 
 
-def capacity(sinr: float) -> float:
-    """Shannon capacity log2(1 + sinr) in bits/s/Hz."""
-    return math.log2(1.0 + sinr)
-
-
 def _clamp01(p: float) -> float:
-    return min(1.0, max(0.0, p))
+    return min(max(p, 0.0), 1.0)    # a NaN first argument survives max and min
 
 
 @lru_cache(maxsize=512)
@@ -103,6 +99,8 @@ def _exposure_integral_cached(x: float, p_a: float, p_b: float,
     """
     a = sigma_e2 * x / p_a            # radial decay coefficient
     q = p_b * x / p_a                 # jamming-to-signal weight
+    if q == math.inf:
+        return 0.0                    # the jamming drowns every eavesdropper
     half = alpha / 2.0
     t_link = 2.0 * math.log(d_ab)
     t_decay = -math.log(a) / half
@@ -150,16 +148,29 @@ def cdf_phi_e_exact(x: float, p_a: float, p_b: float, params: SystemParams) -> f
     return _clamp01(math.exp(-0.5 * params.lambda_e * j))
 
 
-def cdf_phi_e_approx(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
-    """Best-eavesdropper SINR CDF, closed form for small d_ab.
+def log_exposure_approx(log_x: float, p_a: float, p_b: float,
+                        params: SystemParams) -> float:
+    """-ln(1 + p_b*x/p_a) - eta*ln(sigma_e2*x/p_a) at x = exp(log_x); takes
+    ln x and checks nothing, as it runs inside the design's root search."""
+    eta = 2.0 / params.alpha
+    x = math.exp(log_x)
+    return -math.log1p(x * p_b / p_a) - eta * (log_x + math.log(params.sigma_e2 / p_a))
 
-    exp(-beta * lambda_e * (p_b*x/p_a + 1)^-1 * (sigma_e2*x/p_a)^(-2/alpha)).
-    """
+
+def root_slope_approx(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
+    """w = eta*p_a + (1 + eta)*p_b*x: on the closed-form outage root,
+    dx/dp_b = -x^2/w."""
+    eta = 2.0 / params.alpha
+    return eta * p_a + (1.0 + eta) * p_b * x
+
+
+def cdf_phi_e_approx(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
+    """Best-eavesdropper SINR CDF, closed form for small d_ab:
+    exp(-beta*lambda_e*exp(L)), L from :func:`log_exposure_approx`."""
     _check_sinr_args(x, p_a, p_b)
-    beta, eta = _beta_eta(params.alpha)
-    exposure = (beta * params.lambda_e
-                / (p_b * x / p_a + 1.0)
-                * (params.sigma_e2 * x / p_a) ** (-eta))
+    beta, _ = _beta_eta(params.alpha)
+    exposure = beta * params.lambda_e * math.exp(
+        log_exposure_approx(math.log(x), p_a, p_b, params))
     return _clamp01(math.exp(-exposure))
 
 
@@ -168,7 +179,11 @@ def _rate_threshold(r_c: float, r_s: float) -> float:
         raise ValidationError(f"require r_s < r_c, got r_s={r_s}, r_c={r_c}")
     if r_s <= 0.0:
         raise ValidationError(f"r_s must be > 0: {r_s}")
-    return 2.0 ** (r_c - r_s) - 1.0
+    try:
+        return 2.0 ** (r_c - r_s) - 1.0
+    except OverflowError:
+        raise ValidationError(f"rate gap r_c - r_s = {r_c - r_s} bits puts the "
+                              f"SINR threshold beyond double range") from None
 
 
 def sop_exact(p_a: float, p_b: float, r_c: float, r_s: float,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -50,13 +50,11 @@ from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
 
 __all__ = ["SweepSpec", "Config", "load_config", "sweep_values", "resolved_dict"]
 
-_SYSTEM_FIELDS = ("alpha", "d_ab", "lambda_e", "sigma_b2", "sigma_e2",
-                  "rho", "epsilon", "p_a_max", "p_b_max")
 # Fields expressed in dBm when a dB scale is requested.
 _POWER_FIELDS = {"sigma_b2", "sigma_e2", "p_a_max", "p_b_max", "p_b"}
 # Dimensionless fields expressed in plain dB.
 _RATIO_FIELDS = {"rho", "mu_b"}
-_SWEEPABLE = set(_SYSTEM_FIELDS) | {"mu_b", "p_b"}
+_SWEEPABLE = {f.name for f in fields(SystemParams)} | {"mu_b", "p_b"}
 
 # Accepted [system]-style spellings (also usable as fix_<key> sweep overrides).
 _identity = float
@@ -271,7 +269,7 @@ def load_config(path: str) -> Config:
 def resolved_dict(config: Config) -> Dict[str, object]:
     """Flat key/value view of a config (both unit systems) for report headers."""
     s = config.system
-    out: Dict[str, object] = {
+    return {
         "alpha": s.alpha,
         "d_ab_m": s.d_ab,
         "lambda_e_per_m2": s.lambda_e,
@@ -293,4 +291,3 @@ def resolved_dict(config: Config) -> Dict[str, object]:
         "grid_p_b_steps": config.grid.p_b_steps,
         "sim_r_cut_m": config.r_cut,
     }
-    return out

@@ -1,31 +1,24 @@
 """Off-line design: rates, on-off threshold, jamming power, mode switch.
 
-For a fixed jamming power and switch threshold, the constrained
-throughput maximization over codeword/secrecy rates reduces to two nested
-scalar root problems in the substituted variables
+This module holds the rate and search algebra; the outage model it designs
+against is the closed form of :mod:`fdjam.analytics`.  For a fixed jamming
+power and switch threshold, the throughput maximization over the rates
+reduces to two nested scalar roots in y = 2^r_c - 1 and
+yz = 2^(r_c - r_s) - 1.  The outage constraint pins yz, found by Brent's
+method (Brent, *Algorithms for Minimization without Derivatives*, 1973;
+:func:`scipy.optimize.brentq`) on ln yz; the first-order optimality
+condition pins y through the increasing map :func:`v_of_y`, in closed form
+by the Wright omega function (Corless and Jeffrey, "The Wright omega
+function", 2002; :func:`scipy.special.wrightomega`).  The half-duplex group
+is the same solution at p_b = 0 (:func:`solve_step1`).
 
-    y  = 2^r_c - 1,        yz = 2^(r_c - r_s) - 1:
-
-the secrecy-outage constraint pins ``yz`` (its left side is strictly
-decreasing), and the first-order optimality condition pins ``y`` through the
-strictly increasing map :func:`v_of_y`.  The outage root has no closed form
-and is found by Brent's method (Brent, *Algorithms for Minimization without
-Derivatives*, 1973; :func:`scipy.optimize.brentq`) on ln yz in a fixed
-window.  The optimality condition becomes w + ln w = x in a suitable
-variable w, the defining equation of the Wright omega function (Corless and
-Jeffrey, "The Wright omega function", 2002), so both rates are closed forms
-evaluated by :func:`scipy.special.wrightomega`.  The half-duplex receiver is
-the jamming receiver with no jamming power, so its group is this same
-solution at p_b = 0 (:func:`solve_step1`).
-
-The throughput is quasi-concave in the jamming power and its derivative has
-a single sign change, which is located on a logarithmic grid by binary
-search before Brent's method refines it on ln p_b (:func:`solve_step2`); the
-remaining switch-threshold variable is found on its grid by a Fibonacci
-search for the single peak of the throughput (:func:`optimize`).  Both
-searches return exactly what an exhaustive scan of their grid returns
-whenever the profile has the assumed shape; the test suite checks that shape
-rather than assume it.
+The throughput is quasi-concave in the jamming power: the single sign
+change of its derivative is located on a logarithmic grid by binary search
+and refined by Brent's method on ln p_b (:func:`solve_step2`).  The switch
+threshold is found on its grid by a Fibonacci search for the single peak of
+the throughput (:func:`optimize`).  Both searches return exactly what an
+exhaustive scan of their grid returns whenever the profile has the assumed
+shape; the test suite checks that shape rather than assume it.
 
 A root without a sign change in its window, a root search that does not
 converge, and a rate beyond double range raise
@@ -43,7 +36,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import wrightomega
 
-from .analytics import throughput_fd, throughput_hd
+from .analytics import (log_exposure_approx, root_slope_approx, throughput_fd,
+                        throughput_hd)
 from .errors import InfeasibleError, ValidationError
 from .params import (DerivedConstants, FdParams, HdParams, SwitchedSolution,
                      SystemParams, derived_constants, validate)
@@ -127,14 +121,6 @@ def v_of_y(y: float, u: float) -> float:
     return (1.0 + y) * math.exp(-1.0 / (u * (1.0 + y))) - 1.0
 
 
-def _log_sop_lhs(log_s: float, p_b: float, p_a_max: float,
-                 sigma_e2: float, eta: float) -> float:
-    """ln of the outage-constraint left side at yz = exp(log_s);
-    strictly decreasing in log_s."""
-    s = math.exp(log_s)
-    return -math.log1p(s * p_b / p_a_max) - eta * (log_s + math.log(sigma_e2 / p_a_max))
-
-
 @dataclass(frozen=True)
 class Step1Result:
     """Optimal rates and on-off threshold for fixed jamming power and switch level."""
@@ -154,18 +140,17 @@ class Step1Result:
 def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     """Maximize r_s*exp(-mu_a) over rates and on-off threshold at fixed p_b.
 
-    The outage constraint pins yz (its left side is strictly decreasing),
-    found by Brent's method on ln yz in [-700, 700]; then v(y) = yz pins y
-    in closed form.  The substitution z = 1/(u*(1+y)) turns v(y) = yz into
-    z + ln z = -ln u - ln(1+yz), whose solution is the Wright omega function
-    of the right-hand side; it yields the secrecy rate r_s = z/ln2 and
+    The outage constraint, :func:`~fdjam.analytics.log_exposure_approx` at
+    the worst-case power p_a_max equal to ln tau, pins yz, found by Brent's
+    method on ln yz in [-700, 700].  Then v(y) = yz pins y: the substitution
+    z = 1/(u*(1+y)) turns it into z + ln z = -ln u - ln(1+yz), solved by the
+    Wright omega function, which yields r_s = z/ln2 and
     ln(1+y) = ln(1+yz) + z without subtractive cancellation, even when the
     rate gap is many orders below the rates.  mu_a = u*y saturates the power
     budget exactly at the threshold.
 
     At p_b = 0 this is the half-duplex group: with no jamming the switch
-    level drops out of u, and the same constraint and optimality condition
-    pin the silent receiver's rates.
+    level drops out of u.
     """
     validate(params)
     dc = derived_constants(params, p_b, mu_b)
@@ -174,7 +159,7 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     try:
         # exp(+-700) stays clear of double overflow
         t_root, info = brentq(
-            lambda t: _log_sop_lhs(t, p_b, params.p_a_max, params.sigma_e2, dc.eta) - log_tau,
+            lambda t: log_exposure_approx(t, params.p_a_max, p_b, params) - log_tau,
             -700.0, 700.0, xtol=_XTOL_LOG, full_output=True)
     except (ValueError, RuntimeError) as exc:
         raise InfeasibleError(
@@ -203,8 +188,7 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     # outage-constraint left side and compare with tau (relative).
     v_root = v_of_y(y_star, dc.u)
     if v_root > 0.0:
-        lhs = _log_sop_lhs(math.log(v_root), p_b, params.p_a_max,
-                           params.sigma_e2, dc.eta)
+        lhs = log_exposure_approx(math.log(v_root), params.p_a_max, p_b, params)
         residual = abs(math.expm1(lhs - log_tau))
     else:
         residual = math.inf
@@ -238,9 +222,10 @@ class Step2Result:
 
 
 def _log_gain(p_b: float, r1: Step1Result, params: SystemParams) -> float:
-    """ln of the gain u*v^2*(1+y)/(w*(1+v)), w = eta*p_a_max + (1+eta)*p_b*v,
-    in the step-2 stationarity condition varpi*y = gain, from the step-1
-    solution ``r1`` at ``p_b``.
+    """ln of the gain u*v^2*(1+y)/(w*(1+v)) in the step-2 stationarity
+    condition varpi*y = gain, from the step-1 solution ``r1`` at ``p_b``;
+    -v^2/w is the outage root's slope dv/dp_b, with w from
+    :func:`~fdjam.analytics.root_slope_approx`.
 
     v = v(y*) equals the outage root yz* by construction and is taken from
     there: recomputing it from y* cancels to zero or below once yz* falls
@@ -248,7 +233,7 @@ def _log_gain(p_b: float, r1: Step1Result, params: SystemParams) -> float:
     """
     dc = r1.constants
     v = r1.yz_star
-    w = dc.eta * params.p_a_max + (1.0 + dc.eta) * p_b * v
+    w = root_slope_approx(v, params.p_a_max, p_b, params)
     return (math.log(dc.u) + 2.0 * math.log(v) + math.log1p(r1.y_star)
             - math.log(w) - math.log1p(v))
 
@@ -307,11 +292,9 @@ def solve_step2(mu_b: float, params: SystemParams,
 
     p_values = [float(p) for p in grid.p_b_values(params.p_b_max)]
     if sign_at(p_values[0]) <= 0.0:
-        p_dag, capped, degenerate = p_values[0], False, True
-        iters = 0
+        p_dag, capped, degenerate, iters = p_values[0], False, True, 0
     elif len(p_values) == 1 or sign_at(p_values[-1]) > 0.0:
-        p_dag, capped, degenerate = params.p_b_max, True, False
-        iters = 0
+        p_dag, capped, degenerate, iters = params.p_b_max, True, False, 0
     else:
         # invariant: sign(p_values[i]) > 0 and sign(p_values[j]) <= 0
         i, j = 0, len(p_values) - 1
@@ -331,8 +314,7 @@ def solve_step2(mu_b: float, params: SystemParams,
             raise InfeasibleError(
                 f"jamming-power root not found for p_b in "
                 f"[{p_values[i]:.6g}, {p_values[j]:.6g}] W: {exc}") from exc
-        p_dag, capped, degenerate = math.exp(t_root), False, False
-        iters = info.iterations
+        p_dag, capped, degenerate, iters = math.exp(t_root), False, False, info.iterations
 
     step1 = step1_at(p_dag)
     residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)
@@ -448,12 +430,8 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
                 f"every switch-threshold grid point infeasible "
                 f"({len(mu_b_grid)} tried)") from None
 
-    best = None
-    for candidate in candidates:
-        if best is None or candidate[0] > best[0]:
-            best = candidate
-
-    omega_s, omega_fd, omega_hd, mu_b, record = best
+    # max keeps the first of equal throughputs: the smallest mu_b wins ties
+    omega_s, omega_fd, omega_hd, mu_b, record = max(candidates, key=lambda c: c[0])
     step1 = record.step1
     fd = FdParams(r_c=step1.r_c, r_s=step1.r_s, mu_a=step1.mu_a, p_b=record.p_b_dagger)
     return SwitchedSolution(mu_b=float(mu_b), fd=fd, hd=hd,

@@ -52,30 +52,34 @@ class SystemParams:
     p_b_max: float        # Bob jamming power budget [W], >= 0
 
 
+# (field, admissible range, message when out of range), in checking order
+_CHECKS = (
+    ("alpha", lambda v: v >= 2.0, "alpha below 2: {}"),
+    ("d_ab", lambda v: v > 0.0, "d_ab must be > 0 m: {}"),
+    ("lambda_e", lambda v: v > 0.0, "lambda_e must be > 0 per m^2: {}"),
+    ("sigma_b2", lambda v: v > 0.0, "sigma_b2 must be > 0 W: {}"),
+    ("sigma_e2", lambda v: v > 0.0, "sigma_e2 must be > 0 W: {}"),
+    ("rho", lambda v: 0.0 <= v <= 1.0, "rho out of [0,1]: {}"),
+    ("epsilon", lambda v: 0.0 < v < 1.0, "epsilon out of (0,1): {}"),
+    ("p_a_max", lambda v: v > 0.0, "p_a_max must be > 0 W: {}"),
+    ("p_b_max", lambda v: v >= 0.0, "p_b_max must be >= 0 W: {}"),
+)
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Return ``params`` unchanged if every invariant holds.
 
-    Raises :class:`ValidationError` naming the violated field otherwise.
+    Raises :class:`ValidationError` naming the violated field otherwise;
+    every range is checked before any finiteness.
     """
-    p = params
-    checks = [
-        (p.alpha >= 2.0, f"alpha below 2: {p.alpha}"),
-        (p.d_ab > 0.0, f"d_ab must be > 0 m: {p.d_ab}"),
-        (p.lambda_e > 0.0, f"lambda_e must be > 0 per m^2: {p.lambda_e}"),
-        (p.sigma_b2 > 0.0, f"sigma_b2 must be > 0 W: {p.sigma_b2}"),
-        (p.sigma_e2 > 0.0, f"sigma_e2 must be > 0 W: {p.sigma_e2}"),
-        (0.0 <= p.rho <= 1.0, f"rho out of [0,1]: {p.rho}"),
-        (0.0 < p.epsilon < 1.0, f"epsilon out of (0,1): {p.epsilon}"),
-        (p.p_a_max > 0.0, f"p_a_max must be > 0 W: {p.p_a_max}"),
-        (p.p_b_max >= 0.0, f"p_b_max must be >= 0 W: {p.p_b_max}"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            raise ValidationError(msg)
-    for name in ("alpha", "d_ab", "lambda_e", "sigma_b2", "sigma_e2",
-                 "rho", "epsilon", "p_a_max", "p_b_max"):
-        if not math.isfinite(getattr(p, name)):
-            raise ValidationError(f"{name} must be finite: {getattr(p, name)}")
+    for name, ok, message in _CHECKS:
+        value = getattr(params, name)
+        if not ok(value):
+            raise ValidationError(message.format(value))
+    for name, _, _ in _CHECKS:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite: {value}")
     return params
 
 

@@ -192,7 +192,15 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     if p_a <= 0.0 or p_b < 0.0:
         raise ValidationError(
             f"require p_a > 0 W and p_b >= 0 W, got p_a={p_a}, p_b={p_b}")
-    a = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
+    try:
+        a = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
+        c = a * r_cut ** params.alpha
+    except OverflowError:
+        c = math.inf
+    if not c < math.inf:    # the per-block kernel needs a finite thinning scale
+        raise ValidationError(
+            f"rate gap r_c - r_s = {r_c - r_s} bits at r_cut = {r_cut} m is too "
+            f"large to simulate: sigma_e2*x/p_a*r_cut^alpha overflows")
     hits = 0
     for block, m in _blocks(n_trials):
         outage = _field_outages(sub_rng(seed, 0, block), np.full(m, a),

@@ -5,11 +5,14 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
-from fdjam import (ValidationError, cdf_phi_e_approx, cdf_phi_e_exact,
-                   comparison_metrics, dbm_to_watts, empirical_sop, hd_weight,
-                   sop_approx, sop_exact, throughput_fd, throughput_hd)
-from fdjam.analytics import capacity, exposure_integral
+from fdjam import (ValidationError, comparison_metrics, dbm_to_watts,
+                   empirical_sop, hd_weight, sop_approx, sop_exact,
+                   throughput_fd, throughput_hd)
+from fdjam.analytics import (_clamp01, cdf_phi_e_approx, cdf_phi_e_exact,
+                             exposure_integral, log_exposure_approx,
+                             root_slope_approx)
 from fdjam.params import FdParams, HdParams, SwitchedSolution
 
 from oracles import (LinkState, beta_of, exposure_integral_adaptive,
@@ -69,6 +72,42 @@ def test_exact_matches_approx_at_tiny_separation():
         q = dataclasses.replace(p, lambda_e=lam)
         assert abs(cdf_phi_e_exact(X, P_A, P_B, q)
                    - cdf_phi_e_approx(X, P_A, P_B, q)) < 1e-3
+
+
+def test_closed_form_is_the_paper_exposure():
+    # the log exposure over beta*lambda_e, and the CDF that reads it
+    p = fig_params()
+    for x in (1e-3, 0.7, X, 1e4):
+        bound = ((1.0 + P_B * x / P_A) ** -1
+                 * (p.sigma_e2 * x / P_A) ** (-2.0 / p.alpha))
+        assert math.exp(log_exposure_approx(math.log(x), P_A, P_B, p)) \
+            == pytest.approx(bound, rel=1e-12)
+        assert cdf_phi_e_approx(x, P_A, P_B, p) == pytest.approx(
+            math.exp(-beta_of(p.alpha) * p.lambda_e * bound), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+def test_root_slope_is_the_implicit_derivative(alpha):
+    # dx/dp_b = -x^2/w along a level set of the log exposure, against
+    # central differences of roots found by brentq
+    p = fig_params(alpha=alpha)
+    level = log_exposure_approx(math.log(X), P_A, P_B, p)
+
+    def root(p_b):
+        return math.exp(brentq(
+            lambda t: log_exposure_approx(t, P_A, p_b, p) - level,
+            -50.0, 50.0, xtol=1e-15))
+
+    h = 1e-4 * P_B
+    slope = (root(P_B + h) - root(P_B - h)) / (2.0 * h)
+    assert root(P_B) == pytest.approx(X, rel=1e-12)
+    assert slope == pytest.approx(-X ** 2 / root_slope_approx(X, P_A, P_B, p),
+                                  rel=1e-6)
+
+
+def test_clamp_never_turns_nan_into_a_probability():
+    assert math.isnan(_clamp01(math.nan))
+    assert [_clamp01(v) for v in (-1e-17, 0.3, 1.0 + 1e-15)] == [0.0, 0.3, 1.0]
 
 
 # ---------------------------------------------------------------- SOP
@@ -294,4 +333,3 @@ def test_link_state_capacity():
     phi = main_channel_sinr(link, p)
     expected = 0.01 * 1.5 * 10.0 ** -4 / (p.sigma_b2 + p.rho * 0.001 * 2.0)
     assert phi == pytest.approx(expected, rel=1e-12)
-    assert capacity(phi) == pytest.approx(math.log2(1 + expected), rel=1e-12)

@@ -265,6 +265,32 @@ def test_validate_sop_skips_mc_without_trials(base_config, tmp_path):
     assert all(row["sop_mc"] == "" for row in rows)
 
 
+EXTREME_GAP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10",
+               "--lambda-list", "1e-4"]
+
+
+def test_validate_sop_threshold_past_jamming_weight_range(tmp_path, capsys):
+    # x = 2^1023.9 - 1 is finite but q = p_b*x/p_a overflows: no eavesdropper
+    # beats the threshold, by either route
+    out = tmp_path / "sop.csv"
+    assert main(EXTREME_GAP + ["--rate-gap", "1023.9", "--trials", "0",
+                               "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(str(out))
+    assert float(rows[0]["sop_exact"]) == 0.0
+    assert float(rows[0]["sop_approx"]) == 0.0
+
+
+@pytest.mark.parametrize("extra", [["--rate-gap", "1100"],
+                                   ["--rate-gap", "1020", "--trials", "10"]],
+                         ids=["threshold", "monte_carlo_field"])
+def test_validate_sop_rate_gap_beyond_range_exits_1(extra, capsys):
+    assert main(EXTREME_GAP + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: rate gap r_c - r_s = ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- sweep
 
 def _sweep_config(tmp_path, sweep_block):

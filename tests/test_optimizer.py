@@ -9,7 +9,7 @@ import pytest
 import fdjam.optimizer
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
                    dbm_to_watts, optimize, solve_step1, solve_step2, v_of_y)
-from fdjam.analytics import comparison_metrics, hd_weight
+from fdjam.analytics import comparison_metrics, hd_weight, sop_approx
 from fdjam.config import load_config
 from fdjam.params import solution_from_dict, solution_to_dict
 
@@ -395,6 +395,17 @@ def test_searches_equal_full_scans_bit_for_bit(name, params, grid):
         sol = optimize(params, grid, forced_p_b=p_b)
         ref = optimize_reference(params, grid, forced_p_b=p_b)
         assert sol == ref and sol.step2 == ref.step2
+
+
+@pytest.mark.parametrize("name, params, grid", SEARCH_SCENARIOS, ids=SEARCH_IDS)
+def test_designs_sit_on_their_closed_form_bound(name, params, grid):
+    # the outage constraint the optimizer solves and sop_approx read one
+    # closed-form model, so both groups meet epsilon with equality at the
+    # worst-case power p_a_max
+    sol = optimize(params, grid)
+    for group, p_b in ((sol.fd, sol.fd.p_b), (sol.hd, 0.0)):
+        sop = sop_approx(params.p_a_max, p_b, group.r_c, group.r_s, params)
+        assert abs(sop / params.epsilon - 1.0) <= 1e-9, group
 
 
 def _failing_above(mu_b_max):

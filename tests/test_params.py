@@ -29,6 +29,7 @@ def test_defaults_accepted():
     ("p_a_max", 0.0, "p_a_max"),
     ("p_b_max", -1e-3, "p_b_max"),
     ("d_ab", math.nan, "d_ab"),
+    ("alpha", math.inf, "alpha must be finite"),
 ])
 def test_validate_names_offending_field(field, value, fragment):
     p = dataclasses.replace(vi_defaults(), **{field: value})
