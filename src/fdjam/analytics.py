@@ -134,11 +134,12 @@ def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) ->
 
 
 def _check_sinr_args(x: float, p_a: float, p_b: float) -> None:
-    if x <= 0.0:
-        raise ValidationError(f"SINR threshold x must be > 0: {x}")
-    if p_a <= 0.0:
-        raise ValidationError(f"p_a must be > 0 W: {p_a}")
-    if p_b < 0.0:
+    # p_b = inf is allowed: the jamming drowns every eavesdropper
+    if not 0.0 < x < math.inf:
+        raise ValidationError(f"SINR threshold x must be finite and > 0: {x}")
+    if not 0.0 < p_a < math.inf:
+        raise ValidationError(f"p_a must be finite and > 0 W: {p_a}")
+    if not p_b >= 0.0:
         raise ValidationError(f"p_b must be >= 0 W: {p_b}")
 
 

@@ -144,12 +144,20 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 # validate-sop
 # --------------------------------------------------------------------------
 
-def _parse_float_list(text: str, flag: str) -> List[float]:
+def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
+    if not ok:
+        raise ValidationError(f"{flag} must be {rule}: {value}")
+
+
+def _parse_float_list(text: str, flag: str, ok, rule: str) -> List[float]:
+    """Comma-separated numbers, at least one, each passing ``ok``."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"{flag}: {text!r} is not a comma-separated "
                               f"list of numbers") from exc
+    _check_flag(values != [] and all(map(ok, values)), flag, rule, repr(text))
+    return values
 
 
 def _cmd_validate_sop(args: argparse.Namespace) -> int:
@@ -157,13 +165,22 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
     small-separation closed form and, with ``--trials`` > 0, the Monte Carlo
     oracle."""
     config = load_config(args.config)
-    d_abs = _parse_float_list(args.d_ab, "--d-ab")
+    # checked here, not by validate(): a density of 0 is a valid row
+    d_abs = _parse_float_list(args.d_ab, "--d-ab", lambda d: 0.0 < d < math.inf,
+                              "a list of finite distances > 0 m")
     if args.lambda_list:
-        lambdas = _parse_float_list(args.lambda_list, "--lambda-list")
+        lambdas = _parse_float_list(args.lambda_list, "--lambda-list",
+                                    lambda v: 0.0 <= v < math.inf,
+                                    "a list of finite densities >= 0")
     else:
+        for flag, v in (("--lambda-min", args.lambda_min),
+                        ("--lambda-max", args.lambda_max)):
+            _check_flag(0.0 < v < math.inf, flag, "finite and > 0", v)
+        _check_flag(args.lambda_steps >= 1, "--lambda-steps", ">= 1", args.lambda_steps)
         lambdas = list(np.logspace(math.log10(args.lambda_min),
                                    math.log10(args.lambda_max),
                                    args.lambda_steps))
+    _check_flag(args.trials >= 0, "--trials", ">= 0", args.trials)
     p_a = args.p_a_w
     p_b = args.p_b_w
     r_s = 1.0
@@ -231,6 +248,7 @@ def _sweep_point(task) -> Dict:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    _check_flag(args.jobs >= 1, "--jobs", ">= 1", args.jobs)
     if config.sweep is None:
         raise ValidationError("sweep command needs a [sweep] section in the config")
     spec = config.sweep

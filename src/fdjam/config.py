@@ -29,17 +29,21 @@ Schema ([system] is required, the other sections are optional):
     max              = 20
     steps            = 7
     scale            = dB      ; linear | log | dB
-    fix_epsilon      = 0.05    ; optional overrides, any [system] key spelling
+    fix_epsilon      = 0.05    ; optional overrides, fix_ + a [system] key
 
 Powers are dBm, dimensionless ratios (rho, mu_b) plain dB, distances meters.
+Every value must be a finite number, in linear units too, and the counts
+(mu_b_steps, p_b_steps, steps) whole.  One table, ``_FIELDS``, gives each
+field's section, key stem and unit: the reader, the sweep's dB scale and the
+report header all follow it.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -50,30 +54,42 @@ from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
 
 __all__ = ["SweepSpec", "Config", "load_config", "sweep_values", "resolved_dict"]
 
-# Fields expressed in dBm when a dB scale is requested.
-_POWER_FIELDS = {"sigma_b2", "sigma_e2", "p_a_max", "p_b_max", "p_b"}
-# Dimensionless fields expressed in plain dB.
-_RATIO_FIELDS = {"rho", "mu_b"}
-_SWEEPABLE = {f.name for f in fields(SystemParams)} | {"mu_b", "p_b"}
-
-# Accepted [system]-style spellings (also usable as fix_<key> sweep overrides).
-_identity = float
-_SYSTEM_KEY_MAP = {
-    "alpha": ("alpha", _identity),
-    "d_ab_m": ("d_ab", _identity),
-    "lambda_e_per_m2": ("lambda_e", _identity),
-    "epsilon": ("epsilon", _identity),
-    "sigma_b2_dbm": ("sigma_b2", dbm_to_watts),
-    "sigma_b2_w": ("sigma_b2", _identity),
-    "sigma_e2_dbm": ("sigma_e2", dbm_to_watts),
-    "sigma_e2_w": ("sigma_e2", _identity),
-    "rho_db": ("rho", db_to_linear),
-    "rho": ("rho", _identity),
-    "p_a_max_dbm": ("p_a_max", dbm_to_watts),
-    "p_a_max_w": ("p_a_max", _identity),
-    "p_b_max_dbm": ("p_b_max", dbm_to_watts),
-    "p_b_max_w": ("p_b_max", _identity),
+# Every numeric field: name -> (section, key stem, unit), in report-header
+# order.  The unit fixes the spellings (see _spellings) and the conversion to
+# linear units.  Section None: only ever swept (forced), never read.
+_FIELDS: Dict[str, Tuple[Optional[str], str, str]] = {
+    "alpha": ("system", "alpha", "plain"),
+    "d_ab": ("system", "d_ab_m", "plain"),
+    "lambda_e": ("system", "lambda_e_per_m2", "plain"),
+    "epsilon": ("system", "epsilon", "plain"),
+    "sigma_b2": ("system", "sigma_b2", "power"),
+    "sigma_e2": ("system", "sigma_e2", "power"),
+    "rho": ("system", "rho", "ratio"),
+    "p_a_max": ("system", "p_a_max", "power"),
+    "p_b_max": ("system", "p_b_max", "power"),
+    "mu_b_min": ("grid", "mu_b_min", "ratio"),
+    "mu_b_max": ("grid", "mu_b_max", "ratio"),
+    "mu_b_steps": ("grid", "mu_b_steps", "count"),
+    "p_b_floor": ("grid", "p_b_floor", "power"),
+    "p_b_steps": ("grid", "p_b_steps", "count"),
+    "r_cut": ("sim", "r_cut_m", "plain"),
+    "vmin": ("sweep", "min", "plain"),
+    "vmax": ("sweep", "max", "plain"),
+    "steps": ("sweep", "steps", "count"),
+    "mu_b": (None, "mu_b", "ratio"),
+    "p_b": (None, "p_b", "power"),
 }
+
+# Units with a dB form: key suffixes (dB, linear) and conversions.  Powers
+# are dBm or watts, ratios plain dB or linear; other units have one spelling.
+_SUFFIXES = {"power": ("_dbm", "_w"), "ratio": ("_db", "")}
+_FROM_DB = {"power": dbm_to_watts, "ratio": db_to_linear}
+_TO_DB = {"power": watts_to_dbm, "ratio": linear_to_db}
+
+
+def _spellings(stem: str, unit: str) -> Tuple[str, ...]:
+    """Accepted keys of one field, the documented (dB) spelling first."""
+    return tuple(stem + s for s in _SUFFIXES.get(unit, ("",)))
 
 
 @dataclass(frozen=True)
@@ -88,9 +104,9 @@ class SweepSpec:
     fixed: Optional[Dict[str, float]] = None  # overrides on SystemParams fields
 
     def check(self) -> "SweepSpec":
-        if self.variable not in _SWEEPABLE:
-            raise ValidationError(
-                f"sweep variable {self.variable!r} not one of {sorted(_SWEEPABLE)}")
+        if _FIELDS.get(self.variable, ("",))[0] not in ("system", None):
+            raise ValidationError(f"sweep variable {self.variable!r} is not a "
+                                  f"[system] field, mu_b or p_b")
         if not self.vmin < self.vmax:
             raise ValidationError(
                 f"sweep requires min < max, got [{self.vmin}, {self.vmax}]")
@@ -98,7 +114,7 @@ class SweepSpec:
             raise ValidationError(f"sweep steps must be >= 2: {self.steps}")
         if self.scale not in ("linear", "log", "dB"):
             raise ValidationError(f"sweep scale {self.scale!r} not in linear/log/dB")
-        if self.scale == "dB" and self.variable not in _POWER_FIELDS | _RATIO_FIELDS:
+        if self.scale == "dB" and _FIELDS[self.variable][2] not in _TO_DB:
             raise ValidationError(
                 f"sweep variable {self.variable!r} has no dB representation")
         if self.scale == "log" and self.vmin <= 0.0:
@@ -114,20 +130,15 @@ def sweep_values(spec: SweepSpec) -> np.ndarray:
         raw = np.linspace(spec.vmin, spec.vmax, spec.steps)
     if spec.scale != "dB":
         return raw
-    conv = dbm_to_watts if spec.variable in _POWER_FIELDS else db_to_linear
+    conv = _FROM_DB[_FIELDS[spec.variable][2]]
     return np.array([conv(v) for v in raw])
 
 
 def _value_db(variable: str, value: float) -> Optional[float]:
     """A swept value in dBm (power fields) or dB (ratio fields); None when
     the variable has no dB form or the value is not positive."""
-    if value <= 0.0:
-        return None
-    if variable in _POWER_FIELDS:
-        return watts_to_dbm(value)
-    if variable in _RATIO_FIELDS:
-        return linear_to_db(value)
-    return None
+    to_db = _TO_DB.get(_FIELDS[variable][2])
+    return to_db(value) if to_db and value > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -141,7 +152,8 @@ class Config:
 
 
 def _read(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literals: no %-interpolation, so a stray % is just a bad number
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
@@ -157,35 +169,47 @@ def _section(cp: configparser.ConfigParser, name: str) -> Dict[str, str]:
     return dict(cp[name]) if cp.has_section(name) else {}
 
 
-def _pop_float(sec: Dict[str, str], section: str, key: str,
-               default: Optional[float] = None) -> Optional[float]:
-    if key not in sec:
+def _take(sec: Dict[str, str], section: str, stem: str, unit: str,
+          default: Optional[float]):
+    """Pop one field from ``sec`` in linear units (an int for a count), or
+    return ``default`` when no spelling is given (``None``: required)."""
+    keys = _spellings(stem, unit)
+    given = [k for k in keys if k in sec]
+    if len(given) > 1:
+        raise ValidationError(f"[{section}] give {stem} as {' or '.join(keys)}, not both")
+    if not given:
+        if default is None:
+            raise ValidationError(f"[{section}] missing required key {' or '.join(keys)}")
         return default
+    key = given[0]
     raw = sec.pop(key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ValidationError(f"[{section}] {key} = {raw!r} is not a number") from exc
-
-
-def _pop_unit(sec: Dict[str, str], section: str, base: str,
-              db_key: str, db_conv, linear_key: str,
-              default: Optional[float] = None) -> Optional[float]:
-    """Read a value given either in dB(m) or linear form, rejecting both."""
-    if db_key in sec and linear_key in sec:
-        raise ValidationError(
-            f"[{section}] give {base} as {db_key} or {linear_key}, not both")
-    if db_key in sec:
-        return db_conv(_pop_float(sec, section, db_key))
-    if linear_key in sec:
-        return _pop_float(sec, section, linear_key)
-    return default
-
-
-def _require(value: Optional[float], section: str, what: str) -> float:
-    if value is None:
-        raise ValidationError(f"[{section}] missing required key for {what}")
+    if not math.isfinite(value):
+        raise ValidationError(f"[{section}] {key} = {raw} is not a finite number")
+    if key == keys[0] and unit in _FROM_DB:
+        try:
+            value = _FROM_DB[unit](value)
+        except OverflowError as exc:
+            raise ValidationError(
+                f"[{section}] {key} = {raw} overflows in linear units") from exc
+    if unit == "count":
+        if value != int(value):
+            raise ValidationError(f"[{section}] {key} = {raw} is not a whole number")
+        return int(value)
     return value
+
+
+def _take_section(sec: Dict[str, str], section: str,
+                  defaults: Dict[str, float]) -> Dict[str, float]:
+    """Every table field of ``section`` by name; no other key may remain."""
+    values = {field: _take(sec, section, stem, unit, defaults.get(field))
+              for field, (s, stem, unit) in _FIELDS.items() if s == section}
+    if sec:
+        raise ValidationError(f"[{section}] unknown keys: {sorted(sec)}")
+    return values
 
 
 def load_config(path: str) -> Config:
@@ -194,44 +218,9 @@ def load_config(path: str) -> Config:
     if not cp.has_section("system"):
         raise ValidationError("config missing required [system] section")
 
-    sec = _section(cp, "system")
-    spellings: Dict[str, List[str]] = {}
-    for key, (name, _) in _SYSTEM_KEY_MAP.items():
-        spellings.setdefault(name, []).append(key)
-    values: Dict[str, float] = {}
-    for name, keys in spellings.items():
-        given = [k for k in keys if k in sec]
-        if len(given) > 1:
-            raise ValidationError(
-                f"[system] give {name} as {keys[0]} or {keys[1]}, not both")
-        if not given:
-            raise ValidationError(f"[system] missing required key for {'/'.join(keys)}")
-        key = given[0]
-        values[name] = _SYSTEM_KEY_MAP[key][1](_pop_float(sec, "system", key))
-    system = SystemParams(**values)
-    if sec:
-        raise ValidationError(f"[system] unknown keys: {sorted(sec)}")
-    validate(system)
-
-    gsec = _section(cp, "grid")
-    defaults = GridSpec()
-    grid = GridSpec(
-        mu_b_min=_pop_unit(gsec, "grid", "mu_b_min", "mu_b_min_db",
-                           db_to_linear, "mu_b_min", defaults.mu_b_min),
-        mu_b_max=_pop_unit(gsec, "grid", "mu_b_max", "mu_b_max_db",
-                           db_to_linear, "mu_b_max", defaults.mu_b_max),
-        mu_b_steps=int(_pop_float(gsec, "grid", "mu_b_steps", defaults.mu_b_steps)),
-        p_b_floor=_pop_unit(gsec, "grid", "p_b_floor", "p_b_floor_dbm",
-                            dbm_to_watts, "p_b_floor_w", defaults.p_b_floor),
-        p_b_steps=int(_pop_float(gsec, "grid", "p_b_steps", defaults.p_b_steps)),
-    )
-    if gsec:
-        raise ValidationError(f"[grid] unknown keys: {sorted(gsec)}")
-
-    ssec = _section(cp, "sim")
-    r_cut = _pop_float(ssec, "sim", "r_cut_m", 2000.0)
-    if ssec:
-        raise ValidationError(f"[sim] unknown keys: {sorted(ssec)}")
+    system = validate(SystemParams(**_take_section(_section(cp, "system"), "system", {})))
+    grid = GridSpec(**_take_section(_section(cp, "grid"), "grid", vars(GridSpec())))
+    r_cut = _take_section(_section(cp, "sim"), "sim", {"r_cut": 2000.0})["r_cut"]
     if r_cut <= 0.0:
         raise ValidationError(f"[sim] r_cut_m must be > 0: {r_cut}")
 
@@ -241,25 +230,12 @@ def load_config(path: str) -> Config:
         variable = wsec.pop("variable", None)
         if variable is None:
             raise ValidationError("[sweep] missing required key variable")
-        fixed: Dict[str, float] = {}
-        for key in [k for k in wsec if k.startswith("fix_")]:
-            spelling = key[len("fix_"):]
-            if spelling not in _SYSTEM_KEY_MAP:
-                raise ValidationError(
-                    f"[sweep] {key}: unknown system key {spelling!r} "
-                    f"(expected one of {sorted(_SYSTEM_KEY_MAP)})")
-            field, conv = _SYSTEM_KEY_MAP[spelling]
-            fixed[field] = conv(_pop_float(wsec, "sweep", key))
-        sweep = SweepSpec(
-            variable=variable,
-            vmin=_require(_pop_float(wsec, "sweep", "min"), "sweep", "min"),
-            vmax=_require(_pop_float(wsec, "sweep", "max"), "sweep", "max"),
-            steps=int(_require(_pop_float(wsec, "sweep", "steps"), "sweep", "steps")),
-            scale=wsec.pop("scale", "linear"),
-            fixed=fixed,
-        ).check()
-        if wsec:
-            raise ValidationError(f"[sweep] unknown keys: {sorted(wsec)}")
+        scale = wsec.pop("scale", "linear")
+        fixed = {field: _take(wsec, "sweep", "fix_" + stem, unit, None)
+                 for field, (s, stem, unit) in _FIELDS.items() if s == "system"
+                 and any("fix_" + k in wsec for k in _spellings(stem, unit))}
+        sweep = SweepSpec(variable=variable, scale=scale, fixed=fixed,
+                          **_take_section(wsec, "sweep", {})).check()
         if sweep.fixed:
             validate(replace(system, **sweep.fixed))
 
@@ -267,27 +243,17 @@ def load_config(path: str) -> Config:
 
 
 def resolved_dict(config: Config) -> Dict[str, object]:
-    """Flat key/value view of a config (both unit systems) for report headers."""
-    s = config.system
-    return {
-        "alpha": s.alpha,
-        "d_ab_m": s.d_ab,
-        "lambda_e_per_m2": s.lambda_e,
-        "epsilon": s.epsilon,
-        "sigma_b2_w": s.sigma_b2,
-        "sigma_b2_dbm": watts_to_dbm(s.sigma_b2),
-        "sigma_e2_w": s.sigma_e2,
-        "sigma_e2_dbm": watts_to_dbm(s.sigma_e2),
-        "rho": s.rho,
-        "rho_db": linear_to_db(s.rho) if s.rho > 0 else None,
-        "p_a_max_w": s.p_a_max,
-        "p_a_max_dbm": watts_to_dbm(s.p_a_max),
-        "p_b_max_w": s.p_b_max,
-        "p_b_max_dbm": watts_to_dbm(s.p_b_max) if s.p_b_max > 0 else None,
-        "grid_mu_b_min": config.grid.mu_b_min,
-        "grid_mu_b_max": config.grid.mu_b_max,
-        "grid_mu_b_steps": config.grid.mu_b_steps,
-        "grid_p_b_floor_w": config.grid.p_b_floor,
-        "grid_p_b_steps": config.grid.p_b_steps,
-        "sim_r_cut_m": config.r_cut,
-    }
+    """Flat key/value view of a config for report headers, in table order:
+    [system] fields in both unit forms (linear first), then [grid] and [sim]
+    fields in linear units, prefixed by their section."""
+    sources = {"system": config.system, "grid": config.grid, "sim": config}
+    out: Dict[str, object] = {}
+    for field, (section, stem, unit) in _FIELDS.items():
+        if section not in sources:
+            continue
+        value = getattr(sources[section], field)
+        keys = _spellings(stem, unit)
+        out[keys[-1] if section == "system" else f"{section}_{keys[-1]}"] = value
+        if section == "system" and unit in _TO_DB:
+            out[keys[0]] = _TO_DB[unit](value) if value > 0.0 else None
+    return out

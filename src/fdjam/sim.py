@@ -165,6 +165,13 @@ def _field_outages(rng: np.random.Generator, a: np.ndarray, p_b: np.ndarray,
     return outage
 
 
+def _check_run_args(r_cut: float, seed: int) -> None:
+    if not 0.0 < r_cut < math.inf:
+        raise ValidationError(f"r_cut must be finite and > 0 m: {r_cut}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0: {seed}")
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """A Monte Carlo probability estimate with its binomial standard error."""
@@ -185,13 +192,12 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1: {n_trials}")
-    if r_cut <= 0.0:
-        raise ValidationError(f"r_cut must be > 0 m: {r_cut}")
+    _check_run_args(r_cut, seed)
     if r_s > r_c:
         raise ValidationError(f"require r_s <= r_c, got r_s={r_s}, r_c={r_c}")
-    if p_a <= 0.0 or p_b < 0.0:
+    if not 0.0 < p_a < math.inf or not p_b >= 0.0:
         raise ValidationError(
-            f"require p_a > 0 W and p_b >= 0 W, got p_a={p_a}, p_b={p_b}")
+            f"require finite p_a > 0 W and p_b >= 0 W, got p_a={p_a}, p_b={p_b}")
     try:
         a = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
         c = a * r_cut ** params.alpha
@@ -259,8 +265,7 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
     """
     if n_slots < 1:
         raise ValidationError(f"n_slots must be >= 1: {n_slots}")
-    if r_cut <= 0.0:
-        raise ValidationError(f"r_cut must be > 0 m: {r_cut}")
+    _check_run_args(r_cut, seed)
 
     fd, hd = solution.fd, solution.hd
     x_fd = 2.0 ** (fd.r_c - fd.r_s) - 1.0

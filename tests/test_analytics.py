@@ -120,6 +120,20 @@ def test_sop_validates_rates():
         sop_exact(P_A, P_B, 2.0, -1.0, p)
 
 
+@pytest.mark.parametrize("sop", [sop_exact, sop_approx])
+@pytest.mark.parametrize("p_a, p_b, named", [
+    (math.nan, P_B, "p_a"), (math.inf, P_B, "p_a"), (0.0, P_B, "p_a"),
+    (P_A, math.nan, "p_b"), (P_A, -1.0, "p_b")])
+def test_sop_rejects_out_of_range_powers(sop, p_a, p_b, named):
+    with pytest.raises(ValidationError, match=named):
+        sop(p_a, p_b, R_C, R_S, fig_params())
+
+
+def test_infinite_jamming_is_the_zero_outage_limit():
+    assert sop_exact(P_A, math.inf, R_C, R_S, fig_params()) == 0.0
+    assert sop_approx(P_A, math.inf, R_C, R_S, fig_params()) == 0.0
+
+
 def test_sop_vanishes_without_eavesdroppers():
     quiet = dataclasses.replace(fig_params(), lambda_e=0.0)  # bypasses validate
     assert sop_exact(P_A, P_B, R_C, R_S, quiet) == 0.0

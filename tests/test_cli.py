@@ -17,6 +17,7 @@ from fdjam.units import watts_to_dbm
 import fdjam.cli
 
 DEFAULT_INI = str(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
+SWEEP_INI = str(Path(__file__).resolve().parents[1] / "configs" / "sweep_p_a_max.ini")
 
 
 BASE_INI = """\
@@ -291,6 +292,30 @@ def test_validate_sop_rate_gap_beyond_range_exits_1(extra, capsys):
     assert err.count("\n") == 1
 
 
+VSOP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (VSOP + ["--lambda-min", "0"], "--lambda-min"),
+    (VSOP + ["--lambda-max", "0"], "--lambda-max"),
+    (VSOP + ["--lambda-steps", "0"], "--lambda-steps"),
+    (VSOP + ["--lambda-steps", "-3"], "--lambda-steps"),
+    (VSOP + ["--lambda-list", "nan"], "--lambda-list"),
+    (VSOP + ["--lambda-list", "1e-4", "--trials", "-5"], "--trials"),
+    (VSOP + ["--lambda-list", "1e-4", "--d-ab", "-1"], "--d-ab"),
+    (VSOP + ["--lambda-list", "1e-4", "--d-ab", "nan"], "--d-ab"),
+    (VSOP + ["--lambda-list", "1e-4", "--p-b-w", "nan"], "p_b"),
+    (VSOP + ["--lambda-list", "1e-4", "--trials", "10", "--seed", "-1"], "seed"),
+    (["sweep", "--config", SWEEP_INI, "--jobs", "0"], "--jobs"),
+    (["sweep", "--config", SWEEP_INI, "--jobs", "-1"], "--jobs"),
+])
+def test_bad_flag_exits_1_naming_it(argv, named, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
+    assert named in err
+
+
 # ---------------------------------------------------------------- sweep
 
 def _sweep_config(tmp_path, sweep_block):
@@ -432,6 +457,18 @@ def test_simulate_round_trip(base_config, tmp_path):
     assert rep["connection_outages"] == 0
     assert data["simulation"]["r_cut_m"] == pytest.approx(600.0)
     assert data["simulation"]["block_size"] == 64
+
+
+@pytest.mark.parametrize("extra", [["--r-cut", "inf"], ["--r-cut", "nan"],
+                                   ["--seed", "-1"]])
+def test_simulate_bad_run_flag_exits_1(base_config, tmp_path, capsys, extra):
+    sol = tmp_path / "sol.json"
+    assert main(["optimize", "--config", base_config, "--out", str(sol)]) == 0
+    assert main(["simulate", "--config", base_config, "--solution", str(sol),
+                 "--slots", "100"] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
+    assert extra[0][2:].replace("-", "_") in err
 
 
 def test_simulate_deterministic(base_config, tmp_path):

@@ -1,7 +1,15 @@
+import re
+from pathlib import Path
+
 import pytest
 
+import fdjam.config
 from fdjam import ValidationError, dbm_to_watts
+from fdjam.cli import main
 from fdjam.config import load_config, resolved_dict, sweep_values
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_INI = ROOT / "configs" / "default.ini"
 
 FULL = """\
 [system]
@@ -106,3 +114,96 @@ scale = dB""")
     values = sweep_values(cfg.sweep)
     assert values[0] == pytest.approx(dbm_to_watts(-10.0), rel=1e-12)
     assert values[-1] == pytest.approx(dbm_to_watts(20.0), rel=1e-12)
+
+
+SWEEP_BLOCK = """
+[sweep]
+variable = p_a_max
+min = -10
+max = 20
+steps = 7
+scale = dB
+"""
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("alpha = 4.0", "alpha = 4%", "[system] alpha"),
+    ("sigma_b2_dbm = -90", "sigma_b2_dbm = inf", "[system] sigma_b2_dbm"),
+    ("p_a_max_dbm = 10", "p_a_max_dbm = 4000", "[system] p_a_max_dbm"),
+    ("mu_b_steps = 60", "mu_b_steps = nan", "[grid] mu_b_steps"),
+    ("mu_b_steps = 60", "mu_b_steps = 2.7", "[grid] mu_b_steps"),
+    ("mu_b_max_db = -50", "mu_b_max = inf", "[grid] mu_b_max"),
+    ("p_b_floor_dbm = -10", "p_b_floor_w = nan", "[grid] p_b_floor_w"),
+    ("r_cut_m = 2000", "r_cut_m = nan", "[sim] r_cut_m"),
+    ("steps = 7", "steps = nan", "[sweep] steps"),
+    ("scale = dB", "scale = dB\nfix_rho_db = inf", "[sweep] fix_rho_db"),
+    ("scale = dB", "scale = dB\nfix_rho_db = -60\nfix_rho = 0", "[sweep] give fix_rho"),
+])
+def test_bad_value_exits_1_naming_its_key(tmp_path, capsys, old, new, named):
+    text = DEFAULT_INI.read_text(encoding="utf-8") + SWEEP_BLOCK
+    assert text.count(old) == 1
+    assert main(["optimize", "--config", _write(tmp_path, text.replace(old, new))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_unknown_fix_key_is_an_unknown_sweep_key(tmp_path):
+    with pytest.raises(ValidationError,
+                       match=re.escape("[sweep] unknown keys: ['fix_x']")):
+        load_config(_write(tmp_path, FULL + "fix_x = 1\n"))
+
+
+def test_report_header_keys_and_order():
+    # artifact bytes depend on this order: it is the table order
+    assert list(resolved_dict(load_config(str(DEFAULT_INI)))) == [
+        "alpha", "d_ab_m", "lambda_e_per_m2", "epsilon",
+        "sigma_b2_w", "sigma_b2_dbm", "sigma_e2_w", "sigma_e2_dbm",
+        "rho", "rho_db", "p_a_max_w", "p_a_max_dbm", "p_b_max_w", "p_b_max_dbm",
+        "grid_mu_b_min", "grid_mu_b_max", "grid_mu_b_steps", "grid_p_b_floor_w",
+        "grid_p_b_steps", "sim_r_cut_m"]
+
+
+def _accepted_keys():
+    """(section, key) pairs the reader accepts, and the primary spellings."""
+    accepted, primary = {("sweep", "variable"), ("sweep", "scale")}, set()
+    for section, stem, unit in fdjam.config._FIELDS.values():
+        if section is not None:
+            keys = fdjam.config._spellings(stem, unit)
+            accepted |= {(section, k) for k in keys}
+            primary.add((section, keys[0]))
+    accepted |= {("sweep", "fix_" + k) for s, k in set(accepted) if s == "system"}
+    return accepted, primary
+
+
+def _readme_schema_keys():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    schema = text.split("## Configuration schema", 1)[1].split("\n## ", 1)[0]
+    keys, section = set(), None
+    for row in re.findall(r"^\|(.*)\|$", schema, flags=re.M)[2:]:
+        cells = row.split("|")
+        section = (re.findall(r"`\[(\w+)\]`", cells[0]) or [section])[0]
+        # placeholders such as `fix_<system key>` are not keys
+        keys |= {(section, k) for k in re.findall(r"`([^`<]+)`", cells[1])}
+    return keys
+
+
+def _docstring_schema_keys():
+    keys, section = set(), None
+    for line in fdjam.config.__doc__.splitlines():
+        head = re.match(r"\s+\[(\w+)\]", line)
+        if head:
+            section = head.group(1)
+        elif section and re.match(r"\s+\w+\s+=", line):
+            keys.add((section, line.split()[0]))
+            keys |= {(section, k) for k in re.findall(r"; or (\w+)", line)}
+    return keys
+
+
+@pytest.mark.parametrize("listed", [_readme_schema_keys, _docstring_schema_keys],
+                         ids=["readme", "docstring"])
+def test_schema_docs_match_the_reader(listed):
+    accepted, primary = _accepted_keys()
+    keys = listed()
+    assert sorted(primary - keys) == []
+    assert sorted(keys - accepted) == []

@@ -260,6 +260,28 @@ def test_empirical_sop_argument_checks():
         empirical_sop(P_A, -1.0, R_C, R_S, p, n_trials=10, r_cut=500.0, seed=0)
 
 
+RUN_ARGS = dict(r_cut=500.0, seed=0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"r_cut": math.nan}, "r_cut must be finite"),
+    ({"r_cut": math.inf}, "r_cut must be finite"),
+    ({"seed": -1}, "seed must be >= 0"),
+])
+def test_run_arguments_checked_before_any_draw(bad, message):
+    with pytest.raises(ValidationError, match=message):
+        empirical_sop(P_A, P_B, R_C, R_S, vi_defaults(), n_trials=10,
+                      **{**RUN_ARGS, **bad})
+    with pytest.raises(ValidationError, match=message):
+        run_online(ONLINE_SOLUTION, ONLINE_PARAMS, n_slots=10, **{**RUN_ARGS, **bad})
+
+
+@pytest.mark.parametrize("p_a, p_b", [(math.nan, P_B), (math.inf, P_B), (P_A, math.nan)])
+def test_empirical_sop_rejects_non_finite_powers(p_a, p_b):
+    with pytest.raises(ValidationError, match="require finite p_a > 0 W and p_b >= 0 W"):
+        empirical_sop(p_a, p_b, R_C, R_S, vi_defaults(), n_trials=10, **RUN_ARGS)
+
+
 # ---------------------------------------------------------------- on-line
 
 def test_online_no_jamming_mode_when_switch_disabled():
