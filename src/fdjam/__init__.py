@@ -4,7 +4,7 @@ eavesdroppers.
 
 The package splits into:
 
-- :mod:`fdjam.params`    scenario types, validation, derived constants
+- :mod:`fdjam.params`    scenario types, validation, solution (de)serialization
 - :mod:`fdjam.analytics` outage probability (fixed-node quadrature and
   closed form), throughput expressions, comparison metrics
 - :mod:`fdjam.optimizer` the off-line design: rates, on-off threshold,
@@ -22,8 +22,8 @@ from .errors import InfeasibleError, ValidationError
 from .online import Action, Mode, decide
 from .optimizer import (GridSpec, Step1Result, Step2Result, optimize,
                         solve_step1, solve_step2, v_of_y)
-from .params import (DerivedConstants, FdParams, HdParams, SwitchedSolution,
-                     SystemParams, derived_constants, validate)
+from .params import (FdParams, HdParams, SwitchedSolution, SystemParams,
+                     validate)
 from .sim import McEstimate, SimReport, empirical_sop, run_online
 from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
 
@@ -34,8 +34,7 @@ __all__ = [
     # units
     "dbm_to_watts", "watts_to_dbm", "db_to_linear", "linear_to_db",
     # params
-    "SystemParams", "FdParams", "HdParams", "SwitchedSolution",
-    "DerivedConstants", "validate", "derived_constants",
+    "SystemParams", "FdParams", "HdParams", "SwitchedSolution", "validate",
     # analytics
     "ComparisonMetrics", "sop_exact", "sop_approx", "throughput_fd",
     "throughput_hd", "hd_weight", "comparison_metrics",

@@ -41,13 +41,13 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import ValidationError
-from .params import SwitchedSolution, SystemParams, _beta_eta
+from .params import SwitchedSolution, SystemParams
 
 __all__ = [
-    "ComparisonMetrics", "exposure_integral", "log_exposure_approx",
-    "root_slope_approx", "cdf_phi_e_exact", "cdf_phi_e_approx", "sop_exact",
-    "sop_approx", "hd_weight", "throughput_fd", "throughput_hd",
-    "comparison_metrics",
+    "ComparisonMetrics", "exposure_integral", "field_beta", "exposure_budget",
+    "log_exposure_approx", "root_slope_approx", "cdf_phi_e_exact",
+    "cdf_phi_e_approx", "sop_exact", "sop_approx", "hd_weight", "throughput_fd",
+    "throughput_hd", "comparison_metrics",
 ]
 
 # Tail cutoff for the radial integral: beyond u_cut the integrand is bounded
@@ -149,6 +149,17 @@ def cdf_phi_e_exact(x: float, p_a: float, p_b: float, params: SystemParams) -> f
     return _clamp01(math.exp(-0.5 * params.lambda_e * j))
 
 
+def field_beta(alpha: float) -> float:
+    """Field geometry factor beta = (2*pi/alpha)*Gamma(2/alpha)."""
+    return (2.0 * math.pi / alpha) * math.gamma(2.0 / alpha)
+
+
+def exposure_budget(params: SystemParams) -> float:
+    """tau = -ln(1 - epsilon)/(beta*lambda_e): the closed-form outage equals
+    epsilon where :func:`log_exposure_approx` equals ln tau."""
+    return -math.log1p(-params.epsilon) / (field_beta(params.alpha) * params.lambda_e)
+
+
 def log_exposure_approx(log_x: float, p_a: float, p_b: float,
                         params: SystemParams) -> float:
     """-ln(1 + p_b*x/p_a) - eta*ln(sigma_e2*x/p_a) at x = exp(log_x); takes
@@ -169,8 +180,7 @@ def cdf_phi_e_approx(x: float, p_a: float, p_b: float, params: SystemParams) -> 
     """Best-eavesdropper SINR CDF, closed form for small d_ab:
     exp(-beta*lambda_e*exp(L)), L from :func:`log_exposure_approx`."""
     _check_sinr_args(x, p_a, p_b)
-    beta, _ = _beta_eta(params.alpha)
-    exposure = beta * params.lambda_e * math.exp(
+    exposure = field_beta(params.alpha) * params.lambda_e * math.exp(
         log_exposure_approx(math.log(x), p_a, p_b, params))
     return _clamp01(math.exp(-exposure))
 

@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -181,31 +182,31 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
                                    math.log10(args.lambda_max),
                                    args.lambda_steps))
     _check_flag(args.trials >= 0, "--trials", ">= 0", args.trials)
+    for flag, v in (("--p-a-w", args.p_a_w), ("--rate-gap", args.rate_gap)):
+        _check_flag(0.0 < v < math.inf, flag, "finite and > 0", v)
+    _check_flag(args.p_b_w >= 0.0, "--p-b-w", ">= 0", args.p_b_w)   # inf: no outage
     p_a = args.p_a_w
     p_b = args.p_b_w
     r_s = 1.0
     r_c = 1.0 + args.rate_gap
 
     rows = []
-    index = 0
-    for d_ab in d_abs:
-        for lam in lambdas:
-            params = replace(config.system, d_ab=d_ab, lambda_e=lam)
-            row = {
-                "lambda_e": lam,
-                "d_ab_m": d_ab,
-                "sop_exact": sop_exact(p_a, p_b, r_c, r_s, params),
-                "sop_approx": sop_approx(p_a, p_b, r_c, r_s, params),
-                "sop_mc": None,
-                "mc_stderr": None,
-            }
-            if args.trials > 0:
-                est = empirical_sop(p_a, p_b, r_c, r_s, params, args.trials,
-                                    config.r_cut, args.seed + index)
-                row["sop_mc"] = est.value
-                row["mc_stderr"] = est.stderr
-            rows.append(row)
-            index += 1
+    for index, (d_ab, lam) in enumerate(itertools.product(d_abs, lambdas)):
+        params = replace(config.system, d_ab=d_ab, lambda_e=lam)
+        row = {
+            "lambda_e": lam,
+            "d_ab_m": d_ab,
+            "sop_exact": sop_exact(p_a, p_b, r_c, r_s, params),
+            "sop_approx": sop_approx(p_a, p_b, r_c, r_s, params),
+            "sop_mc": None,
+            "mc_stderr": None,
+        }
+        if args.trials > 0:
+            est = empirical_sop(p_a, p_b, r_c, r_s, params, args.trials,
+                                config.r_cut, args.seed + index)
+            row["sop_mc"] = est.value
+            row["mc_stderr"] = est.stderr
+        rows.append(row)
 
     extra = {"p_a_w": p_a, "p_b_w": p_b, "rate_gap_bits": args.rate_gap,
              "trials": args.trials, "seed": args.seed, "block_size": _BLOCK}
@@ -263,7 +264,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
-    rows.sort(key=lambda r: r["index"])
 
     extra = {"sweep_variable": spec.variable, "sweep_scale": spec.scale,
              "sweep_steps": spec.steps,
@@ -283,7 +283,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read solution {args.solution}: {exc}") from exc
-    solution = solution_from_dict(data.get("solution", data))
+    solution = solution_from_dict(
+        data.get("solution", data) if isinstance(data, dict) else data)
 
     r_cut = args.r_cut if args.r_cut is not None else config.r_cut
     report = run_online(solution, config.system, args.slots, r_cut, args.seed)
@@ -301,8 +302,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line, like every other bad input."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fdjam",
         description="Design and validate a switched FD/HD jamming-receiver link.")
     parser.add_argument("--version", action="version", version=f"fdjam {__version__}")
@@ -356,8 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"fdjam: validation error: {exc}", file=sys.stderr)

@@ -27,6 +27,8 @@ converge, and a rate beyond double range raise
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,11 +38,11 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import wrightomega
 
-from .analytics import (log_exposure_approx, root_slope_approx, throughput_fd,
-                        throughput_hd)
+from .analytics import (exposure_budget, log_exposure_approx, root_slope_approx,
+                        throughput_fd, throughput_hd)
 from .errors import InfeasibleError, ValidationError
-from .params import (DerivedConstants, FdParams, HdParams, SwitchedSolution,
-                     SystemParams, derived_constants, validate)
+from .params import (FdParams, HdParams, SwitchedSolution, SystemParams,
+                     validate)
 from .units import dbm_to_watts
 
 __all__ = [
@@ -134,7 +136,8 @@ class Step1Result:
     residual: float       # relative residual of the optimality equation at y_star
     omega_forms_gap: float  # relative gap between the two closed forms of omega_tilde
     iterations: int       # Brent iterations for yz (the rates are closed-form)
-    constants: DerivedConstants
+    u: float              # d_ab^alpha*(sigma_b2 + p_b*mu_b)/p_a_max
+    varpi: float          # du/dp_b = d_ab^alpha*mu_b/p_a_max
 
 
 def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
@@ -153,8 +156,15 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     level drops out of u.
     """
     validate(params)
-    dc = derived_constants(params, p_b, mu_b)
-    log_tau = math.log(dc.tau)
+    if p_b < 0.0:
+        raise ValidationError(f"p_b must be >= 0 W: {p_b}")
+    if mu_b < 0.0:
+        raise ValidationError(f"mu_b must be >= 0: {mu_b}")
+    tau = exposure_budget(params)
+    log_tau = math.log(tau)
+    d_pow = params.d_ab ** params.alpha
+    u = d_pow * (params.sigma_b2 + p_b * mu_b) / params.p_a_max
+    varpi = d_pow * mu_b / params.p_a_max
 
     try:
         # exp(+-700) stays clear of double overflow
@@ -164,14 +174,14 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     except (ValueError, RuntimeError) as exc:
         raise InfeasibleError(
             f"outage-constraint root yz not found for ln yz in [-700, 700] "
-            f"(tau={dc.tau}): {exc}") from exc
+            f"(tau={tau}): {exc}") from exc
     yz_star = math.exp(t_root)
 
     log1p_yz = math.log1p(yz_star)
-    c_rhs = -math.log(dc.u) - log1p_yz
+    c_rhs = -math.log(u) - log1p_yz
     if c_rhs < -690.0:
         raise InfeasibleError(
-            f"secrecy rate underflows: yz={yz_star}, u={dc.u}, tau={dc.tau}")
+            f"secrecy rate underflows: yz={yz_star}, u={u}, tau={tau}")
     z_star = float(wrightomega(c_rhs))
 
     log1p_y = log1p_yz + z_star
@@ -181,12 +191,12 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     y_star = math.expm1(log1p_y)
     r_c = log1p_y / LN2
     r_s = z_star / LN2
-    mu_a = dc.u * y_star
+    mu_a = u * y_star
     omega_tilde = r_s * math.exp(-mu_a)
 
     # Residual of the optimality equation: plug v(y*) back into the
     # outage-constraint left side and compare with tau (relative).
-    v_root = v_of_y(y_star, dc.u)
+    v_root = v_of_y(y_star, u)
     if v_root > 0.0:
         lhs = log_exposure_approx(math.log(v_root), params.p_a_max, p_b, params)
         residual = abs(math.expm1(lhs - log_tau))
@@ -195,13 +205,13 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
 
     # The first-order condition makes r_s equal 1/((1+y)*u*ln2); the product
     # with exp(-u*y) is the second closed form of omega_tilde.
-    omega_alt = math.exp(-mu_a) / ((1.0 + y_star) * dc.u * LN2)
+    omega_alt = math.exp(-mu_a) / ((1.0 + y_star) * u * LN2)
     forms_gap = abs(omega_alt / omega_tilde - 1.0) if omega_tilde > 0.0 else math.inf
 
     return Step1Result(y_star=y_star, yz_star=yz_star, r_c=r_c, r_s=r_s,
                        mu_a=mu_a, omega_tilde=omega_tilde, residual=residual,
                        omega_forms_gap=forms_gap, iterations=info.iterations,
-                       constants=dc)
+                       u=u, varpi=varpi)
 
 
 # --------------------------------------------------------------------------
@@ -215,8 +225,7 @@ class Step2Result:
     p_b_dagger: float       # chosen jamming power [W]
     capped: bool            # p_b_dagger == p_b_max (interior root above budget)
     degenerate: bool        # throughput decreases over the whole range; floor used
-    step1: Step1Result      # rates/threshold recomputed at p_b_dagger
-    omega_tilde_dagger: float
+    step1: Step1Result      # rates/threshold at p_b_dagger
     residual: float         # relative residual of the stationarity equation
     iterations: int         # Brent iterations refining the sign change, else 0
 
@@ -231,10 +240,9 @@ def _log_gain(p_b: float, r1: Step1Result, params: SystemParams) -> float:
     there: recomputing it from y* cancels to zero or below once yz* falls
     under about 1e-13.
     """
-    dc = r1.constants
     v = r1.yz_star
     w = root_slope_approx(v, params.p_a_max, p_b, params)
-    return (math.log(dc.u) + 2.0 * math.log(v) + math.log1p(r1.y_star)
+    return (math.log(r1.u) + 2.0 * math.log(v) + math.log1p(r1.y_star)
             - math.log(w) - math.log1p(v))
 
 
@@ -245,13 +253,13 @@ def _derivative_sign(p_b: float, r1: Step1Result, params: SystemParams) -> float
     Equals u*v^2*(1+y)/(w*(1+v)) - varpi*y after exact cancellation of the
     varpi/u terms; the first term is formed in log form to survive extreme y.
     """
-    return math.exp(_log_gain(p_b, r1, params)) - r1.constants.varpi * r1.y_star
+    return math.exp(_log_gain(p_b, r1, params)) - r1.varpi * r1.y_star
 
 
 def _residual_eq_step2(p_b: float, r1: Step1Result, params: SystemParams) -> float:
     """Relative residual of the stationarity condition at p_b, from the
     step-1 solution ``r1`` there; nan without a switch level (varpi = 0)."""
-    varpi = r1.constants.varpi
+    varpi = r1.varpi
     if varpi == 0.0:
         return math.nan
     return abs(math.expm1(math.log(varpi) + math.log(r1.y_star)
@@ -280,12 +288,9 @@ def solve_step2(mu_b: float, params: SystemParams,
 
     # step-1 solves by exact p_b, so the final solve at p_dag reuses the one
     # a grid end or brentq's last evaluation already made
-    solves: dict[float, Step1Result] = {}
-
+    @functools.cache
     def step1_at(p_b: float) -> Step1Result:
-        if p_b not in solves:
-            solves[p_b] = solve_step1(p_b, mu_b, params)
-        return solves[p_b]
+        return solve_step1(p_b, mu_b, params)
 
     def sign_at(p_b: float) -> float:
         return _derivative_sign(p_b, step1_at(p_b), params)
@@ -296,14 +301,10 @@ def solve_step2(mu_b: float, params: SystemParams,
     elif len(p_values) == 1 or sign_at(p_values[-1]) > 0.0:
         p_dag, capped, degenerate, iters = params.p_b_max, True, False, 0
     else:
-        # invariant: sign(p_values[i]) > 0 and sign(p_values[j]) <= 0
-        i, j = 0, len(p_values) - 1
-        while j - i > 1:
-            k = (i + j) // 2
-            if sign_at(p_values[k]) <= 0.0:
-                j = k
-            else:
-                i = k
+        # the first grid power whose sign is <= 0; the one below it is > 0
+        j = bisect.bisect_left(p_values, True, 1, len(p_values) - 1,
+                               key=lambda p: sign_at(p) <= 0.0)
+        i = j - 1
         try:
             t_root, info = brentq(lambda t: sign_at(math.exp(t)),
                                   math.log(p_values[i]), math.log(p_values[j]),
@@ -319,8 +320,7 @@ def solve_step2(mu_b: float, params: SystemParams,
     step1 = step1_at(p_dag)
     residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)
     return Step2Result(p_b_dagger=p_dag, capped=capped, degenerate=degenerate,
-                       step1=step1, omega_tilde_dagger=step1.omega_tilde,
-                       residual=residual, iterations=iters)
+                       step1=step1, residual=residual, iterations=iters)
 
 
 # --------------------------------------------------------------------------
@@ -394,25 +394,21 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     hd = HdParams(r_c=hd_core.r_c, r_s=hd_core.r_s, mu_a=hd_core.mu_a)
     mu_b_grid = [float(forced_mu_b)] if forced_mu_b is not None \
         else [float(v) for v in grid.mu_b_values()]
-    points = {}
 
+    @functools.cache
     def point(i: int):
         """(omega_s, omega_fd, omega_hd, mu_b, record) at grid index i."""
-        if i in points:
-            return points[i]
         mu_b = mu_b_grid[i]
         if forced_p_b is not None:
             step1 = solve_step1(forced_p_b, mu_b, params)
             record = Step2Result(p_b_dagger=forced_p_b, capped=False,
                                  degenerate=False, step1=step1,
-                                 omega_tilde_dagger=step1.omega_tilde,
                                  residual=math.nan, iterations=0)
         else:
             record = solve_step2(mu_b, params, grid)
         omega_fd = throughput_fd(record.step1.r_s, record.step1.mu_a, mu_b, params.rho)
         omega_hd = throughput_hd(hd.r_s, hd.mu_a, mu_b, params.rho)
-        points[i] = (omega_fd + omega_hd, omega_fd, omega_hd, mu_b, record)
-        return points[i]
+        return omega_fd + omega_hd, omega_fd, omega_hd, mu_b, record
 
     try:
         candidates = [point(i) for i in

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from .errors import ValidationError
 from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
@@ -24,9 +24,7 @@ __all__ = [
     "FdParams",
     "HdParams",
     "SwitchedSolution",
-    "DerivedConstants",
     "validate",
-    "derived_constants",
     "solution_to_dict",
     "solution_from_dict",
 ]
@@ -133,44 +131,6 @@ class SwitchedSolution:
     hd_result: Optional[Step1Result] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Scenario constants shared by the secrecy-outage and optimizer algebra.
-
-    ``beta`` folds the path-loss exponent into the eavesdropper-field
-    geometry factor (2*pi/alpha)*Gamma(2/alpha); ``tau`` is the largest
-    admissible field exposure -ln(1-epsilon)/(beta*lambda_e); ``u`` and
-    ``varpi`` are the power-budget coefficients d_ab^alpha*(sigma_b2 +
-    p_b*mu_b)/p_a_max and d_ab^alpha*mu_b/p_a_max (so du/dp_b = varpi);
-    ``eta`` is 2/alpha.
-    """
-
-    beta: float
-    tau: float
-    u: float
-    varpi: float
-    eta: float
-
-
-def _beta_eta(alpha: float) -> Tuple[float, float]:
-    """Field geometry factor beta = (2*pi/alpha)*Gamma(2/alpha) and eta = 2/alpha."""
-    return (2.0 * math.pi / alpha) * math.gamma(2.0 / alpha), 2.0 / alpha
-
-
-def derived_constants(params: SystemParams, p_b: float, mu_b: float) -> DerivedConstants:
-    """Evaluate the derived constants at a given jamming power and switch threshold."""
-    if p_b < 0.0:
-        raise ValidationError(f"p_b must be >= 0 W: {p_b}")
-    if mu_b < 0.0:
-        raise ValidationError(f"mu_b must be >= 0: {mu_b}")
-    beta, eta = _beta_eta(params.alpha)
-    tau = -math.log1p(-params.epsilon) / (beta * params.lambda_e)
-    d_pow = params.d_ab ** params.alpha
-    u = d_pow * (params.sigma_b2 + p_b * mu_b) / params.p_a_max
-    varpi = d_pow * mu_b / params.p_a_max
-    return DerivedConstants(beta=beta, tau=tau, u=u, varpi=varpi, eta=eta)
-
-
 def _group_to_dict(group) -> Dict[str, Any]:
     d: Dict[str, Any] = {"r_c": group.r_c, "r_s": group.r_s, "mu_a": group.mu_a}
     if isinstance(group, FdParams):
@@ -195,21 +155,51 @@ def solution_to_dict(solution: SwitchedSolution) -> Dict[str, Any]:
     }
 
 
+def _number(data: Any, key: str, ok=lambda v: True, rule: str = "finite") -> float:
+    """Field ``key`` (``group.field`` in a group) of a parsed solution as a
+    float; ValidationError naming it unless it is a number passing ``ok``."""
+    value = data
+    for part in key.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    try:    # TypeError: not a number; OverflowError: a dB value past range
+        good = not isinstance(value, bool) and math.isfinite(value) and ok(value)
+    except (TypeError, OverflowError):
+        good = False
+    if not good:
+        raise ValidationError(f"solution field {key} " + (
+            "is missing" if value is None else f"must be {rule}: {value!r}"))
+    return float(value)
+
+
 def solution_from_dict(data: Dict[str, Any]) -> SwitchedSolution:
-    """Inverse of :func:`solution_to_dict` (accepts dBm or watts for p_b)."""
-    fd_d = data["fd"]
-    p_b = fd_d["p_b_w"] if "p_b_w" in fd_d else dbm_to_watts(fd_d["p_b_dbm"])
-    fd = FdParams(r_c=fd_d["r_c"], r_s=fd_d["r_s"], mu_a=fd_d["mu_a"], p_b=p_b)
-    hd_d = data["hd"]
-    hd = HdParams(r_c=hd_d["r_c"], r_s=hd_d["r_s"], mu_a=hd_d["mu_a"])
-    mu_b = data["mu_b"] if data.get("mu_b") is not None else db_to_linear(data["mu_b_db"])
+    """Inverse of :func:`solution_to_dict` (accepts dBm or watts for p_b, dB
+    or linear for mu_b); a missing or bad field raises ValidationError."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"solution must be an object: {type(data).__name__}")
+    groups = {}
+    for g in ("fd", "hd"):
+        r_s = _number(data, g + ".r_s", lambda v: v > 0.0, "> 0")
+        # below 1024 bits the power rule's 2^r_c - 1 stays within double range
+        r_c = _number(data, g + ".r_c", lambda v: r_s < v < 1024.0, "in (r_s, 1024)")
+        mu_a = _number(data, g + ".mu_a", lambda v: v >= 0.0, ">= 0")
+        groups[g] = {"r_c": r_c, "r_s": r_s, "mu_a": mu_a}
+    if "p_b_w" in data["fd"]:
+        p_b = _number(data, "fd.p_b_w", lambda v: v > 0.0, "> 0 W")
+    else:
+        p_b = dbm_to_watts(_number(
+            data, "fd.p_b_dbm", lambda v: dbm_to_watts(v) > 0.0, "> 0 W in linear units"))
+    if data.get("mu_b") is not None:
+        mu_b = _number(data, "mu_b", lambda v: v >= 0.0, ">= 0")
+    else:
+        mu_b = db_to_linear(_number(
+            data, "mu_b_db", lambda v: db_to_linear(v) < math.inf, "finite in linear units"))
     return SwitchedSolution(
         mu_b=mu_b,
-        fd=fd,
-        hd=hd,
-        omega_s=data["omega_s"],
-        omega_fd=data["omega_fd"],
-        omega_hd=data["omega_hd"],
+        fd=FdParams(p_b=p_b, **groups["fd"]),
+        hd=HdParams(**groups["hd"]),
+        omega_s=_number(data, "omega_s"),
+        omega_fd=_number(data, "omega_fd"),
+        omega_hd=_number(data, "omega_hd"),
         degenerate_fd=bool(data.get("degenerate_fd", False)),
         capped_fd=bool(data.get("capped_fd", False)),
     )

@@ -457,8 +457,7 @@ def solve_step2_reference(mu_b: float, params: SystemParams,
     step1 = solve_step1(p_dag, mu_b, params)
     residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)
     return Step2Result(p_b_dagger=p_dag, capped=capped, degenerate=degenerate,
-                       step1=step1, omega_tilde_dagger=step1.omega_tilde,
-                       residual=residual, iterations=iters)
+                       step1=step1, residual=residual, iterations=iters)
 
 
 def optimize_reference(params: SystemParams, grid: Optional[GridSpec] = None, *,
@@ -483,7 +482,6 @@ def optimize_reference(params: SystemParams, grid: Optional[GridSpec] = None, *,
                 step1 = solve_step1(forced_p_b, mu_b, params)
                 record = Step2Result(p_b_dagger=forced_p_b, capped=False,
                                      degenerate=False, step1=step1,
-                                     omega_tilde_dagger=step1.omega_tilde,
                                      residual=math.nan, iterations=0)
             else:
                 record = step2(mu_b, params, grid)

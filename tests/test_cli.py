@@ -46,7 +46,10 @@ def base_config(tmp_path):
 
 def _read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        return _read_csv_text(fh.read())
+
+
+def _read_csv_text(text):
     comments = [ln for ln in text.splitlines() if ln.startswith("#")]
     body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
     return comments, list(csv.DictReader(io.StringIO(body)))
@@ -304,16 +307,42 @@ VSOP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10"]
     (VSOP + ["--lambda-list", "1e-4", "--trials", "-5"], "--trials"),
     (VSOP + ["--lambda-list", "1e-4", "--d-ab", "-1"], "--d-ab"),
     (VSOP + ["--lambda-list", "1e-4", "--d-ab", "nan"], "--d-ab"),
-    (VSOP + ["--lambda-list", "1e-4", "--p-b-w", "nan"], "p_b"),
+    (VSOP + ["--lambda-list", "1e-4", "--p-b-w", "nan"], "--p-b-w"),
     (VSOP + ["--lambda-list", "1e-4", "--trials", "10", "--seed", "-1"], "seed"),
     (["sweep", "--config", SWEEP_INI, "--jobs", "0"], "--jobs"),
     (["sweep", "--config", SWEEP_INI, "--jobs", "-1"], "--jobs"),
+    (VSOP + ["--lambda-list", "1e-4", "--p-b-w", "-1"], "--p-b-w"),
+    (VSOP + ["--lambda-list", "1e-4", "--p-a-w", "0"], "--p-a-w"),
+    (VSOP + ["--lambda-list", "1e-4", "--p-a-w", "inf"], "--p-a-w"),
+    (VSOP + ["--lambda-list", "1e-4", "--p-a-w", "nan"], "--p-a-w"),
+    (VSOP + ["--lambda-list", "1e-4", "--rate-gap", "nan"], "--rate-gap"),
+    (VSOP + ["--lambda-list", "1e-4", "--rate-gap", "0"], "--rate-gap"),
+    (VSOP + ["--lambda-list", "1e-4", "--rate-gap", "-1"], "--rate-gap"),
+    (VSOP + ["--lambda-list", "1e-4", "--rate-gap", "inf"], "--rate-gap"),
+    (VSOP + ["--trials", "abc"], "--trials"),
+    (["optimize"], "--config"),
+    (["optimize", "--config", DEFAULT_INI, "--bogus"], "--bogus"),
+    ([], "command"),
 ])
 def test_bad_flag_exits_1_naming_it(argv, named, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_validate_sop_infinite_jamming_is_accepted(capsys):
+    assert main(VSOP + ["--lambda-list", "1e-4", "--p-b-w", "inf"]) == 0
+    _, rows = _read_csv_text(capsys.readouterr().out)
+    assert float(rows[0]["sop_exact"]) == 0.0 and float(rows[0]["sop_approx"]) == 0.0
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert "fdjam" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- sweep
@@ -469,6 +498,36 @@ def test_simulate_bad_run_flag_exits_1(base_config, tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
     assert extra[0][2:].replace("-", "_") in err
+
+
+def _fd_with(s, **entries):
+    return {**s, "fd": {**s["fd"], **entries}}
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda s: {k: v for k, v in s.items() if k != "hd"}, "hd.r_s is missing"),
+    (lambda s: {**s, "mu_b": None, "mu_b_db": None}, "mu_b_db is missing"),
+    (lambda s: _fd_with(s, r_s="4.0"), "fd.r_s"),
+    (lambda s: [s], "solution must be an object"),
+    (lambda s: _fd_with(s, p_b_w=0.0), "fd.p_b_w"),
+    (lambda s: _fd_with(s, r_c=1100.0), "fd.r_c"),
+    (lambda s: {**s, "hd": {**s["hd"], "r_c": s["hd"]["r_s"]}}, "hd.r_c"),
+    (lambda s: {**s, "hd": {**s["hd"], "mu_a": math.nan}}, "hd.mu_a"),
+    (lambda s: _fd_with(s, p_b_w=None, p_b_dbm=4000.0), "fd.p_b_w"),
+    (lambda s: {**s, "fd": {**{k: v for k, v in s["fd"].items() if k != "p_b_w"},
+                            "p_b_dbm": 4000.0}}, "fd.p_b_dbm"),
+    (lambda s: {**s, "omega_s": True}, "omega_s"),
+])
+def test_simulate_malformed_solution_exits_1_naming_the_field(
+        base_config, tmp_path, capsys, edit, named):
+    sol = tmp_path / "sol.json"
+    assert main(["optimize", "--config", base_config, "--out", str(sol)]) == 0
+    sol.write_text(json.dumps(edit(json.loads(sol.read_text())["solution"])))
+    assert main(["simulate", "--config", base_config, "--solution", str(sol),
+                 "--slots", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_simulate_deterministic(base_config, tmp_path):

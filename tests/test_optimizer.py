@@ -112,8 +112,10 @@ def test_rate_collapses_under_loose_outage_bound():
 def test_step1_rejects_invalid_params():
     with pytest.raises(ValidationError):
         solve_step1(VI_PB, VI_MU_B, dataclasses.replace(vi_defaults(), epsilon=0.0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"p_b must be >= 0 W: -1.0"):
         solve_step1(-1.0, VI_MU_B, vi_defaults())
+    with pytest.raises(ValidationError, match=r"mu_b must be >= 0: -1e-08"):
+        solve_step1(VI_PB, -1e-8, vi_defaults())
 
 
 def test_rate_solvers_fail_only_with_package_errors_on_extreme_inputs():

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from fdjam import (ValidationError, dbm_to_watts, derived_constants,
-                   FdParams, HdParams, SwitchedSolution, validate)
+from fdjam import (ValidationError, dbm_to_watts, FdParams, HdParams,
+                   SwitchedSolution, solve_step1, validate)
+from fdjam.analytics import exposure_budget, field_beta
 from fdjam.params import solution_from_dict, solution_to_dict
 
-from oracles import vi_defaults
+from oracles import beta_of, tau_of, vi_defaults
 
 
 def test_defaults_accepted():
@@ -37,15 +38,17 @@ def test_validate_names_offending_field(field, value, fragment):
         validate(p)
 
 
-def test_derived_constants_values():
+def test_field_beta_and_exposure_budget_match_oracles():
     p = vi_defaults()
-    dc = derived_constants(p, p_b=dbm_to_watts(10.0), mu_b=1e-7)
     # beta for alpha = 4 is (pi/2) * Gamma(1/2)
-    assert dc.beta == pytest.approx(0.5 * math.pi * math.sqrt(math.pi), rel=1e-14)
-    assert dc.tau == pytest.approx(-math.log(0.9) / (dc.beta * 1e-4), rel=1e-12)
-    assert dc.eta == pytest.approx(0.5)
-    assert dc.beta > 0 and dc.tau > 0 and dc.u > 0
-    assert 0 < dc.eta <= 1
+    assert field_beta(4.0) == pytest.approx(0.5 * math.pi * math.sqrt(math.pi), rel=1e-14)
+    for alpha in (2.0, 2.5, 4.0, 6.0):
+        assert field_beta(alpha) == pytest.approx(beta_of(alpha), rel=1e-15)
+    assert math.log(exposure_budget(p)) == pytest.approx(math.log(tau_of(p)), rel=1e-14)
+    assert exposure_budget(p) == pytest.approx(-math.log(0.9) / (field_beta(4.0) * 1e-4),
+                                               rel=1e-12)
+    r1 = solve_step1(dbm_to_watts(10.0), 1e-7, p)
+    assert r1.u > 0 and r1.varpi > 0
 
 
 def test_u_slope_matches_varpi_by_finite_difference():
@@ -53,19 +56,15 @@ def test_u_slope_matches_varpi_by_finite_difference():
     mu_b = 3e-8
     p_b = 5e-3
     h = 1e-9
-    dc = derived_constants(p, p_b, mu_b)
-    slope = (derived_constants(p, p_b + h, mu_b).u
-             - derived_constants(p, p_b - h, mu_b).u) / (2 * h)
-    assert slope == pytest.approx(dc.varpi, rel=1e-6)
+    slope = (solve_step1(p_b + h, mu_b, p).u - solve_step1(p_b - h, mu_b, p).u) / (2 * h)
+    assert slope == pytest.approx(solve_step1(p_b, mu_b, p).varpi, rel=1e-6)
 
 
 def test_tau_monotone_in_density_and_outage_bound():
-    taus_lambda = [derived_constants(dataclasses.replace(vi_defaults(), lambda_e=lam),
-                                     0.0, 0.0).tau
+    taus_lambda = [exposure_budget(dataclasses.replace(vi_defaults(), lambda_e=lam))
                    for lam in np.logspace(-6, -2, 9)]
     assert all(a > b for a, b in zip(taus_lambda, taus_lambda[1:]))
-    taus_eps = [derived_constants(dataclasses.replace(vi_defaults(), epsilon=eps),
-                                  0.0, 0.0).tau
+    taus_eps = [exposure_budget(dataclasses.replace(vi_defaults(), epsilon=eps))
                 for eps in (0.01, 0.05, 0.1, 0.3, 0.9)]
     assert all(a < b for a, b in zip(taus_eps, taus_eps[1:]))
 
