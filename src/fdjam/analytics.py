@@ -34,6 +34,7 @@ against floating-point residue of order 1e-17; a NaN stays NaN.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +54,9 @@ __all__ = [
 # Tail cutoff for the radial integral: beyond u_cut the integrand is bounded
 # by exp(-_TAIL_EXPONENT) ~ 2e-22.
 _TAIL_EXPONENT = 50.0
+# Smallest radial decay coefficient a: the tail nodes reach a*u^(alpha/2) =
+# _TAIL_EXPONENT, so below this u^(alpha/2) overflows and J comes out wrong.
+_MIN_DECAY = _TAIL_EXPONENT / sys.float_info.max
 # Fixed-node rule for J (composite Gauss-Legendre; Davis & Rabinowitz,
 # Methods of Numerical Integration, 1984): 12 nodes per panel on both axes.
 _GL_NODES, _GL_WEIGHTS = roots_legendre(12)
@@ -101,6 +105,10 @@ def _exposure_integral_cached(x: float, p_a: float, p_b: float,
     q = p_b * x / p_a                 # jamming-to-signal weight
     if q == math.inf:
         return 0.0                    # the jamming drowns every eavesdropper
+    if a < _MIN_DECAY:
+        raise ValidationError(
+            f"radial decay coefficient sigma_e2*x/p_a = {a!r} is below "
+            f"{_MIN_DECAY!r}, where the exposure integral overflows")
     half = alpha / 2.0
     t_link = 2.0 * math.log(d_ab)
     t_decay = -math.log(a) / half
@@ -126,6 +134,8 @@ def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) ->
 
     Independent of ``lambda_e``, so sweeps over the eavesdropper density can
     reuse one evaluation (results are memoized on the remaining arguments).
+    Raises :class:`ValidationError` when the radial decay coefficient
+    sigma_e2*x/p_a is below 50/DBL_MAX, where J cannot be formed in doubles.
     """
     _check_sinr_args(x, p_a, p_b)
     return _exposure_integral_cached(float(x), float(p_a), float(p_b),

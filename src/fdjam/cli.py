@@ -5,8 +5,11 @@ Four subcommands: ``optimize`` (one off-line design, JSON out),
 outage table, CSV out), ``sweep`` (one design per grid point of a swept
 variable, CSV out), and ``simulate`` (slot-level Monte Carlo of a saved
 design, JSON out).  Every output embeds the fully resolved configuration
-and package version, so any row can be recomputed.  Exit codes: 0 success,
-1 configuration/validation error, 2 solver infeasibility.
+and package version, so any row can be recomputed.  A command only builds
+and returns that text; :func:`main` loads ``--config`` (common to all four
+commands, like ``--out``), writes the text to ``--out`` or stdout, and maps
+exit codes: 0 success, 1 configuration/validation error, 2 solver
+infeasibility.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .analytics import comparison_metrics, sop_approx, sop_exact
 from .config import Config, _value_db, load_config, resolved_dict, sweep_values
 from .errors import InfeasibleError, ValidationError
 from .optimizer import optimize
-from .params import solution_from_dict, solution_to_dict, validate
+from .params import solution_from_dict, solution_to_dict
 from .sim import _BLOCK, empirical_sop, run_online
 
 __all__ = ["main"]
@@ -45,9 +48,7 @@ _SWEEP_COLUMNS = [
 
 
 def _scalar(v):
-    """numpy scalars as Python numbers; non-finite floats as None."""
-    if isinstance(v, (np.floating, np.integer)):
-        v = v.item()
+    """Non-finite floats as None."""
     if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
@@ -60,14 +61,6 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return _scalar(obj)
-
-
-def _emit_text(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
 
 def _json_payload(config: Config, body: Dict) -> str:
@@ -104,8 +97,7 @@ def _csv_cell(v):
 # optimize
 # --------------------------------------------------------------------------
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_optimize(args: argparse.Namespace, config: Config) -> str:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         solution = optimize(config.system, config.grid)
@@ -137,8 +129,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "notes": notes,
         "warnings": [str(w.message) for w in caught],
     }
-    _emit_text(_json_payload(config, body), args.out)
-    return 0
+    return _json_payload(config, body)
 
 
 # --------------------------------------------------------------------------
@@ -161,11 +152,10 @@ def _parse_float_list(text: str, flag: str, ok, rule: str) -> List[float]:
     return values
 
 
-def _cmd_validate_sop(args: argparse.Namespace) -> int:
+def _cmd_validate_sop(args: argparse.Namespace, config: Config) -> str:
     """One row per (distance, density): the fixed-node quadrature, the
     small-separation closed form and, with ``--trials`` > 0, the Monte Carlo
     oracle."""
-    config = load_config(args.config)
     # checked here, not by validate(): a density of 0 is a valid row
     d_abs = _parse_float_list(args.d_ab, "--d-ab", lambda d: 0.0 < d < math.inf,
                               "a list of finite distances > 0 m")
@@ -178,10 +168,11 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
                         ("--lambda-max", args.lambda_max)):
             _check_flag(0.0 < v < math.inf, flag, "finite and > 0", v)
         _check_flag(args.lambda_steps >= 1, "--lambda-steps", ">= 1", args.lambda_steps)
-        lambdas = list(np.logspace(math.log10(args.lambda_min),
-                                   math.log10(args.lambda_max),
-                                   args.lambda_steps))
+        lambdas = np.logspace(math.log10(args.lambda_min),
+                              math.log10(args.lambda_max),
+                              args.lambda_steps).tolist()
     _check_flag(args.trials >= 0, "--trials", ">= 0", args.trials)
+    _check_flag(args.seed >= 0, "--seed", ">= 0", args.seed)
     for flag, v in (("--p-a-w", args.p_a_w), ("--rate-gap", args.rate_gap)):
         _check_flag(0.0 < v < math.inf, flag, "finite and > 0", v)
     _check_flag(args.p_b_w >= 0.0, "--p-b-w", ">= 0", args.p_b_w)   # inf: no outage
@@ -189,6 +180,8 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
     p_b = args.p_b_w
     r_s = 1.0
     r_c = 1.0 + args.rate_gap
+    _check_flag(r_c > r_s, "--rate-gap", "large enough that 1.0 + gap > 1.0",
+                args.rate_gap)
 
     rows = []
     for index, (d_ab, lam) in enumerate(itertools.product(d_abs, lambdas)):
@@ -210,11 +203,9 @@ def _cmd_validate_sop(args: argparse.Namespace) -> int:
 
     extra = {"p_a_w": p_a, "p_b_w": p_b, "rate_gap_bits": args.rate_gap,
              "trials": args.trials, "seed": args.seed, "block_size": _BLOCK}
-    text = _csv_text(config, extra,
+    return _csv_text(config, extra,
                      ["lambda_e", "d_ab_m", "sop_exact", "sop_approx",
                       "sop_mc", "mc_stderr"], rows)
-    _emit_text(text, args.out)
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -247,14 +238,12 @@ def _sweep_point(task) -> Dict:
     return row
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_sweep(args: argparse.Namespace, config: Config) -> str:
     _check_flag(args.jobs >= 1, "--jobs", ">= 1", args.jobs)
     if config.sweep is None:
         raise ValidationError("sweep command needs a [sweep] section in the config")
     spec = config.sweep
     base = replace(config.system, **(spec.fixed or {}))
-    validate(base)
     values = sweep_values(spec)
     tasks = [(base, config.grid, spec.variable, float(v), i)
              for i, v in enumerate(values)]
@@ -268,16 +257,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     extra = {"sweep_variable": spec.variable, "sweep_scale": spec.scale,
              "sweep_steps": spec.steps,
              "sweep_fixed": json.dumps(spec.fixed or {})}
-    _emit_text(_csv_text(config, extra, _SWEEP_COLUMNS, rows), args.out)
-    return 0
+    return _csv_text(config, extra, _SWEEP_COLUMNS, rows)
 
 
 # --------------------------------------------------------------------------
 # simulate
 # --------------------------------------------------------------------------
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_simulate(args: argparse.Namespace, config: Config) -> str:
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -294,8 +281,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                        "block_size": _BLOCK},
         "report": dataclasses.asdict(report),
     }
-    _emit_text(_json_payload(config, body), args.out)
-    return 0
+    return _json_payload(config, body)
 
 
 # --------------------------------------------------------------------------
@@ -314,17 +300,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fdjam",
         description="Design and validate a switched FD/HD jamming-receiver link.")
     parser.add_argument("--version", action="version", version=f"fdjam {__version__}")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="INI scenario file")
+    common.add_argument("--out", default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_opt = sub.add_parser("optimize", help="run the off-line design, emit JSON")
-    p_opt.add_argument("--config", required=True, help="INI scenario file")
-    p_opt.add_argument("--out", default=None, help="output path (default stdout)")
+    p_opt = sub.add_parser("optimize", parents=[common],
+                           help="run the off-line design, emit JSON")
     p_opt.set_defaults(func=_cmd_optimize)
 
-    p_val = sub.add_parser("validate-sop",
+    p_val = sub.add_parser("validate-sop", parents=[common],
                            help="tabulate exact/approximate/Monte Carlo outage")
-    p_val.add_argument("--config", required=True)
-    p_val.add_argument("--out", default=None)
     p_val.add_argument("--d-ab", default="0.2,10,30",
                        help="comma-separated link distances in meters")
     p_val.add_argument("--lambda-min", type=float, default=1e-6)
@@ -343,18 +329,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(func=_cmd_validate_sop)
 
-    p_sw = sub.add_parser("sweep", help="one design per swept-variable value, CSV")
-    p_sw.add_argument("--config", required=True)
-    p_sw.add_argument("--out", default=None)
+    p_sw = sub.add_parser("sweep", parents=[common],
+                          help="one design per swept-variable value, CSV")
     p_sw.add_argument("--jobs", type=int, default=1,
                       help="parallel worker processes for sweep points")
     p_sw.set_defaults(func=_cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", help="slot-level Monte Carlo of a design")
-    p_sim.add_argument("--config", required=True)
+    p_sim = sub.add_parser("simulate", parents=[common],
+                           help="slot-level Monte Carlo of a design")
     p_sim.add_argument("--solution", required=True,
                        help="JSON produced by the optimize command")
-    p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--slots", type=int, default=100000)
     p_sim.add_argument("--r-cut", type=float, default=None,
                        help="override the [sim] r_cut_m setting")
@@ -366,13 +350,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        text = args.func(args, load_config(args.config))
     except ValidationError as exc:
         print(f"fdjam: validation error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleError as exc:
         print(f"fdjam: infeasible: {exc}", file=sys.stderr)
         return 2
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -44,10 +44,6 @@ class Action:
     p_a: float = 0.0
     p_b: float = 0.0
 
-    @property
-    def transmitting(self) -> bool:
-        return self.mode is not Mode.SILENT
-
 
 def decide_slots(gamma_ab: np.ndarray, gamma_bb: np.ndarray,
                  solution: SwitchedSolution, params: SystemParams

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -247,6 +248,23 @@ def test_exposure_integral_finite_and_positive_on_extreme_inputs():
                 assert x < 0.0
                 continue
             assert 0.0 < j < math.inf
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+def test_exposure_integral_rejects_decay_below_double_range(alpha):
+    # below a = sigma_e2*x/p_a = 50/DBL_MAX the tail nodes overflow
+    # u^(alpha/2); just above it J still equals the closed form, which at
+    # p_b = 0 is the same formula: J = 2*beta*a^(-2/alpha)
+    bound = 50.0 / sys.float_info.max
+    p = fig_params(alpha=alpha, sigma_e2=1e-300)
+    x = 1.0001 * bound * P_A / p.sigma_e2
+    a = p.sigma_e2 * x / P_A
+    with np.errstate(over="raise", invalid="raise"):
+        j = exposure_integral(x, P_A, 0.0, p)
+    assert j == pytest.approx(2.0 * beta_of(alpha) * a ** (-2.0 / alpha), rel=1e-12)
+    with pytest.raises(ValidationError, match="decay coefficient"):
+        exposure_integral(0.99 * x, P_A, 0.0, p)
+    assert exposure_integral(0.99 * x, P_A, math.inf, p) == 0.0
 
 
 # ------------------------------------------------- Monte Carlo equivalence

@@ -323,6 +323,11 @@ VSOP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10"]
     (["optimize"], "--config"),
     (["optimize", "--config", DEFAULT_INI, "--bogus"], "--bogus"),
     ([], "command"),
+    (VSOP + ["--lambda-list", "1e-4", "--trials", "0", "--seed", "-1"], "--seed"),
+    (VSOP + ["--lambda-list", "1e-4", "--rate-gap", "1e-17"], "--rate-gap"),
+    (["validate-sop"], "--config"),
+    (["sweep"], "--config"),
+    (["simulate", "--solution", "design.json"], "--config"),
 ])
 def test_bad_flag_exits_1_naming_it(argv, named, capsys):
     assert main(argv) == 1
@@ -335,6 +340,20 @@ def test_validate_sop_infinite_jamming_is_accepted(capsys):
     assert main(VSOP + ["--lambda-list", "1e-4", "--p-b-w", "inf"]) == 0
     _, rows = _read_csv_text(capsys.readouterr().out)
     assert float(rows[0]["sop_exact"]) == 0.0 and float(rows[0]["sop_approx"]) == 0.0
+
+
+def test_validate_sop_noise_below_exposure_range_exits_1(tmp_path, capsys):
+    # sigma_e2*x/p_a ~ 7e-310: J's tail nodes would overflow in doubles, so
+    # the row exits 1 instead of printing a wrong exact column
+    cfg = tmp_path / "tiny_noise.ini"
+    cfg.write_text(Path(DEFAULT_INI).read_text().replace(
+        "sigma_e2_dbm = -90", "sigma_e2_w = 1e-300"))
+    assert main(["validate-sop", "--config", str(cfg), "--d-ab", "10",
+                 "--lambda-list", "1e-155", "--rate-gap", "1e-10",
+                 "--p-b-w", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: radial decay coefficient")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -540,3 +559,24 @@ def test_simulate_deterministic(base_config, tmp_path):
               "--slots", "1500", "--seed", "9", "--out", str(out)])
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------- shared front end
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--config", DEFAULT_INI],
+    VSOP + ["--lambda-list", "0,1e-4", "--trials", "20"],
+    ["sweep", "--config", SWEEP_INI],
+    ["simulate", "--config", DEFAULT_INI, "--solution", "DESIGN", "--slots", "300"],
+], ids=["optimize", "validate-sop", "sweep", "simulate"])
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    design = tmp_path / "design.json"
+    assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
+    argv = [str(design) if a == "DESIGN" else a for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "artifact"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == stdout.encode("utf-8")
