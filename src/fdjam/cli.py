@@ -6,10 +6,10 @@ outage table, CSV out), ``sweep`` (one design per grid point of a swept
 variable, CSV out), and ``simulate`` (slot-level Monte Carlo of a saved
 design, JSON out).  Every output embeds the fully resolved configuration
 and package version, so any row can be recomputed.  A command only builds
-and returns that text; :func:`main` loads ``--config`` (common to all four
-commands, like ``--out``), writes the text to ``--out`` or stdout, and maps
-exit codes: 0 success, 1 configuration/validation error, 2 solver
-infeasibility.
+and returns that text; :func:`main` checks that ``--out`` can be opened,
+loads ``--config`` (both common to all four commands), writes the text to
+``--out`` or stdout, and maps exit codes: 0 success, 1 configuration/
+validation error, 2 solver infeasibility.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -111,7 +112,6 @@ def _cmd_optimize(args: argparse.Namespace, config: Config) -> str:
         "step2_iterations": step2.iterations,
         "hd_residual": hd.residual,
         "mu_b_grid_points": int(config.grid.mu_b_steps) + 1,
-        "p_b_grid_points": int(config.grid.p_b_steps),
     }
     notes = []
     if config.system.rho == 0.0:
@@ -249,7 +249,8 @@ def _cmd_sweep(args: argparse.Namespace, config: Config) -> str:
              for i, v in enumerate(values)]
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once: no more than there are points
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
@@ -265,6 +266,10 @@ def _cmd_sweep(args: argparse.Namespace, config: Config) -> str:
 # --------------------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace, config: Config) -> str:
+    _check_flag(args.slots >= 1, "--slots", ">= 1", args.slots)
+    if args.r_cut is not None:
+        _check_flag(0.0 < args.r_cut < math.inf, "--r-cut", "finite and > 0", args.r_cut)
+    _check_flag(args.seed >= 0, "--seed", ">= 0", args.seed)
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -347,9 +352,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Fail before the command runs if ``path`` cannot be opened for writing.
+    An existing file keeps its content, and no new file is left behind."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ValidationError(f"--out cannot be opened for writing: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.out is not None:
+            _check_out(args.out)
         text = args.func(args, load_config(args.config))
     except ValidationError as exc:
         print(f"fdjam: validation error: {exc}", file=sys.stderr)

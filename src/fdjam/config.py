@@ -18,7 +18,6 @@ Schema ([system] is required, the other sections are optional):
     mu_b_max_db      = -50     ; or mu_b_max
     mu_b_steps       = 60
     p_b_floor_dbm    = -10     ; or p_b_floor_w
-    p_b_steps        = 60
 
     [sim]                    ; optional
     r_cut_m          = 2000
@@ -33,9 +32,9 @@ Schema ([system] is required, the other sections are optional):
 
 Powers are dBm, dimensionless ratios (rho, mu_b) plain dB, distances meters.
 Every value must be a finite number, in linear units too, and the counts
-(mu_b_steps, p_b_steps, steps) whole.  One table, ``_FIELDS``, gives each
-field's section, key stem and unit: the reader, the sweep's dB scale and the
-report header all follow it.
+(mu_b_steps, steps) whole.  One table, ``_FIELDS``, gives each field's
+section, key stem and unit: the reader, the sweep's dB scale and the report
+header all follow it.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ _FIELDS: Dict[str, Tuple[Optional[str], str, str]] = {
     "mu_b_max": ("grid", "mu_b_max", "ratio"),
     "mu_b_steps": ("grid", "mu_b_steps", "count"),
     "p_b_floor": ("grid", "p_b_floor", "power"),
-    "p_b_steps": ("grid", "p_b_steps", "count"),
     "r_cut": ("sim", "r_cut_m", "plain"),
     "vmin": ("sweep", "min", "plain"),
     "vmax": ("sweep", "max", "plain"),

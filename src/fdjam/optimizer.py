@@ -13,12 +13,12 @@ function", 2002; :func:`scipy.special.wrightomega`).  The half-duplex group
 is the same solution at p_b = 0 (:func:`solve_step1`).
 
 The throughput is quasi-concave in the jamming power: the single sign
-change of its derivative is located on a logarithmic grid by binary search
-and refined by Brent's method on ln p_b (:func:`solve_step2`).  The switch
-threshold is found on its grid by a Fibonacci search for the single peak of
-the throughput (:func:`optimize`).  Both searches return exactly what an
-exhaustive scan of their grid returns whenever the profile has the assumed
-shape; the test suite checks that shape rather than assume it.
+change of its derivative, bracketed by the floor and the budget, is found by
+Brent's method on ln p_b (:func:`solve_step2`).  The switch threshold is
+found on its grid by a Fibonacci search for the single peak of the
+throughput (:func:`optimize`), which returns exactly what an exhaustive scan
+of the grid returns.  Both searches are exact whenever the profile has the
+assumed shape; the test suite checks that shape rather than assume it.
 
 A root without a sign change in its window, a root search that does not
 converge, and a rate beyond double range raise
@@ -27,7 +27,6 @@ converge, and a rate beyond double range raise
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import warnings
@@ -63,11 +62,11 @@ _XTOL_LOG = 1e-13
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search grids for the jamming power and the mode-switch threshold.
+    """The mode-switch threshold grid and the jamming-power search range.
 
     ``mu_b_steps`` logarithmic points cover [mu_b_min, mu_b_max], with the
-    pure-HD point mu_b = 0 always prepended.  The jamming-power grid covers
-    [p_b_floor, p_b_max] with ``p_b_steps`` logarithmic points; the floor
+    pure-HD point mu_b = 0 always prepended.  The jamming power is searched
+    over [p_b_floor, p_b_max] (the floor capped at the budget); the floor
     also serves as the reported power when the throughput decreases over the
     whole range (degenerate FD).
     """
@@ -76,7 +75,6 @@ class GridSpec:
     mu_b_max: float = 1e-5
     mu_b_steps: int = 60
     p_b_floor: float = dbm_to_watts(-10.0)
-    p_b_steps: int = 60
 
     def check(self, params: SystemParams) -> None:
         if not 0.0 < self.mu_b_min <= self.mu_b_max:
@@ -87,8 +85,6 @@ class GridSpec:
             raise ValidationError(f"mu_b_steps must be >= 1: {self.mu_b_steps}")
         if self.p_b_floor <= 0.0:
             raise ValidationError(f"p_b_floor must be > 0 W: {self.p_b_floor}")
-        if self.p_b_steps < 2:
-            raise ValidationError(f"p_b_steps must be >= 2: {self.p_b_steps}")
         if params.p_b_max <= 0.0:
             raise ValidationError(
                 f"p_b_max must be > 0 W to design the jamming mode: {params.p_b_max}")
@@ -97,12 +93,6 @@ class GridSpec:
         log_pts = np.logspace(math.log10(self.mu_b_min),
                               math.log10(self.mu_b_max), self.mu_b_steps)
         return np.concatenate(([0.0], log_pts))
-
-    def p_b_values(self, p_b_max: float) -> np.ndarray:
-        floor = min(self.p_b_floor, p_b_max)
-        if floor == p_b_max:
-            return np.array([p_b_max])
-        return np.logspace(math.log10(floor), math.log10(p_b_max), self.p_b_steps)
 
 
 # --------------------------------------------------------------------------
@@ -271,14 +261,11 @@ def solve_step2(mu_b: float, params: SystemParams,
     """Maximize the step-1 throughput over the jamming power.
 
     The derivative bracket has at most one sign change, from + to -
-    (quasi-concavity), so the search binary-searches a logarithmic power grid
-    for the first grid power whose sign is <= 0 and refines the change by
-    Brent's method on ln p_b between that power and the one below it.  A
-    derivative that is negative already at the floor means jamming only
-    hurts (degenerate FD); positive up to the budget means the budget binds
-    (capped).  The signs at the two grid ends decide those two cases, and
-    about log2(p_b_steps) more decide the bracket; grid powers the search
-    never visits are never solved, so a step-1 failure there goes unnoticed.
+    (quasi-concavity), over [floor, p_b_max] with floor = min(p_b_floor,
+    p_b_max).  A derivative that is <= 0 already at the floor means jamming
+    only hurts (degenerate FD: the floor is reported); one still > 0 at the
+    budget means the budget binds (capped).  Otherwise the two end signs
+    bracket the change, which Brent's method refines on ln p_b.
     """
     validate(params)
     if mu_b < 0.0:
@@ -286,8 +273,8 @@ def solve_step2(mu_b: float, params: SystemParams,
     grid = grid or GridSpec()
     grid.check(params)
 
-    # step-1 solves by exact p_b, so the final solve at p_dag reuses the one
-    # a grid end or brentq's last evaluation already made
+    # step-1 solves by exact p_b, so no power is solved twice: brentq's end
+    # evaluations and the final solve at p_dag reuse solves already made
     @functools.cache
     def step1_at(p_b: float) -> Step1Result:
         return solve_step1(p_b, mu_b, params)
@@ -295,27 +282,30 @@ def solve_step2(mu_b: float, params: SystemParams,
     def sign_at(p_b: float) -> float:
         return _derivative_sign(p_b, step1_at(p_b), params)
 
-    p_values = [float(p) for p in grid.p_b_values(params.p_b_max)]
-    if sign_at(p_values[0]) <= 0.0:
-        p_dag, capped, degenerate, iters = p_values[0], False, True, 0
-    elif len(p_values) == 1 or sign_at(p_values[-1]) > 0.0:
-        p_dag, capped, degenerate, iters = params.p_b_max, True, False, 0
+    floor, p_max = min(grid.p_b_floor, params.p_b_max), params.p_b_max
+    if sign_at(floor) <= 0.0:
+        p_dag, capped, degenerate, iters = floor, False, True, 0
+    elif floor == p_max or sign_at(p_max) > 0.0:
+        p_dag, capped, degenerate, iters = p_max, True, False, 0
     else:
-        # the first grid power whose sign is <= 0; the one below it is > 0
-        j = bisect.bisect_left(p_values, True, 1, len(p_values) - 1,
-                               key=lambda p: sign_at(p) <= 0.0)
-        i = j - 1
+        # brentq on t = ln p_b; its ends map back to the powers solved
+        # above, not to exp(ln p) a few ulps away
+        lo, hi = math.log(floor), math.log(p_max)
+        ends = {lo: floor, hi: p_max}
+
+        def power(t: float) -> float:
+            return ends.get(t) or math.exp(t)
+
         try:
-            t_root, info = brentq(lambda t: sign_at(math.exp(t)),
-                                  math.log(p_values[i]), math.log(p_values[j]),
+            t_root, info = brentq(lambda t: sign_at(power(t)), lo, hi,
                                   xtol=_XTOL_LOG, full_output=True)
         except (InfeasibleError, ValidationError):
             raise   # a step-1 failure keeps its own message
         except (ValueError, RuntimeError) as exc:
             raise InfeasibleError(
                 f"jamming-power root not found for p_b in "
-                f"[{p_values[i]:.6g}, {p_values[j]:.6g}] W: {exc}") from exc
-        p_dag, capped, degenerate, iters = math.exp(t_root), False, False, info.iterations
+                f"[{floor:.6g}, {p_max:.6g}] W: {exc}") from exc
+        p_dag, capped, degenerate, iters = power(t_root), False, False, info.iterations
 
     step1 = step1_at(p_dag)
     residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)

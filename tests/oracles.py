@@ -22,10 +22,9 @@ from scipy import optimize as sciopt
 from scipy.special import roots_legendre, wrightomega
 
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
-                   dbm_to_watts, solve_step1)
+                   dbm_to_watts, solve_step1, solve_step2)
 from fdjam.analytics import throughput_fd, throughput_hd
-from fdjam.optimizer import (_XTOL_LOG, Step1Result, Step2Result,
-                             _derivative_sign, _residual_eq_step2)
+from fdjam.optimizer import Step1Result, Step2Result, _derivative_sign
 from fdjam.params import FdParams, HdParams, SwitchedSolution, validate
 from fdjam.online import _BUDGET_RTOL, Action, Mode
 from fdjam.sim import McEstimate, _exponential, sub_rng
@@ -400,12 +399,12 @@ def random_scenarios(n: int, seed: int = 20251107) -> list[ScenarioDraw]:
 
 
 # --------------------------------------------------------------------------
-# Reference scans: the exhaustive searches that the optimizer's structured
-# searches replace.  They reuse the package's step-1 solver and call brentq
-# with the package's arguments on purpose, so a comparison isolates the
-# search strategy and may demand bit-identical results.  The step-2
-# references are memoised, because the tests inspect the same scans and
-# records that the references reduce.
+# Reference scans: the exhaustive switch-threshold search that the
+# optimizer's Fibonacci search replaces, and a fixed power scan on which the
+# step-2 bracket is checked.  They reuse the package's step-1 and step-2
+# solvers on purpose, so a comparison isolates the switch-threshold search
+# and may demand bit-identical results.  The derivative signs on the power
+# scan are memoised, because several tests inspect the same scans.
 # --------------------------------------------------------------------------
 
 def hd_group(params: SystemParams) -> tuple[HdParams, Step1Result]:
@@ -415,54 +414,27 @@ def hd_group(params: SystemParams) -> tuple[HdParams, Step1Result]:
     return HdParams(r_c=r0.r_c, r_s=r0.r_s, mu_a=r0.mu_a), r0
 
 
+def power_scan(params: SystemParams, grid: GridSpec = GridSpec()) -> tuple[float, ...]:
+    """A fixed 60-point logarithmic scan of the step-2 search range
+    [floor, p_b_max], floor = min(p_b_floor, p_b_max), with both ends exact;
+    one point when the floor reaches the budget."""
+    floor = min(grid.p_b_floor, params.p_b_max)
+    if floor == params.p_b_max:
+        return (params.p_b_max,)
+    return tuple(map(float, np.geomspace(floor, params.p_b_max, 60)))
+
+
 @lru_cache(maxsize=None)
 def derivative_signs(mu_b: float, params: SystemParams,
                      grid: GridSpec = GridSpec()) -> tuple[float, ...]:
-    """Jamming-power derivative sign at every power of the step-2 grid."""
+    """Jamming-power derivative sign at every power of :func:`power_scan`."""
     return tuple(_derivative_sign(p, solve_step1(p, mu_b, params), params)
-                 for p in map(float, grid.p_b_values(params.p_b_max)))
-
-
-@lru_cache(maxsize=None)
-def solve_step2_reference(mu_b: float, params: SystemParams,
-                          grid: Optional[GridSpec] = None) -> Step2Result:
-    """Step 2 by a linear scan of the whole power grid for the first
-    derivative sign <= 0, refined by brentq as in the optimizer."""
-    validate(params)
-    if mu_b < 0.0:
-        raise ValidationError(f"mu_b must be >= 0: {mu_b}")
-    grid = grid or GridSpec()
-    grid.check(params)
-
-    def sign_at(p_b: float) -> float:
-        return _derivative_sign(p_b, solve_step1(p_b, mu_b, params), params)
-
-    p_values = [float(p) for p in grid.p_b_values(params.p_b_max)]
-    signs = derivative_signs(mu_b, params, grid)
-
-    if signs[0] <= 0.0:
-        p_dag, capped, degenerate = p_values[0], False, True
-        iters = 0
-    elif signs[-1] > 0.0:
-        p_dag, capped, degenerate = params.p_b_max, True, False
-        iters = 0
-    else:
-        i = next(k for k, d in enumerate(signs) if d <= 0.0)
-        t_root, info = sciopt.brentq(lambda t: sign_at(math.exp(t)),
-                                     math.log(p_values[i - 1]), math.log(p_values[i]),
-                                     xtol=_XTOL_LOG, full_output=True)
-        p_dag, capped, degenerate = math.exp(t_root), False, False
-        iters = info.iterations
-
-    step1 = solve_step1(p_dag, mu_b, params)
-    residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)
-    return Step2Result(p_b_dagger=p_dag, capped=capped, degenerate=degenerate,
-                       step1=step1, residual=residual, iterations=iters)
+                 for p in power_scan(params, grid))
 
 
 def optimize_reference(params: SystemParams, grid: Optional[GridSpec] = None, *,
                        forced_p_b: Optional[float] = None,
-                       step2: Callable[..., Step2Result] = solve_step2_reference,
+                       step2: Callable[..., Step2Result] = solve_step2,
                        ) -> SwitchedSolution:
     """The full design by a loop over every switch threshold of the grid,
     keeping the first strict maximum; infeasible points warn and are skipped."""
@@ -513,13 +485,13 @@ def optimize_reference(params: SystemParams, grid: Optional[GridSpec] = None, *,
 def omega_s_profile(params: SystemParams, grid: Optional[GridSpec] = None, *,
                     forced_p_b: Optional[float] = None) -> list[float]:
     """Switched throughput at every switch threshold of the grid, each point
-    designed by the reference step 2 (or at the forced jamming power)."""
+    designed by the package's step 2 (or at the forced jamming power)."""
     grid = grid or GridSpec()
     hd, _ = hd_group(params)
     out = []
     for mu_b in map(float, grid.mu_b_values()):
         if forced_p_b is None:
-            fd = solve_step2_reference(mu_b, params, grid).step1
+            fd = solve_step2(mu_b, params, grid).step1
         else:
             fd = solve_step1(forced_p_b, mu_b, params)
         out.append(throughput_fd(fd.r_s, fd.mu_a, mu_b, params.rho)

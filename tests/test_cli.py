@@ -11,6 +11,7 @@ import pytest
 from fdjam.analytics import comparison_metrics
 from fdjam.cli import main
 from fdjam.config import load_config
+from fdjam.errors import InfeasibleError, ValidationError
 from fdjam.optimizer import optimize, solve_step1, solve_step2
 from fdjam.params import solution_to_dict
 from fdjam.units import watts_to_dbm
@@ -18,6 +19,9 @@ import fdjam.cli
 
 DEFAULT_INI = str(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
 SWEEP_INI = str(Path(__file__).resolve().parents[1] / "configs" / "sweep_p_a_max.ini")
+# an --out path in a directory that does not exist
+MISSING_DIR_OUT = str(Path(DEFAULT_INI).parent / "no_such_dir" / "x.json")
+SIM = ["simulate", "--config", DEFAULT_INI, "--solution", "design.json"]
 
 
 BASE_INI = """\
@@ -94,7 +98,6 @@ def test_optimize_diagnostics_match_direct_solves(base_config, tmp_path):
         "step2_iterations": step2.iterations,
         "hd_residual": hd.residual,
         "mu_b_grid_points": config.grid.mu_b_steps + 1,
-        "p_b_grid_points": config.grid.p_b_steps,
     }
 
 
@@ -137,8 +140,6 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_infeasible_maps_to_exit_code_2(base_config, monkeypatch):
-    from fdjam.errors import InfeasibleError
-
     def boom(*args, **kwargs):
         raise InfeasibleError("forced for the exit-code contract")
 
@@ -328,6 +329,11 @@ VSOP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10"]
     (["validate-sop"], "--config"),
     (["sweep"], "--config"),
     (["simulate", "--solution", "design.json"], "--config"),
+    (SIM + ["--slots", "0"], "--slots"),
+    (SIM + ["--r-cut", "-1"], "--r-cut"),
+    (SIM + ["--r-cut", "0"], "--r-cut"),
+    (SIM + ["--seed", "-1"], "--seed"),
+    (["sweep", "--config", SWEEP_INI, "--out", MISSING_DIR_OUT], "--out"),
 ])
 def test_bad_flag_exits_1_naming_it(argv, named, capsys):
     assert main(argv) == 1
@@ -429,6 +435,31 @@ fix_lambda_e_per_m2 = 1e-5
         assert float(r["omega_s"]) >= float(r["omega_hd_comp"]) - 1e-12
 
 
+@pytest.mark.parametrize("jobs, workers", [("3", 3), ("5000", 7)])
+def test_sweep_starts_no_more_workers_than_points(jobs, workers, monkeypatch, capsys):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    assert main(["sweep", "--config", SWEEP_INI]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(fdjam.cli, "ProcessPoolExecutor", InProcessPool)
+    assert main(["sweep", "--config", SWEEP_INI, "--jobs", jobs]) == 0
+    assert started == [workers]
+    assert capsys.readouterr().out == serial
+
+
 def test_sweep_forced_jamming_power_rows_match_direct_designs(tmp_path):
     cfg = _sweep_config(tmp_path, """
 [grid]
@@ -516,7 +547,7 @@ def test_simulate_bad_run_flag_exits_1(base_config, tmp_path, capsys, extra):
                  "--slots", "100"] + extra) == 1
     err = capsys.readouterr().err
     assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
-    assert extra[0][2:].replace("-", "_") in err
+    assert extra[0] in err
 
 
 def _fd_with(s, **entries):
@@ -580,3 +611,27 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr() == ("", "")
     assert out.read_bytes() == stdout.encode("utf-8")
+
+
+def test_out_that_cannot_be_opened_fails_before_the_command(monkeypatch, capsys):
+    def design(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(fdjam.cli, "optimize", design)
+    assert main(["optimize", "--config", DEFAULT_INI, "--out", MISSING_DIR_OUT]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: --out ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error, code", [(ValidationError, 1), (InfeasibleError, 2)])
+def test_failed_command_leaves_out_as_it_was(error, code, tmp_path, monkeypatch):
+    def design(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(fdjam.cli, "optimize", design)
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier artifact\n")
+    for out in (kept, fresh):
+        assert main(["optimize", "--config", DEFAULT_INI, "--out", str(out)]) == code
+    assert kept.read_text() == "earlier artifact\n"
+    assert not fresh.exists()

@@ -28,7 +28,6 @@ mu_b_min_db = -95
 mu_b_max_db = -55
 mu_b_steps = 40
 p_b_floor_dbm = -5
-p_b_steps = 50
 
 [sim]
 r_cut_m = 1500
@@ -134,6 +133,8 @@ scale = dB
     ("mu_b_steps = 60", "mu_b_steps = 2.7", "[grid] mu_b_steps"),
     ("mu_b_max_db = -50", "mu_b_max = inf", "[grid] mu_b_max"),
     ("p_b_floor_dbm = -10", "p_b_floor_w = nan", "[grid] p_b_floor_w"),
+    ("p_b_floor_dbm = -10", "p_b_floor_dbm = -10\np_b_steps = 60",
+     "[grid] unknown keys: ['p_b_steps']"),
     ("r_cut_m = 2000", "r_cut_m = nan", "[sim] r_cut_m"),
     ("steps = 7", "steps = nan", "[sweep] steps"),
     ("scale = dB", "scale = dB\nfix_rho_db = inf", "[sweep] fix_rho_db"),
@@ -161,7 +162,7 @@ def test_report_header_keys_and_order():
         "sigma_b2_w", "sigma_b2_dbm", "sigma_e2_w", "sigma_e2_dbm",
         "rho", "rho_db", "p_a_max_w", "p_a_max_dbm", "p_b_max_w", "p_b_max_dbm",
         "grid_mu_b_min", "grid_mu_b_max", "grid_mu_b_steps", "grid_p_b_floor_w",
-        "grid_p_b_steps", "sim_r_cut_m"]
+        "sim_r_cut_m"]
 
 
 def _accepted_keys():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -15,8 +16,8 @@ from fdjam.params import solution_from_dict, solution_to_dict
 
 from oracles import (derivative_signs, mu_a_from_sop_constraint,
                      omega_s_profile, omega_tilde_formula, optimize_reference,
-                     random_scenarios, sign_changes, solve_hd,
-                     solve_step2_reference, u_of, vi_defaults, yz_root_brentq)
+                     power_scan, random_scenarios, sign_changes, solve_hd,
+                     u_of, vi_defaults, yz_root_brentq)
 
 VI_PB = dbm_to_watts(10.0)
 VI_MU_B = 1e-7
@@ -306,8 +307,9 @@ def test_optimize_carries_its_solver_records():
 
 
 def test_step1_solves_per_default_design(monkeypatch):
-    # within one step-2 solve each jamming power is solved once: the final
-    # solve at the chosen power reuses the grid end's or brentq's; one more
+    # within one step-2 solve each jamming power is solved once: brentq's
+    # bracket ends reuse the solves at the floor and the budget, and the
+    # final solve at the chosen power reuses one already made; one more
     # solve, at zero jamming, is the half-duplex group
     config = load_config(str(Path(__file__).resolve().parents[1]
                              / "configs" / "default.ini"))
@@ -320,8 +322,11 @@ def test_step1_solves_per_default_design(monkeypatch):
 
     monkeypatch.setattr(fdjam.optimizer, "solve_step1", counted)
     optimize(config.system, config.grid)
-    assert len(calls) == 25
+    assert len(calls) == 21
     assert len(set(calls)) == len(calls)
+    # nor twice a few ulps apart, as exp(ln p) of a power already solved
+    for (p1, mu1, _), (p2, mu2, _) in itertools.combinations(calls, 2):
+        assert mu1 != mu2 or abs(p1 - p2) > 1e-14 * max(p1, p2)
 
 
 def test_optimize_rejects_zero_jamming_budget():
@@ -336,8 +341,6 @@ def test_grid_spec_validation():
         GridSpec(mu_b_min=0.0).check(p)
     with pytest.raises(ValidationError):
         GridSpec(mu_b_min=1e-3, mu_b_max=1e-5).check(p)
-    with pytest.raises(ValidationError):
-        GridSpec(p_b_steps=1).check(p)
 
 
 # ------------------------------------------- searches against full scans
@@ -387,9 +390,21 @@ def test_search_assumptions_hold(name, params, grid):
 
 @pytest.mark.parametrize("name, params, grid", SEARCH_SCENARIOS, ids=SEARCH_IDS)
 def test_searches_equal_full_scans_bit_for_bit(name, params, grid):
+    # step 2 lands where the fixed power scan puts the sign change; the
+    # switch-threshold search equals a scan of every grid point exactly
+    powers = power_scan(params, grid)
     for mu_b in map(float, grid.mu_b_values()):
-        assert solve_step2(mu_b, params, grid) == \
-            solve_step2_reference(mu_b, params, grid)
+        s2 = solve_step2(mu_b, params, grid)
+        signs = derivative_signs(mu_b, params, grid)
+        assert s2.degenerate == (signs[0] <= 0.0)
+        assert s2.capped == (not s2.degenerate and signs[-1] > 0.0)
+        if s2.degenerate:
+            assert s2.p_b_dagger == powers[0]
+        elif s2.capped:
+            assert s2.p_b_dagger == params.p_b_max
+        else:
+            j = next(k for k, d in enumerate(signs) if d <= 0.0)
+            assert powers[j - 1] <= s2.p_b_dagger <= powers[j]
     sol, ref = optimize(params, grid), optimize_reference(params, grid)
     assert sol == ref
     assert sol.step2 == ref.step2 and sol.hd_result == ref.hd_result
@@ -414,7 +429,7 @@ def _failing_above(mu_b_max):
     def step2(mu_b, params, grid=None):
         if mu_b > mu_b_max:
             raise InfeasibleError(f"forced above {mu_b_max}")
-        return solve_step2_reference(mu_b, params, grid)
+        return solve_step2(mu_b, params, grid)
     return step2
 
 
