@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -168,6 +169,12 @@ def _cmd_validate_sop(args: argparse.Namespace, config: Config) -> str:
                         ("--lambda-max", args.lambda_max)):
             _check_flag(0.0 < v < math.inf, flag, "finite and > 0", v)
         _check_flag(args.lambda_steps >= 1, "--lambda-steps", ">= 1", args.lambda_steps)
+        _check_flag(args.lambda_max >= args.lambda_min, "--lambda-max",
+                    f">= --lambda-min ({args.lambda_min})", args.lambda_max)
+        # one row would keep --lambda-min only
+        _check_flag(args.lambda_steps >= 2 or args.lambda_min == args.lambda_max,
+                    "--lambda-steps", ">= 2 when --lambda-min < --lambda-max",
+                    args.lambda_steps)
         lambdas = np.logspace(math.log10(args.lambda_min),
                               math.log10(args.lambda_max),
                               args.lambda_steps).tolist()
@@ -300,7 +307,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="fdjam",
         description="Design and validate a switched FD/HD jamming-receiver link.")

@@ -10,7 +10,9 @@ method (Brent, *Algorithms for Minimization without Derivatives*, 1973;
 condition pins y through the increasing map :func:`v_of_y`, in closed form
 by the Wright omega function (Corless and Jeffrey, "The Wright omega
 function", 2002; :func:`scipy.special.wrightomega`).  The half-duplex group
-is the same solution at p_b = 0 (:func:`solve_step1`).
+is the same solution at p_b = 0 (:func:`solve_step1`).  The outage root
+depends on the jamming power only, not on the switch threshold, so a
+design solves it once per power and every threshold it visits shares it.
 
 The throughput is quasi-concave in the jamming power: the single sign
 change of its derivative, bracketed by the floor and the budget, is found by
@@ -125,9 +127,33 @@ class Step1Result:
     omega_tilde: float    # r_s * exp(-mu_a)
     residual: float       # relative residual of the optimality equation at y_star
     omega_forms_gap: float  # relative gap between the two closed forms of omega_tilde
-    iterations: int       # Brent iterations for yz (the rates are closed-form)
+    iterations: int       # Brent iterations of the solve that found yz; a design
+                          # makes one per p_b, shared by every mu_b (the rates
+                          # are closed-form)
     u: float              # d_ab^alpha*(sigma_b2 + p_b*mu_b)/p_a_max
     varpi: float          # du/dp_b = d_ab^alpha*mu_b/p_a_max
+
+
+def _check_mu_b(mu_b: float) -> None:
+    if mu_b < 0.0:
+        raise ValidationError(f"mu_b must be >= 0: {mu_b}")
+
+
+def _outage_root(p_b: float, params: SystemParams) -> tuple[float, int]:
+    """The outage-constraint root yz at jamming power ``p_b`` and the Brent
+    iterations that found it; it does not depend on the switch level."""
+    tau = exposure_budget(params)
+    log_tau = math.log(tau)
+    try:
+        # exp(+-700) stays clear of double overflow
+        t_root, info = brentq(
+            lambda t: log_exposure_approx(t, params.p_a_max, p_b, params) - log_tau,
+            -700.0, 700.0, xtol=_XTOL_LOG, full_output=True)
+    except (ValueError, RuntimeError) as exc:
+        raise InfeasibleError(
+            f"outage-constraint root yz not found for ln yz in [-700, 700] "
+            f"(tau={tau}): {exc}") from exc
+    return math.exp(t_root), info.iterations
 
 
 def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
@@ -148,24 +174,20 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     validate(params)
     if p_b < 0.0:
         raise ValidationError(f"p_b must be >= 0 W: {p_b}")
-    if mu_b < 0.0:
-        raise ValidationError(f"mu_b must be >= 0: {mu_b}")
+    _check_mu_b(mu_b)
+    return _step1(p_b, mu_b, params, _outage_root(p_b, params))
+
+
+def _step1(p_b: float, mu_b: float, params: SystemParams,
+           root: tuple[float, int]) -> Step1Result:
+    """:func:`solve_step1` from the outage root ``(yz, iterations)`` at
+    ``p_b``, without checking its inputs."""
+    yz_star, iterations = root
     tau = exposure_budget(params)
     log_tau = math.log(tau)
     d_pow = params.d_ab ** params.alpha
     u = d_pow * (params.sigma_b2 + p_b * mu_b) / params.p_a_max
     varpi = d_pow * mu_b / params.p_a_max
-
-    try:
-        # exp(+-700) stays clear of double overflow
-        t_root, info = brentq(
-            lambda t: log_exposure_approx(t, params.p_a_max, p_b, params) - log_tau,
-            -700.0, 700.0, xtol=_XTOL_LOG, full_output=True)
-    except (ValueError, RuntimeError) as exc:
-        raise InfeasibleError(
-            f"outage-constraint root yz not found for ln yz in [-700, 700] "
-            f"(tau={tau}): {exc}") from exc
-    yz_star = math.exp(t_root)
 
     log1p_yz = math.log1p(yz_star)
     c_rhs = -math.log(u) - log1p_yz
@@ -200,7 +222,7 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
 
     return Step1Result(y_star=y_star, yz_star=yz_star, r_c=r_c, r_s=r_s,
                        mu_a=mu_a, omega_tilde=omega_tilde, residual=residual,
-                       omega_forms_gap=forms_gap, iterations=info.iterations,
+                       omega_forms_gap=forms_gap, iterations=iterations,
                        u=u, varpi=varpi)
 
 
@@ -268,16 +290,22 @@ def solve_step2(mu_b: float, params: SystemParams,
     bracket the change, which Brent's method refines on ln p_b.
     """
     validate(params)
-    if mu_b < 0.0:
-        raise ValidationError(f"mu_b must be >= 0: {mu_b}")
+    _check_mu_b(mu_b)
     grid = grid or GridSpec()
     grid.check(params)
+    return _step2(mu_b, params, grid,
+                  functools.cache(lambda p_b: _outage_root(p_b, params)))
 
+
+def _step2(mu_b: float, params: SystemParams, grid: GridSpec,
+           root: Callable[[float], tuple[float, int]]) -> Step2Result:
+    """:func:`solve_step2` with the outage root by jamming power from
+    ``root``, without checking its inputs."""
     # step-1 solves by exact p_b, so no power is solved twice: brentq's end
     # evaluations and the final solve at p_dag reuse solves already made
     @functools.cache
     def step1_at(p_b: float) -> Step1Result:
-        return solve_step1(p_b, mu_b, params)
+        return _step1(p_b, mu_b, params, root(p_b))
 
     def sign_at(p_b: float) -> float:
         return _derivative_sign(p_b, step1_at(p_b), params)
@@ -354,6 +382,8 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     it does not depend on mu_b), and the two are combined with the
     mode-occupancy weights.  The smallest mu_b wins ties, making the search
     deterministic.  ``forced_mu_b`` replaces the grid by that one threshold.
+    The inputs are checked once, here; every mu_b visited shares one outage
+    root per jamming power.
 
     The throughput has a single peak over the grid, so a Fibonacci search
     finds it from about ten of its points; the result equals that of a
@@ -377,8 +407,11 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
         raise ValidationError(
             f"forced p_b must be in (0, p_b_max]: {forced_p_b}")
 
+    # one outage root per jamming power, shared by every mu_b visited; the
+    # memo ends with this call
+    root = functools.cache(lambda p_b: _outage_root(p_b, params))
     try:
-        hd_core = solve_step1(0.0, 0.0, params)
+        hd_core = _step1(0.0, 0.0, params, root(0.0))
     except InfeasibleError as exc:
         raise InfeasibleError(f"half-duplex group: {exc}") from exc
     hd = HdParams(r_c=hd_core.r_c, r_s=hd_core.r_s, mu_a=hd_core.mu_a)
@@ -389,13 +422,14 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     def point(i: int):
         """(omega_s, omega_fd, omega_hd, mu_b, record) at grid index i."""
         mu_b = mu_b_grid[i]
+        _check_mu_b(mu_b)   # only a forced mu_b can fail
         if forced_p_b is not None:
-            step1 = solve_step1(forced_p_b, mu_b, params)
+            step1 = _step1(forced_p_b, mu_b, params, root(forced_p_b))
             record = Step2Result(p_b_dagger=forced_p_b, capped=False,
                                  degenerate=False, step1=step1,
                                  residual=math.nan, iterations=0)
         else:
-            record = solve_step2(mu_b, params, grid)
+            record = _step2(mu_b, params, grid, root)
         omega_fd = throughput_fd(record.step1.r_s, record.step1.mu_a, mu_b, params.rho)
         omega_hd = throughput_hd(hd.r_s, hd.mu_a, mu_b, params.rho)
         return omega_fd + omega_hd, omega_fd, omega_hd, mu_b, record

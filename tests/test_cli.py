@@ -334,6 +334,9 @@ VSOP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10"]
     (SIM + ["--r-cut", "0"], "--r-cut"),
     (SIM + ["--seed", "-1"], "--seed"),
     (["sweep", "--config", SWEEP_INI, "--out", MISSING_DIR_OUT], "--out"),
+    (VSOP + ["--lambda-min", "1e-2", "--lambda-max", "1e-6"], "--lambda-max"),
+    (VSOP + ["--lambda-min", "1e-6", "--lambda-max", "1e-2", "--lambda-steps", "1"],
+     "--lambda-steps"),
 ])
 def test_bad_flag_exits_1_naming_it(argv, named, capsys):
     assert main(argv) == 1
@@ -635,3 +638,38 @@ def test_failed_command_leaves_out_as_it_was(error, code, tmp_path, monkeypatch)
         assert main(["optimize", "--config", DEFAULT_INI, "--out", str(out)]) == code
     assert kept.read_text() == "earlier artifact\n"
     assert not fresh.exists()
+
+
+def test_reused_parser_leaves_no_state_behind(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; calls with optional flags, then
+    # a usage error, then the same commands without those flags must give
+    # what a freshly built parser gives
+    design = tmp_path / "design.json"
+    assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
+    out = tmp_path / "artifact"
+    sim = ["simulate", "--config", DEFAULT_INI, "--solution", str(design),
+           "--slots", "300"]
+    calls = [
+        VSOP + ["--lambda-list", "0,1e-4", "--out", str(out)],
+        sim + ["--r-cut", "900", "--out", str(out)],
+        VSOP + ["--trials", "abc"],
+        VSOP,
+        sim,
+    ]
+
+    def results():
+        found = []
+        for argv in calls:
+            out.unlink(missing_ok=True)
+            code = main(argv)
+            found.append((code, capsys.readouterr(),
+                          out.read_bytes() if out.exists() else None))
+        return found
+
+    assert fdjam.cli._build_parser() is fdjam.cli._build_parser()
+    reused = results()
+    monkeypatch.setattr(fdjam.cli, "_build_parser",
+                        fdjam.cli._build_parser.__wrapped__)
+    fresh = results()
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0]
+    assert reused == fresh

@@ -119,6 +119,19 @@ def test_step1_rejects_invalid_params():
         solve_step1(VI_PB, -1e-8, vi_defaults())
 
 
+def test_step2_rejects_invalid_params():
+    with pytest.raises(ValidationError, match=r"epsilon out of \(0,1\): 0.0"):
+        solve_step2(VI_MU_B, dataclasses.replace(vi_defaults(), epsilon=0.0))
+    with pytest.raises(ValidationError, match=r"mu_b must be >= 0: -1e-08"):
+        solve_step2(-1e-8, vi_defaults())
+    with pytest.raises(ValidationError,
+                       match=r"grid requires 0 < mu_b_min <= mu_b_max"):
+        solve_step2(VI_MU_B, vi_defaults(), GridSpec(mu_b_min=0.0))
+    with pytest.raises(ValidationError,
+                       match=r"p_b_max must be > 0 W to design the jamming mode: 0.0"):
+        solve_step2(VI_MU_B, dataclasses.replace(vi_defaults(), p_b_max=0.0))
+
+
 def test_rate_solvers_fail_only_with_package_errors_on_extreme_inputs():
     # far outside the physical range every solve either returns rates or
     # raises one of the package's own errors, never a bare arithmetic one
@@ -306,27 +319,78 @@ def test_optimize_carries_its_solver_records():
     assert math.isnan(forced.step2.residual) and forced.step2.iterations == 0
 
 
+def _default_config():
+    return load_config(str(Path(__file__).resolve().parents[1]
+                           / "configs" / "default.ini"))
+
+
 def test_step1_solves_per_default_design(monkeypatch):
     # within one step-2 solve each jamming power is solved once: brentq's
     # bracket ends reuse the solves at the floor and the budget, and the
     # final solve at the chosen power reuses one already made; one more
     # solve, at zero jamming, is the half-duplex group
-    config = load_config(str(Path(__file__).resolve().parents[1]
-                             / "configs" / "default.ini"))
+    config = _default_config()
     calls = []
-    original = fdjam.optimizer.solve_step1
+    original = fdjam.optimizer._step1
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(p_b, mu_b, *rest):
+        calls.append((p_b, mu_b))
+        return original(p_b, mu_b, *rest)
 
-    monkeypatch.setattr(fdjam.optimizer, "solve_step1", counted)
+    monkeypatch.setattr(fdjam.optimizer, "_step1", counted)
     optimize(config.system, config.grid)
     assert len(calls) == 21
     assert len(set(calls)) == len(calls)
     # nor twice a few ulps apart, as exp(ln p) of a power already solved
-    for (p1, mu1, _), (p2, mu2, _) in itertools.combinations(calls, 2):
+    for (p1, mu1), (p2, mu2) in itertools.combinations(calls, 2):
         assert mu1 != mu2 or abs(p1 - p2) > 1e-14 * max(p1, p2)
+
+
+def test_outage_roots_and_checks_per_default_design(monkeypatch):
+    # the outage root depends on the jamming power only, so one design
+    # solves it once per power, however many switch levels share it; the
+    # params and the grid are checked once, at the entry
+    config = _default_config()
+    brackets, running, powers, validations, grid_checks = [], [], [], [], []
+    brentq, log_exposure = fdjam.optimizer.brentq, fdjam.optimizer.log_exposure_approx
+    validate, check = fdjam.optimizer.validate, GridSpec.check
+
+    def counted_brentq(f, a, b, **kwargs):
+        brackets.append((a, b))
+        running.append(len(brackets))
+        try:
+            return brentq(f, a, b, **kwargs)
+        finally:
+            running.pop()
+
+    def seen_exposure(log_x, p_a, p_b, params):
+        # the innermost running search is the one evaluating
+        if running and brackets[running[-1] - 1] == (-700.0, 700.0):
+            powers.append((running[-1], p_b))
+        return log_exposure(log_x, p_a, p_b, params)
+
+    def counted_validate(params):
+        validations.append(params)
+        return validate(params)
+
+    def counted_check(grid, params):
+        grid_checks.append(grid)
+        return check(grid, params)
+
+    monkeypatch.setattr(fdjam.optimizer, "brentq", counted_brentq)
+    monkeypatch.setattr(fdjam.optimizer, "log_exposure_approx", seen_exposure)
+    monkeypatch.setattr(fdjam.optimizer, "validate", counted_validate)
+    monkeypatch.setattr(GridSpec, "check", counted_check)
+    optimize(config.system, config.grid)
+    roots = [i for i, ab in enumerate(brackets, 1) if ab == (-700.0, 700.0)]
+    assert len(roots) == 13
+    # each root search sees one power, and no power is searched twice
+    power_of = {}
+    for i, p_b in powers:
+        assert power_of.setdefault(i, p_b) == p_b
+    assert sorted(power_of) == roots
+    assert len(set(power_of.values())) == 13
+    assert len(validations) == 1 and len(grid_checks) == 1
 
 
 def test_optimize_rejects_zero_jamming_budget():
@@ -425,12 +489,14 @@ def test_designs_sit_on_their_closed_form_bound(name, params, grid):
         assert abs(sop / params.epsilon - 1.0) <= 1e-9, group
 
 
-def _failing_above(mu_b_max):
-    def step2(mu_b, params, grid=None):
+def _failing_above(mu_b_max, step2=solve_step2):
+    """``step2`` (the public solver, or the one the design path calls),
+    failing above ``mu_b_max``."""
+    def failing(mu_b, *rest):
         if mu_b > mu_b_max:
             raise InfeasibleError(f"forced above {mu_b_max}")
-        return solve_step2(mu_b, params, grid)
-    return step2
+        return step2(mu_b, *rest)
+    return failing
 
 
 def _with_warnings(fn, *args, **kwargs):
@@ -444,10 +510,12 @@ def _with_warnings(fn, *args, **kwargs):
 def test_optimize_falls_back_to_full_scan_on_infeasible_points(monkeypatch, index):
     p = vi_defaults(lambda_e=1e-5, epsilon=0.05)
     mu_b_grid = GridSpec().mu_b_values()
-    step2 = _failing_above(float(mu_b_grid[index]))
-    monkeypatch.setattr(fdjam.optimizer, "solve_step2", step2)
+    mu_b_max = float(mu_b_grid[index])
+    monkeypatch.setattr(fdjam.optimizer, "_step2",
+                        _failing_above(mu_b_max, fdjam.optimizer._step2))
     sol, caught = _with_warnings(optimize, p)
-    ref, ref_caught = _with_warnings(optimize_reference, p, step2=step2)
+    ref, ref_caught = _with_warnings(optimize_reference, p,
+                                     step2=_failing_above(mu_b_max))
     assert sol == ref and sol.step2 == ref.step2
     assert caught == ref_caught
     assert len(caught) == len(mu_b_grid) - 1 - index
@@ -455,7 +523,8 @@ def test_optimize_falls_back_to_full_scan_on_infeasible_points(monkeypatch, inde
 
 def test_optimize_reports_a_fully_infeasible_grid(monkeypatch):
     p = vi_defaults()
-    monkeypatch.setattr(fdjam.optimizer, "solve_step2", _failing_above(-1.0))
+    monkeypatch.setattr(fdjam.optimizer, "_step2",
+                        _failing_above(-1.0, fdjam.optimizer._step2))
     with pytest.raises(InfeasibleError) as exc, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         optimize(p)
