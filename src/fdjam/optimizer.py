@@ -4,26 +4,28 @@ This module holds the rate and search algebra; the outage model it designs
 against is the closed form of :mod:`fdjam.analytics`.  For a fixed jamming
 power and switch threshold, the throughput maximization over the rates
 reduces to two nested scalar roots in y = 2^r_c - 1 and
-yz = 2^(r_c - r_s) - 1.  The outage constraint pins yz, found by Brent's
-method (Brent, *Algorithms for Minimization without Derivatives*, 1973;
-:func:`scipy.optimize.brentq`) on ln yz; the first-order optimality
-condition pins y through the increasing map :func:`v_of_y`, in closed form
-by the Wright omega function (Corless and Jeffrey, "The Wright omega
-function", 2002; :func:`scipy.special.wrightomega`).  The half-duplex group
-is the same solution at p_b = 0 (:func:`solve_step1`).  The outage root
-depends on the jamming power only, not on the switch threshold, so a
-design solves it once per power and every threshold it visits shares it.
+yz = 2^(r_c - r_s) - 1.  The outage constraint pins yz, an increasing
+convex equation in ln yz solved by Newton's method from an analytic upper
+bound (:func:`_outage_root`); the first-order optimality condition pins y
+through the increasing map :func:`v_of_y`, in closed form by the Wright
+omega function (Corless and Jeffrey, "The Wright omega function", 2002;
+:func:`scipy.special.wrightomega`).  The half-duplex group is the same
+solution at p_b = 0 (:func:`solve_step1`).  The outage root depends on the
+jamming power only, not on the switch threshold, so a design solves it once
+per power and every threshold it visits shares it.
 
 The throughput is quasi-concave in the jamming power: the single sign
 change of its derivative, bracketed by the floor and the budget, is found by
-Brent's method on ln p_b (:func:`solve_step2`).  The switch threshold is
-found on its grid by a Fibonacci search for the single peak of the
-throughput (:func:`optimize`), which returns exactly what an exhaustive scan
-of the grid returns.  Both searches are exact whenever the profile has the
-assumed shape; the test suite checks that shape rather than assume it.
+Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
+1973; :func:`scipy.optimize.brentq`) on ln p_b (:func:`solve_step2`).  The
+switch threshold is found on its grid by a Fibonacci search for the single
+peak of the throughput (:func:`optimize`), which returns exactly what an
+exhaustive scan of the grid returns.  Both searches are exact whenever the
+profile has the assumed shape; the test suite checks that shape rather than
+assume it.
 
-A root without a sign change in its window, a root search that does not
-converge, and a rate beyond double range raise
+A root outside its window, a root search that does not converge, and an
+outage budget or a rate beyond double range raise
 :class:`~fdjam.errors.InfeasibleError` naming the quantity and its window.
 """
 
@@ -58,8 +60,13 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-# Root tolerance on the logarithm of the unknown.
+# Root tolerance on the logarithm of the unknown (step 2).
 _XTOL_LOG = 1e-13
+
+# Newton steps allowed for the outage root (it takes at most 5 on the test
+# scenarios), and the bound on its error in ln yz at which it stops.
+_ROOT_STEPS = 50
+_ROOT_ERROR = 1e-16
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,10 @@ class Step1Result:
     omega_tilde: float    # r_s * exp(-mu_a)
     residual: float       # relative residual of the optimality equation at y_star
     omega_forms_gap: float  # relative gap between the two closed forms of omega_tilde
-    iterations: int       # Brent iterations of the solve that found yz; a design
-                          # makes one per p_b, shared by every mu_b (the rates
-                          # are closed-form)
+    iterations: int       # Newton steps of the solve that found yz (0 at
+                          # p_b = 0, where it is closed form); a design makes
+                          # one per p_b, shared by every mu_b (the rates are
+                          # closed-form)
     u: float              # d_ab^alpha*(sigma_b2 + p_b*mu_b)/p_a_max
     varpi: float          # du/dp_b = d_ab^alpha*mu_b/p_a_max
 
@@ -139,34 +147,88 @@ def _check_mu_b(mu_b: float) -> None:
         raise ValidationError(f"mu_b must be >= 0: {mu_b}")
 
 
-def _outage_root(p_b: float, params: SystemParams) -> tuple[float, int]:
-    """The outage-constraint root yz at jamming power ``p_b`` and the Brent
-    iterations that found it; it does not depend on the switch level."""
+@dataclass(frozen=True)
+class _Budget:
+    """The outage budget of one design's params, formed once at its entry:
+    tau = :func:`~fdjam.analytics.exposure_budget`, ln tau, eta = 2/alpha,
+    and the level L = -ln tau - eta*ln(sigma_e2/p_a_max) of the outage
+    constraint in the form :func:`_outage_root` solves."""
+
+    tau: float
+    log_tau: float
+    eta: float
+    level: float
+
+
+def _budget(params: SystemParams) -> _Budget:
     tau = exposure_budget(params)
+    if not 0.0 < tau < math.inf:
+        raise InfeasibleError(
+            f"outage budget tau={tau} beyond double range "
+            f"(epsilon={params.epsilon}, lambda_e={params.lambda_e})")
     log_tau = math.log(tau)
-    try:
-        # exp(+-700) stays clear of double overflow
-        t_root, info = brentq(
-            lambda t: log_exposure_approx(t, params.p_a_max, p_b, params) - log_tau,
-            -700.0, 700.0, xtol=_XTOL_LOG, full_output=True)
-    except (ValueError, RuntimeError) as exc:
+    eta = 2.0 / params.alpha
+    return _Budget(tau=tau, log_tau=log_tau, eta=eta, level=-log_tau - eta * (
+        math.log(params.sigma_e2) - math.log(params.p_a_max)))
+
+
+def _outage_root(p_b: float, params: SystemParams,
+                 budget: _Budget) -> tuple[float, int]:
+    """The outage-constraint root yz at jamming power ``p_b`` and the Newton
+    steps that found it; it does not depend on the switch level.
+
+    In t = ln yz, with c = p_b/p_a_max, the constraint reads
+    g(t) = ln(1 + c*e^t) + eta*t - L = 0, where g is ln tau minus
+    :func:`~fdjam.analytics.log_exposure_approx` at p_a_max.  g is increasing
+    and convex (eta < g' < 1 + eta, 0 < g'' <= 1/4), and at
+    t_hi = min(L/eta, (L - ln c)/(1 + eta)) it is >= 0, with the root in
+    [t_hi - ln2/eta, t_hi].  So Newton's method from t_hi descends
+    monotonically onto the root and converges quadratically: after a step
+    of size dt the error is at most about dt^2/(8*eta).  At p_b = 0 the root
+    is L/eta, with no step.
+    """
+    eta, level = budget.eta, budget.level
+    t, steps = level / eta, 0
+    if p_b > 0.0:
+        log_c = math.log(p_b) - math.log(params.p_a_max)
+        t = min(t, (level - log_c) / (1.0 + eta))
+        for steps in range(1, _ROOT_STEPS + 1):
+            # ln(1 + e^s) and its slope e^s/(1 + e^s), s = ln(c*e^t), with
+            # no overflow once c*e^t passes double range
+            s = log_c + t
+            if s > 0.0:
+                e = math.exp(-s)
+                softplus, slope = s + math.log1p(e), 1.0 / (1.0 + e)
+            else:
+                e = math.exp(s)
+                softplus, slope = math.log1p(e), e / (1.0 + e)
+            dt = (softplus + eta * t - level) / (slope + eta)
+            t -= dt
+            if dt * dt <= 8.0 * eta * _ROOT_ERROR:
+                break
+        else:
+            raise InfeasibleError(
+                f"outage-constraint root yz not converged in {_ROOT_STEPS} "
+                f"Newton steps (ln yz={t}, tau={budget.tau})")
+    # exp(+-700) stays clear of double overflow
+    if not -700.0 <= t <= 700.0:
         raise InfeasibleError(
             f"outage-constraint root yz not found for ln yz in [-700, 700] "
-            f"(tau={tau}): {exc}") from exc
-    return math.exp(t_root), info.iterations
+            f"(tau={budget.tau}): the root is at ln yz={t:.6g}")
+    return math.exp(t), steps
 
 
 def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     """Maximize r_s*exp(-mu_a) over rates and on-off threshold at fixed p_b.
 
     The outage constraint, :func:`~fdjam.analytics.log_exposure_approx` at
-    the worst-case power p_a_max equal to ln tau, pins yz, found by Brent's
-    method on ln yz in [-700, 700].  Then v(y) = yz pins y: the substitution
-    z = 1/(u*(1+y)) turns it into z + ln z = -ln u - ln(1+yz), solved by the
-    Wright omega function, which yields r_s = z/ln2 and
-    ln(1+y) = ln(1+yz) + z without subtractive cancellation, even when the
-    rate gap is many orders below the rates.  mu_a = u*y saturates the power
-    budget exactly at the threshold.
+    the worst-case power p_a_max equal to ln tau, pins yz, found by Newton's
+    method on ln yz in [-700, 700] (:func:`_outage_root`).  Then v(y) = yz
+    pins y: the substitution z = 1/(u*(1+y)) turns it into
+    z + ln z = -ln u - ln(1+yz), solved by the Wright omega function, which
+    yields r_s = z/ln2 and ln(1+y) = ln(1+yz) + z without subtractive
+    cancellation, even when the rate gap is many orders below the rates.
+    mu_a = u*y saturates the power budget exactly at the threshold.
 
     At p_b = 0 this is the half-duplex group: with no jamming the switch
     level drops out of u.
@@ -175,16 +237,15 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     if p_b < 0.0:
         raise ValidationError(f"p_b must be >= 0 W: {p_b}")
     _check_mu_b(mu_b)
-    return _step1(p_b, mu_b, params, _outage_root(p_b, params))
+    budget = _budget(params)
+    return _step1(p_b, mu_b, params, budget, _outage_root(p_b, params, budget))
 
 
-def _step1(p_b: float, mu_b: float, params: SystemParams,
+def _step1(p_b: float, mu_b: float, params: SystemParams, budget: _Budget,
            root: tuple[float, int]) -> Step1Result:
     """:func:`solve_step1` from the outage root ``(yz, iterations)`` at
     ``p_b``, without checking its inputs."""
     yz_star, iterations = root
-    tau = exposure_budget(params)
-    log_tau = math.log(tau)
     d_pow = params.d_ab ** params.alpha
     u = d_pow * (params.sigma_b2 + p_b * mu_b) / params.p_a_max
     varpi = d_pow * mu_b / params.p_a_max
@@ -193,7 +254,7 @@ def _step1(p_b: float, mu_b: float, params: SystemParams,
     c_rhs = -math.log(u) - log1p_yz
     if c_rhs < -690.0:
         raise InfeasibleError(
-            f"secrecy rate underflows: yz={yz_star}, u={u}, tau={tau}")
+            f"secrecy rate underflows: yz={yz_star}, u={u}, tau={budget.tau}")
     z_star = float(wrightomega(c_rhs))
 
     log1p_y = log1p_yz + z_star
@@ -211,7 +272,7 @@ def _step1(p_b: float, mu_b: float, params: SystemParams,
     v_root = v_of_y(y_star, u)
     if v_root > 0.0:
         lhs = log_exposure_approx(math.log(v_root), params.p_a_max, p_b, params)
-        residual = abs(math.expm1(lhs - log_tau))
+        residual = abs(math.expm1(lhs - budget.log_tau))
     else:
         residual = math.inf
 
@@ -293,11 +354,12 @@ def solve_step2(mu_b: float, params: SystemParams,
     _check_mu_b(mu_b)
     grid = grid or GridSpec()
     grid.check(params)
-    return _step2(mu_b, params, grid,
-                  functools.cache(lambda p_b: _outage_root(p_b, params)))
+    budget = _budget(params)
+    return _step2(mu_b, params, grid, budget,
+                  functools.cache(lambda p_b: _outage_root(p_b, params, budget)))
 
 
-def _step2(mu_b: float, params: SystemParams, grid: GridSpec,
+def _step2(mu_b: float, params: SystemParams, grid: GridSpec, budget: _Budget,
            root: Callable[[float], tuple[float, int]]) -> Step2Result:
     """:func:`solve_step2` with the outage root by jamming power from
     ``root``, without checking its inputs."""
@@ -305,7 +367,7 @@ def _step2(mu_b: float, params: SystemParams, grid: GridSpec,
     # evaluations and the final solve at p_dag reuse solves already made
     @functools.cache
     def step1_at(p_b: float) -> Step1Result:
-        return _step1(p_b, mu_b, params, root(p_b))
+        return _step1(p_b, mu_b, params, budget, root(p_b))
 
     def sign_at(p_b: float) -> float:
         return _derivative_sign(p_b, step1_at(p_b), params)
@@ -407,11 +469,12 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
         raise ValidationError(
             f"forced p_b must be in (0, p_b_max]: {forced_p_b}")
 
-    # one outage root per jamming power, shared by every mu_b visited; the
-    # memo ends with this call
-    root = functools.cache(lambda p_b: _outage_root(p_b, params))
+    # one outage budget, and one outage root per jamming power shared by
+    # every mu_b visited; the memo ends with this call
+    budget = _budget(params)
+    root = functools.cache(lambda p_b: _outage_root(p_b, params, budget))
     try:
-        hd_core = _step1(0.0, 0.0, params, root(0.0))
+        hd_core = _step1(0.0, 0.0, params, budget, root(0.0))
     except InfeasibleError as exc:
         raise InfeasibleError(f"half-duplex group: {exc}") from exc
     hd = HdParams(r_c=hd_core.r_c, r_s=hd_core.r_s, mu_a=hd_core.mu_a)
@@ -424,12 +487,12 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
         mu_b = mu_b_grid[i]
         _check_mu_b(mu_b)   # only a forced mu_b can fail
         if forced_p_b is not None:
-            step1 = _step1(forced_p_b, mu_b, params, root(forced_p_b))
+            step1 = _step1(forced_p_b, mu_b, params, budget, root(forced_p_b))
             record = Step2Result(p_b_dagger=forced_p_b, capped=False,
                                  degenerate=False, step1=step1,
                                  residual=math.nan, iterations=0)
         else:
-            record = _step2(mu_b, params, grid, root)
+            record = _step2(mu_b, params, grid, budget, root)
         omega_fd = throughput_fd(record.step1.r_s, record.step1.mu_a, mu_b, params.rho)
         omega_hd = throughput_hd(hd.r_s, hd.mu_a, mu_b, params.rho)
         return omega_fd + omega_hd, omega_fd, omega_hd, mu_b, record

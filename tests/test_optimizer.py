@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,14 +12,15 @@ import pytest
 import fdjam.optimizer
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
                    dbm_to_watts, optimize, solve_step1, solve_step2, v_of_y)
-from fdjam.analytics import comparison_metrics, hd_weight, sop_approx
+from fdjam.analytics import (comparison_metrics, hd_weight, log_exposure_approx,
+                             sop_approx)
 from fdjam.config import load_config
 from fdjam.params import solution_from_dict, solution_to_dict
 
 from oracles import (derivative_signs, mu_a_from_sop_constraint,
                      omega_s_profile, omega_tilde_formula, optimize_reference,
                      power_scan, random_scenarios, sign_changes, solve_hd,
-                     u_of, vi_defaults, yz_root_brentq)
+                     tau_of, u_of, vi_defaults, yz_root_brentq)
 
 VI_PB = dbm_to_watts(10.0)
 VI_MU_B = 1e-7
@@ -349,25 +352,20 @@ def test_step1_solves_per_default_design(monkeypatch):
 def test_outage_roots_and_checks_per_default_design(monkeypatch):
     # the outage root depends on the jamming power only, so one design
     # solves it once per power, however many switch levels share it; the
-    # params and the grid are checked once, at the entry
+    # params and the grid are checked, and the outage budget formed, once,
+    # at the entry
     config = _default_config()
-    brackets, running, powers, validations, grid_checks = [], [], [], [], []
-    brentq, log_exposure = fdjam.optimizer.brentq, fdjam.optimizer.log_exposure_approx
+    powers, validations, grid_checks, budgets = [], [], [], []
+    root, budget = fdjam.optimizer._outage_root, fdjam.optimizer.exposure_budget
     validate, check = fdjam.optimizer.validate, GridSpec.check
 
-    def counted_brentq(f, a, b, **kwargs):
-        brackets.append((a, b))
-        running.append(len(brackets))
-        try:
-            return brentq(f, a, b, **kwargs)
-        finally:
-            running.pop()
+    def counted_root(p_b, *rest):
+        powers.append(p_b)
+        return root(p_b, *rest)
 
-    def seen_exposure(log_x, p_a, p_b, params):
-        # the innermost running search is the one evaluating
-        if running and brackets[running[-1] - 1] == (-700.0, 700.0):
-            powers.append((running[-1], p_b))
-        return log_exposure(log_x, p_a, p_b, params)
+    def counted_budget(params):
+        budgets.append(params)
+        return budget(params)
 
     def counted_validate(params):
         validations.append(params)
@@ -377,20 +375,16 @@ def test_outage_roots_and_checks_per_default_design(monkeypatch):
         grid_checks.append(grid)
         return check(grid, params)
 
-    monkeypatch.setattr(fdjam.optimizer, "brentq", counted_brentq)
-    monkeypatch.setattr(fdjam.optimizer, "log_exposure_approx", seen_exposure)
+    monkeypatch.setattr(fdjam.optimizer, "_outage_root", counted_root)
+    monkeypatch.setattr(fdjam.optimizer, "exposure_budget", counted_budget)
     monkeypatch.setattr(fdjam.optimizer, "validate", counted_validate)
     monkeypatch.setattr(GridSpec, "check", counted_check)
     optimize(config.system, config.grid)
-    roots = [i for i, ab in enumerate(brackets, 1) if ab == (-700.0, 700.0)]
-    assert len(roots) == 13
-    # each root search sees one power, and no power is searched twice
-    power_of = {}
-    for i, p_b in powers:
-        assert power_of.setdefault(i, p_b) == p_b
-    assert sorted(power_of) == roots
-    assert len(set(power_of.values())) == 13
+    # no power is solved twice
+    assert len(powers) == 13
+    assert len(set(powers)) == 13
     assert len(validations) == 1 and len(grid_checks) == 1
+    assert len(budgets) == 1
 
 
 def test_optimize_rejects_zero_jamming_budget():
@@ -487,6 +481,89 @@ def test_designs_sit_on_their_closed_form_bound(name, params, grid):
     for group, p_b in ((sol.fd, sol.fd.p_b), (sol.hd, 0.0)):
         sop = sop_approx(params.p_a_max, p_b, group.r_c, group.r_s, params)
         assert abs(sop / params.epsilon - 1.0) <= 1e-9, group
+
+
+# ---------------------------------------------------------- outage root
+
+def _root_equation(params):
+    """(eta, L) of the outage root equation ln(1 + c*e^t) + eta*t = L in
+    t = ln yz, c = p_b/p_a_max, from the raw formula."""
+    eta = 2.0 / params.alpha
+    return eta, -math.log(tau_of(params)) - eta * math.log(params.sigma_e2 / params.p_a_max)
+
+
+def _root_at(p_b, params):
+    return fdjam.optimizer._outage_root(p_b, params, fdjam.optimizer._budget(params))
+
+
+@pytest.mark.parametrize("name, params, grid", SEARCH_SCENARIOS, ids=SEARCH_IDS)
+def test_outage_root_matches_brentq_inside_its_bracket(name, params, grid):
+    eta, level = _root_equation(params)
+    log_tau = math.log(tau_of(params))
+    for p_b in (0.0, grid.p_b_floor, 1e-3 * params.p_b_max, params.p_b_max):
+        yz, _ = _root_at(p_b, params)
+        assert yz == pytest.approx(yz_root_brentq(p_b, params), rel=1e-12)
+        t = math.log(yz)
+        t_hi = level / eta if p_b == 0.0 else min(
+            level / eta, (level - math.log(p_b / params.p_a_max)) / (1.0 + eta))
+        slack = 1e-14 * max(1.0, abs(t))
+        assert t_hi - math.log(2.0) / eta - slack <= t <= t_hi + slack
+        residual = log_exposure_approx(t, params.p_a_max, p_b, params) - log_tau
+        assert abs(residual) <= 1e-14 * max(1.0, abs(log_tau))
+
+
+def test_outage_root_without_jamming_is_closed_form():
+    for sc in random_scenarios(20):
+        eta, level = _root_equation(sc.params)
+        yz, steps = _root_at(0.0, sc.params)
+        assert yz == pytest.approx(math.exp(level / eta), rel=1e-14)
+        assert steps == 0
+
+
+def test_outage_root_survives_jamming_term_beyond_double_range():
+    # c = p_b/p_a_max = 1e300 and c*yz near e^714 at the root, past the
+    # largest double; the root stays finite and on its equation
+    params = vi_defaults(alpha=2.0, sigma_e2=5e-324, p_a_max=1.0)
+    p_b = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yz, steps = _root_at(p_b, params)
+    eta, level = _root_equation(params)
+    t, log_c = math.log(yz), math.log(p_b / params.p_a_max)
+    assert 0.0 < yz < math.inf and 0 < steps
+    assert log_c + t > math.log(sys.float_info.max)
+    # ln(1 + c*yz) = ln(c*yz) to double precision this far out
+    assert log_c + t + eta * t == pytest.approx(level, rel=1e-14)
+    # c = 1e310 is itself beyond double range
+    params = vi_defaults(p_a_max=1e-10)
+    assert _root_at(p_b, params)[0] == pytest.approx(yz_root_brentq(p_b, params), rel=1e-12)
+
+
+@pytest.mark.parametrize("lambda_e", [1e200, 1e-300])
+def test_outage_root_outside_its_window_is_infeasible(lambda_e):
+    # a dense field puts ln yz above 700, a sparse one below -700
+    params = vi_defaults(lambda_e=lambda_e)
+    with pytest.raises(InfeasibleError, match="^" + re.escape(
+            f"outage-constraint root yz not found for ln yz in [-700, 700] "
+            f"(tau={tau_of(params)})")):
+        solve_step1(0.0, 0.0, params)
+
+
+def test_outage_root_raises_at_its_step_cap(monkeypatch):
+    monkeypatch.setattr(fdjam.optimizer, "_ROOT_STEPS", 1)
+    with pytest.raises(InfeasibleError,
+                       match=r"outage-constraint root yz not converged in 1 Newton steps"):
+        solve_step1(VI_PB, VI_MU_B, vi_defaults())
+
+
+def test_outage_budget_beyond_double_range_is_infeasible():
+    # tau = -ln(1 - epsilon)/(beta*lambda_e) underflows to 0
+    params = vi_defaults(lambda_e=1e30, epsilon=1e-300)
+    for solve in (lambda: solve_step1(VI_PB, VI_MU_B, params),
+                  lambda: solve_step2(VI_MU_B, params),
+                  lambda: optimize(params)):
+        with pytest.raises(InfeasibleError, match=r"outage budget tau=0.0 beyond double range"):
+            solve()
 
 
 def _failing_above(mu_b_max, step2=solve_step2):
