@@ -13,7 +13,14 @@ gives
 with ``J`` a double integral over squared distance and azimuth.  ``J`` is
 evaluated by one fixed-node composite Gauss-Legendre rule, in log squared
 distance times azimuth, as a single numpy expression; it never fails to
-converge and is memoized, since it does not depend on ``lambda_e``.  In the
+converge and is memoized, since it does not depend on ``lambda_e``.  Its
+panels follow the geometry: one e-fold wide around the length scales (the
+link, the radial decay and the jamming transition, below which the jamming
+factor is near 1), doubling in width in the low tail where the integrand is
+e^t times a slowly varying factor, and, with weak jamming, breaking and
+shrinking around the narrow notch where an eavesdropper sits on top of the
+receiver.  A table over densities forms J, and the closed form's exposure,
+once per geometry (``_sop_column``).  In the
 small transmitter-receiver separation regime the jamming path loss equals
 the signal path loss and ``J`` collapses to a closed form; both routes are
 implemented and cross-validated (the simulator provides a third,
@@ -37,6 +44,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import List, Sequence
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -60,8 +68,10 @@ _MIN_DECAY = _TAIL_EXPONENT / sys.float_info.max
 # Fixed-node rule for J (composite Gauss-Legendre; Davis & Rabinowitz,
 # Methods of Numerical Integration, 1984): 12 nodes per panel on both axes.
 _GL_NODES, _GL_WEIGHTS = roots_legendre(12)
-_PANEL_WIDTH = 1.0                # widest radial panel, in t = ln u
+_PANEL_WIDTH = 1.0                # radial panel width near the scales, in t = ln u
 _LOW_EFOLDS = 40.0                # radial start below the smaller length scale
+_GRADE_MARGIN = 2.0               # panels double from this far below the scales
+_NOTCH_MAX = 0.25                 # resolve the notch when q^(1/alpha) is below this
 _LN4 = math.log(4.0)
 
 
@@ -74,8 +84,8 @@ def _panel_rule(edges: np.ndarray):
 
 
 # azimuth panels graded toward the notch at theta = 0
-_THETA, _THETA_WEIGHTS = _panel_rule(
-    math.pi * np.array([0.0, 0.125, 0.25, 0.5, 1.0]))
+_THETA_EDGES = math.pi * np.array([0.0, 0.125, 0.25, 0.5, 1.0])
+_THETA, _THETA_WEIGHTS = _panel_rule(_THETA_EDGES)
 _SIN2_HALF_THETA = np.sin(0.5 * _THETA) ** 2
 
 
@@ -92,13 +102,21 @@ def _exposure_integral_cached(x: float, p_a: float, p_b: float,
     u = (eavesdropper-to-transmitter distance)^2, integrating u*f dt, and
     the azimuth theta in [0, pi], exploiting the theta -> 2*pi - theta
     symmetry.  The radial axis runs from _LOW_EFOLDS below the smaller of
-    the link scale d_ab^2 and the decay scale a^(-2/alpha) up to the tail
-    cutoff, on panels at most _PANEL_WIDTH wide that also break at
-    d_ab^2/4, d_ab^2, 4*d_ab^2 and the decay scale, so the notch where an
-    eavesdropper sits on top of the receiver (jamming diverges) falls on a
-    panel corner; the azimuth panels halve toward that corner.  The
-    receiver distance is formed as
-    (sqrt(u) - d_ab)^2 + 4*d_ab*sqrt(u)*sin^2(theta/2), a sum of
+    the link scale t_link = ln d_ab^2 and the decay scale
+    t_decay = ln a^(-2/alpha) up to the tail cutoff.  Panels are at most
+    _PANEL_WIDTH wide and break at t_link - ln 4, t_link, t_link + ln 4 and
+    t_decay, so the notch where an eavesdropper sits on top of the receiver
+    (jamming diverges) falls on a panel corner.  Below t_link, t_decay and
+    the jamming transition t_tr = t_link - ln(q)/(alpha/2), under which the
+    jamming factor is near 1, the integrand is e^t times a slowly varying
+    factor.  So from _GRADE_MARGIN under the smallest of the three (or from
+    the lowest break, if that is lower) the panels double in width, 1, 2,
+    4, ..., down to the start.  With weak jamming the notch is narrower than
+    the panels: its half-width is s = q^(1/alpha) in azimuth and about
+    s*d_ab in distance.  When s < _NOTCH_MAX the radial axis also breaks
+    where sqrt(u) = d_ab*(1 -+ s) and d_ab*(1 -+ 4s), and azimuth panels
+    shrinking by 4 from pi/8 reach down to s.  The receiver distance is
+    formed as (sqrt(u) - d_ab)^2 + 4*d_ab*sqrt(u)*sin^2(theta/2), a sum of
     non-negative terms, so it cannot cancel to a negative value.
     """
     a = sigma_e2 * x / p_a            # radial decay coefficient
@@ -112,21 +130,35 @@ def _exposure_integral_cached(x: float, p_a: float, p_b: float,
     half = alpha / 2.0
     t_link = 2.0 * math.log(d_ab)
     t_decay = -math.log(a) / half
+    t_tr = t_link - math.log(q) / half if q > 0.0 else math.inf
     t_lo = min(t_link, t_decay) - _LOW_EFOLDS
     t_cut = t_decay + math.log(_TAIL_EXPONENT) / half
-    breaks = sorted({t_lo, t_cut} | {
-        t for t in (t_link - _LN4, t_link, t_link + _LN4, t_decay)
-        if t_lo < t < t_cut})
-    t, w = _panel_rule(np.concatenate(
-        [np.linspace(lo, hi, math.ceil((hi - lo) / _PANEL_WIDTH) + 1)[:-1]
-         for lo, hi in zip(breaks, breaks[1:])] + [[t_cut]]))
+    cuts = [t_link - _LN4, t_link, t_link + _LN4, t_decay]
+    theta, theta_w, sin2 = _THETA, _THETA_WEIGHTS, _SIN2_HALF_THETA
+    s = q ** (1.0 / alpha)            # notch half-width in azimuth
+    if 0.0 < s < _NOTCH_MAX:
+        cuts += [t_link + 2.0 * math.log1p(k * s) for k in (-4.0, -1.0, 1.0, 4.0)]
+        shrinks = math.ceil(math.log(_THETA_EDGES[1] / s) / _LN4)
+        theta, theta_w = _panel_rule(np.concatenate(
+            [[0.0], _THETA_EDGES[1] * 4.0 ** np.arange(-shrinks, 0.0),
+             _THETA_EDGES[1:]]))
+        sin2 = np.sin(0.5 * theta) ** 2
+    fine = max(min([min(t_link, t_decay, t_tr) - _GRADE_MARGIN] + cuts), t_lo)
+    breaks = sorted({fine, t_cut} | {t for t in cuts if fine < t < t_cut})
+    n_low = math.ceil(math.log2(1.0 + fine - t_lo))    # doubling panels below fine
+    edges = [t_lo] if n_low else []
+    edges += [fine + 1.0 - 2.0 ** k for k in range(n_low - 1, 0, -1)]
+    for lo, hi in zip(breaks, breaks[1:]):
+        n = math.ceil((hi - lo) / _PANEL_WIDTH)
+        edges += [lo + (hi - lo) * k / n for k in range(n)]
+    t, w = _panel_rule(np.array(edges + [t_cut]))
     u = np.exp(t)
     root_u = np.exp(0.5 * t)
     d_bk2 = (((root_u - d_ab) ** 2)[:, None]
-             + (4.0 * d_ab * root_u)[:, None] * _SIN2_HALF_THETA)
+             + (4.0 * d_ab * root_u)[:, None] * sin2)
     jam = 1.0 / (1.0 + q * (u[:, None] / d_bk2) ** half)
     radial = w * u * np.exp(-a * u ** half)
-    return float(2.0 * (radial @ jam @ _THETA_WEIGHTS))
+    return float(2.0 * (radial @ jam @ theta_w))
 
 
 def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
@@ -155,8 +187,7 @@ def _check_sinr_args(x: float, p_a: float, p_b: float) -> None:
 
 def cdf_phi_e_exact(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
     """Best-eavesdropper SINR CDF by the fixed-node double quadrature of J."""
-    j = exposure_integral(x, p_a, p_b, params)
-    return _clamp01(math.exp(-0.5 * params.lambda_e * j))
+    return _cdf_column(x, p_a, p_b, params, (params.lambda_e,), quadrature=True)[0]
 
 
 def field_beta(alpha: float) -> float:
@@ -189,10 +220,23 @@ def root_slope_approx(x: float, p_a: float, p_b: float, params: SystemParams) ->
 def cdf_phi_e_approx(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
     """Best-eavesdropper SINR CDF, closed form for small d_ab:
     exp(-beta*lambda_e*exp(L)), L from :func:`log_exposure_approx`."""
-    _check_sinr_args(x, p_a, p_b)
-    exposure = field_beta(params.alpha) * params.lambda_e * math.exp(
-        log_exposure_approx(math.log(x), p_a, p_b, params))
-    return _clamp01(math.exp(-exposure))
+    return _cdf_column(x, p_a, p_b, params, (params.lambda_e,), quadrature=False)[0]
+
+
+def _cdf_column(x: float, p_a: float, p_b: float, params: SystemParams,
+                lambdas: Sequence[float], quadrature: bool) -> List[float]:
+    """F(x) = exp(-lambda_e*E) at each density of ``lambdas`` (the one in
+    ``params`` is not read), by quadrature, E = J/2, or by the closed form,
+    E = beta*exp(L).  The density-free part is formed once; each density
+    costs one ``math.exp`` (not numpy's, which may differ in the last bit),
+    and the one-density public routes are this column's special case."""
+    if quadrature:
+        weight, exposure = 0.5, exposure_integral(x, p_a, p_b, params)
+    else:
+        _check_sinr_args(x, p_a, p_b)
+        weight = field_beta(params.alpha)
+        exposure = math.exp(log_exposure_approx(math.log(x), p_a, p_b, params))
+    return [_clamp01(math.exp(-(weight * lam * exposure))) for lam in lambdas]
 
 
 def _rate_threshold(r_c: float, r_s: float) -> float:
@@ -207,16 +251,28 @@ def _rate_threshold(r_c: float, r_s: float) -> float:
                               f"SINR threshold beyond double range") from None
 
 
+def _sop_column(p_a: float, p_b: float, r_c: float, r_s: float,
+                params: SystemParams, lambdas: Sequence[float],
+                quadrature: bool) -> List[float]:
+    """Secrecy outage 1 - F(2^(r_c - r_s) - 1) at each density of
+    ``lambdas``, by the route of :func:`_cdf_column`: one J, or one
+    closed-form exposure, for the whole column."""
+    return [_clamp01(1.0 - f) for f in _cdf_column(
+        _rate_threshold(r_c, r_s), p_a, p_b, params, lambdas, quadrature)]
+
+
 def sop_exact(p_a: float, p_b: float, r_c: float, r_s: float,
               params: SystemParams) -> float:
     """Secrecy outage probability 1 - F(2^(r_c - r_s) - 1), quadrature route."""
-    return _clamp01(1.0 - cdf_phi_e_exact(_rate_threshold(r_c, r_s), p_a, p_b, params))
+    return _sop_column(p_a, p_b, r_c, r_s, params, (params.lambda_e,),
+                       quadrature=True)[0]
 
 
 def sop_approx(p_a: float, p_b: float, r_c: float, r_s: float,
                params: SystemParams) -> float:
     """Secrecy outage probability, closed-form small-d_ab route."""
-    return _clamp01(1.0 - cdf_phi_e_approx(_rate_threshold(r_c, r_s), p_a, p_b, params))
+    return _sop_column(p_a, p_b, r_c, r_s, params, (params.lambda_e,),
+                       quadrature=False)[0]
 
 
 def hd_weight(mu_b: float, rho: float) -> float:

@@ -27,12 +27,12 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .analytics import comparison_metrics, sop_approx, sop_exact
+from .analytics import _sop_column, comparison_metrics
 from .config import Config, _value_db, load_config, resolved_dict, sweep_values
 from .errors import InfeasibleError, ValidationError
 from .optimizer import optimize
@@ -73,26 +73,19 @@ def _json_payload(config: Config, body: Dict) -> str:
 
 
 def _csv_text(config: Config, extra_header: Dict[str, object],
-              columns: Sequence[str], rows: List[Dict]) -> str:
+              columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Commented header, then one CSV line per row, each row a sequence in
+    ``columns`` order.  ``csv`` writes None as an empty cell and a float by
+    its repr; non-finite floats become empty cells."""
     lines = [f"# fdjam {__version__}"]
     header = dict(resolved_dict(config))
     header.update(extra_header)
     lines += [f"# {k} = {v}" for k, v in header.items()]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(map(_scalar, row) for row in rows)
     return "\n".join(lines) + "\n" + buf.getvalue()
-
-
-def _csv_cell(v):
-    v = _scalar(v)
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 # --------------------------------------------------------------------------
@@ -190,23 +183,22 @@ def _cmd_validate_sop(args: argparse.Namespace, config: Config) -> str:
     _check_flag(r_c > r_s, "--rate-gap", "large enough that 1.0 + gap > 1.0",
                 args.rate_gap)
 
+    # J and the closed-form exposure do not depend on the density, so each
+    # distance forms them once for its whole column of densities
     rows = []
-    for index, (d_ab, lam) in enumerate(itertools.product(d_abs, lambdas)):
-        params = replace(config.system, d_ab=d_ab, lambda_e=lam)
-        row = {
-            "lambda_e": lam,
-            "d_ab_m": d_ab,
-            "sop_exact": sop_exact(p_a, p_b, r_c, r_s, params),
-            "sop_approx": sop_approx(p_a, p_b, r_c, r_s, params),
-            "sop_mc": None,
-            "mc_stderr": None,
-        }
-        if args.trials > 0:
-            est = empirical_sop(p_a, p_b, r_c, r_s, params, args.trials,
-                                config.r_cut, args.seed + index)
-            row["sop_mc"] = est.value
-            row["mc_stderr"] = est.stderr
-        rows.append(row)
+    for d_ab in d_abs:
+        params = replace(config.system, d_ab=d_ab)
+        rows += zip(lambdas, itertools.repeat(d_ab),
+                    _sop_column(p_a, p_b, r_c, r_s, params, lambdas, quadrature=True),
+                    _sop_column(p_a, p_b, r_c, r_s, params, lambdas, quadrature=False),
+                    itertools.repeat(None), itertools.repeat(None))
+    if args.trials > 0:
+        for index, row in enumerate(rows):
+            lam, d_ab = row[:2]
+            est = empirical_sop(p_a, p_b, r_c, r_s,
+                                replace(config.system, d_ab=d_ab, lambda_e=lam),
+                                args.trials, config.r_cut, args.seed + index)
+            rows[index] = row[:4] + (est.value, est.stderr)
 
     extra = {"p_a_w": p_a, "p_b_w": p_b, "rate_gap_bits": args.rate_gap,
              "trials": args.trials, "seed": args.seed, "block_size": _BLOCK}
@@ -265,7 +257,8 @@ def _cmd_sweep(args: argparse.Namespace, config: Config) -> str:
     extra = {"sweep_variable": spec.variable, "sweep_scale": spec.scale,
              "sweep_steps": spec.steps,
              "sweep_fixed": json.dumps(spec.fixed or {})}
-    return _csv_text(config, extra, _SWEEP_COLUMNS, rows)
+    return _csv_text(config, extra, _SWEEP_COLUMNS,
+                     (tuple(map(row.get, _SWEEP_COLUMNS)) for row in rows))
 
 
 # --------------------------------------------------------------------------

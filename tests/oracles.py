@@ -198,7 +198,12 @@ def exposure_integral_refined(x: float, p_a: float, p_b: float,
     t = ln u from 60 e-folds below the smaller length scale, and azimuth
     panels graded geometrically toward the notch at theta = 0.  A
     convergence reference where adaptive ``quad`` is itself unreliable (its
-    error reaches 1e-8 relative on sub-meter links)."""
+    error reaches 1e-8 relative on sub-meter links).
+
+    With weak jamming the notch has half-width s = q^(1/alpha) in azimuth
+    and about s*d_ab in distance.  The azimuth halving then goes on below
+    pi*2^-12 down to s/16, and when s < 1 the radial axis also breaks where
+    sqrt(u) = d_ab*(1 -+ k*s) for each k = 1/8, 1/4, ..., 8 with k*s < 1."""
     nodes, weights = roots_legendre(24)
 
     def rule(edges):
@@ -215,14 +220,19 @@ def exposure_integral_refined(x: float, p_a: float, p_b: float,
     t_decay = -math.log(a) / half
     t_lo = min(t_link, t_decay) - 60.0
     t_cut = t_decay + math.log(_TAIL_EXPONENT) / half
+    s = q ** (1.0 / alpha)
+    notch = [t_link + 2.0 * math.log1p(sign * k * s)
+             for k in 2.0 ** np.arange(-3.0, 4.0) for sign in (-1.0, 1.0)
+             if 0.0 < s < 1.0 and k * s < 1.0]
     breaks = sorted({t_lo, t_cut} | {
-        t for t in (t_link - math.log(4.0), t_link, t_link + math.log(4.0), t_decay)
-        if t_lo < t < t_cut})
+        t for t in [t_link - math.log(4.0), t_link, t_link + math.log(4.0), t_decay]
+        + notch if t_lo < t < t_cut})
     t, w = rule(np.concatenate(
         [np.linspace(lo, hi, math.ceil((hi - lo) / 0.5) + 1)[:-1]
          for lo, hi in zip(breaks, breaks[1:])] + [[t_cut]]))
+    halvings = max(12.0, math.ceil(math.log2(16.0 * math.pi / s))) if s > 0.0 else 12.0
     theta, theta_w = rule(np.concatenate(
-        [[0.0], math.pi * 2.0 ** -np.arange(12.0, 2.0, -1.0),
+        [[0.0], math.pi * 2.0 ** -np.arange(halvings, 2.0, -1.0),
          np.linspace(0.25 * math.pi, math.pi, 4)]))
     u = np.exp(t)
     d_bk2 = ((np.sqrt(u) - d_ab) ** 2)[:, None] \

@@ -15,6 +15,7 @@ from fdjam.analytics import (_clamp01, cdf_phi_e_approx, cdf_phi_e_exact,
                              exposure_integral, log_exposure_approx,
                              root_slope_approx)
 from fdjam.params import FdParams, HdParams, SwitchedSolution
+import fdjam.analytics as analytics
 
 from oracles import (LinkState, beta_of, exposure_integral_adaptive,
                      exposure_integral_refined, main_channel_sinr, vi_defaults)
@@ -214,6 +215,58 @@ def test_exposure_integral_converged_on_short_links():
     for g in [recorded] + [_geometry(rng, 0.2, 1.0) for _ in range(20)]:
         ref = exposure_integral_refined(**g)
         assert _fixed_node_j(g) == pytest.approx(ref, rel=1e-10, abs=0.0), g
+
+
+def _weak_jamming_geometry(rng):
+    """A geometry with q = p_b*x/p_a from 1e-8 to 1e-4, alpha 2.5-8 and a
+    0.2-100 m link."""
+    p_a = dbm_to_watts(float(rng.uniform(0.0, 30.0)))
+    x = 2.0 ** float(rng.uniform(1.0, 4.0)) - 1.0
+    q = 10.0 ** float(rng.uniform(-8.0, -4.0))
+    return dict(x=x, p_a=p_a, p_b=q * p_a / x,
+                sigma_e2=dbm_to_watts(float(rng.uniform(-100.0, -80.0))),
+                alpha=float(rng.uniform(2.5, 8.0)),
+                d_ab=float(np.exp(rng.uniform(math.log(0.2), math.log(100.0)))))
+
+
+def test_exposure_integral_resolves_the_weak_jamming_notch():
+    # with weak jamming the notch around the receiver (half-width
+    # q^(1/alpha) in azimuth) is narrower than the panels; the rule breaks
+    # there, and J stays within 1e-9 up to alpha 5 and 1e-7 up to alpha 8,
+    # where panels that ignore the notch are off by up to about 1e-5
+    rng = np.random.default_rng(20261022)
+    corners = [dict(x=7.0, p_a=0.1, p_b=0.1e-8 / 7.0, sigma_e2=1e-12,
+                    alpha=alpha, d_ab=10.0) for alpha in (2.5, 4.0, 8.0)]
+    for g in corners + [_weak_jamming_geometry(rng) for _ in range(30)]:
+        rel = 1e-9 if g["alpha"] <= 5.0 else 1e-7
+        ref = exposure_integral_refined(**g)
+        assert _fixed_node_j(g) == pytest.approx(ref, rel=rel, abs=0.0), g
+
+
+def test_cold_exposure_integral_radial_nodes_on_table_geometries(monkeypatch):
+    # geometries like the validate-sop tables: alpha 4, 0.2-30 m links,
+    # jamming 5-15 dB above the signal (q >= 3).  Below the smallest length
+    # scale the radial panels double in width, so a cold J takes at most 360
+    # radial nodes (about 650 on panels one e-fold wide)
+    rule, sizes = analytics._panel_rule, []
+
+    def spy(edges):
+        nodes, weights = rule(edges)
+        sizes.append(nodes.size)
+        return nodes, weights
+
+    monkeypatch.setattr(analytics, "_panel_rule", spy)
+    rng = np.random.default_rng(20261023)
+    for _ in range(64):
+        p_a_dbm = float(rng.uniform(10.0, 25.0))
+        p_a = dbm_to_watts(p_a_dbm)
+        p_b = dbm_to_watts(p_a_dbm + float(rng.uniform(5.0, 15.0)))
+        x = 2.0 ** float(rng.uniform(1.0, 4.0)) - 1.0
+        d_ab = float(np.exp(rng.uniform(math.log(0.2), math.log(30.0))))
+        exposure_integral(x, p_a, p_b, vi_defaults(d_ab=d_ab))
+    # no notch at q >= 3: one radial rule per cold call
+    assert len(sizes) == 64
+    assert max(sizes) <= 360
 
 
 def test_exposure_integral_strictly_decreasing_in_x():

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -8,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdjam.analytics import comparison_metrics
+from fdjam.analytics import comparison_metrics, sop_approx, sop_exact
 from fdjam.cli import main
 from fdjam.config import load_config
 from fdjam.errors import InfeasibleError, ValidationError
 from fdjam.optimizer import optimize, solve_step1, solve_step2
 from fdjam.params import solution_to_dict
+from fdjam.sim import empirical_sop
 from fdjam.units import watts_to_dbm
 import fdjam.cli
 
@@ -270,6 +272,54 @@ def test_validate_sop_skips_mc_without_trials(base_config, tmp_path):
     assert all(row["sop_mc"] == "" for row in rows)
 
 
+@pytest.mark.parametrize("trials", [0, 200])
+def test_validate_sop_rows_equal_the_scalar_routes(trials, capsys):
+    # the table forms J once per distance, yet every cell must equal the
+    # row-by-row public routes on replace(system, d_ab=d, lambda_e=lam), and
+    # row i's Monte Carlo must use seed + i
+    d_abs, lambdas = [0.2, 10.0, 30.0], [0.0, 1e-6, 3e-5, 1e-3]
+    assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab", "0.2,10,30",
+                 "--lambda-list", "0,1e-6,3e-5,1e-3", "--trials", str(trials),
+                 "--seed", "7"]) == 0
+    _, rows = _read_csv_text(capsys.readouterr().out)
+    config = load_config(DEFAULT_INI)
+    p_a, p_b, r_c, r_s = 0.1, 1.0, 4.0, 1.0        # the flag defaults
+    assert len(rows) == len(d_abs) * len(lambdas)
+    for index, (row, (d_ab, lam)) in enumerate(
+            zip(rows, itertools.product(d_abs, lambdas))):
+        params = dataclasses.replace(config.system, d_ab=d_ab, lambda_e=lam)
+        expected = [lam, d_ab, sop_exact(p_a, p_b, r_c, r_s, params),
+                    sop_approx(p_a, p_b, r_c, r_s, params)]
+        if trials:
+            est = empirical_sop(p_a, p_b, r_c, r_s, params, trials,
+                                config.r_cut, 7 + index)
+            expected += [est.value, est.stderr]
+        cells = [float(row[k]) for k in
+                 ("lambda_e", "d_ab_m", "sop_exact", "sop_approx", "sop_mc",
+                  "mc_stderr")[:len(expected)]]
+        assert cells == expected, index
+        if not trials:
+            assert row["sop_mc"] == row["mc_stderr"] == ""
+
+
+def test_validate_sop_forms_j_once_per_distance(monkeypatch, capsys):
+    # J does not depend on the density: 3 distances x 25 densities ask for
+    # it 3 times, not 75
+    calls = []
+    j = fdjam.analytics.exposure_integral
+
+    def counted(*args):
+        calls.append(args)
+        return j(*args)
+
+    monkeypatch.setattr(fdjam.analytics, "exposure_integral", counted)
+    assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab", "0.2,10,30",
+                 "--lambda-steps", "25", "--trials", "0"]) == 0
+    _, rows = _read_csv_text(capsys.readouterr().out)
+    assert len(rows) == 75
+    assert len(calls) == 3
+
+
 EXTREME_GAP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10",
                "--lambda-list", "1e-4"]
 
@@ -516,10 +566,19 @@ steps = 3
 """)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    _, rows = _read_csv(str(out))
+    text = out.read_bytes().decode("utf-8")
+    comments, rows = _read_csv_text(text)
     assert rows[0]["error"] == "" and float(rows[0]["omega_s"]) > 0.0
     assert "epsilon" in rows[2]["error"]
     assert rows[2]["omega_s"] == ""
+    # the error holds a comma: the file must be byte for byte what
+    # csv.DictWriter writes for the same cells
+    assert "," in rows[2]["error"]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    assert text == "\n".join(comments) + "\n" + buf.getvalue()
 
 
 # ---------------------------------------------------------------- simulate
