@@ -13,18 +13,17 @@ gives
 with ``J`` a double integral over squared distance and azimuth.  ``J`` is
 evaluated by one fixed-node composite Gauss-Legendre rule, in log squared
 distance times azimuth, as a single numpy expression; it never fails to
-converge and is memoized, since it does not depend on ``lambda_e``.  Its
-panels follow the geometry: one e-fold wide around the length scales (the
-link, the radial decay and the jamming transition, below which the jamming
-factor is near 1), doubling in width in the low tail where the integrand is
-e^t times a slowly varying factor, and, with weak jamming, breaking and
-shrinking around the narrow notch where an eavesdropper sits on top of the
-receiver.  A table over densities forms J, and the closed form's exposure,
-once per geometry (``_sop_column``).  In the
-small transmitter-receiver separation regime the jamming path loss equals
-the signal path loss and ``J`` collapses to a closed form; both routes are
-implemented and cross-validated (the simulator provides a third,
-Monte Carlo, route).
+converge.  Its panels follow the geometry: one e-fold wide around the length
+scales (the link, the radial decay and the jamming transition, below which
+the jamming factor is near 1), doubling in width in the low tail where the
+integrand is e^t times a slowly varying factor, and, with weak jamming,
+breaking and shrinking around the narrow notch where an eavesdropper sits on
+top of the receiver.  ``J`` does not depend on ``lambda_e``, so a table over
+densities forms it, and the closed form's exposure, once per geometry
+(``_sop_column``).  In the small transmitter-receiver separation regime the
+jamming path loss equals the signal path loss and ``J`` collapses to a
+closed form; both routes are implemented and cross-validated (the simulator
+provides a third, Monte Carlo, route).
 
 The closed form is the paper's outage model, defined here once for the
 optimizer's design and for :func:`sop_approx`.  With q = p_b*x/p_a,
@@ -43,7 +42,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence
 
 import numpy as np
@@ -69,7 +67,7 @@ _MIN_DECAY = _TAIL_EXPONENT / sys.float_info.max
 # Methods of Numerical Integration, 1984): 12 nodes per panel on both axes.
 _GL_NODES, _GL_WEIGHTS = roots_legendre(12)
 _PANEL_WIDTH = 1.0                # radial panel width near the scales, in t = ln u
-_LOW_EFOLDS = 40.0                # radial start below the smaller length scale
+_LOW_EFOLDS = 40.0                # radial start below the smallest length scale
 _GRADE_MARGIN = 2.0               # panels double from this far below the scales
 _NOTCH_MAX = 0.25                 # resolve the notch when q^(1/alpha) is below this
 _LN4 = math.log(4.0)
@@ -93,32 +91,38 @@ def _clamp01(p: float) -> float:
     return min(max(p, 0.0), 1.0)    # a NaN first argument survives max and min
 
 
-@lru_cache(maxsize=512)
-def _exposure_integral_cached(x: float, p_a: float, p_b: float,
-                              sigma_e2: float, alpha: float, d_ab: float) -> float:
-    """The double integral J(x); see module docstring.
+def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
+    """J(x) such that the best-eavesdropper SINR CDF is exp(-lambda_e/2 * J).
+
+    Independent of ``lambda_e``, so a table over the eavesdropper density
+    forms it once per geometry (:func:`_cdf_column`).  Raises
+    :class:`ValidationError` when the radial decay coefficient
+    sigma_e2*x/p_a is below 50/DBL_MAX, where J cannot be formed in doubles.
 
     One tensor-product composite Gauss-Legendre rule over t = ln u, with
     u = (eavesdropper-to-transmitter distance)^2, integrating u*f dt, and
     the azimuth theta in [0, pi], exploiting the theta -> 2*pi - theta
-    symmetry.  The radial axis runs from _LOW_EFOLDS below the smaller of
-    the link scale t_link = ln d_ab^2 and the decay scale
-    t_decay = ln a^(-2/alpha) up to the tail cutoff.  Panels are at most
-    _PANEL_WIDTH wide and break at t_link - ln 4, t_link, t_link + ln 4 and
-    t_decay, so the notch where an eavesdropper sits on top of the receiver
-    (jamming diverges) falls on a panel corner.  Below t_link, t_decay and
-    the jamming transition t_tr = t_link - ln(q)/(alpha/2), under which the
-    jamming factor is near 1, the integrand is e^t times a slowly varying
-    factor.  So from _GRADE_MARGIN under the smallest of the three (or from
-    the lowest break, if that is lower) the panels double in width, 1, 2,
-    4, ..., down to the start.  With weak jamming the notch is narrower than
-    the panels: its half-width is s = q^(1/alpha) in azimuth and about
-    s*d_ab in distance.  When s < _NOTCH_MAX the radial axis also breaks
-    where sqrt(u) = d_ab*(1 -+ s) and d_ab*(1 -+ 4s), and azimuth panels
-    shrinking by 4 from pi/8 reach down to s.  The receiver distance is
-    formed as (sqrt(u) - d_ab)^2 + 4*d_ab*sqrt(u)*sin^2(theta/2), a sum of
+    symmetry.  Three length scales shape the radial axis: the link
+    t_link = ln d_ab^2, the decay t_decay = ln a^(-2/alpha), and the jamming
+    transition t_tr = t_link - ln(q)/(alpha/2), under which the jamming
+    factor is near 1.  The axis runs from _LOW_EFOLDS below the smallest of
+    the three up to the tail cutoff.  Panels are at most _PANEL_WIDTH wide
+    and break at t_link - ln 4, t_link, t_link + ln 4 and t_decay, so the
+    notch where an eavesdropper sits on top of the receiver (jamming
+    diverges) falls on a panel corner.  Below all three scales the
+    integrand is e^t times a slowly varying factor.  So from _GRADE_MARGIN
+    under the smallest of them (or from the lowest break, if that is lower)
+    the panels double in width, 1, 2, 4, ..., down to the start.  With weak
+    jamming the notch is narrower than the panels: its half-width is
+    s = q^(1/alpha) in azimuth and about s*d_ab in distance.  When
+    s < _NOTCH_MAX the radial axis also breaks where sqrt(u) = d_ab*(1 -+ s)
+    and d_ab*(1 -+ 4s), and azimuth panels shrinking by 4 from pi/8 reach
+    down to s.  The receiver distance is formed as
+    (sqrt(u) - d_ab)^2 + 4*d_ab*sqrt(u)*sin^2(theta/2), a sum of
     non-negative terms, so it cannot cancel to a negative value.
     """
+    _check_sinr_args(x, p_a, p_b)
+    sigma_e2, alpha, d_ab = params.sigma_e2, params.alpha, params.d_ab
     a = sigma_e2 * x / p_a            # radial decay coefficient
     q = p_b * x / p_a                 # jamming-to-signal weight
     if q == math.inf:
@@ -131,7 +135,8 @@ def _exposure_integral_cached(x: float, p_a: float, p_b: float,
     t_link = 2.0 * math.log(d_ab)
     t_decay = -math.log(a) / half
     t_tr = t_link - math.log(q) / half if q > 0.0 else math.inf
-    t_lo = min(t_link, t_decay) - _LOW_EFOLDS
+    t_min = min(t_link, t_decay, t_tr)
+    t_lo = t_min - _LOW_EFOLDS
     t_cut = t_decay + math.log(_TAIL_EXPONENT) / half
     cuts = [t_link - _LN4, t_link, t_link + _LN4, t_decay]
     theta, theta_w, sin2 = _THETA, _THETA_WEIGHTS, _SIN2_HALF_THETA
@@ -143,7 +148,7 @@ def _exposure_integral_cached(x: float, p_a: float, p_b: float,
             [[0.0], _THETA_EDGES[1] * 4.0 ** np.arange(-shrinks, 0.0),
              _THETA_EDGES[1:]]))
         sin2 = np.sin(0.5 * theta) ** 2
-    fine = max(min([min(t_link, t_decay, t_tr) - _GRADE_MARGIN] + cuts), t_lo)
+    fine = max(min([t_min - _GRADE_MARGIN] + cuts), t_lo)
     breaks = sorted({fine, t_cut} | {t for t in cuts if fine < t < t_cut})
     n_low = math.ceil(math.log2(1.0 + fine - t_lo))    # doubling panels below fine
     edges = [t_lo] if n_low else []
@@ -159,20 +164,6 @@ def _exposure_integral_cached(x: float, p_a: float, p_b: float,
     jam = 1.0 / (1.0 + q * (u[:, None] / d_bk2) ** half)
     radial = w * u * np.exp(-a * u ** half)
     return float(2.0 * (radial @ jam @ theta_w))
-
-
-def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
-    """J(x) such that the best-eavesdropper SINR CDF is exp(-lambda_e/2 * J).
-
-    Independent of ``lambda_e``, so sweeps over the eavesdropper density can
-    reuse one evaluation (results are memoized on the remaining arguments).
-    Raises :class:`ValidationError` when the radial decay coefficient
-    sigma_e2*x/p_a is below 50/DBL_MAX, where J cannot be formed in doubles.
-    """
-    _check_sinr_args(x, p_a, p_b)
-    return _exposure_integral_cached(float(x), float(p_a), float(p_b),
-                                     float(params.sigma_e2), float(params.alpha),
-                                     float(params.d_ab))
 
 
 def _check_sinr_args(x: float, p_a: float, p_b: float) -> None:

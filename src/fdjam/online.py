@@ -55,8 +55,10 @@ def decide_slots(gamma_ab: np.ndarray, gamma_bb: np.ndarray,
     also zero in HD mode).
 
     Residual self-interference at or below the switch threshold selects the
-    jamming branch (ties jam); within a branch, transmission happens only if
-    the main-channel gain clears that branch's on-off threshold.  The
+    jamming branch (ties jam; mu_b = 0, the pure half-duplex design, never
+    jams, as in :func:`~fdjam.analytics.hd_weight`); within a branch,
+    transmission happens only if the main-channel gain clears that branch's
+    on-off threshold.  The
     transmit power inverts the main-channel capacity at the branch's
     codeword rate, so the realized capacity equals the rate exactly and the
     power never exceeds the budget (equality at the threshold corner).
@@ -70,7 +72,7 @@ def decide_slots(gamma_ab: np.ndarray, gamma_bb: np.ndarray,
             f"channel gains must be >= 0: gamma_ab={float(gamma_ab[i])}, "
             f"gamma_bb={float(gamma_bb[i])}")
     fd, hd = solution.fd, solution.hd
-    jam = params.rho * gamma_bb <= solution.mu_b
+    jam = (solution.mu_b > 0.0) & (params.rho * gamma_bb <= solution.mu_b)
     is_fd = jam & (gamma_ab >= fd.mu_a)
     is_hd = ~jam & (gamma_ab >= hd.mu_a)
     tx = is_fd | is_hd

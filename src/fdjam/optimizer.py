@@ -6,13 +6,13 @@ power and switch threshold, the throughput maximization over the rates
 reduces to two nested scalar roots in y = 2^r_c - 1 and
 yz = 2^(r_c - r_s) - 1.  The outage constraint pins yz, an increasing
 convex equation in ln yz solved by Newton's method from an analytic upper
-bound (:func:`_outage_root`); the first-order optimality condition pins y
+bound (:class:`_Outage`); the first-order optimality condition pins y
 through the increasing map :func:`v_of_y`, in closed form by the Wright
 omega function (Corless and Jeffrey, "The Wright omega function", 2002;
 :func:`scipy.special.wrightomega`).  The half-duplex group is the same
 solution at p_b = 0 (:func:`solve_step1`).  The outage root depends on the
-jamming power only, not on the switch threshold, so a design solves it once
-per power and every threshold it visits shares it.
+jamming power only, so each entry's :class:`_Outage` solves it once per
+power for every threshold the call visits.
 
 The throughput is quasi-concave in the jamming power: the single sign
 change of its derivative, bracketed by the floor and the budget, is found by
@@ -147,75 +147,77 @@ def _check_mu_b(mu_b: float) -> None:
         raise ValidationError(f"mu_b must be >= 0: {mu_b}")
 
 
-@dataclass(frozen=True)
-class _Budget:
-    """The outage budget of one design's params, formed once at its entry:
-    tau = :func:`~fdjam.analytics.exposure_budget`, ln tau, eta = 2/alpha,
-    and the level L = -ln tau - eta*ln(sigma_e2/p_a_max) of the outage
-    constraint in the form :func:`_outage_root` solves."""
+class _Outage:
+    """The closed-form outage constraint of one design's params, formed once
+    at its entry: tau = :func:`~fdjam.analytics.exposure_budget`, ln tau,
+    eta = 2/alpha, and the level L = -ln tau - eta*ln(sigma_e2/p_a_max) of
+    the constraint in the form :meth:`_newton` solves, and the roots solved
+    so far, by jamming power."""
 
-    tau: float
-    log_tau: float
-    eta: float
-    level: float
-
-
-def _budget(params: SystemParams) -> _Budget:
-    tau = exposure_budget(params)
-    if not 0.0 < tau < math.inf:
-        raise InfeasibleError(
-            f"outage budget tau={tau} beyond double range "
-            f"(epsilon={params.epsilon}, lambda_e={params.lambda_e})")
-    log_tau = math.log(tau)
-    eta = 2.0 / params.alpha
-    return _Budget(tau=tau, log_tau=log_tau, eta=eta, level=-log_tau - eta * (
-        math.log(params.sigma_e2) - math.log(params.p_a_max)))
-
-
-def _outage_root(p_b: float, params: SystemParams,
-                 budget: _Budget) -> tuple[float, int]:
-    """The outage-constraint root yz at jamming power ``p_b`` and the Newton
-    steps that found it; it does not depend on the switch level.
-
-    In t = ln yz, with c = p_b/p_a_max, the constraint reads
-    g(t) = ln(1 + c*e^t) + eta*t - L = 0, where g is ln tau minus
-    :func:`~fdjam.analytics.log_exposure_approx` at p_a_max.  g is increasing
-    and convex (eta < g' < 1 + eta, 0 < g'' <= 1/4), and at
-    t_hi = min(L/eta, (L - ln c)/(1 + eta)) it is >= 0, with the root in
-    [t_hi - ln2/eta, t_hi].  So Newton's method from t_hi descends
-    monotonically onto the root and converges quadratically: after a step
-    of size dt the error is at most about dt^2/(8*eta).  At p_b = 0 the root
-    is L/eta, with no step.
-    """
-    eta, level = budget.eta, budget.level
-    t, steps = level / eta, 0
-    if p_b > 0.0:
-        log_c = math.log(p_b) - math.log(params.p_a_max)
-        t = min(t, (level - log_c) / (1.0 + eta))
-        for steps in range(1, _ROOT_STEPS + 1):
-            # ln(1 + e^s) and its slope e^s/(1 + e^s), s = ln(c*e^t), with
-            # no overflow once c*e^t passes double range
-            s = log_c + t
-            if s > 0.0:
-                e = math.exp(-s)
-                softplus, slope = s + math.log1p(e), 1.0 / (1.0 + e)
-            else:
-                e = math.exp(s)
-                softplus, slope = math.log1p(e), e / (1.0 + e)
-            dt = (softplus + eta * t - level) / (slope + eta)
-            t -= dt
-            if dt * dt <= 8.0 * eta * _ROOT_ERROR:
-                break
-        else:
+    def __init__(self, params: SystemParams) -> None:
+        tau = exposure_budget(params)
+        if not 0.0 < tau < math.inf:
             raise InfeasibleError(
-                f"outage-constraint root yz not converged in {_ROOT_STEPS} "
-                f"Newton steps (ln yz={t}, tau={budget.tau})")
-    # exp(+-700) stays clear of double overflow
-    if not -700.0 <= t <= 700.0:
-        raise InfeasibleError(
-            f"outage-constraint root yz not found for ln yz in [-700, 700] "
-            f"(tau={budget.tau}): the root is at ln yz={t:.6g}")
-    return math.exp(t), steps
+                f"outage budget tau={tau} beyond double range "
+                f"(epsilon={params.epsilon}, lambda_e={params.lambda_e})")
+        self.params = params
+        self.tau = tau
+        self.log_tau = math.log(tau)
+        self.eta = 2.0 / params.alpha
+        self.level = -self.log_tau - self.eta * (
+            math.log(params.sigma_e2) - math.log(params.p_a_max))
+        self._roots: dict[float, tuple[float, int]] = {}
+
+    def root(self, p_b: float) -> tuple[float, int]:
+        """:meth:`_newton` at ``p_b``, solved once for the object's life, so
+        every switch level a design visits shares one root per power."""
+        if p_b not in self._roots:
+            self._roots[p_b] = self._newton(p_b)
+        return self._roots[p_b]
+
+    def _newton(self, p_b: float) -> tuple[float, int]:
+        """The outage-constraint root yz at jamming power ``p_b`` and the
+        Newton steps that found it; it does not depend on the switch level.
+
+        In t = ln yz, with c = p_b/p_a_max, the constraint reads
+        g(t) = ln(1 + c*e^t) + eta*t - L = 0, where g is ln tau minus
+        :func:`~fdjam.analytics.log_exposure_approx` at p_a_max.  g is
+        increasing and convex (eta < g' < 1 + eta, 0 < g'' <= 1/4), and at
+        t_hi = min(L/eta, (L - ln c)/(1 + eta)) it is >= 0, with the root in
+        [t_hi - ln2/eta, t_hi].  So Newton's method from t_hi descends
+        monotonically onto the root and converges quadratically: after a
+        step of size dt the error is at most about dt^2/(8*eta).  At p_b = 0
+        the root is L/eta, with no step.
+        """
+        eta, level = self.eta, self.level
+        t, steps = level / eta, 0
+        if p_b > 0.0:
+            log_c = math.log(p_b) - math.log(self.params.p_a_max)
+            t = min(t, (level - log_c) / (1.0 + eta))
+            for steps in range(1, _ROOT_STEPS + 1):
+                # ln(1 + e^s) and its slope e^s/(1 + e^s), s = ln(c*e^t), with
+                # no overflow once c*e^t passes double range
+                s = log_c + t
+                if s > 0.0:
+                    e = math.exp(-s)
+                    softplus, slope = s + math.log1p(e), 1.0 / (1.0 + e)
+                else:
+                    e = math.exp(s)
+                    softplus, slope = math.log1p(e), e / (1.0 + e)
+                dt = (softplus + eta * t - level) / (slope + eta)
+                t -= dt
+                if dt * dt <= 8.0 * eta * _ROOT_ERROR:
+                    break
+            else:
+                raise InfeasibleError(
+                    f"outage-constraint root yz not converged in {_ROOT_STEPS} "
+                    f"Newton steps (ln yz={t}, tau={self.tau})")
+        # exp(+-700) stays clear of double overflow
+        if not -700.0 <= t <= 700.0:
+            raise InfeasibleError(
+                f"outage-constraint root yz not found for ln yz in [-700, 700] "
+                f"(tau={self.tau}): the root is at ln yz={t:.6g}")
+        return math.exp(t), steps
 
 
 def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
@@ -223,7 +225,7 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
 
     The outage constraint, :func:`~fdjam.analytics.log_exposure_approx` at
     the worst-case power p_a_max equal to ln tau, pins yz, found by Newton's
-    method on ln yz in [-700, 700] (:func:`_outage_root`).  Then v(y) = yz
+    method on ln yz in [-700, 700] (:meth:`_Outage._newton`).  Then v(y) = yz
     pins y: the substitution z = 1/(u*(1+y)) turns it into
     z + ln z = -ln u - ln(1+yz), solved by the Wright omega function, which
     yields r_s = z/ln2 and ln(1+y) = ln(1+yz) + z without subtractive
@@ -237,15 +239,14 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     if p_b < 0.0:
         raise ValidationError(f"p_b must be >= 0 W: {p_b}")
     _check_mu_b(mu_b)
-    budget = _budget(params)
-    return _step1(p_b, mu_b, params, budget, _outage_root(p_b, params, budget))
+    return _step1(p_b, mu_b, _Outage(params))
 
 
-def _step1(p_b: float, mu_b: float, params: SystemParams, budget: _Budget,
-           root: tuple[float, int]) -> Step1Result:
-    """:func:`solve_step1` from the outage root ``(yz, iterations)`` at
-    ``p_b``, without checking its inputs."""
-    yz_star, iterations = root
+def _step1(p_b: float, mu_b: float, outage: _Outage) -> Step1Result:
+    """:func:`solve_step1` on the outage constraint ``outage``, without
+    checking its inputs."""
+    params = outage.params
+    yz_star, iterations = outage.root(p_b)
     d_pow = params.d_ab ** params.alpha
     u = d_pow * (params.sigma_b2 + p_b * mu_b) / params.p_a_max
     varpi = d_pow * mu_b / params.p_a_max
@@ -254,7 +255,7 @@ def _step1(p_b: float, mu_b: float, params: SystemParams, budget: _Budget,
     c_rhs = -math.log(u) - log1p_yz
     if c_rhs < -690.0:
         raise InfeasibleError(
-            f"secrecy rate underflows: yz={yz_star}, u={u}, tau={budget.tau}")
+            f"secrecy rate underflows: yz={yz_star}, u={u}, tau={outage.tau}")
     z_star = float(wrightomega(c_rhs))
 
     log1p_y = log1p_yz + z_star
@@ -272,7 +273,7 @@ def _step1(p_b: float, mu_b: float, params: SystemParams, budget: _Budget,
     v_root = v_of_y(y_star, u)
     if v_root > 0.0:
         lhs = log_exposure_approx(math.log(v_root), params.p_a_max, p_b, params)
-        residual = abs(math.expm1(lhs - budget.log_tau))
+        residual = abs(math.expm1(lhs - outage.log_tau))
     else:
         residual = math.inf
 
@@ -354,20 +355,19 @@ def solve_step2(mu_b: float, params: SystemParams,
     _check_mu_b(mu_b)
     grid = grid or GridSpec()
     grid.check(params)
-    budget = _budget(params)
-    return _step2(mu_b, params, grid, budget,
-                  functools.cache(lambda p_b: _outage_root(p_b, params, budget)))
+    return _step2(mu_b, grid, _Outage(params))
 
 
-def _step2(mu_b: float, params: SystemParams, grid: GridSpec, budget: _Budget,
-           root: Callable[[float], tuple[float, int]]) -> Step2Result:
-    """:func:`solve_step2` with the outage root by jamming power from
-    ``root``, without checking its inputs."""
+def _step2(mu_b: float, grid: GridSpec, outage: _Outage) -> Step2Result:
+    """:func:`solve_step2` on the outage constraint ``outage``, without
+    checking its inputs."""
+    params = outage.params
+
     # step-1 solves by exact p_b, so no power is solved twice: brentq's end
     # evaluations and the final solve at p_dag reuse solves already made
     @functools.cache
     def step1_at(p_b: float) -> Step1Result:
-        return _step1(p_b, mu_b, params, budget, root(p_b))
+        return _step1(p_b, mu_b, outage)
 
     def sign_at(p_b: float) -> float:
         return _derivative_sign(p_b, step1_at(p_b), params)
@@ -444,8 +444,9 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     it does not depend on mu_b), and the two are combined with the
     mode-occupancy weights.  The smallest mu_b wins ties, making the search
     deterministic.  ``forced_mu_b`` replaces the grid by that one threshold.
-    The inputs are checked once, here; every mu_b visited shares one outage
-    root per jamming power.
+    The inputs are checked, and the outage budget formed, once, here; every
+    mu_b visited shares one outage root per jamming power, remembered only
+    for this call.
 
     The throughput has a single peak over the grid, so a Fibonacci search
     finds it from about ten of its points; the result equals that of a
@@ -469,12 +470,9 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
         raise ValidationError(
             f"forced p_b must be in (0, p_b_max]: {forced_p_b}")
 
-    # one outage budget, and one outage root per jamming power shared by
-    # every mu_b visited; the memo ends with this call
-    budget = _budget(params)
-    root = functools.cache(lambda p_b: _outage_root(p_b, params, budget))
+    outage = _Outage(params)
     try:
-        hd_core = _step1(0.0, 0.0, params, budget, root(0.0))
+        hd_core = _step1(0.0, 0.0, outage)
     except InfeasibleError as exc:
         raise InfeasibleError(f"half-duplex group: {exc}") from exc
     hd = HdParams(r_c=hd_core.r_c, r_s=hd_core.r_s, mu_a=hd_core.mu_a)
@@ -487,12 +485,12 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
         mu_b = mu_b_grid[i]
         _check_mu_b(mu_b)   # only a forced mu_b can fail
         if forced_p_b is not None:
-            step1 = _step1(forced_p_b, mu_b, params, budget, root(forced_p_b))
+            step1 = _step1(forced_p_b, mu_b, outage)
             record = Step2Result(p_b_dagger=forced_p_b, capped=False,
                                  degenerate=False, step1=step1,
                                  residual=math.nan, iterations=0)
         else:
-            record = _step2(mu_b, params, grid, budget, root)
+            record = _step2(mu_b, grid, outage)
         omega_fd = throughput_fd(record.step1.r_s, record.step1.mu_a, mu_b, params.rho)
         omega_hd = throughput_hd(hd.r_s, hd.mu_a, mu_b, params.rho)
         return omega_fd + omega_hd, omega_fd, omega_hd, mu_b, record

@@ -195,7 +195,8 @@ def exposure_integral_refined(x: float, p_a: float, p_b: float,
                               sigma_e2: float, alpha: float, d_ab: float) -> float:
     """J(x) by a much finer fixed-node rule than the package's: 24
     Gauss-Legendre nodes per panel, radial panels at most 0.5 wide in
-    t = ln u from 60 e-folds below the smaller length scale, and azimuth
+    t = ln u from 60 e-folds below the smallest length scale (link, decay
+    or jamming transition t_link - ln(q)/(alpha/2)), and azimuth
     panels graded geometrically toward the notch at theta = 0.  A
     convergence reference where adaptive ``quad`` is itself unreliable (its
     error reaches 1e-8 relative on sub-meter links).
@@ -218,7 +219,8 @@ def exposure_integral_refined(x: float, p_a: float, p_b: float,
     half = alpha / 2.0
     t_link = 2.0 * math.log(d_ab)
     t_decay = -math.log(a) / half
-    t_lo = min(t_link, t_decay) - 60.0
+    t_tr = t_link - math.log(q) / half if q > 0.0 else math.inf
+    t_lo = min(t_link, t_decay, t_tr) - 60.0
     t_cut = t_decay + math.log(_TAIL_EXPONENT) / half
     s = q ** (1.0 / alpha)
     notch = [t_link + 2.0 * math.log1p(sign * k * s)
@@ -336,7 +338,7 @@ def decide_reference(gamma_ab: float, gamma_bb: float,
                 f"{params.p_a_max} W; the solution violates its threshold invariants")
         return min(p_a, params.p_a_max)
 
-    if params.rho * gamma_bb <= solution.mu_b:
+    if solution.mu_b > 0.0 and params.rho * gamma_bb <= solution.mu_b:
         fd = solution.fd
         if gamma_ab >= fd.mu_a:
             noise = params.sigma_b2 + params.rho * fd.p_b * gamma_bb

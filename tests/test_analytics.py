@@ -177,7 +177,7 @@ def test_exposure_integral_reused_across_densities():
     p = fig_params()
     j1 = exposure_integral(X, P_A, P_B, p)
     j2 = exposure_integral(X, P_A, P_B, dataclasses.replace(p, lambda_e=1e-2))
-    assert j1 == j2  # cached; independent of lambda_e
+    assert j1 == j2  # independent of lambda_e
 
 
 def _geometry(rng, d_lo, d_hi):
@@ -243,10 +243,21 @@ def test_exposure_integral_resolves_the_weak_jamming_notch():
         assert _fixed_node_j(g) == pytest.approx(ref, rel=rel, abs=0.0), g
 
 
+@pytest.mark.parametrize("alpha, q", [(2.05, 1e18), (4.0, 1e30), (3.0, 1e25)])
+def test_exposure_integral_reaches_below_the_jamming_transition(alpha, q):
+    # with very strong jamming J's mass lies near the jamming transition
+    # t_tr = t_link - ln(q)/(alpha/2), tens of e-folds below the link and
+    # the decay scales; a radial axis that starts 40 e-folds below those
+    # two alone cuts it off (2.7e-3 relative at alpha 4, 7.9e-2 at alpha 3)
+    g = dict(x=7.0, p_a=1.0, p_b=q / 7.0, sigma_e2=1e-12, alpha=alpha, d_ab=10.0)
+    ref = exposure_integral_refined(**g)
+    assert _fixed_node_j(g) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
 def test_cold_exposure_integral_radial_nodes_on_table_geometries(monkeypatch):
     # geometries like the validate-sop tables: alpha 4, 0.2-30 m links,
     # jamming 5-15 dB above the signal (q >= 3).  Below the smallest length
-    # scale the radial panels double in width, so a cold J takes at most 360
+    # scale the radial panels double in width, so one J takes at most 360
     # radial nodes (about 650 on panels one e-fold wide)
     rule, sizes = analytics._panel_rule, []
 
@@ -264,7 +275,7 @@ def test_cold_exposure_integral_radial_nodes_on_table_geometries(monkeypatch):
         x = 2.0 ** float(rng.uniform(1.0, 4.0)) - 1.0
         d_ab = float(np.exp(rng.uniform(math.log(0.2), math.log(30.0))))
         exposure_integral(x, p_a, p_b, vi_defaults(d_ab=d_ab))
-    # no notch at q >= 3: one radial rule per cold call
+    # no notch at q >= 3: one radial rule per call
     assert len(sizes) == 64
     assert max(sizes) <= 360
 

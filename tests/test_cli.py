@@ -600,6 +600,36 @@ def test_simulate_round_trip(base_config, tmp_path):
     assert data["simulation"]["block_size"] == 64
 
 
+# perfect suppression (rho = 0) where the design picks mu_b = 0, the pure
+# half-duplex point
+RHO0_INI = """\
+[system]
+alpha = 4.5
+d_ab_m = 9
+lambda_e_per_m2 = 4e-6
+epsilon = 0.3
+sigma_b2_dbm = -91
+sigma_e2_dbm = -86
+rho = 0
+p_a_max_dbm = -5
+p_b_max_dbm = 9
+"""
+
+
+def test_simulate_pure_half_duplex_design_never_jams(tmp_path):
+    config = tmp_path / "rho0.ini"
+    config.write_text(RHO0_INI)
+    sol_path, out = tmp_path / "sol.json", tmp_path / "report.json"
+    assert main(["optimize", "--config", str(config), "--out", str(sol_path)]) == 0
+    solution = json.loads(sol_path.read_text())["solution"]
+    assert solution["mu_b"] == 0.0 and solution["omega_fd"] == 0.0
+    assert main(["simulate", "--config", str(config), "--solution",
+                 str(sol_path), "--slots", "5000", "--seed", "3",
+                 "--out", str(out)]) == 0
+    counts = json.loads(out.read_text())["report"]["mode_counts"]
+    assert counts["fd"] == 0 and counts["hd"] > 0
+
+
 @pytest.mark.parametrize("extra", [["--r-cut", "inf"], ["--r-cut", "nan"],
                                    ["--seed", "-1"]])
 def test_simulate_bad_run_flag_exits_1(base_config, tmp_path, capsys, extra):

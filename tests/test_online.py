@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,22 @@ def test_switch_tie_goes_to_jamming_branch():
     gamma_bb = SOLUTION.mu_b / PARAMS.rho
     act = decide(SOLUTION.fd.mu_a, gamma_bb, SOLUTION, PARAMS)
     assert act.mode is Mode.FD
+
+
+def test_zero_switch_level_never_jams():
+    # mu_b = 0 is the pure half-duplex design (hd_weight(0, rho) = 1 for
+    # every rho): a slot never jams, even at rho = 0, where rho*gamma_bb
+    # ties the switch level on every slot, or at gamma_bb = 0
+    gate = 2.0 * max(SOLUTION.fd.mu_a, SOLUTION.hd.mu_a)
+    pure_hd = dataclasses.replace(SOLUTION, mu_b=0.0)
+    for rho in (0.0, PARAMS.rho):
+        params = dataclasses.replace(PARAMS, rho=rho)
+        for gamma_bb in (0.0, 1.0):
+            assert decide(gate, gamma_bb, pure_hd, params).mode is Mode.HD
+            assert decide_reference(gate, gamma_bb, pure_hd, params).mode is Mode.HD
+    # any mu_b > 0 at rho = 0 jams on every slot
+    params = dataclasses.replace(PARAMS, rho=0.0)
+    assert decide(gate, 1.0, SOLUTION, params).mode is Mode.FD
 
 
 def test_boundary_power_hits_budget_exactly():

@@ -349,42 +349,67 @@ def test_step1_solves_per_default_design(monkeypatch):
         assert mu1 != mu2 or abs(p1 - p2) > 1e-14 * max(p1, p2)
 
 
+def _count_design_work(monkeypatch):
+    """Record the outage roots solved (by jamming power), the params
+    validations, the grid checks and the outage budgets formed."""
+    counts = dict(powers=[], validations=[], grid_checks=[], budgets=[])
+    newton, budget = fdjam.optimizer._Outage._newton, fdjam.optimizer.exposure_budget
+    validate, check = fdjam.optimizer.validate, GridSpec.check
+
+    def counted_newton(outage, p_b):
+        counts["powers"].append(p_b)
+        return newton(outage, p_b)
+
+    def counted_budget(params):
+        counts["budgets"].append(params)
+        return budget(params)
+
+    def counted_validate(params):
+        counts["validations"].append(params)
+        return validate(params)
+
+    def counted_check(grid, params):
+        counts["grid_checks"].append(grid)
+        return check(grid, params)
+
+    monkeypatch.setattr(fdjam.optimizer._Outage, "_newton", counted_newton)
+    monkeypatch.setattr(fdjam.optimizer, "exposure_budget", counted_budget)
+    monkeypatch.setattr(fdjam.optimizer, "validate", counted_validate)
+    monkeypatch.setattr(GridSpec, "check", counted_check)
+    return counts
+
+
 def test_outage_roots_and_checks_per_default_design(monkeypatch):
     # the outage root depends on the jamming power only, so one design
     # solves it once per power, however many switch levels share it; the
     # params and the grid are checked, and the outage budget formed, once,
     # at the entry
     config = _default_config()
-    powers, validations, grid_checks, budgets = [], [], [], []
-    root, budget = fdjam.optimizer._outage_root, fdjam.optimizer.exposure_budget
-    validate, check = fdjam.optimizer.validate, GridSpec.check
-
-    def counted_root(p_b, *rest):
-        powers.append(p_b)
-        return root(p_b, *rest)
-
-    def counted_budget(params):
-        budgets.append(params)
-        return budget(params)
-
-    def counted_validate(params):
-        validations.append(params)
-        return validate(params)
-
-    def counted_check(grid, params):
-        grid_checks.append(grid)
-        return check(grid, params)
-
-    monkeypatch.setattr(fdjam.optimizer, "_outage_root", counted_root)
-    monkeypatch.setattr(fdjam.optimizer, "exposure_budget", counted_budget)
-    monkeypatch.setattr(fdjam.optimizer, "validate", counted_validate)
-    monkeypatch.setattr(GridSpec, "check", counted_check)
+    counts = _count_design_work(monkeypatch)
     optimize(config.system, config.grid)
     # no power is solved twice
-    assert len(powers) == 13
-    assert len(set(powers)) == 13
-    assert len(validations) == 1 and len(grid_checks) == 1
-    assert len(budgets) == 1
+    assert len(counts["powers"]) == 13
+    assert len(set(counts["powers"])) == 13
+    assert len(counts["validations"]) == 1 and len(counts["grid_checks"]) == 1
+    assert len(counts["budgets"]) == 1
+
+
+def test_step_solvers_check_and_form_the_budget_once(monkeypatch):
+    # each public step solver is an entry of its own: one check of its
+    # inputs, one outage budget, and one root per jamming power it visits
+    config = _default_config()
+    counts = _count_design_work(monkeypatch)
+    solve_step1(VI_PB, VI_MU_B, config.system)
+    assert len(counts["validations"]) == 1 and len(counts["budgets"]) == 1
+    assert counts["grid_checks"] == [] and counts["powers"] == [VI_PB]
+    # a switch level at which brentq refines an interior power
+    record = solve_step2(1e-8, config.system, config.grid)
+    assert record.iterations > 0
+    assert len(counts["validations"]) == 2 and len(counts["budgets"]) == 2
+    assert len(counts["grid_checks"]) == 1
+    step2_powers = counts["powers"][1:]
+    assert len(set(step2_powers)) == len(step2_powers) > 2
+    assert record.p_b_dagger in step2_powers
 
 
 def test_optimize_rejects_zero_jamming_budget():
@@ -493,7 +518,7 @@ def _root_equation(params):
 
 
 def _root_at(p_b, params):
-    return fdjam.optimizer._outage_root(p_b, params, fdjam.optimizer._budget(params))
+    return fdjam.optimizer._Outage(params).root(p_b)
 
 
 @pytest.mark.parametrize("name, params, grid", SEARCH_SCENARIOS, ids=SEARCH_IDS)
