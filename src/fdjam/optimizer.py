@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import wrightomega
 
 from .analytics import (exposure_budget, log_exposure_approx, root_slope_approx,
@@ -380,6 +379,10 @@ def _step2(mu_b: float, grid: GridSpec, outage: _Outage) -> Step2Result:
     else:
         # brentq on t = ln p_b; its ends map back to the powers solved
         # above, not to exp(ln p) a few ulps away
+        # imported here so that validate-sop and simulate never load
+        # scipy.optimize, about a quarter of a second of import time
+        from scipy.optimize import brentq
+
         lo, hi = math.log(floor), math.log(p_max)
         ends = {lo: floor, hi: p_max}
 

@@ -33,7 +33,10 @@ substream ``default_rng((s, domain, b))``.  A (seed, numpy version, block
 size) triple pins every result bit for bit; a different block size gives
 different (equally valid) numbers.  Results do not depend on evaluation
 order, so runs can be sharded across workers as long as every shard holds
-whole blocks.
+whole blocks.  The engine uses this itself: each block draws from its own
+substream, but up to ``_CHUNK`` consecutive trials or slots are evaluated
+together as one batch (gains, slot rule, thinning, jamming coins, outage
+and reliability tests), with the same outputs as one block at a time.
 
 Per-block draw order (fixed, part of the contract): the on-line simulator
 first draws the main-channel gains, then the self-interference gains, one
@@ -68,12 +71,18 @@ __all__ = [
     "run_online",
 ]
 
-# Trials or slots per substream.  Larger blocks gain little speed and cost
-# peak memory.
+# Trials or slots per substream.  The block size pins every Monte Carlo
+# output (another size draws different, equally valid numbers) and is
+# written into the artifacts, so it is part of the reproducibility contract,
+# not a speed setting.
 _BLOCK = 64
-# Kept eavesdroppers drawn at once; bounds peak memory in dense fields that
-# the signal threshold barely thins.
+# Kept eavesdroppers drawn at once within a block, and rows (trials or
+# slots) evaluated at once in a batch of blocks; bounds peak memory in dense
+# fields that the signal threshold barely thins.
 _CHUNK = 1 << 15
+# Kept points evaluated at once across the blocks of a batch: few enough for
+# the evaluation's temporaries to stay in cache.
+_POINTS = 1 << 12
 
 
 def sub_rng(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -81,15 +90,30 @@ def sub_rng(seed: int, domain: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, domain, index))
 
 
-def _exponential(rng: np.random.Generator, n: int | None = None):
-    """Unit-mean exponential by inverse CDF (stable across numpy versions)."""
-    return -np.log1p(-rng.random(n))
+def _batches(n: int):
+    """Batches of consecutive whole blocks for ``n`` trials or slots, each of
+    at most ``_CHUNK`` rows and at least one block: ``(blocks, starts)``,
+    the block indices and each block's first row within the batch, closed
+    by the batch's row count."""
+    per = max(1, _CHUNK // _BLOCK)
+    n_blocks = -(-n // _BLOCK)
+    for first in range(0, n_blocks, per):
+        blocks = range(first, min(first + per, n_blocks))
+        rows = min(n, blocks.stop * _BLOCK) - first * _BLOCK
+        yield blocks, [*range(0, rows, _BLOCK), rows]
 
 
-def _blocks(n: int):
-    """``(block index, size)`` for ``n`` trials or slots."""
-    for block, start in enumerate(range(0, n, _BLOCK)):
-        yield block, min(_BLOCK, n - start)
+def _gamma_below(rng: np.random.Generator, k: float, c: np.ndarray) -> np.ndarray:
+    """Per entry of ``c``, the first ``Gamma(k)`` proposal at most c; each
+    round draws one proposal per entry still rejected, in entry order."""
+    v = rng.gamma(k, size=c.size)
+    todo = np.flatnonzero(v > c)
+    while todo.size:
+        g = rng.gamma(k, size=todo.size)
+        ok = g <= c[todo]
+        v[todo[ok]] = g[ok]
+        todo = todo[~ok]
+    return v
 
 
 def _truncated_gamma(rng: np.random.Generator, k: float, c: np.ndarray
@@ -104,16 +128,14 @@ def _truncated_gamma(rng: np.random.Generator, k: float, c: np.ndarray
     acceptances meet, so every proposal is accepted with probability at
     least 0.63 (0.79 at alpha = 4).
     """
+    small = c < math.gamma(1.0 + k) ** (1.0 / k)
+    if not small.any():    # always so in empirical_sop, whose c is one value
+        v = _gamma_below(rng, k, c)
+        return v, (v / c) ** (k / 2.0)
     v = np.empty(c.size)
     s = np.empty(c.size)
-    small = c < math.gamma(1.0 + k) ** (1.0 / k)
     large = ~small
-    todo = np.flatnonzero(large)
-    while todo.size:
-        g = rng.gamma(k, size=todo.size)
-        ok = g <= c[todo]
-        v[todo[ok]] = g[ok]
-        todo = todo[~ok]
+    v[large] = _gamma_below(rng, k, c[large])
     s[large] = (v[large] / c[large]) ** (k / 2.0)
     todo = np.flatnonzero(small)
     while todo.size:
@@ -126,42 +148,76 @@ def _truncated_gamma(rng: np.random.Generator, k: float, c: np.ndarray
     return v, s
 
 
-def _kept_counts(rng: np.random.Generator, c: np.ndarray, params: SystemParams,
-                 r_cut: float) -> np.ndarray:
-    """Per row, the number of eavesdroppers able to beat x without jamming."""
+def _kept_mean(c: np.ndarray, params: SystemParams, r_cut: float) -> np.ndarray:
+    """Per row, the mean number of eavesdroppers able to beat x without
+    jamming."""
     k = 2.0 / params.alpha
-    return rng.poisson(
-        params.lambda_e * math.pi * r_cut * r_cut * hyp1f1(k, k + 1.0, -c))
+    return params.lambda_e * math.pi * r_cut * r_cut * hyp1f1(k, k + 1.0, -c)
 
 
-def _beats_jamming(rng: np.random.Generator, v: np.ndarray, d_ak: np.ndarray,
-                   p_b: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Per kept point: does its SINR still exceed x under jamming ``p_b``?"""
-    half_theta = math.pi * rng.random(v.size)
+def _beats_jamming(turn: np.ndarray, coin: np.ndarray, v: np.ndarray,
+                   d_ak: np.ndarray, p_b: np.ndarray, params: SystemParams
+                   ) -> np.ndarray:
+    """Per kept point: does its SINR still exceed x under jamming ``p_b``?
+    ``turn`` and ``coin`` are the point's half-azimuth (in half turns) and
+    jamming-coin uniforms."""
+    half_theta = math.pi * turn
     d_ab = params.d_ab
     d_bk2 = (d_ak - d_ab) ** 2 + 4.0 * d_ab * d_ak * np.sin(half_theta) ** 2
     noise = params.sigma_e2 * d_bk2 ** (params.alpha / 2.0)
-    return rng.random(v.size) * (noise + v * p_b) < noise
+    return coin * (noise + v * p_b) < noise
 
 
-def _field_outages(rng: np.random.Generator, a: np.ndarray, p_b: np.ndarray,
+def _kept_points(rngs, starts, kept: np.ndarray, c: np.ndarray, k: float):
+    """Chunks of kept points, block by block: ``(owner, v, s, turn, coin)``.
+
+    Block ``i`` owns rows ``starts[i]:starts[i + 1]`` and draws from
+    ``rngs[i]``; its points come in owner order, in chunks of at most
+    ``_CHUNK`` (each chunk's positions, then its azimuths and coins)."""
+    rows = np.arange(c.size)
+    for rng, lo, hi in zip(rngs, starts, starts[1:]):
+        owner = np.repeat(rows[lo:hi], kept[lo:hi])
+        for start in range(0, owner.size, _CHUNK):
+            chunk = owner[start:start + _CHUNK]
+            v, s = _truncated_gamma(rng, k, c[chunk])
+            yield chunk, v, s, rng.random(chunk.size), rng.random(chunk.size)
+
+
+def _mark_hits(outage: np.ndarray, group, p_b: np.ndarray,
+               params: SystemParams, r_cut: float) -> None:
+    """Flag the rows that own a point of ``group`` (chunks of kept points)
+    whose SINR still exceeds x under jamming."""
+    owner, v, s, turn, coin = (np.concatenate(x) for x in zip(*group))
+    hit = _beats_jamming(turn, coin, v, r_cut * s, p_b[owner], params)
+    outage[owner[hit]] = True
+
+
+def _field_outages(rngs, starts, a: np.ndarray, p_b: np.ndarray,
                    params: SystemParams, r_cut: float) -> np.ndarray:
-    """Secrecy outage per row of a block, for rows with thinning scale
-    ``a = sigma_e2 * x / p_a`` and jamming power ``p_b``.
+    """Secrecy outage per row of a batch of blocks, for rows with thinning
+    scale ``a = sigma_e2 * x / p_a`` and jamming power ``p_b``.
 
-    Only the jammed rows' kept points are drawn, in chunks of at most
-    ``_CHUNK`` points (each chunk's positions, then its azimuths and coins).
+    Block ``i`` owns rows ``starts[i]:starts[i + 1]`` and draws from
+    ``rngs[i]`` its kept counts, then the points of its jammed rows (see
+    :func:`_kept_points`).  The points of consecutive chunks are evaluated
+    together, in groups of about ``_POINTS``.
     """
     c = a * r_cut ** params.alpha
-    counts = _kept_counts(rng, c, params, r_cut)
+    mean = _kept_mean(c, params, r_cut)
+    counts = np.concatenate([rng.poisson(mean[lo:hi])
+                             for rng, lo, hi in zip(rngs, starts, starts[1:])])
     jammed = p_b > 0.0
-    owner = np.repeat(np.flatnonzero(jammed), counts[jammed])
     outage = (counts > 0) & ~jammed
-    for start in range(0, owner.size, _CHUNK):
-        rows = owner[start:start + _CHUNK]
-        v, s = _truncated_gamma(rng, 2.0 / params.alpha, c[rows])
-        hit = _beats_jamming(rng, v, r_cut * s, p_b[rows], params)
-        outage |= np.bincount(rows[hit], minlength=c.size) > 0
+    group, held = [], 0
+    for points in _kept_points(rngs, starts, np.where(jammed, counts, 0), c,
+                               2.0 / params.alpha):
+        group.append(points)
+        held += points[0].size
+        if held >= _POINTS:
+            _mark_hits(outage, group, p_b, params, r_cut)
+            group, held = [], 0
+    if group:
+        _mark_hits(outage, group, p_b, params, r_cut)
     return outage
 
 
@@ -208,9 +264,10 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
             f"rate gap r_c - r_s = {r_c - r_s} bits at r_cut = {r_cut} m is too "
             f"large to simulate: sigma_e2*x/p_a*r_cut^alpha overflows")
     hits = 0
-    for block, m in _blocks(n_trials):
-        outage = _field_outages(sub_rng(seed, 0, block), np.full(m, a),
-                                np.full(m, p_b), params, r_cut)
+    for blocks, starts in _batches(n_trials):
+        rows = starts[-1]
+        outage = _field_outages([sub_rng(seed, 0, b) for b in blocks], starts,
+                                np.full(rows, a), np.full(rows, p_b), params, r_cut)
         hits += int(np.count_nonzero(outage))
     p = hits / n_trials
     return McEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n_trials),
@@ -273,15 +330,19 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
     loss = params.d_ab ** (-params.alpha)
 
     n_fd = n_hd = reliable_fd = reliable_hd = secrecy_outages = 0
-    for block, m in _blocks(n_slots):
-        rng = sub_rng(seed, 1, block)
-        gamma_ab = _exponential(rng, m)
-        gamma_bb = _exponential(rng, m)
+    for blocks, starts in _batches(n_slots):
+        rngs = [sub_rng(seed, 1, b) for b in blocks]
+        # per block: the main-channel gains' uniforms, then the SI gains';
+        # exponential by inverse CDF, which is stable across numpy versions
+        gains = [(rng.random(hi - lo), rng.random(hi - lo))
+                 for rng, lo, hi in zip(rngs, starts, starts[1:])]
+        gamma_ab, gamma_bb = (-np.log1p(-np.concatenate(u)) for u in zip(*gains))
         is_fd, is_hd, p_a, p_b = decide_slots(gamma_ab, gamma_bb, solution, params)
         tx = is_fd | is_hd
         a = params.sigma_e2 * np.where(is_fd, x_fd, x_hd)[tx] / p_a[tx]
+        tx_starts = np.concatenate(([0], np.cumsum(tx)))[starts]
         secrecy_outages += int(np.count_nonzero(
-            _field_outages(rng, a, p_b[tx], params, r_cut)))
+            _field_outages(rngs, tx_starts, a, p_b[tx], params, r_cut)))
 
         c_b = np.log2(1.0 + p_a * gamma_ab * loss
                       / (params.sigma_b2 + params.rho * p_b * gamma_bb))
@@ -290,7 +351,15 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
         n_hd += int(np.count_nonzero(is_hd))
         reliable_fd += int(np.count_nonzero(is_fd & reliable))
         reliable_hd += int(np.count_nonzero(is_hd & reliable))
+    return _report(solution, n_slots, n_fd, n_hd, reliable_fd, reliable_hd,
+                   secrecy_outages)
 
+
+def _report(solution: SwitchedSolution, n_slots: int, n_fd: int, n_hd: int,
+            reliable_fd: int, reliable_hd: int, secrecy_outages: int
+            ) -> SimReport:
+    """The :class:`SimReport` of a run's slot counts."""
+    fd, hd = solution.fd, solution.hd
     transmissions = n_fd + n_hd
     tx_prob = transmissions / n_slots
     if transmissions > 0:

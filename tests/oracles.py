@@ -1,7 +1,7 @@
 """Shared oracle utilities for the test suite.
 
-Apart from the reference scans at the end, the unthinned field sampler and
-the scalar slot rule, everything here deliberately avoids the package's
+Apart from the reference scans at the end, the unthinned field sampler,
+the block-at-a-time Monte Carlo engine and the scalar slot rule, everything here deliberately avoids the package's
 own solvers: constraint roots come from scipy's brentq or from closed
 forms, objectives are evaluated from their raw formulas, and parameter
 sets are drawn from a seeded generator so the same scenarios reproduce
@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 from scipy import optimize as sciopt
-from scipy.special import roots_legendre, wrightomega
+from scipy.special import hyp1f1, roots_legendre, wrightomega
 
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
                    dbm_to_watts, solve_step1, solve_step2)
@@ -27,7 +27,9 @@ from fdjam.analytics import throughput_fd, throughput_hd
 from fdjam.optimizer import Step1Result, Step2Result, _derivative_sign
 from fdjam.params import FdParams, HdParams, SwitchedSolution, validate
 from fdjam.online import _BUDGET_RTOL, Action, Mode
-from fdjam.sim import McEstimate, _exponential, sub_rng
+from fdjam.online import decide_slots
+from fdjam.sim import (_BLOCK, _CHUNK, _CONNECTION_RTOL, McEstimate, SimReport,
+                       _report, sub_rng)
 
 
 def vi_defaults(**overrides) -> SystemParams:
@@ -259,6 +261,116 @@ def sign_changes(values: np.ndarray) -> int:
     diffs = np.diff(values)
     signs = np.sign(diffs[diffs != 0.0])
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def _exponential(rng: np.random.Generator, n: int | None = None):
+    """Unit-mean exponential by inverse CDF, as the engine draws its gains."""
+    return -np.log1p(-rng.random(n))
+
+
+# --------------------------------------------------------------------------
+# The block-at-a-time Monte Carlo engine: each block of ``_BLOCK`` trials or
+# slots draws from its own substream and is evaluated on its own.  The
+# package evaluates batches of blocks together from the same draws, so it
+# must reproduce these loops bit for bit.
+# --------------------------------------------------------------------------
+
+def blocks(n: int):
+    """``(block index, size)`` for ``n`` trials or slots."""
+    for block, start in enumerate(range(0, n, _BLOCK)):
+        yield block, min(_BLOCK, n - start)
+
+
+def truncated_gamma_blockwise(rng: np.random.Generator, k: float, c: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """``v ~ Gamma(k)`` truncated to ``[0, c]`` and ``(v / c)^(k/2)``: Gamma
+    proposals where c >= Gamma(1+k)^(1/k), area-uniform positions accepted
+    with probability exp(-v) elsewhere, always through the masks."""
+    v = np.empty(c.size)
+    s = np.empty(c.size)
+    small = c < math.gamma(1.0 + k) ** (1.0 / k)
+    large = ~small
+    todo = np.flatnonzero(large)
+    while todo.size:
+        g = rng.gamma(k, size=todo.size)
+        ok = g <= c[todo]
+        v[todo[ok]] = g[ok]
+        todo = todo[~ok]
+    s[large] = (v[large] / c[large]) ** (k / 2.0)
+    todo = np.flatnonzero(small)
+    while todo.size:
+        w = rng.random(todo.size)
+        g = c[todo] * w ** (1.0 / k)
+        ok = rng.random(todo.size) < np.exp(-g)
+        v[todo[ok]] = g[ok]
+        s[todo[ok]] = np.sqrt(w[ok])
+        todo = todo[~ok]
+    return v, s
+
+
+def field_outages_blockwise(rng: np.random.Generator, a: np.ndarray,
+                            p_b: np.ndarray, params: SystemParams,
+                            r_cut: float) -> np.ndarray:
+    """Secrecy outage per row of one block: kept counts, then the jammed
+    rows' points in chunks of ``_CHUNK`` (positions, azimuths, coins)."""
+    c = a * r_cut ** params.alpha
+    k = 2.0 / params.alpha
+    counts = rng.poisson(
+        params.lambda_e * math.pi * r_cut * r_cut * hyp1f1(k, k + 1.0, -c))
+    jammed = p_b > 0.0
+    owner = np.repeat(np.flatnonzero(jammed), counts[jammed])
+    outage = (counts > 0) & ~jammed
+    for start in range(0, owner.size, _CHUNK):
+        rows = owner[start:start + _CHUNK]
+        v, s = truncated_gamma_blockwise(rng, k, c[rows])
+        half_theta = math.pi * rng.random(v.size)
+        d_ak, d_ab = r_cut * s, params.d_ab
+        d_bk2 = (d_ak - d_ab) ** 2 + 4.0 * d_ab * d_ak * np.sin(half_theta) ** 2
+        noise = params.sigma_e2 * d_bk2 ** (params.alpha / 2.0)
+        hit = rng.random(v.size) * (noise + v * p_b[rows]) < noise
+        outage |= np.bincount(rows[hit], minlength=c.size) > 0
+    return outage
+
+
+def empirical_sop_blockwise(p_a: float, p_b: float, r_c: float, r_s: float,
+                            params: SystemParams, n_trials: int, r_cut: float,
+                            seed: int) -> McEstimate:
+    """:func:`fdjam.empirical_sop` one block at a time, for valid inputs."""
+    a = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
+    hits = sum(int(np.count_nonzero(field_outages_blockwise(
+        sub_rng(seed, 0, block), np.full(m, a), np.full(m, p_b), params, r_cut)))
+        for block, m in blocks(n_trials))
+    p = hits / n_trials
+    return McEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n_trials),
+                      n_trials=n_trials)
+
+
+def run_online_blockwise(solution: SwitchedSolution, params: SystemParams,
+                         n_slots: int, r_cut: float, seed: int) -> SimReport:
+    """:func:`fdjam.run_online` one block at a time, for valid inputs."""
+    fd, hd = solution.fd, solution.hd
+    x_fd = 2.0 ** (fd.r_c - fd.r_s) - 1.0
+    x_hd = 2.0 ** (hd.r_c - hd.r_s) - 1.0
+    loss = params.d_ab ** (-params.alpha)
+    n_fd = n_hd = reliable_fd = reliable_hd = secrecy_outages = 0
+    for block, m in blocks(n_slots):
+        rng = sub_rng(seed, 1, block)
+        gamma_ab = _exponential(rng, m)
+        gamma_bb = _exponential(rng, m)
+        is_fd, is_hd, p_a, p_b = decide_slots(gamma_ab, gamma_bb, solution, params)
+        tx = is_fd | is_hd
+        a = params.sigma_e2 * np.where(is_fd, x_fd, x_hd)[tx] / p_a[tx]
+        secrecy_outages += int(np.count_nonzero(
+            field_outages_blockwise(rng, a, p_b[tx], params, r_cut)))
+        c_b = np.log2(1.0 + p_a * gamma_ab * loss
+                      / (params.sigma_b2 + params.rho * p_b * gamma_bb))
+        reliable = c_b >= np.where(is_fd, fd.r_c, hd.r_c) * (1.0 - _CONNECTION_RTOL)
+        n_fd += int(np.count_nonzero(is_fd))
+        n_hd += int(np.count_nonzero(is_hd))
+        reliable_fd += int(np.count_nonzero(is_fd & reliable))
+        reliable_hd += int(np.count_nonzero(is_hd & reliable))
+    return _report(solution, n_slots, n_fd, n_hd, reliable_fd, reliable_hd,
+                   secrecy_outages)
 
 
 @dataclass(frozen=True)

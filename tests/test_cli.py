@@ -4,6 +4,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -762,3 +765,26 @@ def test_reused_parser_leaves_no_state_behind(tmp_path, monkeypatch, capsys):
     fresh = results()
     assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0]
     assert reused == fresh
+
+
+def test_validate_sop_and_simulate_never_load_scipy_optimize(tmp_path):
+    # only step 2's brentq needs scipy.optimize, which is slow to import
+    design = tmp_path / "design.json"
+    assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
+    script = f"""
+import sys
+import fdjam.cli
+assert "scipy.optimize" not in sys.modules, "loaded by import fdjam.cli"
+for argv in (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
+              "--trials", "64"],
+             ["simulate", "--config", {DEFAULT_INI!r}, "--solution",
+              {str(design)!r}, "--slots", "64"]):
+    assert fdjam.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
+    assert "scipy.optimize" not in sys.modules, "loaded by " + argv[0]
+"""
+    src = str(Path(fdjam.cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -11,10 +11,11 @@ from scipy.special import gamma as gamma_fn, gammainc, hyp1f1
 import fdjam.sim as sim
 from fdjam import (comparison_metrics, dbm_to_watts, empirical_sop, optimize,
                    run_online, sop_exact, ValidationError)
-from fdjam.sim import (ModeCounts, _CHUNK, _beats_jamming, _blocks,
-                       _kept_counts, _truncated_gamma, sub_rng)
+from fdjam.sim import (ModeCounts, _CHUNK, _beats_jamming, _kept_mean,
+                       _truncated_gamma, sub_rng)
 
-from oracles import empirical_sop_reference, sample_eve_field, vi_defaults
+from oracles import (blocks, empirical_sop_reference, sample_eve_field,
+                     vi_defaults)
 
 P_A = dbm_to_watts(20.0)
 P_B = dbm_to_watts(30.0)
@@ -61,10 +62,10 @@ def test_poisson_mean_small_field():
 def _engine_blocks(seed, n, a, params, r_cut):
     """The engine's draws for ``n`` jammed trials at thinning scale ``a``,
     as ``(rng, counts, owner, v, d_ak)`` per block of one chunk."""
-    for block, m in _blocks(n):
+    for block, m in blocks(n):
         rng = sub_rng(seed, 0, block)
         c = np.full(m, a * r_cut ** params.alpha)
-        counts = _kept_counts(rng, c, params, r_cut)
+        counts = rng.poisson(_kept_mean(c, params, r_cut))
         owner = np.repeat(np.arange(m), counts)
         assert owner.size <= _CHUNK
         v, s = _truncated_gamma(rng, 2.0 / params.alpha, c[owner])
@@ -77,8 +78,9 @@ def test_poisson_mean_large_field():
     r_cut = 2000.0
     mean_expect = p.lambda_e * math.pi * r_cut ** 2
     assert mean_expect == pytest.approx(1256.637, abs=1e-3)
-    counts = np.concatenate([_kept_counts(sub_rng(11, 0, block), np.zeros(m), p, r_cut)
-                             for block, m in _blocks(2000)])
+    counts = np.concatenate([
+        sub_rng(11, 0, block).poisson(_kept_mean(np.zeros(m), p, r_cut))
+        for block, m in blocks(2000)])
     assert counts.size == 2000
     stderr = math.sqrt(mean_expect / len(counts))
     assert abs(np.mean(counts) - mean_expect) <= 3.0 * stderr
@@ -165,7 +167,8 @@ def test_truncation_insensitive_beyond_cutoff():
     n = 4000
     hits_full = hits_inner = 0
     for rng, counts, owner, v, d_ak in _engine_blocks(21, n, a, p, 1600.0):
-        hit = _beats_jamming(rng, v, d_ak, P_B, p)
+        turn, coin = rng.random(v.size), rng.random(v.size)
+        hit = _beats_jamming(turn, coin, v, d_ak, P_B, p)
         hits_full += np.count_nonzero(np.bincount(owner[hit], minlength=counts.size))
         inner = hit & (d_ak <= 800.0)
         hits_inner += np.count_nonzero(np.bincount(owner[inner], minlength=counts.size))

@@ -1,0 +1,125 @@
+"""The batched Monte Carlo engine against the block-at-a-time loops it
+replaced: every estimate and report must be equal bit for bit."""
+
+import math
+import re
+
+import pytest
+
+import fdjam.sim as sim
+import oracles
+from fdjam import (FdParams, SwitchedSolution, ValidationError, dbm_to_watts,
+                   empirical_sop, optimize, run_online)
+
+from oracles import (empirical_sop_blockwise, run_online_blockwise,
+                     vi_defaults)
+
+P_A = dbm_to_watts(20.0)
+P_B = dbm_to_watts(30.0)
+
+ONLINE_PARAMS = vi_defaults(lambda_e=1e-5, epsilon=0.05)
+ONLINE_SOLUTION = optimize(ONLINE_PARAMS)
+# the same design in a dense field on a 50 m disk: its FD slots' thinning
+# scales fall on both sides of the truncated-Gamma proposal switch
+DENSE_PARAMS = vi_defaults(lambda_e=3e-3, epsilon=0.05)
+
+# perfect suppression, where the design is the pure half-duplex point mu_b = 0
+RHO0_PARAMS = vi_defaults(
+    alpha=4.5, d_ab=9.0, lambda_e=4e-6, epsilon=0.3,
+    sigma_b2=dbm_to_watts(-91.0), sigma_e2=dbm_to_watts(-86.0), rho=0.0,
+    p_a_max=dbm_to_watts(-5.0), p_b_max=dbm_to_watts(9.0))
+
+# an on-off gate below the budget-saturating threshold demands p_a > p_a_max
+BAD_SOLUTION = SwitchedSolution(
+    mu_b=ONLINE_SOLUTION.mu_b,
+    fd=FdParams(r_c=ONLINE_SOLUTION.fd.r_c, r_s=ONLINE_SOLUTION.fd.r_s,
+                mu_a=ONLINE_SOLUTION.fd.mu_a / 4.0, p_b=ONLINE_SOLUTION.fd.p_b),
+    hd=ONLINE_SOLUTION.hd, omega_s=0.0, omega_fd=0.0, omega_hd=0.0)
+
+
+@pytest.fixture
+def regimes(monkeypatch):
+    """Record, per ``_truncated_gamma`` call, whether its thinning scales
+    fall below and at or above the proposal switch."""
+    calls = []
+    draw = sim._truncated_gamma
+
+    def spy(rng, k, c):
+        switch = math.gamma(1.0 + k) ** (1.0 / k)
+        calls.append((bool((c < switch).any()), bool((c >= switch).any())))
+        return draw(rng, k, c)
+    monkeypatch.setattr(sim, "_truncated_gamma", spy)
+    return calls
+
+
+def _chunk_of_seven(monkeypatch):
+    monkeypatch.setattr(sim, "_CHUNK", 7)
+    monkeypatch.setattr(oracles, "_CHUNK", 7)
+
+
+@pytest.mark.parametrize("case, params, r_c, r_s, n, r_cut", [
+    # 15 full blocks and one of 40; points evaluated across blocks
+    ("partial block", vi_defaults(), 4.0, 1.0, 1000, 800.0),
+    # two batches
+    ("two batches", vi_defaults(lambda_e=1e-5), 4.0, 1.0,
+     sim._CHUNK + 1000, 800.0),
+    # about 42,000 kept points per block: more than one chunk
+    ("dense", vi_defaults(lambda_e=2e-3), 4.0, 1.0, 130, 800.0),
+    # c <= 1e-6: area-uniform proposals only
+    ("barely thinned", vi_defaults(), 2.001, 2.0, 2000, 100.0),
+])
+def test_empirical_sop_equals_blockwise_loop(case, params, r_c, r_s, n, r_cut,
+                                             regimes):
+    args = (P_A, P_B, r_c, r_s, params, n, r_cut, 17)
+    assert empirical_sop(*args) == empirical_sop_blockwise(*args), case
+    assert regimes
+    assert all(small != large for small, large in regimes)
+
+
+def test_empirical_sop_without_jamming_equals_blockwise_loop():
+    args = (P_A, 0.0, 4.0, 1.0, vi_defaults(), 1000, 800.0, 18)
+    assert empirical_sop(*args) == empirical_sop_blockwise(*args)
+
+
+def test_empirical_sop_in_chunks_of_seven_equals_blockwise_loop(monkeypatch):
+    _chunk_of_seven(monkeypatch)
+    args = (P_A, P_B, 4.0, 1.0, vi_defaults(), 300, 800.0, 19)
+    assert empirical_sop(*args) == empirical_sop_blockwise(*args)
+
+
+def test_run_online_mixing_modes_and_regimes_equals_blockwise_loop(regimes):
+    args = (ONLINE_SOLUTION, DENSE_PARAMS, 5000, 50.0, 20)
+    rep = run_online(*args)
+    assert rep == run_online_blockwise(*args)
+    counts = rep.mode_counts
+    assert min(counts.fd, counts.hd, counts.silent) > 0
+    assert (True, True) in regimes
+
+
+def test_run_online_over_two_batches_equals_blockwise_loop():
+    args = (ONLINE_SOLUTION, ONLINE_PARAMS, sim._CHUNK + 1000, 2000.0, 21)
+    assert run_online(*args) == run_online_blockwise(*args)
+
+
+def test_run_online_pure_half_duplex_equals_blockwise_loop():
+    solution = optimize(RHO0_PARAMS)
+    assert solution.mu_b == 0.0
+    args = (solution, RHO0_PARAMS, 3000, 2000.0, 3)
+    rep = run_online(*args)
+    assert rep == run_online_blockwise(*args)
+    assert rep.mode_counts.fd == 0 and rep.mode_counts.hd > 0
+
+
+def test_run_online_in_chunks_of_seven_equals_blockwise_loop(monkeypatch):
+    _chunk_of_seven(monkeypatch)
+    args = (ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 22)
+    assert run_online(*args) == run_online_blockwise(*args)
+
+
+def test_run_online_reports_the_over_budget_slot_of_a_later_block():
+    # at seed 13 the first slot that breaks the budget is in block 2
+    run_online_blockwise(BAD_SOLUTION, ONLINE_PARAMS, 128, 2000.0, 13)
+    with pytest.raises(ValidationError, match="p_a_max") as ref:
+        run_online_blockwise(BAD_SOLUTION, ONLINE_PARAMS, 640, 2000.0, 13)
+    with pytest.raises(ValidationError, match=re.escape(str(ref.value))):
+        run_online(BAD_SOLUTION, ONLINE_PARAMS, 640, 2000.0, 13)
