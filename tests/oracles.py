@@ -1,11 +1,11 @@
 """Shared oracle utilities for the test suite.
 
 Apart from the reference scans at the end, the unthinned field sampler,
-the block-at-a-time Monte Carlo engine and the scalar slot rule, everything here deliberately avoids the package's
-own solvers: constraint roots come from scipy's brentq or from closed
-forms, objectives are evaluated from their raw formulas, and parameter
-sets are drawn from a seeded generator so the same scenarios reproduce
-everywhere.
+the block-at-a-time Monte Carlo engine and the scalar slot rule,
+everything here deliberately avoids the package's own solvers: constraint
+roots come from scipy's brentq or from closed forms, objectives are
+evaluated from their raw formulas, and parameter sets are drawn from a
+seeded generator so the same scenarios reproduce everywhere.
 """
 
 from __future__ import annotations
