@@ -29,9 +29,10 @@ The closed form is the paper's outage model, defined here once for the
 optimizer's design and for :func:`sop_approx`.  With q = p_b*x/p_a,
 a = sigma_e2*x/p_a and eta = 2/alpha the exposure is
 beta*lambda_e*(1 + q)^-1*a^-eta; :func:`log_exposure_approx` is its log over
-beta*lambda_e, and :func:`root_slope_approx` is the slope term w of the
-outage root: differentiating -ln(1 + x*p_b/p_a) - eta*ln x = const in p_b
-gives dx/dp_b = -x^2/w with w = eta*p_a + (1 + eta)*p_b*x.
+beta*lambda_e.  The design reads it only through :class:`_Outage`: the
+outage root, the exposure at p_a_max, and the root's slope term w, as
+-ln(1 + x*p_b/p_a) - eta*ln x = const gives dx/dp_b = -x^2/w with
+w = eta*p_a + (1 + eta)*p_b*x.
 
 All probabilities returned by this module are clamped to [0, 1] to guard
 against floating-point residue of order 1e-17; a NaN stays NaN.
@@ -47,12 +48,12 @@ from typing import List, Sequence
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import ValidationError
+from .errors import InfeasibleError, ValidationError
 from .params import SwitchedSolution, SystemParams
 
 __all__ = [
     "ComparisonMetrics", "exposure_integral", "field_beta", "exposure_budget",
-    "log_exposure_approx", "root_slope_approx", "cdf_phi_e_exact",
+    "log_exposure_approx", "cdf_phi_e_exact",
     "cdf_phi_e_approx", "sop_exact", "sop_approx", "hd_weight", "throughput_fd",
     "throughput_hd", "comparison_metrics",
 ]
@@ -195,17 +196,99 @@ def exposure_budget(params: SystemParams) -> float:
 def log_exposure_approx(log_x: float, p_a: float, p_b: float,
                         params: SystemParams) -> float:
     """-ln(1 + p_b*x/p_a) - eta*ln(sigma_e2*x/p_a) at x = exp(log_x); takes
-    ln x and checks nothing, as it runs inside the design's root search."""
+    ln x and checks nothing: it runs in the step-1 residual, through
+    :meth:`_Outage.log_exposure`, and in the closed-form CDF."""
     eta = 2.0 / params.alpha
     x = math.exp(log_x)
     return -math.log1p(x * p_b / p_a) - eta * (log_x + math.log(params.sigma_e2 / p_a))
 
 
-def root_slope_approx(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
-    """w = eta*p_a + (1 + eta)*p_b*x: on the closed-form outage root,
-    dx/dp_b = -x^2/w."""
-    eta = 2.0 / params.alpha
-    return eta * p_a + (1.0 + eta) * p_b * x
+# Newton steps allowed for the outage root (it takes at most 5 on the test
+# scenarios), and the bound on its error in ln yz at which it stops.
+_ROOT_STEPS = 50
+_ROOT_ERROR = 1e-16
+
+
+class _Outage:
+    """The closed-form outage constraint of one design's params, formed once
+    at its entry; the optimizer reaches the outage model only through it.
+    It holds tau = :func:`exposure_budget`, ln tau, eta = 2/alpha, the level
+    L = -ln tau - eta*ln(sigma_e2/p_a_max) of the constraint in the form
+    :meth:`_newton` solves, and the roots solved so far, by jamming power."""
+
+    def __init__(self, params: SystemParams) -> None:
+        tau = exposure_budget(params)
+        if not 0.0 < tau < math.inf:
+            raise InfeasibleError(
+                f"outage budget tau={tau} beyond double range "
+                f"(epsilon={params.epsilon}, lambda_e={params.lambda_e})")
+        self.params = params
+        self.tau = tau
+        self.log_tau = math.log(tau)
+        self.eta = 2.0 / params.alpha
+        self.level = -self.log_tau - self.eta * (
+            math.log(params.sigma_e2) - math.log(params.p_a_max))
+        self._roots: dict[float, tuple[float, int]] = {}
+
+    def root(self, p_b: float) -> tuple[float, int]:
+        """:meth:`_newton` at ``p_b``, solved once for the object's life, so
+        every switch level a design visits shares one root per power."""
+        if p_b not in self._roots:
+            self._roots[p_b] = self._newton(p_b)
+        return self._roots[p_b]
+
+    def log_exposure(self, log_x: float, p_b: float) -> float:
+        """:func:`log_exposure_approx` at the worst-case power p_a_max."""
+        return log_exposure_approx(log_x, self.params.p_a_max, p_b, self.params)
+
+    def slope(self, x: float, p_b: float) -> float:
+        """w = eta*p_a_max + (1 + eta)*p_b*x: on the outage root,
+        dx/dp_b = -x^2/w."""
+        return self.eta * self.params.p_a_max + (1.0 + self.eta) * p_b * x
+
+    def _newton(self, p_b: float) -> tuple[float, int]:
+        """The outage-constraint root yz at jamming power ``p_b`` and the
+        Newton steps that found it; it does not depend on the switch level.
+
+        In t = ln yz, with c = p_b/p_a_max, the constraint reads
+        g(t) = ln(1 + c*e^t) + eta*t - L = 0, where g is ln tau minus
+        :meth:`log_exposure`.  g is
+        increasing and convex (eta < g' < 1 + eta, 0 < g'' <= 1/4), and at
+        t_hi = min(L/eta, (L - ln c)/(1 + eta)) it is >= 0, with the root in
+        [t_hi - ln2/eta, t_hi].  So Newton's method from t_hi descends
+        monotonically onto the root and converges quadratically: after a
+        step of size dt the error is at most about dt^2/(8*eta).  At p_b = 0
+        the root is L/eta, with no step.
+        """
+        eta, level = self.eta, self.level
+        t, steps = level / eta, 0
+        if p_b > 0.0:
+            log_c = math.log(p_b) - math.log(self.params.p_a_max)
+            t = min(t, (level - log_c) / (1.0 + eta))
+            for steps in range(1, _ROOT_STEPS + 1):
+                # ln(1 + e^s) and its slope e^s/(1 + e^s), s = ln(c*e^t), with
+                # no overflow once c*e^t passes double range
+                s = log_c + t
+                if s > 0.0:
+                    e = math.exp(-s)
+                    softplus, slope = s + math.log1p(e), 1.0 / (1.0 + e)
+                else:
+                    e = math.exp(s)
+                    softplus, slope = math.log1p(e), e / (1.0 + e)
+                dt = (softplus + eta * t - level) / (slope + eta)
+                t -= dt
+                if dt * dt <= 8.0 * eta * _ROOT_ERROR:
+                    break
+            else:
+                raise InfeasibleError(
+                    f"outage-constraint root yz not converged in {_ROOT_STEPS} "
+                    f"Newton steps (ln yz={t}, tau={self.tau})")
+        # exp(+-700) stays clear of double overflow
+        if not -700.0 <= t <= 700.0:
+            raise InfeasibleError(
+                f"outage-constraint root yz not found for ln yz in [-700, 700] "
+                f"(tau={self.tau}): the root is at ln yz={t:.6g}")
+        return math.exp(t), steps
 
 
 def cdf_phi_e_approx(x: float, p_a: float, p_b: float, params: SystemParams) -> float:

@@ -1,18 +1,17 @@
 """Off-line design: rates, on-off threshold, jamming power, mode switch.
 
-This module holds the rate and search algebra; the outage model it designs
-against is the closed form of :mod:`fdjam.analytics`.  For a fixed jamming
-power and switch threshold, the throughput maximization over the rates
-reduces to two nested scalar roots in y = 2^r_c - 1 and
-yz = 2^(r_c - r_s) - 1.  The outage constraint pins yz, an increasing
-convex equation in ln yz solved by Newton's method from an analytic upper
-bound (:class:`_Outage`); the first-order optimality condition pins y
-through the increasing map :func:`v_of_y`, in closed form by the Wright
-omega function (Corless and Jeffrey, "The Wright omega function", 2002;
+This module holds the rate and search algebra; it reaches the outage model
+only through one :class:`~fdjam.analytics._Outage` per entry, the closed
+form's root, exposure at p_a_max and root slope.  For a fixed jamming power
+and switch threshold, the throughput maximization over the rates reduces to
+two nested scalar roots in y = 2^r_c - 1 and yz = 2^(r_c - r_s) - 1.  The
+outage root pins yz; the first-order optimality condition pins y through
+the increasing map :func:`v_of_y`, in closed form by the Wright omega
+function (Corless and Jeffrey, "The Wright omega function", 2002;
 :func:`scipy.special.wrightomega`).  The half-duplex group is the same
 solution at p_b = 0 (:func:`solve_step1`).  The outage root depends on the
-jamming power only, so each entry's :class:`_Outage` solves it once per
-power for every threshold the call visits.
+jamming power only, so the object solves it once per power for every
+threshold the call visits.
 
 The throughput is quasi-concave in the jamming power: the single sign
 change of its derivative, bracketed by the floor and the budget, is found by
@@ -40,8 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import wrightomega
 
-from .analytics import (exposure_budget, log_exposure_approx, root_slope_approx,
-                        throughput_fd, throughput_hd)
+from .analytics import _Outage, throughput_fd, throughput_hd
 from .errors import InfeasibleError, ValidationError
 from .params import (FdParams, HdParams, SwitchedSolution, SystemParams,
                      validate)
@@ -61,12 +59,6 @@ LN2 = math.log(2.0)
 
 # Root tolerance on the logarithm of the unknown (step 2).
 _XTOL_LOG = 1e-13
-
-# Newton steps allowed for the outage root (it takes at most 5 on the test
-# scenarios), and the bound on its error in ln yz at which it stops.
-_ROOT_STEPS = 50
-_ROOT_ERROR = 1e-16
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -146,86 +138,11 @@ def _check_mu_b(mu_b: float) -> None:
         raise ValidationError(f"mu_b must be >= 0: {mu_b}")
 
 
-class _Outage:
-    """The closed-form outage constraint of one design's params, formed once
-    at its entry: tau = :func:`~fdjam.analytics.exposure_budget`, ln tau,
-    eta = 2/alpha, and the level L = -ln tau - eta*ln(sigma_e2/p_a_max) of
-    the constraint in the form :meth:`_newton` solves, and the roots solved
-    so far, by jamming power."""
-
-    def __init__(self, params: SystemParams) -> None:
-        tau = exposure_budget(params)
-        if not 0.0 < tau < math.inf:
-            raise InfeasibleError(
-                f"outage budget tau={tau} beyond double range "
-                f"(epsilon={params.epsilon}, lambda_e={params.lambda_e})")
-        self.params = params
-        self.tau = tau
-        self.log_tau = math.log(tau)
-        self.eta = 2.0 / params.alpha
-        self.level = -self.log_tau - self.eta * (
-            math.log(params.sigma_e2) - math.log(params.p_a_max))
-        self._roots: dict[float, tuple[float, int]] = {}
-
-    def root(self, p_b: float) -> tuple[float, int]:
-        """:meth:`_newton` at ``p_b``, solved once for the object's life, so
-        every switch level a design visits shares one root per power."""
-        if p_b not in self._roots:
-            self._roots[p_b] = self._newton(p_b)
-        return self._roots[p_b]
-
-    def _newton(self, p_b: float) -> tuple[float, int]:
-        """The outage-constraint root yz at jamming power ``p_b`` and the
-        Newton steps that found it; it does not depend on the switch level.
-
-        In t = ln yz, with c = p_b/p_a_max, the constraint reads
-        g(t) = ln(1 + c*e^t) + eta*t - L = 0, where g is ln tau minus
-        :func:`~fdjam.analytics.log_exposure_approx` at p_a_max.  g is
-        increasing and convex (eta < g' < 1 + eta, 0 < g'' <= 1/4), and at
-        t_hi = min(L/eta, (L - ln c)/(1 + eta)) it is >= 0, with the root in
-        [t_hi - ln2/eta, t_hi].  So Newton's method from t_hi descends
-        monotonically onto the root and converges quadratically: after a
-        step of size dt the error is at most about dt^2/(8*eta).  At p_b = 0
-        the root is L/eta, with no step.
-        """
-        eta, level = self.eta, self.level
-        t, steps = level / eta, 0
-        if p_b > 0.0:
-            log_c = math.log(p_b) - math.log(self.params.p_a_max)
-            t = min(t, (level - log_c) / (1.0 + eta))
-            for steps in range(1, _ROOT_STEPS + 1):
-                # ln(1 + e^s) and its slope e^s/(1 + e^s), s = ln(c*e^t), with
-                # no overflow once c*e^t passes double range
-                s = log_c + t
-                if s > 0.0:
-                    e = math.exp(-s)
-                    softplus, slope = s + math.log1p(e), 1.0 / (1.0 + e)
-                else:
-                    e = math.exp(s)
-                    softplus, slope = math.log1p(e), e / (1.0 + e)
-                dt = (softplus + eta * t - level) / (slope + eta)
-                t -= dt
-                if dt * dt <= 8.0 * eta * _ROOT_ERROR:
-                    break
-            else:
-                raise InfeasibleError(
-                    f"outage-constraint root yz not converged in {_ROOT_STEPS} "
-                    f"Newton steps (ln yz={t}, tau={self.tau})")
-        # exp(+-700) stays clear of double overflow
-        if not -700.0 <= t <= 700.0:
-            raise InfeasibleError(
-                f"outage-constraint root yz not found for ln yz in [-700, 700] "
-                f"(tau={self.tau}): the root is at ln yz={t:.6g}")
-        return math.exp(t), steps
-
-
 def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     """Maximize r_s*exp(-mu_a) over rates and on-off threshold at fixed p_b.
 
-    The outage constraint, :func:`~fdjam.analytics.log_exposure_approx` at
-    the worst-case power p_a_max equal to ln tau, pins yz, found by Newton's
-    method on ln yz in [-700, 700] (:meth:`_Outage._newton`).  Then v(y) = yz
-    pins y: the substitution z = 1/(u*(1+y)) turns it into
+    The outage root of :class:`~fdjam.analytics._Outage` pins yz.  Then
+    v(y) = yz pins y: the substitution z = 1/(u*(1+y)) turns it into
     z + ln z = -ln u - ln(1+yz), solved by the Wright omega function, which
     yields r_s = z/ln2 and ln(1+y) = ln(1+yz) + z without subtractive
     cancellation, even when the rate gap is many orders below the rates.
@@ -271,7 +188,7 @@ def _step1(p_b: float, mu_b: float, outage: _Outage) -> Step1Result:
     # outage-constraint left side and compare with tau (relative).
     v_root = v_of_y(y_star, u)
     if v_root > 0.0:
-        lhs = log_exposure_approx(math.log(v_root), params.p_a_max, p_b, params)
+        lhs = outage.log_exposure(math.log(v_root), p_b)
         residual = abs(math.expm1(lhs - outage.log_tau))
     else:
         residual = math.inf
@@ -303,40 +220,40 @@ class Step2Result:
     iterations: int         # Brent iterations refining the sign change, else 0
 
 
-def _log_gain(p_b: float, r1: Step1Result, params: SystemParams) -> float:
+def _log_gain(p_b: float, r1: Step1Result, outage: _Outage) -> float:
     """ln of the gain u*v^2*(1+y)/(w*(1+v)) in the step-2 stationarity
     condition varpi*y = gain, from the step-1 solution ``r1`` at ``p_b``;
     -v^2/w is the outage root's slope dv/dp_b, with w from
-    :func:`~fdjam.analytics.root_slope_approx`.
+    :meth:`_Outage.slope <fdjam.analytics._Outage.slope>`.
 
     v = v(y*) equals the outage root yz* by construction and is taken from
     there: recomputing it from y* cancels to zero or below once yz* falls
     under about 1e-13.
     """
     v = r1.yz_star
-    w = root_slope_approx(v, params.p_a_max, p_b, params)
+    w = outage.slope(v, p_b)
     return (math.log(r1.u) + 2.0 * math.log(v) + math.log1p(r1.y_star)
             - math.log(w) - math.log1p(v))
 
 
-def _derivative_sign(p_b: float, r1: Step1Result, params: SystemParams) -> float:
+def _derivative_sign(p_b: float, r1: Step1Result, outage: _Outage) -> float:
     """Sign-carrying bracket of d(omega_tilde*)/d(p_b), from the step-1
     solution ``r1`` at ``p_b``.
 
     Equals u*v^2*(1+y)/(w*(1+v)) - varpi*y after exact cancellation of the
     varpi/u terms; the first term is formed in log form to survive extreme y.
     """
-    return math.exp(_log_gain(p_b, r1, params)) - r1.varpi * r1.y_star
+    return math.exp(_log_gain(p_b, r1, outage)) - r1.varpi * r1.y_star
 
 
-def _residual_eq_step2(p_b: float, r1: Step1Result, params: SystemParams) -> float:
+def _residual_eq_step2(p_b: float, r1: Step1Result, outage: _Outage) -> float:
     """Relative residual of the stationarity condition at p_b, from the
     step-1 solution ``r1`` there; nan without a switch level (varpi = 0)."""
     varpi = r1.varpi
     if varpi == 0.0:
         return math.nan
     return abs(math.expm1(math.log(varpi) + math.log(r1.y_star)
-                          - _log_gain(p_b, r1, params)))
+                          - _log_gain(p_b, r1, outage)))
 
 
 def solve_step2(mu_b: float, params: SystemParams,
@@ -369,7 +286,7 @@ def _step2(mu_b: float, grid: GridSpec, outage: _Outage) -> Step2Result:
         return _step1(p_b, mu_b, outage)
 
     def sign_at(p_b: float) -> float:
-        return _derivative_sign(p_b, step1_at(p_b), params)
+        return _derivative_sign(p_b, step1_at(p_b), outage)
 
     floor, p_max = min(grid.p_b_floor, params.p_b_max), params.p_b_max
     if sign_at(floor) <= 0.0:
@@ -401,7 +318,7 @@ def _step2(mu_b: float, grid: GridSpec, outage: _Outage) -> Step2Result:
         p_dag, capped, degenerate, iters = power(t_root), False, False, info.iterations
 
     step1 = step1_at(p_dag)
-    residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, params)
+    residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, outage)
     return Step2Result(p_b_dagger=p_dag, capped=capped, degenerate=degenerate,
                        step1=step1, residual=residual, iterations=iters)
 

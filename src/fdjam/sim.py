@@ -129,7 +129,7 @@ def _truncated_gamma(rng: np.random.Generator, k: float, c: np.ndarray
     least 0.63 (0.79 at alpha = 4).
     """
     small = c < math.gamma(1.0 + k) ** (1.0 / k)
-    if not small.any():    # always so in empirical_sop, whose c is one value
+    if not small.any():    # empirical_sop's c is one value: all here or all power law
         v = _gamma_below(rng, k, c)
         return v, (v / c) ** (k / 2.0)
     v = np.empty(c.size)

@@ -23,7 +23,7 @@ from scipy.special import hyp1f1, roots_legendre, wrightomega
 
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
                    dbm_to_watts, solve_step1, solve_step2)
-from fdjam.analytics import throughput_fd, throughput_hd
+from fdjam.analytics import _Outage, throughput_fd, throughput_hd
 from fdjam.optimizer import Step1Result, Step2Result, _derivative_sign
 from fdjam.params import FdParams, HdParams, SwitchedSolution, validate
 from fdjam.online import _BUDGET_RTOL, Action, Mode
@@ -552,7 +552,8 @@ def power_scan(params: SystemParams, grid: GridSpec = GridSpec()) -> tuple[float
 def derivative_signs(mu_b: float, params: SystemParams,
                      grid: GridSpec = GridSpec()) -> tuple[float, ...]:
     """Jamming-power derivative sign at every power of :func:`power_scan`."""
-    return tuple(_derivative_sign(p, solve_step1(p, mu_b, params), params)
+    outage = _Outage(params)
+    return tuple(_derivative_sign(p, solve_step1(p, mu_b, params), outage)
                  for p in power_scan(params, grid))
 
 

@@ -12,8 +12,7 @@ from fdjam import (ValidationError, comparison_metrics, dbm_to_watts,
                    empirical_sop, hd_weight, sop_approx, sop_exact,
                    throughput_fd, throughput_hd)
 from fdjam.analytics import (_clamp01, cdf_phi_e_approx, cdf_phi_e_exact,
-                             exposure_integral, log_exposure_approx,
-                             root_slope_approx)
+                             _Outage, exposure_integral, log_exposure_approx)
 from fdjam.params import FdParams, HdParams, SwitchedSolution
 import fdjam.analytics as analytics
 
@@ -103,8 +102,8 @@ def test_root_slope_is_the_implicit_derivative(alpha):
     h = 1e-4 * P_B
     slope = (root(P_B + h) - root(P_B - h)) / (2.0 * h)
     assert root(P_B) == pytest.approx(X, rel=1e-12)
-    assert slope == pytest.approx(-X ** 2 / root_slope_approx(X, P_A, P_B, p),
-                                  rel=1e-6)
+    w = _Outage(dataclasses.replace(p, p_a_max=P_A)).slope(X, P_B)
+    assert slope == pytest.approx(-X ** 2 / w, rel=1e-6)
 
 
 def test_clamp_never_turns_nan_into_a_probability():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fdjam.analytics
 import fdjam.optimizer
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
                    dbm_to_watts, optimize, solve_step1, solve_step2, v_of_y)
@@ -353,7 +354,7 @@ def _count_design_work(monkeypatch):
     """Record the outage roots solved (by jamming power), the params
     validations, the grid checks and the outage budgets formed."""
     counts = dict(powers=[], validations=[], grid_checks=[], budgets=[])
-    newton, budget = fdjam.optimizer._Outage._newton, fdjam.optimizer.exposure_budget
+    newton, budget = fdjam.analytics._Outage._newton, fdjam.analytics.exposure_budget
     validate, check = fdjam.optimizer.validate, GridSpec.check
 
     def counted_newton(outage, p_b):
@@ -372,8 +373,8 @@ def _count_design_work(monkeypatch):
         counts["grid_checks"].append(grid)
         return check(grid, params)
 
-    monkeypatch.setattr(fdjam.optimizer._Outage, "_newton", counted_newton)
-    monkeypatch.setattr(fdjam.optimizer, "exposure_budget", counted_budget)
+    monkeypatch.setattr(fdjam.analytics._Outage, "_newton", counted_newton)
+    monkeypatch.setattr(fdjam.analytics, "exposure_budget", counted_budget)
     monkeypatch.setattr(fdjam.optimizer, "validate", counted_validate)
     monkeypatch.setattr(GridSpec, "check", counted_check)
     return counts
@@ -410,6 +411,63 @@ def test_step_solvers_check_and_form_the_budget_once(monkeypatch):
     step2_powers = counts["powers"][1:]
     assert len(set(step2_powers)) == len(step2_powers) > 2
     assert record.p_b_dagger in step2_powers
+
+
+class _Recorder:
+    """Passes every read of ``outage`` through, recording each answer."""
+
+    def __init__(self, outage):
+        self.outage, self.answers = outage, {}
+
+    def __getattr__(self, name):
+        value = getattr(self.outage, name)
+        if not callable(value):
+            self.answers[name] = value
+            return value
+
+        def recorded(*args):
+            self.answers[name, args] = value(*args)
+            return self.answers[name, args]
+        return recorded
+
+
+class _Replay:
+    """Gives only the answers recorded; any other read is a KeyError."""
+
+    def __init__(self, answers):
+        self.answers = answers
+
+    def __getattr__(self, name):
+        if name in self.answers:
+            return self.answers[name]
+        return lambda *args: self.answers[name, args]
+
+
+def test_step2_reads_the_outage_model_only_through_its_object(monkeypatch):
+    # steps 1 and 2 ask the outage object, and nothing else, about the
+    # model: replaying its answers with the closed form's free functions
+    # disabled gives the same design; this is the seam an exact outage
+    # model plugs into
+    outage = fdjam.analytics._Outage(_default_config().system)
+    runs = []
+    for mu_b in (1e-10, 1e-9, 1e-7):
+        recorder = _Recorder(outage)
+        runs.append((mu_b, recorder.answers,
+                     fdjam.optimizer._step2(mu_b, GridSpec(), recorder)))
+    # capped, interior and degenerate
+    assert [(r.capped, r.degenerate, r.iterations > 0) for *_, r in runs] == [
+        (True, False, False), (False, False, True), (False, True, False)]
+
+    def unreachable(*args):
+        raise AssertionError("outage model read around its object")
+
+    for module in [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "fdjam"]:
+        for name in ("log_exposure_approx", "exposure_budget", "field_beta"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+    for mu_b, answers, record in runs:
+        assert fdjam.optimizer._step2(mu_b, GridSpec(), _Replay(answers)) == record
 
 
 def test_optimize_rejects_zero_jamming_budget():
@@ -518,7 +576,7 @@ def _root_equation(params):
 
 
 def _root_at(p_b, params):
-    return fdjam.optimizer._Outage(params).root(p_b)
+    return fdjam.analytics._Outage(params).root(p_b)
 
 
 @pytest.mark.parametrize("name, params, grid", SEARCH_SCENARIOS, ids=SEARCH_IDS)
@@ -575,7 +633,7 @@ def test_outage_root_outside_its_window_is_infeasible(lambda_e):
 
 
 def test_outage_root_raises_at_its_step_cap(monkeypatch):
-    monkeypatch.setattr(fdjam.optimizer, "_ROOT_STEPS", 1)
+    monkeypatch.setattr(fdjam.analytics, "_ROOT_STEPS", 1)
     with pytest.raises(InfeasibleError,
                        match=r"outage-constraint root yz not converged in 1 Newton steps"):
         solve_step1(VI_PB, VI_MU_B, vi_defaults())
