@@ -36,7 +36,13 @@ order, so runs can be sharded across workers as long as every shard holds
 whole blocks.  The engine uses this itself: each block draws from its own
 substream, but up to ``_CHUNK`` consecutive trials or slots are evaluated
 together as one batch (gains, slot rule, thinning, jamming coins, outage
-and reliability tests), with the same outputs as one block at a time.
+and reliability tests), with the same outputs as one block at a time.  The
+kept points of a batch are tested in slices of at most ``_POINTS`` (4,096),
+cut within and across chunks and blocks, which changes no output either.
+``empirical_sop`` holds its powers fixed, so it forms the thinning scale,
+the kept-count mean and the jamming power once per call and broadcasts them;
+``run_online`` passes one value per transmitting slot through the same
+kernel.
 
 Per-block draw order (fixed, part of the contract): the on-line simulator
 first draws the main-channel gains, then the self-interference gains, one
@@ -52,6 +58,7 @@ coins.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -80,8 +87,10 @@ _BLOCK = 64
 # slots) evaluated at once in a batch of blocks; bounds peak memory in dense
 # fields that the signal threshold barely thins.
 _CHUNK = 1 << 15
-# Kept points evaluated at once across the blocks of a batch: few enough for
-# the evaluation's temporaries to stay in cache.
+# Most kept points evaluated at once: draws stay whole chunks, but their
+# points are tested in slices of at most this many, cut within and across
+# chunks and blocks, so the test's scratch arrays stay in cache.  Each point's
+# test is on its own, so the slicing never changes an output.
 _POINTS = 1 << 12
 
 
@@ -103,44 +112,37 @@ def _batches(n: int):
         yield blocks, [*range(0, rows, _BLOCK), rows]
 
 
-def _gamma_below(rng: np.random.Generator, k: float, c: np.ndarray) -> np.ndarray:
+def _at(x, index):
+    """``x[index]`` for a value per row or point; ``x`` itself when one value
+    serves every row (``empirical_sop`` holds its powers fixed)."""
+    return x[index] if isinstance(x, np.ndarray) else x
+
+
+def _gamma_below(rng: np.random.Generator, k: float, c, n: int) -> np.ndarray:
     """Per entry of ``c``, the first ``Gamma(k)`` proposal at most c; each
     round draws one proposal per entry still rejected, in entry order."""
-    v = rng.gamma(k, size=c.size)
+    v = rng.gamma(k, size=n)
     todo = np.flatnonzero(v > c)
     while todo.size:
         g = rng.gamma(k, size=todo.size)
-        ok = g <= c[todo]
+        ok = g <= _at(c, todo)
         v[todo[ok]] = g[ok]
         todo = todo[~ok]
     return v
 
 
-def _truncated_gamma(rng: np.random.Generator, k: float, c: np.ndarray
+def _power_law_below(rng: np.random.Generator, k: float, c, n: int
                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """``v ~ Gamma(k)`` truncated to ``[0, c]`` per entry of ``c``, and the
-    point's radius over r_cut, ``(v / c)^(k/2)``.
-
-    Large c: Gamma proposals, rejecting v > c (acceptance P(k, c)).  Small
-    c, down to 0: the power law v = c * U^(1/k), i.e. an area-uniform
-    position, accepted with probability exp(-v) (acceptance
-    1F1(k; k+1; -c)).  The switch at c = Gamma(1+k)^(1/k) is where the two
-    acceptances meet, so every proposal is accepted with probability at
-    least 0.63 (0.79 at alpha = 4).
-    """
-    small = c < math.gamma(1.0 + k) ** (1.0 / k)
-    if not small.any():    # empirical_sop's c is one value: all here or all power law
-        v = _gamma_below(rng, k, c)
-        return v, (v / c) ** (k / 2.0)
-    v = np.empty(c.size)
-    s = np.empty(c.size)
-    large = ~small
-    v[large] = _gamma_below(rng, k, c[large])
-    s[large] = (v[large] / c[large]) ** (k / 2.0)
-    todo = np.flatnonzero(small)
+    """Per entry of ``c``, the first area-uniform position ``v = c * U^(1/k)``
+    accepted with probability exp(-v), and its ``sqrt(U)``; each round draws
+    the positions, then the acceptance uniforms, of the entries still
+    rejected, in entry order."""
+    v = np.empty(n)
+    s = np.empty(n)
+    todo = np.arange(n)
     while todo.size:
         w = rng.random(todo.size)
-        g = c[todo] * w ** (1.0 / k)
+        g = _at(c, todo) * w ** (1.0 / k)
         ok = rng.random(todo.size) < np.exp(-g)
         v[todo[ok]] = g[ok]
         s[todo[ok]] = np.sqrt(w[ok])
@@ -148,80 +150,142 @@ def _truncated_gamma(rng: np.random.Generator, k: float, c: np.ndarray
     return v, s
 
 
-def _kept_mean(c: np.ndarray, params: SystemParams, r_cut: float) -> np.ndarray:
-    """Per row, the mean number of eavesdroppers able to beat x without
-    jamming."""
+def _truncated_gamma(rng: np.random.Generator, k: float, c, n: int
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """``n`` draws of ``v ~ Gamma(k)`` truncated to ``[0, c]``, with c per
+    entry or one value for all, and the point's radius over r_cut,
+    ``(v / c)^(k/2)``.
+
+    Large c: Gamma proposals, rejecting v > c (acceptance P(k, c)).  Small
+    c, down to 0: the power law v = c * U^(1/k), i.e. an area-uniform
+    position, accepted with probability exp(-v) (acceptance
+    1F1(k; k+1; -c)).  The switch at c = Gamma(1+k)^(1/k) is where the two
+    acceptances meet, so every proposal is accepted with probability at
+    least 0.63 (0.79 at alpha = 4).  Mixed entries draw the large ones'
+    proposals first.
+    """
+    small = np.less(c, math.gamma(1.0 + k) ** (1.0 / k))
+    if not small.any():
+        v = _gamma_below(rng, k, c, n)
+        return v, (v / c) ** (k / 2.0)
+    if small.all():    # empirical_sop's one c puts a whole call on one side
+        return _power_law_below(rng, k, c, n)
+    v = np.empty(n)
+    s = np.empty(n)
+    large = ~small
+    v[large] = _gamma_below(rng, k, c[large], int(np.count_nonzero(large)))
+    s[large] = (v[large] / c[large]) ** (k / 2.0)
+    v[small], s[small] = _power_law_below(rng, k, c[small],
+                                          int(np.count_nonzero(small)))
+    return v, s
+
+
+def _kept_mean(c, params: SystemParams, r_cut: float):
+    """The mean number of eavesdroppers able to beat x without jamming, per
+    row or for one thinning scale."""
     k = 2.0 / params.alpha
     return params.lambda_e * math.pi * r_cut * r_cut * hyp1f1(k, k + 1.0, -c)
 
 
 def _beats_jamming(turn: np.ndarray, coin: np.ndarray, v: np.ndarray,
-                   d_ak: np.ndarray, p_b: np.ndarray, params: SystemParams
-                   ) -> np.ndarray:
+                   d_ak: np.ndarray, p_b, params: SystemParams) -> np.ndarray:
     """Per kept point: does its SINR still exceed x under jamming ``p_b``?
     ``turn`` and ``coin`` are the point's half-azimuth (in half turns) and
-    jamming-coin uniforms."""
-    half_theta = math.pi * turn
+    jamming-coin uniforms.
+
+    It evaluates, operation for operation, ``d_bk2 = (d_ak - d_ab)^2 +
+    4 d_ab d_ak sin(pi turn)^2``, ``noise = sigma_e2 * d_bk2^(alpha/2)`` and
+    ``coin * (noise + v p_b) < noise``, in place in two scratch arrays; only
+    the operands of multiplications and additions swap, which leaves IEEE
+    results exact.
+    """
     d_ab = params.d_ab
-    d_bk2 = (d_ak - d_ab) ** 2 + 4.0 * d_ab * d_ak * np.sin(half_theta) ** 2
-    noise = params.sigma_e2 * d_bk2 ** (params.alpha / 2.0)
-    return coin * (noise + v * p_b) < noise
+    noise = np.multiply(turn, math.pi)
+    np.sin(noise, out=noise)
+    np.square(noise, out=noise)
+    cross = np.multiply(d_ak, 4.0 * d_ab)
+    cross *= noise
+    np.subtract(d_ak, d_ab, out=noise)
+    np.square(noise, out=noise)
+    noise += cross
+    noise **= params.alpha / 2.0
+    noise *= params.sigma_e2
+    np.multiply(v, p_b, out=cross)
+    cross += noise
+    cross *= coin
+    return cross < noise
 
 
-def _kept_points(rngs, starts, kept: np.ndarray, c: np.ndarray, k: float):
+def _kept_points(rngs, starts, kept: np.ndarray, c, k: float):
     """Chunks of kept points, block by block: ``(owner, v, s, turn, coin)``.
 
     Block ``i`` owns rows ``starts[i]:starts[i + 1]`` and draws from
     ``rngs[i]``; its points come in owner order, in chunks of at most
     ``_CHUNK`` (each chunk's positions, then its azimuths and coins)."""
-    rows = np.arange(c.size)
+    rows = np.arange(kept.size)
     for rng, lo, hi in zip(rngs, starts, starts[1:]):
         owner = np.repeat(rows[lo:hi], kept[lo:hi])
         for start in range(0, owner.size, _CHUNK):
             chunk = owner[start:start + _CHUNK]
-            v, s = _truncated_gamma(rng, k, c[chunk])
+            v, s = _truncated_gamma(rng, k, _at(c, chunk), chunk.size)
             yield chunk, v, s, rng.random(chunk.size), rng.random(chunk.size)
 
 
-def _mark_hits(outage: np.ndarray, group, p_b: np.ndarray,
-               params: SystemParams, r_cut: float) -> None:
-    """Flag the rows that own a point of ``group`` (chunks of kept points)
-    whose SINR still exceeds x under jamming."""
-    owner, v, s, turn, coin = (np.concatenate(x) for x in zip(*group))
-    hit = _beats_jamming(turn, coin, v, r_cut * s, p_b[owner], params)
+def _mark_hits(outage: np.ndarray, group, p_b, params: SystemParams,
+               r_cut: float) -> None:
+    """Flag the rows that own a point of ``group`` (pieces of chunks of kept
+    points) whose SINR still exceeds x under jamming."""
+    owner, v, s, turn, coin = (group[0] if len(group) == 1 else
+                               (np.concatenate(x) for x in zip(*group)))
+    hit = _beats_jamming(turn, coin, v, r_cut * s, _at(p_b, owner), params)
     outage[owner[hit]] = True
 
 
-def _field_outages(rngs, starts, a: np.ndarray, p_b: np.ndarray,
-                   params: SystemParams, r_cut: float) -> np.ndarray:
+def _field_outages(rngs, starts, c, mean, p_b, params: SystemParams,
+                   r_cut: float) -> np.ndarray:
     """Secrecy outage per row of a batch of blocks, for rows with thinning
-    scale ``a = sigma_e2 * x / p_a`` and jamming power ``p_b``.
+    scale ``c = sigma_e2 * x / p_a * r_cut^alpha``, kept-count mean ``mean``
+    (:func:`_kept_mean`) and jamming power ``p_b``, each per row or one
+    value for every row.
 
     Block ``i`` owns rows ``starts[i]:starts[i + 1]`` and draws from
     ``rngs[i]`` its kept counts, then the points of its jammed rows (see
-    :func:`_kept_points`).  The points of consecutive chunks are evaluated
-    together, in groups of about ``_POINTS``.
+    :func:`_kept_points`).  The points are evaluated in slices of at most
+    ``_POINTS``, cut within and across chunks and blocks; each point's test
+    does not depend on its slice, so the outputs do not either.
     """
-    c = a * r_cut ** params.alpha
-    mean = _kept_mean(c, params, r_cut)
-    counts = np.concatenate([rng.poisson(mean[lo:hi])
-                             for rng, lo, hi in zip(rngs, starts, starts[1:])])
+    # one mean draws the same counts as an array of it, at a third of the cost
+    per_row = isinstance(mean, np.ndarray)
+    counts = np.concatenate([
+        rng.poisson(mean[lo:hi]) if per_row else rng.poisson(mean, hi - lo)
+        for rng, lo, hi in zip(rngs, starts, starts[1:])])
     jammed = p_b > 0.0
-    outage = (counts > 0) & ~jammed
+    outage = (counts > 0) & np.logical_not(jammed)    # not ~: jammed may be a bool
     group, held = [], 0
     for points in _kept_points(rngs, starts, np.where(jammed, counts, 0), c,
                                2.0 / params.alpha):
-        group.append(points)
-        held += points[0].size
-        if held >= _POINTS:
+        while held + points[0].size >= _POINTS:    # cut where the slice fills
+            cut = _POINTS - held
+            group.append(tuple(x[:cut] for x in points))
             _mark_hits(outage, group, p_b, params, r_cut)
             group, held = [], 0
-    if group:
+            points = tuple(x[cut:] for x in points)
+        group.append(points)
+        held += points[0].size
+    if held:
         _mark_hits(outage, group, p_b, params, r_cut)
     return outage
 
 
-def _check_run_args(r_cut: float, seed: int) -> None:
+def _check_run_args(count_name: str, count: int, r_cut: float, seed: int
+                    ) -> None:
+    """Check a run's trial or slot count, disk radius and master seed before
+    any draw; counts and seeds may be any integer type, numpy's included."""
+    for name, value in ((count_name, count), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer: {value!r}")
+    if count < 1:
+        raise ValidationError(f"{count_name} must be >= 1: {count}")
     if not 0.0 < r_cut < math.inf:
         raise ValidationError(f"r_cut must be finite and > 0 m: {r_cut}")
     if seed < 0:
@@ -246,28 +310,26 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     Transmit powers are held fixed across trials (this is the oracle for the
     closed-form outage expressions, not the adaptive on-line scheme).
     """
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1: {n_trials}")
-    _check_run_args(r_cut, seed)
+    _check_run_args("n_trials", n_trials, r_cut, seed)
     if r_s > r_c:
         raise ValidationError(f"require r_s <= r_c, got r_s={r_s}, r_c={r_c}")
     if not 0.0 < p_a < math.inf or not p_b >= 0.0:
         raise ValidationError(
             f"require finite p_a > 0 W and p_b >= 0 W, got p_a={p_a}, p_b={p_b}")
     try:
-        a = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
-        c = a * r_cut ** params.alpha
+        c = (params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
+             * r_cut ** params.alpha)
     except OverflowError:
         c = math.inf
     if not c < math.inf:    # the per-block kernel needs a finite thinning scale
         raise ValidationError(
             f"rate gap r_c - r_s = {r_c - r_s} bits at r_cut = {r_cut} m is too "
             f"large to simulate: sigma_e2*x/p_a*r_cut^alpha overflows")
+    mean = _kept_mean(c, params, r_cut)
     hits = 0
     for blocks, starts in _batches(n_trials):
-        rows = starts[-1]
         outage = _field_outages([sub_rng(seed, 0, b) for b in blocks], starts,
-                                np.full(rows, a), np.full(rows, p_b), params, r_cut)
+                                c, mean, p_b, params, r_cut)
         hits += int(np.count_nonzero(outage))
     p = hits / n_trials
     return McEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n_trials),
@@ -320,9 +382,7 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
     expected: the transmit power is set to close the link budget exactly)
     rather than silently ignored.
     """
-    if n_slots < 1:
-        raise ValidationError(f"n_slots must be >= 1: {n_slots}")
-    _check_run_args(r_cut, seed)
+    _check_run_args("n_slots", n_slots, r_cut, seed)
 
     fd, hd = solution.fd, solution.hd
     x_fd = 2.0 ** (fd.r_c - fd.r_s) - 1.0
@@ -339,10 +399,12 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
         gamma_ab, gamma_bb = (-np.log1p(-np.concatenate(u)) for u in zip(*gains))
         is_fd, is_hd, p_a, p_b = decide_slots(gamma_ab, gamma_bb, solution, params)
         tx = is_fd | is_hd
-        a = params.sigma_e2 * np.where(is_fd, x_fd, x_hd)[tx] / p_a[tx]
+        c = (params.sigma_e2 * np.where(is_fd, x_fd, x_hd)[tx] / p_a[tx]
+             * r_cut ** params.alpha)
         tx_starts = np.concatenate(([0], np.cumsum(tx)))[starts]
-        secrecy_outages += int(np.count_nonzero(
-            _field_outages(rngs, tx_starts, a, p_b[tx], params, r_cut)))
+        secrecy_outages += int(np.count_nonzero(_field_outages(
+            rngs, tx_starts, c, _kept_mean(c, params, r_cut), p_b[tx], params,
+            r_cut)))
 
         c_b = np.log2(1.0 + p_a * gamma_ab * loss
                       / (params.sigma_b2 + params.rho * p_b * gamma_bb))

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -68,7 +69,7 @@ def _engine_blocks(seed, n, a, params, r_cut):
         counts = rng.poisson(_kept_mean(c, params, r_cut))
         owner = np.repeat(np.arange(m), counts)
         assert owner.size <= _CHUNK
-        v, s = _truncated_gamma(rng, 2.0 / params.alpha, c[owner])
+        v, s = _truncated_gamma(rng, 2.0 / params.alpha, c[owner], owner.size)
         yield rng, counts, owner, v, r_cut * s
 
 
@@ -270,13 +271,33 @@ RUN_ARGS = dict(r_cut=500.0, seed=0)
     ({"r_cut": math.nan}, "r_cut must be finite"),
     ({"r_cut": math.inf}, "r_cut must be finite"),
     ({"seed": -1}, "seed must be >= 0"),
+    ({"seed": 0.5}, "seed must be an integer: 0.5"),
+    ({"seed": math.inf}, "seed must be an integer: inf"),
+    ({"n": 1.5}, "{n} must be an integer: 1.5"),
+    ({"n": math.inf}, "{n} must be an integer: inf"),
+    ({"n": 10.0}, "{n} must be an integer: 10.0"),
+    ({"n": 0}, "{n} must be >= 1: 0"),
 ])
-def test_run_arguments_checked_before_any_draw(bad, message):
-    with pytest.raises(ValidationError, match=message):
-        empirical_sop(P_A, P_B, R_C, R_S, vi_defaults(), n_trials=10,
-                      **{**RUN_ARGS, **bad})
-    with pytest.raises(ValidationError, match=message):
-        run_online(ONLINE_SOLUTION, ONLINE_PARAMS, n_slots=10, **{**RUN_ARGS, **bad})
+def test_run_arguments_checked_before_any_draw(bad, message, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before checking its arguments")
+    monkeypatch.setattr(sim, "sub_rng", no_draws)
+    args = {**RUN_ARGS, "n": 10, **bad}
+    n = args.pop("n")
+    with pytest.raises(ValidationError, match=re.escape(message.format(n="n_trials"))):
+        empirical_sop(P_A, P_B, R_C, R_S, vi_defaults(), n_trials=n, **args)
+    with pytest.raises(ValidationError, match=re.escape(message.format(n="n_slots"))):
+        run_online(ONLINE_SOLUTION, ONLINE_PARAMS, n_slots=n, **args)
+
+
+def test_run_arguments_accept_numpy_integers():
+    args = (P_A, P_B, R_C, R_S, vi_defaults())
+    assert (empirical_sop(*args, n_trials=np.int64(100), r_cut=500.0,
+                          seed=np.uint32(3))
+            == empirical_sop(*args, n_trials=100, r_cut=500.0, seed=3))
+    assert (run_online(ONLINE_SOLUTION, ONLINE_PARAMS, np.int32(100), 500.0,
+                       np.int64(3))
+            == run_online(ONLINE_SOLUTION, ONLINE_PARAMS, 100, 500.0, 3))
 
 
 @pytest.mark.parametrize("p_a, p_b", [(math.nan, P_B), (math.inf, P_B), (P_A, math.nan)])

@@ -4,6 +4,7 @@ replaced: every estimate and report must be equal bit for bit."""
 import math
 import re
 
+import numpy as np
 import pytest
 
 import fdjam.sim as sim
@@ -44,10 +45,10 @@ def regimes(monkeypatch):
     calls = []
     draw = sim._truncated_gamma
 
-    def spy(rng, k, c):
-        switch = math.gamma(1.0 + k) ** (1.0 / k)
-        calls.append((bool((c < switch).any()), bool((c >= switch).any())))
-        return draw(rng, k, c)
+    def spy(rng, k, c, n):
+        below = np.asarray(c) < math.gamma(1.0 + k) ** (1.0 / k)
+        calls.append((bool(below.any()), bool((~below).any())))
+        return draw(rng, k, c, n)
     monkeypatch.setattr(sim, "_truncated_gamma", spy)
     return calls
 
@@ -55,6 +56,18 @@ def regimes(monkeypatch):
 def _chunk_of_seven(monkeypatch):
     monkeypatch.setattr(sim, "_CHUNK", 7)
     monkeypatch.setattr(oracles, "_CHUNK", 7)
+
+
+def _slices_of_five(monkeypatch):
+    """Evaluate kept points five at a time: slices cut every chunk of more
+    than five points and carry a remainder into the next chunk or block."""
+    monkeypatch.setattr(sim, "_POINTS", 5)
+
+
+def _kept_count_mean(params, r_c, r_s, r_cut):
+    """An empirical_sop trial's mean kept count at power P_A."""
+    c = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / P_A * r_cut ** params.alpha
+    return sim._kept_mean(c, params, r_cut)
 
 
 @pytest.mark.parametrize("case, params, r_c, r_s, n, r_cut", [
@@ -67,6 +80,9 @@ def _chunk_of_seven(monkeypatch):
     ("dense", vi_defaults(lambda_e=2e-3), 4.0, 1.0, 130, 800.0),
     # c <= 1e-6: area-uniform proposals only
     ("barely thinned", vi_defaults(), 2.001, 2.0, 2000, 100.0),
+    # A2's densest row: about 21,000 kept points per block, in one chunk
+    # that is evaluated in slices of _POINTS
+    ("one chunk, many slices", vi_defaults(lambda_e=1e-3), 4.0, 1.0, 200, 800.0),
 ])
 def test_empirical_sop_equals_blockwise_loop(case, params, r_c, r_s, n, r_cut,
                                              regimes):
@@ -84,6 +100,28 @@ def test_empirical_sop_without_jamming_equals_blockwise_loop():
 def test_empirical_sop_in_chunks_of_seven_equals_blockwise_loop(monkeypatch):
     _chunk_of_seven(monkeypatch)
     args = (P_A, P_B, 4.0, 1.0, vi_defaults(), 300, 800.0, 19)
+    assert empirical_sop(*args) == empirical_sop_blockwise(*args)
+
+
+@pytest.mark.parametrize("lambda_e, below_ten", [(1e-5, True), (1e-4, False)])
+def test_empirical_sop_in_both_poisson_regimes_equals_blockwise_loop(
+        lambda_e, below_ten):
+    # numpy draws a Poisson count by multiplying uniforms below a mean of 10
+    # and by transformed rejection at and above it
+    params = vi_defaults(lambda_e=lambda_e)
+    assert (_kept_count_mean(params, 4.0, 1.0, 800.0) < 10.0) == below_ten
+    args = (P_A, P_B, 4.0, 1.0, params, 1000, 800.0, 25)
+    assert empirical_sop(*args) == empirical_sop_blockwise(*args)
+
+
+@pytest.mark.parametrize("chunk_of_seven, lambda_e, n", [
+    (False, 1e-5, 1000), (False, 1e-4, 300), (True, 1e-4, 300)])
+def test_empirical_sop_in_slices_of_five_equals_blockwise_loop(
+        monkeypatch, chunk_of_seven, lambda_e, n):
+    if chunk_of_seven:
+        _chunk_of_seven(monkeypatch)
+    _slices_of_five(monkeypatch)
+    args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=lambda_e), n, 800.0, 26)
     assert empirical_sop(*args) == empirical_sop_blockwise(*args)
 
 
@@ -113,6 +151,16 @@ def test_run_online_pure_half_duplex_equals_blockwise_loop():
 def test_run_online_in_chunks_of_seven_equals_blockwise_loop(monkeypatch):
     _chunk_of_seven(monkeypatch)
     args = (ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 22)
+    assert run_online(*args) == run_online_blockwise(*args)
+
+
+@pytest.mark.parametrize("chunk_of_seven", [False, True])
+def test_run_online_in_slices_of_five_equals_blockwise_loop(monkeypatch,
+                                                            chunk_of_seven):
+    if chunk_of_seven:
+        _chunk_of_seven(monkeypatch)
+    _slices_of_five(monkeypatch)
+    args = (ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 28)
     assert run_online(*args) == run_online_blockwise(*args)
 
 
