@@ -42,7 +42,12 @@ cut within and across chunks and blocks, which changes no output either.
 ``empirical_sop`` holds its powers fixed, so it forms the thinning scale,
 the kept-count mean and the jamming power once per call and broadcasts them;
 ``run_online`` passes one value per transmitting slot through the same
-kernel.
+kernel.  A batch whose jammed rows are expected to keep enough points is
+split into contiguous groups of whole blocks, evaluated on worker threads,
+one group per CPU the process may use (``taskset`` restricts them) and at
+least ``_POINTS`` expected points per group.  The substreams are created on
+the calling thread and the groups' outages are joined in block order, so
+every output is the same on any number of CPUs; there is no option for it.
 
 Per-block draw order (fixed, part of the contract): the on-line simulator
 first draws the main-channel gains, then the self-interference gains, one
@@ -59,6 +64,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -221,12 +227,19 @@ def _kept_points(rngs, starts, kept: np.ndarray, c, k: float):
 
     Block ``i`` owns rows ``starts[i]:starts[i + 1]`` and draws from
     ``rngs[i]``; its points come in owner order, in chunks of at most
-    ``_CHUNK`` (each chunk's positions, then its azimuths and coins)."""
+    ``_CHUNK`` (each chunk's positions, then its azimuths and coins).  Each
+    chunk's owners are formed from its own points, so memory stays bounded by
+    ``_CHUNK`` however many points a block keeps."""
     rows = np.arange(kept.size)
+    # row i owns the points edges[i]:edges[i + 1] of the batch
+    edges = np.concatenate(([0], np.cumsum(kept)))
     for rng, lo, hi in zip(rngs, starts, starts[1:]):
-        owner = np.repeat(rows[lo:hi], kept[lo:hi])
-        for start in range(0, owner.size, _CHUNK):
-            chunk = owner[start:start + _CHUNK]
+        for start in range(edges[lo], edges[hi], _CHUNK):
+            if edges[hi] - edges[lo] <= _CHUNK:    # the whole block is one chunk
+                counts = kept[lo:hi]
+            else:    # each row's points clipped to this chunk's
+                counts = np.diff(edges[lo:hi + 1].clip(start, start + _CHUNK))
+            chunk = rows[lo:hi].repeat(counts)
             v, s = _truncated_gamma(rng, k, _at(c, chunk), chunk.size)
             yield chunk, v, s, rng.random(chunk.size), rng.random(chunk.size)
 
@@ -275,6 +288,45 @@ def _field_outages(rngs, starts, c, mean, p_b, params: SystemParams,
     if held:
         _mark_hits(outage, group, p_b, params, r_cut)
     return outage
+
+
+def _workers() -> int:
+    """The CPUs this process may run on (``taskset`` restricts them)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _batch_outages(rngs, starts, c, mean, p_b, params: SystemParams,
+                   r_cut: float) -> np.ndarray:
+    """:func:`_field_outages` of a batch of blocks, with contiguous groups of
+    whole blocks evaluated on worker threads.
+
+    It forms ``groups = min(workers, blocks, expected kept points //
+    _POINTS)`` (the kept points of jammed rows), so a batch that keeps too
+    few points to pay for a thread stays on the calling thread.  Each block
+    still draws only from its own substream, in its own order, and the
+    groups' outages are joined in block order, so no output depends on the
+    number of groups.  numpy fills arrays from a ``Generator`` and runs float
+    ufuncs without holding the GIL, which is where the groups overlap.  The
+    substreams are created by the caller, on the calling thread.
+    """
+    # one mean may serve every row, hence the broadcast
+    expected = np.broadcast_to(np.where(p_b > 0.0, mean, 0.0), starts[-1]).sum()
+    groups = min(_workers(), len(rngs), int(expected // _POINTS))
+    if groups <= 1:
+        return _field_outages(rngs, starts, c, mean, p_b, params, r_cut)
+    from concurrent.futures import ThreadPoolExecutor    # only a fan-out needs it
+
+    def group(g: int) -> np.ndarray:
+        first, stop = len(rngs) * g // groups, len(rngs) * (g + 1) // groups
+        rows = slice(starts[first], starts[stop])
+        return _field_outages(
+            rngs[first:stop], [s - rows.start for s in starts[first:stop + 1]],
+            _at(c, rows), _at(mean, rows), _at(p_b, rows), params, r_cut)
+
+    with ThreadPoolExecutor(groups) as pool:
+        return np.concatenate(list(pool.map(group, range(groups))))
 
 
 def _check_run_args(count_name: str, count: int, r_cut: float, seed: int
@@ -328,7 +380,7 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     mean = _kept_mean(c, params, r_cut)
     hits = 0
     for blocks, starts in _batches(n_trials):
-        outage = _field_outages([sub_rng(seed, 0, b) for b in blocks], starts,
+        outage = _batch_outages([sub_rng(seed, 0, b) for b in blocks], starts,
                                 c, mean, p_b, params, r_cut)
         hits += int(np.count_nonzero(outage))
     p = hits / n_trials
@@ -402,7 +454,7 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
         c = (params.sigma_e2 * np.where(is_fd, x_fd, x_hd)[tx] / p_a[tx]
              * r_cut ** params.alpha)
         tx_starts = np.concatenate(([0], np.cumsum(tx)))[starts]
-        secrecy_outages += int(np.count_nonzero(_field_outages(
+        secrecy_outages += int(np.count_nonzero(_batch_outages(
             rngs, tx_starts, c, _kept_mean(c, params, r_cut), p_b[tx], params,
             r_cut)))
 

@@ -1,8 +1,12 @@
 """The batched Monte Carlo engine against the block-at-a-time loops it
-replaced: every estimate and report must be equal bit for bit."""
+replaced: every estimate and report must be equal bit for bit, also when a
+batch's blocks are evaluated in groups on worker threads."""
 
 import math
 import re
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +15,12 @@ import fdjam.sim as sim
 import oracles
 from fdjam import (FdParams, SwitchedSolution, ValidationError, dbm_to_watts,
                    empirical_sop, optimize, run_online)
+from fdjam.cli import main
 
 from oracles import (empirical_sop_blockwise, run_online_blockwise,
                      vi_defaults)
 
+DEFAULT_INI = str(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
 P_A = dbm_to_watts(20.0)
 P_B = dbm_to_watts(30.0)
 
@@ -171,3 +177,152 @@ def test_run_online_reports_the_over_budget_slot_of_a_later_block():
         run_online_blockwise(BAD_SOLUTION, ONLINE_PARAMS, 640, 2000.0, 13)
     with pytest.raises(ValidationError, match=re.escape(str(ref.value))):
         run_online(BAD_SOLUTION, ONLINE_PARAMS, 640, 2000.0, 13)
+
+
+def _fan_out(monkeypatch, workers):
+    """Run every batch on ``workers`` CPUs, whatever the host has, with five
+    expected kept points enough to pay for a thread; return the
+    ``(thread, blocks)`` of every ``_field_outages`` call."""
+    monkeypatch.setattr(sim, "_workers", lambda: workers)
+    _slices_of_five(monkeypatch)
+    calls = []
+    evaluate = sim._field_outages
+
+    def spy(rngs, *args):
+        calls.append((threading.get_ident(), len(rngs)))
+        return evaluate(rngs, *args)
+    monkeypatch.setattr(sim, "_field_outages", spy)
+    return calls
+
+
+def _blocks_of_two(monkeypatch):
+    """Blocks of two rows in chunks of seven points: three blocks a batch,
+    and most blocks cut into several chunks."""
+    _chunk_of_seven(monkeypatch)
+    monkeypatch.setattr(sim, "_BLOCK", 2)
+    monkeypatch.setattr(oracles, "_BLOCK", 2)
+
+
+def _assert_fanned_out(calls, workers, blocks=None):
+    """Some groups ran off the calling thread; a first batch of ``blocks``
+    blocks was split into ``min(workers, blocks)`` groups, there."""
+    assert {t for t, _ in calls} - {threading.get_ident()}
+    if blocks is not None:
+        groups = min(workers, blocks)
+        first = calls[:groups]    # the groups of one batch start in any order
+        assert threading.get_ident() not in {t for t, _ in first}
+        assert sorted(m for _, m in first) == sorted(
+            blocks * (g + 1) // groups - blocks * g // groups
+            for g in range(groups))
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+@pytest.mark.parametrize("case, lambda_e, n, blocks_of_two", [
+    ("one batch", 1e-4, 300, False),
+    ("two batches", 1e-5, sim._CHUNK + 1000, False),
+    ("chunks of seven", 1e-4, 300, True),
+])
+def test_empirical_sop_in_block_groups_equals_blockwise_loop(
+        monkeypatch, workers, case, lambda_e, n, blocks_of_two):
+    if blocks_of_two:
+        _blocks_of_two(monkeypatch)
+    calls = _fan_out(monkeypatch, workers)
+    args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=lambda_e), n, 800.0, 29)
+    assert empirical_sop(*args) == empirical_sop_blockwise(*args), case
+    _assert_fanned_out(calls, workers, 3 if blocks_of_two else
+                       min(-(-n // sim._BLOCK), sim._CHUNK // sim._BLOCK))
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+@pytest.mark.parametrize("case, params, n, r_cut, blocks_of_two", [
+    ("one batch", DENSE_PARAMS, 1000, 50.0, False),
+    ("two batches", ONLINE_PARAMS, sim._CHUNK + 1000, 2000.0, False),
+    ("chunks of seven", DENSE_PARAMS, 1000, 50.0, True),
+])
+def test_run_online_in_block_groups_equals_blockwise_loop(
+        monkeypatch, workers, case, params, n, r_cut, blocks_of_two):
+    if blocks_of_two:
+        _blocks_of_two(monkeypatch)
+    calls = _fan_out(monkeypatch, workers)
+    args = (ONLINE_SOLUTION, params, n, r_cut, 30)
+    assert run_online(*args) == run_online_blockwise(*args), case
+    _assert_fanned_out(calls, workers)
+
+
+def test_batches_below_the_fan_out_threshold_stay_on_the_calling_thread(
+        monkeypatch):
+    # 1,250 trials of 3.3 expected kept points: one slice of 4,096, one group
+    calls = _fan_out(monkeypatch, 4)
+    monkeypatch.setattr(sim, "_POINTS", 1 << 12)
+    empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-5), 1250, 800.0, 5)
+    assert calls == [(threading.get_ident(), 20)]
+
+
+def test_no_thread_outlives_a_call(monkeypatch, tmp_path):
+    calls = _fan_out(monkeypatch, 3)
+    before = threading.active_count()
+    empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300, 800.0, 7)
+    assert threading.active_count() == before
+    assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10",
+                 "--lambda-list", "1e-5,1e-4", "--trials", "300",
+                 "--out", str(tmp_path / "sop.csv")]) == 0
+    assert threading.active_count() == before
+    _assert_fanned_out(calls, 3)
+
+
+def test_substreams_are_created_on_the_calling_thread(monkeypatch):
+    calls = _fan_out(monkeypatch, 3)
+    threads = []
+    create = sim.sub_rng
+
+    def spy(*key):
+        threads.append(threading.get_ident())
+        return create(*key)
+    monkeypatch.setattr(sim, "sub_rng", spy)
+    empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300, 800.0, 8)
+    run_online(ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 8)
+    assert len(threads) == 5 + 16
+    assert set(threads) == {threading.get_ident()}
+    _assert_fanned_out(calls, 3)
+
+
+def test_an_error_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
+    calls = _fan_out(monkeypatch, 2)
+    create, draw = sim.sub_rng, sim._truncated_gamma
+    second = []
+
+    def create_spy(seed, domain, index):
+        rng = create(seed, domain, index)
+        if index == 1:
+            second.append(rng)
+        return rng
+
+    def fail_on_second_block(rng, *args):
+        if rng is second[0]:
+            raise ArithmeticError("second block")
+        return draw(rng, *args)
+    monkeypatch.setattr(sim, "sub_rng", create_spy)
+    monkeypatch.setattr(sim, "_truncated_gamma", fail_on_second_block)
+    with pytest.raises(ArithmeticError) as err:
+        empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300,
+                      800.0, 9)
+    assert type(err.value) is ArithmeticError
+    assert str(err.value) == "second block"
+    # the other group may be cancelled before it starts
+    _assert_fanned_out(calls, 2)
+
+
+def test_a_dense_trial_holds_memory_bounded_by_the_chunk():
+    # about 1.7 million kept points in one trial, all in block 0: their owner
+    # indices alone would take 13 MiB at once
+    params = vi_defaults(lambda_e=5.0)
+    kept = _kept_count_mean(params, 4.0, 1.0, 800.0)
+    bound = 16 * 8 * sim._CHUNK
+    assert kept * 8 > 3 * bound
+    tracemalloc.start()
+    try:
+        empirical_sop(P_A, P_B, 4.0, 1.0, params, 1, 800.0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
