@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -242,12 +241,12 @@ def _cmd_sweep(args: argparse.Namespace, config: Config) -> str:
     if config.sweep is None:
         raise ValidationError("sweep command needs a [sweep] section in the config")
     spec = config.sweep
-    base = replace(config.system, **(spec.fixed or {}))
-    values = sweep_values(spec)
-    tasks = [(base, config.grid, spec.variable, float(v), i)
-             for i, v in enumerate(values)]
+    tasks = [(config.system, config.grid, spec.variable, float(v), i)
+             for i, v in enumerate(sweep_values(spec))]
 
     if args.jobs > 1:
+        # imported here: only a parallel sweep needs process pools
+        from concurrent.futures import ProcessPoolExecutor
         # the pool starts all its workers at once: no more than there are points
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_point, tasks))
@@ -255,8 +254,7 @@ def _cmd_sweep(args: argparse.Namespace, config: Config) -> str:
         rows = [_sweep_point(t) for t in tasks]
 
     extra = {"sweep_variable": spec.variable, "sweep_scale": spec.scale,
-             "sweep_steps": spec.steps,
-             "sweep_fixed": json.dumps(spec.fixed or {})}
+             "sweep_steps": spec.steps}
     return _csv_text(config, extra, _SWEEP_COLUMNS,
                      (tuple(map(row.get, _SWEEP_COLUMNS)) for row in rows))
 
@@ -267,8 +265,6 @@ def _cmd_sweep(args: argparse.Namespace, config: Config) -> str:
 
 def _cmd_simulate(args: argparse.Namespace, config: Config) -> str:
     _check_flag(args.slots >= 1, "--slots", ">= 1", args.slots)
-    if args.r_cut is not None:
-        _check_flag(0.0 < args.r_cut < math.inf, "--r-cut", "finite and > 0", args.r_cut)
     _check_flag(args.seed >= 0, "--seed", ">= 0", args.seed)
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
@@ -278,12 +274,11 @@ def _cmd_simulate(args: argparse.Namespace, config: Config) -> str:
     solution = solution_from_dict(
         data.get("solution", data) if isinstance(data, dict) else data)
 
-    r_cut = args.r_cut if args.r_cut is not None else config.r_cut
-    report = run_online(solution, config.system, args.slots, r_cut, args.seed)
+    report = run_online(solution, config.system, args.slots, config.r_cut, args.seed)
     body = {
         "solution": solution_to_dict(solution),
-        "simulation": {"n_slots": args.slots, "r_cut_m": r_cut, "seed": args.seed,
-                       "block_size": _BLOCK},
+        "simulation": {"n_slots": args.slots, "r_cut_m": config.r_cut,
+                       "seed": args.seed, "block_size": _BLOCK},
         "report": dataclasses.asdict(report),
     }
     return _json_payload(config, body)
@@ -347,8 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--solution", required=True,
                        help="JSON produced by the optimize command")
     p_sim.add_argument("--slots", type=int, default=100000)
-    p_sim.add_argument("--r-cut", type=float, default=None,
-                       help="override the [sim] r_cut_m setting")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(func=_cmd_simulate)
     return parser

@@ -28,7 +28,6 @@ Schema ([system] is required, the other sections are optional):
     max              = 20
     steps            = 7
     scale            = dB      ; linear | log | dB
-    fix_epsilon      = 0.05    ; optional overrides, fix_ + a [system] key
 
 Powers are dBm, dimensionless ratios (rho, mu_b) plain dB, distances meters.
 Every value must be a finite number, in linear units too, and the counts
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -92,14 +91,13 @@ def _spellings(stem: str, unit: str) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-variable sweep: grid definition plus fixed scenario overrides."""
+    """One-variable sweep grid; every other setting is the config's own."""
 
     variable: str
     vmin: float
     vmax: float
     steps: int
-    scale: str = "linear"                     # linear | log | dB
-    fixed: Optional[Dict[str, float]] = None  # overrides on SystemParams fields
+    scale: str = "linear"    # linear | log | dB
 
     def check(self) -> "SweepSpec":
         if _FIELDS.get(self.variable, ("",))[0] not in ("system", None):
@@ -229,13 +227,8 @@ def load_config(path: str) -> Config:
         if variable is None:
             raise ValidationError("[sweep] missing required key variable")
         scale = wsec.pop("scale", "linear")
-        fixed = {field: _take(wsec, "sweep", "fix_" + stem, unit, None)
-                 for field, (s, stem, unit) in _FIELDS.items() if s == "system"
-                 and any("fix_" + k in wsec for k in _spellings(stem, unit))}
-        sweep = SweepSpec(variable=variable, scale=scale, fixed=fixed,
+        sweep = SweepSpec(variable=variable, scale=scale,
                           **_take_section(wsec, "sweep", {})).check()
-        if sweep.fixed:
-            validate(replace(system, **sweep.fixed))
 
     return Config(system=system, grid=grid, r_cut=r_cut, sweep=sweep)
 

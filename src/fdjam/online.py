@@ -65,9 +65,9 @@ def decide_slots(gamma_ab: np.ndarray, gamma_bb: np.ndarray,
     """
     gamma_ab = np.asarray(gamma_ab, dtype=float)
     gamma_bb = np.asarray(gamma_bb, dtype=float)
-    negative = np.flatnonzero((gamma_ab < 0.0) | (gamma_bb < 0.0))
-    if negative.size:
-        i = negative[0]
+    bad = np.flatnonzero(~((gamma_ab >= 0.0) & (gamma_bb >= 0.0)))   # NaN too
+    if bad.size:
+        i = bad[0]
         raise ValidationError(
             f"channel gains must be >= 0: gamma_ab={float(gamma_ab[i])}, "
             f"gamma_bb={float(gamma_bb[i])}")

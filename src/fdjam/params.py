@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from .errors import ValidationError
-from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
+from .units import linear_to_db, watts_to_dbm
 
 if TYPE_CHECKING:
     from .optimizer import Step1Result, Step2Result
@@ -161,7 +161,7 @@ def _number(data: Any, key: str, ok=lambda v: True, rule: str = "finite") -> flo
     value = data
     for part in key.split("."):
         value = value.get(part) if isinstance(value, dict) else None
-    try:    # TypeError: not a number; OverflowError: a dB value past range
+    try:    # TypeError: not a number; OverflowError: an int past double range
         good = not isinstance(value, bool) and math.isfinite(value) and ok(value)
     except (TypeError, OverflowError):
         good = False
@@ -172,8 +172,9 @@ def _number(data: Any, key: str, ok=lambda v: True, rule: str = "finite") -> flo
 
 
 def solution_from_dict(data: Dict[str, Any]) -> SwitchedSolution:
-    """Inverse of :func:`solution_to_dict` (accepts dBm or watts for p_b, dB
-    or linear for mu_b); a missing or bad field raises ValidationError."""
+    """Inverse of :func:`solution_to_dict`.  It reads the linear fields only
+    (``fd.p_b_w``, ``mu_b``; the dB ones are for readers); a missing or bad
+    field raises ValidationError."""
     if not isinstance(data, dict):
         raise ValidationError(f"solution must be an object: {type(data).__name__}")
     groups = {}
@@ -183,19 +184,10 @@ def solution_from_dict(data: Dict[str, Any]) -> SwitchedSolution:
         r_c = _number(data, g + ".r_c", lambda v: r_s < v < 1024.0, "in (r_s, 1024)")
         mu_a = _number(data, g + ".mu_a", lambda v: v >= 0.0, ">= 0")
         groups[g] = {"r_c": r_c, "r_s": r_s, "mu_a": mu_a}
-    if "p_b_w" in data["fd"]:
-        p_b = _number(data, "fd.p_b_w", lambda v: v > 0.0, "> 0 W")
-    else:
-        p_b = dbm_to_watts(_number(
-            data, "fd.p_b_dbm", lambda v: dbm_to_watts(v) > 0.0, "> 0 W in linear units"))
-    if data.get("mu_b") is not None:
-        mu_b = _number(data, "mu_b", lambda v: v >= 0.0, ">= 0")
-    else:
-        mu_b = db_to_linear(_number(
-            data, "mu_b_db", lambda v: db_to_linear(v) < math.inf, "finite in linear units"))
     return SwitchedSolution(
-        mu_b=mu_b,
-        fd=FdParams(p_b=p_b, **groups["fd"]),
+        mu_b=_number(data, "mu_b", lambda v: v >= 0.0, ">= 0"),
+        fd=FdParams(p_b=_number(data, "fd.p_b_w", lambda v: v > 0.0, "> 0 W"),
+                    **groups["fd"]),
         hd=HdParams(**groups["hd"]),
         omega_s=_number(data, "omega_s"),
         omega_fd=_number(data, "omega_fd"),

@@ -332,9 +332,10 @@ def _batch_outages(rngs, starts, c, mean, p_b, params: SystemParams,
 def _check_run_args(count_name: str, count: int, r_cut: float, seed: int
                     ) -> None:
     """Check a run's trial or slot count, disk radius and master seed before
-    any draw; counts and seeds may be any integer type, numpy's included."""
+    any draw; counts and seeds may be any integer type, numpy's included,
+    but not a bool."""
     for name, value in ((count_name, count), ("seed", seed)):
-        if not isinstance(value, numbers.Integral):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValidationError(f"{name} must be an integer: {value!r}")
     if count < 1:
         raise ValidationError(f"{count_name} must be >= 1: {count}")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -16,9 +17,9 @@ from fdjam.analytics import comparison_metrics, sop_approx, sop_exact
 from fdjam.cli import main
 from fdjam.config import load_config
 from fdjam.errors import InfeasibleError, ValidationError
-from fdjam.optimizer import optimize, solve_step1, solve_step2
-from fdjam.params import solution_to_dict
-from fdjam.sim import empirical_sop
+from fdjam.optimizer import GridSpec, optimize, solve_step1, solve_step2
+from fdjam.params import SystemParams, solution_from_dict, solution_to_dict
+from fdjam.sim import empirical_sop, run_online
 from fdjam.units import watts_to_dbm
 import fdjam.cli
 
@@ -383,8 +384,8 @@ VSOP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10"]
     (["sweep"], "--config"),
     (["simulate", "--solution", "design.json"], "--config"),
     (SIM + ["--slots", "0"], "--slots"),
-    (SIM + ["--r-cut", "-1"], "--r-cut"),
-    (SIM + ["--r-cut", "0"], "--r-cut"),
+    (SIM + ["--r-cut", "900"], "unrecognized arguments: --r-cut 900"),
+    (SIM + ["--r-cut=900"], "unrecognized arguments: --r-cut=900"),
     (SIM + ["--seed", "-1"], "--seed"),
     (["sweep", "--config", SWEEP_INI, "--out", MISSING_DIR_OUT], "--out"),
     (VSOP + ["--lambda-min", "1e-2", "--lambda-max", "1e-6"], "--lambda-max"),
@@ -478,7 +479,6 @@ min = -10
 max = 10
 steps = 3
 scale = dB
-fix_lambda_e_per_m2 = 1e-5
 """)
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
@@ -510,14 +510,16 @@ def test_sweep_starts_no_more_workers_than_points(jobs, workers, monkeypatch, ca
 
     assert main(["sweep", "--config", SWEEP_INI]) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setattr(fdjam.cli, "ProcessPoolExecutor", InProcessPool)
+    # sweep imports the pool class when it needs one, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     assert main(["sweep", "--config", SWEEP_INI, "--jobs", jobs]) == 0
     assert started == [workers]
     assert capsys.readouterr().out == serial
 
 
 def test_sweep_forced_jamming_power_rows_match_direct_designs(tmp_path):
-    cfg = _sweep_config(tmp_path, """
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(BASE_INI.replace("epsilon = 0.05", "epsilon = 0.08") + """
 [grid]
 mu_b_steps = 6
 
@@ -527,29 +529,34 @@ min = -20
 max = 10
 steps = 3
 scale = dB
-fix_epsilon = 0.08
 """)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     _, rows = _read_csv(str(out))
-    config = load_config(cfg)
-    params = dataclasses.replace(config.system, **config.sweep.fixed)
+    config = load_config(str(cfg))
+    params = config.system
+    assert params.epsilon == 0.08
     assert len(rows) == 3
     for row in rows:
         p_b = float(row["value"])
-        sol = optimize(params, config.grid, forced_p_b=p_b)
-        d = solution_to_dict(sol)
-        expected = {"mu_b": d["mu_b"], "omega_s": d["omega_s"],
-                    "omega_fd": d["omega_fd"], "omega_hd": d["omega_hd"],
-                    "fd_r_c": d["fd"]["r_c"], "fd_r_s": d["fd"]["r_s"],
-                    "fd_mu_a": d["fd"]["mu_a"], "fd_p_b_w": d["fd"]["p_b_w"],
-                    "hd_r_c": d["hd"]["r_c"], "hd_r_s": d["hd"]["r_s"],
-                    "hd_mu_a": d["hd"]["mu_a"], "value_db": watts_to_dbm(p_b),
-                    **dataclasses.asdict(comparison_metrics(sol, params))}
-        assert {k: float(row[k]) for k in expected} == expected
-        assert row["degenerate_fd"] == str(d["degenerate_fd"])
-        assert row["capped_fd"] == str(d["capped_fd"])
-        assert row["error"] == ""
+        _assert_sweep_row(row, optimize(params, config.grid, forced_p_b=p_b), params)
+        assert float(row["value_db"]) == watts_to_dbm(p_b)
+
+
+def _assert_sweep_row(row, sol, params):
+    """A sweep CSV row holds exactly the design ``sol`` at ``params``."""
+    d = solution_to_dict(sol)
+    expected = {"mu_b": d["mu_b"], "omega_s": d["omega_s"],
+                "omega_fd": d["omega_fd"], "omega_hd": d["omega_hd"],
+                "fd_r_c": d["fd"]["r_c"], "fd_r_s": d["fd"]["r_s"],
+                "fd_mu_a": d["fd"]["mu_a"], "fd_p_b_w": d["fd"]["p_b_w"],
+                "hd_r_c": d["hd"]["r_c"], "hd_r_s": d["hd"]["r_s"],
+                "hd_mu_a": d["hd"]["mu_a"],
+                **dataclasses.asdict(comparison_metrics(sol, params))}
+    assert {k: float(row[k]) for k in expected} == expected
+    assert row["degenerate_fd"] == str(d["degenerate_fd"])
+    assert row["capped_fd"] == str(d["capped_fd"])
+    assert row["error"] == ""
 
 
 def test_sweep_requires_sweep_section(base_config, capsys):
@@ -582,6 +589,88 @@ steps = 3
     writer.writeheader()
     writer.writerows(rows)
     assert text == "\n".join(comments) + "\n" + buf.getvalue()
+
+
+# ---------------------------------------------------------------- recompute
+
+# the linear keys of an artifact's embedded config, by SystemParams and
+# GridSpec field: the artifact alone must rebuild the settings it ran with
+SYSTEM_KEYS = {"alpha": "alpha", "d_ab": "d_ab_m", "lambda_e": "lambda_e_per_m2",
+               "epsilon": "epsilon", "sigma_b2": "sigma_b2_w",
+               "sigma_e2": "sigma_e2_w", "rho": "rho", "p_a_max": "p_a_max_w",
+               "p_b_max": "p_b_max_w"}
+GRID_KEYS = {"mu_b_min": "grid_mu_b_min", "mu_b_max": "grid_mu_b_max",
+             "mu_b_steps": "grid_mu_b_steps", "p_b_floor": "grid_p_b_floor_w"}
+
+
+def _settings(embedded):
+    """SystemParams and GridSpec from an artifact's embedded config."""
+    assert set(SYSTEM_KEYS) == {f.name for f in dataclasses.fields(SystemParams)}
+    assert set(GRID_KEYS) == {f.name for f in dataclasses.fields(GridSpec)}
+    params = SystemParams(**{f: float(embedded[k]) for f, k in SYSTEM_KEYS.items()})
+    grid = GridSpec(**{f: (int if f == "mu_b_steps" else float)(embedded[k])
+                       for f, k in GRID_KEYS.items()})
+    return params, grid
+
+
+SWEEP_P_B = """
+[sweep]
+variable = p_b
+min = -20
+max = 10
+steps = 4
+scale = dB
+"""
+
+
+@pytest.mark.parametrize("name", ["sweep_p_a_max.ini", "sweep_mu_b.ini", "p_b"])
+def test_sweep_rows_recompute_from_the_csv_header(name, tmp_path):
+    if name == "p_b":   # a forced jamming power on a grid that is not the default
+        cfg = tmp_path / "sweep_p_b.ini"
+        cfg.write_text(Path(DEFAULT_INI).read_text().replace(
+            "mu_b_steps = 60", "mu_b_steps = 9").replace(
+            "p_b_floor_dbm = -10", "p_b_floor_dbm = -15") + SWEEP_P_B)
+    else:
+        cfg = Path(DEFAULT_INI).parent / name
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    comments, rows = _read_csv(str(out))
+    header = dict(c[2:].split(" = ", 1) for c in comments[1:])
+    params, grid = _settings(header)
+    variable = header["sweep_variable"]
+    assert len(rows) == int(header["sweep_steps"]) >= 3
+    for row in rows:
+        value = float(row["value"])
+        assert row["variable"] == variable
+        if variable in ("mu_b", "p_b"):
+            point = params
+            sol = optimize(point, grid, **{"forced_" + variable: value})
+        else:
+            point = dataclasses.replace(params, **{variable: value})
+            sol = optimize(point, grid)
+        _assert_sweep_row(row, sol, point)
+
+
+def test_simulate_report_recomputes_from_the_json_config(tmp_path):
+    # a disk this small truncates the eavesdroppers that matter, so the
+    # report shows which radius the run used
+    cfg = tmp_path / "small_disk.ini"
+    cfg.write_text(BASE_INI.replace("r_cut_m = 600", "r_cut_m = 30"))
+    design, out = tmp_path / "design.json", tmp_path / "report.json"
+    assert main(["optimize", "--config", str(cfg), "--out", str(design)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--solution", str(design),
+                 "--slots", "3000", "--seed", "4", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    params, _ = _settings(data["config"])
+    solution, run = solution_from_dict(data["solution"]), data["simulation"]
+
+    def report(r_cut):
+        return dataclasses.asdict(run_online(solution, params, run["n_slots"],
+                                             r_cut, run["seed"]))
+
+    assert data["config"]["sim_r_cut_m"] == 30.0
+    assert report(data["config"]["sim_r_cut_m"]) == data["report"]
+    assert report(2000.0) != data["report"]
 
 
 # ---------------------------------------------------------------- simulate
@@ -633,8 +722,7 @@ def test_simulate_pure_half_duplex_design_never_jams(tmp_path):
     assert counts["fd"] == 0 and counts["hd"] > 0
 
 
-@pytest.mark.parametrize("extra", [["--r-cut", "inf"], ["--r-cut", "nan"],
-                                   ["--seed", "-1"]])
+@pytest.mark.parametrize("extra", [["--seed", "-1"]])
 def test_simulate_bad_run_flag_exits_1(base_config, tmp_path, capsys, extra):
     sol = tmp_path / "sol.json"
     assert main(["optimize", "--config", base_config, "--out", str(sol)]) == 0
@@ -651,7 +739,8 @@ def _fd_with(s, **entries):
 
 @pytest.mark.parametrize("edit, named", [
     (lambda s: {k: v for k, v in s.items() if k != "hd"}, "hd.r_s is missing"),
-    (lambda s: {**s, "mu_b": None, "mu_b_db": None}, "mu_b_db is missing"),
+    (lambda s: {**s, "mu_b": None}, "solution field mu_b is missing"),
+    (lambda s: {k: v for k, v in s.items() if k != "mu_b"}, "solution field mu_b is missing"),
     (lambda s: _fd_with(s, r_s="4.0"), "fd.r_s"),
     (lambda s: [s], "solution must be an object"),
     (lambda s: _fd_with(s, p_b_w=0.0), "fd.p_b_w"),
@@ -659,8 +748,8 @@ def _fd_with(s, **entries):
     (lambda s: {**s, "hd": {**s["hd"], "r_c": s["hd"]["r_s"]}}, "hd.r_c"),
     (lambda s: {**s, "hd": {**s["hd"], "mu_a": math.nan}}, "hd.mu_a"),
     (lambda s: _fd_with(s, p_b_w=None, p_b_dbm=4000.0), "fd.p_b_w"),
-    (lambda s: {**s, "fd": {**{k: v for k, v in s["fd"].items() if k != "p_b_w"},
-                            "p_b_dbm": 4000.0}}, "fd.p_b_dbm"),
+    (lambda s: {**s, "fd": {k: v for k, v in s["fd"].items() if k != "p_b_w"}},
+     "solution field fd.p_b_w is missing"),
     (lambda s: {**s, "omega_s": True}, "omega_s"),
 ])
 def test_simulate_malformed_solution_exits_1_naming_the_field(
@@ -743,7 +832,7 @@ def test_reused_parser_leaves_no_state_behind(tmp_path, monkeypatch, capsys):
            "--slots", "300"]
     calls = [
         VSOP + ["--lambda-list", "0,1e-4", "--out", str(out)],
-        sim + ["--r-cut", "900", "--out", str(out)],
+        sim + ["--seed", "5", "--out", str(out)],
         VSOP + ["--trials", "abc"],
         VSOP,
         sim,
@@ -767,20 +856,16 @@ def test_reused_parser_leaves_no_state_behind(tmp_path, monkeypatch, capsys):
     assert reused == fresh
 
 
-def test_validate_sop_and_simulate_never_load_scipy_optimize(tmp_path):
-    # only step 2's brentq needs scipy.optimize, which is slow to import
-    design = tmp_path / "design.json"
-    assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
+def _unloaded_in_fresh_interpreter(module, commands):
+    """Assert in a fresh interpreter that ``module`` stays unloaded after
+    ``import fdjam.cli`` and after each of ``commands`` in turn."""
     script = f"""
 import sys
 import fdjam.cli
-assert "scipy.optimize" not in sys.modules, "loaded by import fdjam.cli"
-for argv in (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
-              "--trials", "64"],
-             ["simulate", "--config", {DEFAULT_INI!r}, "--solution",
-              {str(design)!r}, "--slots", "64"]):
-    assert fdjam.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
-    assert "scipy.optimize" not in sys.modules, "loaded by " + argv[0]
+assert {module!r} not in sys.modules, "loaded by import fdjam.cli"
+for argv in {commands!r}:
+    assert fdjam.cli.main(argv) == 0
+    assert {module!r} not in sys.modules, "loaded by " + argv[0]
 """
     src = str(Path(fdjam.cli.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -788,3 +873,28 @@ for argv in (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _validate_sop_and_simulate(tmp_path):
+    design = tmp_path / "design.json"
+    assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
+    out = ["--out", str(tmp_path / "out")]
+    return [["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10",
+             "--trials", "64"] + out,
+            ["simulate", "--config", DEFAULT_INI, "--solution", str(design),
+             "--slots", "64"] + out]
+
+
+def test_validate_sop_and_simulate_never_load_scipy_optimize(tmp_path):
+    # only step 2's brentq needs scipy.optimize, which is slow to import
+    _unloaded_in_fresh_interpreter("scipy.optimize", _validate_sop_and_simulate(tmp_path))
+
+
+def test_only_a_parallel_sweep_loads_process_pools(tmp_path):
+    # only sweep --jobs > 1 needs concurrent.futures.process (and with it
+    # multiprocessing), which no other fdjam module imports
+    _unloaded_in_fresh_interpreter(
+        "concurrent.futures.process",
+        _validate_sop_and_simulate(tmp_path)
+        + [["sweep", "--config", SWEEP_INI, "--jobs", "1",
+            "--out", str(tmp_path / "out")]])

@@ -38,7 +38,6 @@ min = 1e-6
 max = 1e-4
 steps = 5
 scale = log
-fix_p_a_max_dbm = 0
 """
 
 
@@ -62,7 +61,6 @@ def test_full_config_units_resolved(tmp_path):
     assert cfg.grid.p_b_floor == pytest.approx(dbm_to_watts(-5.0), rel=1e-12)
     assert cfg.r_cut == 1500.0
     assert cfg.sweep.variable == "lambda_e"
-    assert cfg.sweep.fixed == {"p_a_max": pytest.approx(1e-3, rel=1e-12)}
     values = sweep_values(cfg.sweep)
     assert values[0] == pytest.approx(1e-6) and values[-1] == pytest.approx(1e-4)
     header = resolved_dict(cfg)
@@ -137,8 +135,6 @@ scale = dB
      "[grid] unknown keys: ['p_b_steps']"),
     ("r_cut_m = 2000", "r_cut_m = nan", "[sim] r_cut_m"),
     ("steps = 7", "steps = nan", "[sweep] steps"),
-    ("scale = dB", "scale = dB\nfix_rho_db = inf", "[sweep] fix_rho_db"),
-    ("scale = dB", "scale = dB\nfix_rho_db = -60\nfix_rho = 0", "[sweep] give fix_rho"),
 ])
 def test_bad_value_exits_1_naming_its_key(tmp_path, capsys, old, new, named):
     text = DEFAULT_INI.read_text(encoding="utf-8") + SWEEP_BLOCK
@@ -149,10 +145,15 @@ def test_bad_value_exits_1_naming_its_key(tmp_path, capsys, old, new, named):
     assert named in err
 
 
-def test_unknown_fix_key_is_an_unknown_sweep_key(tmp_path):
-    with pytest.raises(ValidationError,
-                       match=re.escape("[sweep] unknown keys: ['fix_x']")):
-        load_config(_write(tmp_path, FULL + "fix_x = 1\n"))
+def test_unknown_fix_key_is_an_unknown_sweep_key(tmp_path, capsys):
+    # a sweep reads every setting but the swept one from its own section,
+    # as the artifact header records it: there are no fix_ overrides
+    message = "[sweep] unknown keys: ['fix_epsilon']"
+    path = _write(tmp_path, FULL + "fix_epsilon = 0.05\n")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_config(path)
+    assert main(["sweep", "--config", path]) == 1
+    assert capsys.readouterr().err == f"fdjam: validation error: {message}\n"
 
 
 def test_report_header_keys_and_order():
@@ -173,7 +174,6 @@ def _accepted_keys():
             keys = fdjam.config._spellings(stem, unit)
             accepted |= {(section, k) for k in keys}
             primary.add((section, keys[0]))
-    accepted |= {("sweep", "fix_" + k) for s, k in set(accepted) if s == "system"}
     return accepted, primary
 
 
@@ -184,8 +184,7 @@ def _readme_schema_keys():
     for row in re.findall(r"^\|(.*)\|$", schema, flags=re.M)[2:]:
         cells = row.split("|")
         section = (re.findall(r"`\[(\w+)\]`", cells[0]) or [section])[0]
-        # placeholders such as `fix_<system key>` are not keys
-        keys |= {(section, k) for k in re.findall(r"`([^`<]+)`", cells[1])}
+        keys |= {(section, k) for k in re.findall(r"`([^`]+)`", cells[1])}
     return keys
 
 

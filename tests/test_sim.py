@@ -277,6 +277,9 @@ RUN_ARGS = dict(r_cut=500.0, seed=0)
     ({"n": math.inf}, "{n} must be an integer: inf"),
     ({"n": 10.0}, "{n} must be an integer: 10.0"),
     ({"n": 0}, "{n} must be >= 1: 0"),
+    ({"n": True}, "{n} must be an integer: True"),
+    ({"seed": False}, "seed must be an integer: False"),
+    ({"n": True, "seed": False}, "{n} must be an integer: True"),
 ])
 def test_run_arguments_checked_before_any_draw(bad, message, monkeypatch):
     def no_draws(*args):
