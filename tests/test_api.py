@@ -38,33 +38,3 @@ def test_demos_and_readme_import_only_exported_names():
         names += _imported_from_fdjam(block)
     assert "optimize" in names and "decide" in names
     assert sorted(set(names) - set(fdjam.__all__)) == []
-
-
-def _unused_imports(source):
-    """Names a module imports but neither references nor lists in ``__all__``."""
-    tree = ast.parse(source)
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported |= {a.asname or a.name for a in node.names}
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
-    return sorted(imported - used)
-
-
-def test_unused_import_scan_flags_only_unused_names():
-    source = ("import os, os.path as osp\nimport concurrent.futures\n"
-              "from m import a, b as c\n__all__ = ['a']\n"
-              "concurrent.futures.wait(osp)\n")
-    assert _unused_imports(source) == ["c", "os"]
-
-
-@pytest.mark.parametrize("path", sorted(Path(fdjam.__file__).parent.glob("*.py")),
-                         ids=lambda p: p.name)
-def test_source_has_no_unused_imports(path):
-    assert _unused_imports(path.read_text(encoding="utf-8")) == []

@@ -517,32 +517,6 @@ def test_sweep_starts_no_more_workers_than_points(jobs, workers, monkeypatch, ca
     assert capsys.readouterr().out == serial
 
 
-def test_sweep_forced_jamming_power_rows_match_direct_designs(tmp_path):
-    cfg = tmp_path / "sweep.ini"
-    cfg.write_text(BASE_INI.replace("epsilon = 0.05", "epsilon = 0.08") + """
-[grid]
-mu_b_steps = 6
-
-[sweep]
-variable = p_b
-min = -20
-max = 10
-steps = 3
-scale = dB
-""")
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    _, rows = _read_csv(str(out))
-    config = load_config(str(cfg))
-    params = config.system
-    assert params.epsilon == 0.08
-    assert len(rows) == 3
-    for row in rows:
-        p_b = float(row["value"])
-        _assert_sweep_row(row, optimize(params, config.grid, forced_p_b=p_b), params)
-        assert float(row["value_db"]) == watts_to_dbm(p_b)
-
-
 def _assert_sweep_row(row, sol, params):
     """A sweep CSV row holds exactly the design ``sol`` at ``params``."""
     d = solution_to_dict(sol)
@@ -625,9 +599,10 @@ scale = dB
 
 @pytest.mark.parametrize("name", ["sweep_p_a_max.ini", "sweep_mu_b.ini", "p_b"])
 def test_sweep_rows_recompute_from_the_csv_header(name, tmp_path):
-    if name == "p_b":   # a forced jamming power on a grid that is not the default
+    if name == "p_b":   # a forced jamming power off the default epsilon and grid
         cfg = tmp_path / "sweep_p_b.ini"
         cfg.write_text(Path(DEFAULT_INI).read_text().replace(
+            "epsilon = 0.1", "epsilon = 0.08").replace(
             "mu_b_steps = 60", "mu_b_steps = 9").replace(
             "p_b_floor_dbm = -10", "p_b_floor_dbm = -15") + SWEEP_P_B)
     else:
@@ -637,6 +612,7 @@ def test_sweep_rows_recompute_from_the_csv_header(name, tmp_path):
     comments, rows = _read_csv(str(out))
     header = dict(c[2:].split(" = ", 1) for c in comments[1:])
     params, grid = _settings(header)
+    assert params.epsilon == (0.08 if name == "p_b" else 0.05)
     variable = header["sweep_variable"]
     assert len(rows) == int(header["sweep_steps"]) >= 3
     for row in rows:
@@ -645,6 +621,8 @@ def test_sweep_rows_recompute_from_the_csv_header(name, tmp_path):
         if variable in ("mu_b", "p_b"):
             point = params
             sol = optimize(point, grid, **{"forced_" + variable: value})
+            if variable == "p_b":
+                assert float(row["value_db"]) == watts_to_dbm(value)
         else:
             point = dataclasses.replace(params, **{variable: value})
             sol = optimize(point, grid)
@@ -856,16 +834,26 @@ def test_reused_parser_leaves_no_state_behind(tmp_path, monkeypatch, capsys):
     assert reused == fresh
 
 
-def _unloaded_in_fresh_interpreter(module, commands):
-    """Assert in a fresh interpreter that ``module`` stays unloaded after
-    ``import fdjam.cli`` and after each of ``commands`` in turn."""
+def test_validate_sop_and_simulate_never_load_scipy_optimize(tmp_path):
+    # only step 2's brentq needs scipy.optimize, which is slow to import, and
+    # only sweep --jobs > 1 needs concurrent.futures.process (and with it
+    # multiprocessing), which no other fdjam module imports
+    design = tmp_path / "design.json"
+    assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
+    both = ["scipy.optimize", "concurrent.futures.process"]
     script = f"""
 import sys
 import fdjam.cli
-assert {module!r} not in sys.modules, "loaded by import fdjam.cli"
-for argv in {commands!r}:
-    assert fdjam.cli.main(argv) == 0
-    assert {module!r} not in sys.modules, "loaded by " + argv[0]
+assert not set({both!r}) & set(sys.modules), "loaded by import fdjam.cli"
+for argv, unloaded in (
+        (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
+          "--trials", "64"], {both!r}),
+        (["simulate", "--config", {DEFAULT_INI!r}, "--solution",
+          {str(design)!r}, "--slots", "64"], {both!r}),
+        (["sweep", "--config", {SWEEP_INI!r}, "--jobs", "1"],
+         ["concurrent.futures.process"])):
+    assert fdjam.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
+    assert not set(unloaded) & set(sys.modules), "loaded by " + argv[0]
 """
     src = str(Path(fdjam.cli.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -873,28 +861,3 @@ for argv in {commands!r}:
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-
-
-def _validate_sop_and_simulate(tmp_path):
-    design = tmp_path / "design.json"
-    assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
-    out = ["--out", str(tmp_path / "out")]
-    return [["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10",
-             "--trials", "64"] + out,
-            ["simulate", "--config", DEFAULT_INI, "--solution", str(design),
-             "--slots", "64"] + out]
-
-
-def test_validate_sop_and_simulate_never_load_scipy_optimize(tmp_path):
-    # only step 2's brentq needs scipy.optimize, which is slow to import
-    _unloaded_in_fresh_interpreter("scipy.optimize", _validate_sop_and_simulate(tmp_path))
-
-
-def test_only_a_parallel_sweep_loads_process_pools(tmp_path):
-    # only sweep --jobs > 1 needs concurrent.futures.process (and with it
-    # multiprocessing), which no other fdjam module imports
-    _unloaded_in_fresh_interpreter(
-        "concurrent.futures.process",
-        _validate_sop_and_simulate(tmp_path)
-        + [["sweep", "--config", SWEEP_INI, "--jobs", "1",
-            "--out", str(tmp_path / "out")]])

@@ -135,6 +135,7 @@ scale = dB
      "[grid] unknown keys: ['p_b_steps']"),
     ("r_cut_m = 2000", "r_cut_m = nan", "[sim] r_cut_m"),
     ("steps = 7", "steps = nan", "[sweep] steps"),
+    ("rho_db = -70", "rho_db = -70\nrho = 0", "[system] give rho"),
 ])
 def test_bad_value_exits_1_naming_its_key(tmp_path, capsys, old, new, named):
     text = DEFAULT_INI.read_text(encoding="utf-8") + SWEEP_BLOCK

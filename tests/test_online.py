@@ -1,14 +1,12 @@
 import dataclasses
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdjam import Mode, ValidationError, decide, dbm_to_watts, optimize
-from fdjam.config import load_config
 from fdjam.online import decide_slots
 from fdjam.params import FdParams, HdParams, SwitchedSolution
 
@@ -97,29 +95,18 @@ def test_hd_capacity_meets_codeword_rate(gain_factor, si_factor):
     assert math.log2(1.0 + sinr) == pytest.approx(SOLUTION.hd.r_c, rel=1e-12)
 
 
-def test_rejects_negative_gains():
-    with pytest.raises(ValidationError):
-        decide(-1.0, 0.0, SOLUTION, PARAMS)
-    with pytest.raises(ValidationError):
-        decide(1.0, -1e-9, SOLUTION, PARAMS)
-
-
-DEFAULT = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.ini"))
-DEFAULT_DESIGN = optimize(DEFAULT.system, DEFAULT.grid)
-
-
 @pytest.mark.parametrize("gamma_ab, gamma_bb", [
-    (math.nan, 0.2), (1.3, math.nan), (math.nan, math.nan)])
-def test_rejects_nan_gains(gamma_ab, gamma_bb):
+    (-1.0, 0.0), (1.0, -1e-9), (math.nan, 0.2), (1.3, math.nan), (math.nan, math.nan)])
+def test_rejects_negative_gains(gamma_ab, gamma_bb):
     # NaN compares false with everything, so a "< 0" test alone passes it
     message = f"channel gains must be >= 0: gamma_ab={gamma_ab}, gamma_bb={gamma_bb}"
     with pytest.raises(ValidationError, match=re.escape(message)):
-        decide(gamma_ab, gamma_bb, DEFAULT_DESIGN, DEFAULT.system)
+        decide(gamma_ab, gamma_bb, SOLUTION, PARAMS)
     # the array rule names the first bad slot of a block
     gamma_ab = np.array([1.3, 1.3, gamma_ab, -1.0])
     gamma_bb = np.array([0.2, 0.2, gamma_bb, 0.2])
     with pytest.raises(ValidationError, match=re.escape(message)):
-        decide_slots(gamma_ab, gamma_bb, DEFAULT_DESIGN, DEFAULT.system)
+        decide_slots(gamma_ab, gamma_bb, SOLUTION, PARAMS)
 
 
 # an on-off gate below the budget-saturating threshold demands p_a > p_a_max
