@@ -171,10 +171,21 @@ def _number(data: Any, key: str, ok=lambda v: True, rule: str = "finite") -> flo
     return float(value)
 
 
+def _flag(data: Dict[str, Any], key: str) -> bool:
+    """Flag ``key`` of a parsed solution: false when absent; otherwise it
+    must be a JSON boolean, or ValidationError names it."""
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ValidationError(
+            f"solution field {key} must be true or false: {value!r}")
+    return value
+
+
 def solution_from_dict(data: Dict[str, Any]) -> SwitchedSolution:
     """Inverse of :func:`solution_to_dict`.  It reads the linear fields only
     (``fd.p_b_w``, ``mu_b``; the dB ones are for readers); a missing or bad
-    field raises ValidationError."""
+    field raises ValidationError, except that an absent flag
+    (``degenerate_fd``, ``capped_fd``) reads as false."""
     if not isinstance(data, dict):
         raise ValidationError(f"solution must be an object: {type(data).__name__}")
     groups = {}
@@ -192,6 +203,6 @@ def solution_from_dict(data: Dict[str, Any]) -> SwitchedSolution:
         omega_s=_number(data, "omega_s"),
         omega_fd=_number(data, "omega_fd"),
         omega_hd=_number(data, "omega_hd"),
-        degenerate_fd=bool(data.get("degenerate_fd", False)),
-        capped_fd=bool(data.get("capped_fd", False)),
+        degenerate_fd=_flag(data, "degenerate_fd"),
+        capped_fd=_flag(data, "capped_fd"),
     )

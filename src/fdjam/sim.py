@@ -29,16 +29,21 @@ distribution for the truncated field.
 Reproducibility and parallelism contract: trials (domain 0) and on-line
 slots (domain 1) are grouped in blocks of ``_BLOCK`` consecutive indices,
 and block ``b`` of a run with master seed ``s`` draws from the dedicated
-substream ``default_rng((s, domain, b))``.  A (seed, numpy version, block
-size) triple pins every result bit for bit; a different block size gives
-different (equally valid) numbers.  Results do not depend on evaluation
-order, so runs can be sharded across workers as long as every shard holds
-whole blocks.  The engine uses this itself: each block draws from its own
-substream, but up to ``_CHUNK`` consecutive trials or slots are evaluated
-together as one batch (gains, slot rule, thinning, jamming coins, outage
-and reliability tests), with the same outputs as one block at a time.  The
-kept points of a batch are tested in slices of at most ``_POINTS`` (4,096),
-cut within and across chunks and blocks, which changes no output either.
+substream ``default_rng((s, domain, b))`` (:func:`sub_rng` builds the same
+generator from the key's 32-bit words, at lower cost).  A (seed, numpy
+version, block size) triple pins every result bit for bit; a different
+block size gives different (equally valid) numbers.  Results do not depend
+on evaluation order, so runs can be sharded across workers as long as every
+shard holds whole blocks.  The engine uses this itself: each block draws
+from its own substream, but up to ``_CHUNK`` consecutive trials or slots are
+evaluated together as one batch (gains, slot rule, thinning, jamming coins,
+outage and reliability tests), with the same outputs as one block at a
+time.  The kept counts, which each block draws first, plan windows of kept
+points: runs of consecutive whole blocks that keep at most ``_POINTS``
+(4,096) points together, or one chunk of a block that keeps more.  A
+window's owners, thinning scales and jamming powers are formed at once,
+its blocks draw their points in turn, and its points are tested in slices
+of at most ``_POINTS``; no output depends on the windows or slices.
 ``empirical_sop`` holds its powers fixed, so it forms the thinning scale,
 the kept-count mean and the jamming power once per call and broadcasts them;
 ``run_online`` passes one value per transmitting slot through the same
@@ -57,13 +62,16 @@ points of jammed trials in owner order, in chunks of ``_CHUNK`` points: per
 chunk the truncated Gamma(k) draws (rounds of ``Generator.gamma`` proposals
 where c >= Gamma(1+k)^(1/k), rounds of area-uniform positions and
 acceptance uniforms elsewhere), then the half-azimuths, then the jamming
-coins.
+coins.  Consecutive uniforms come from one ``Generator.random`` call (the
+two gain vectors of a block; the azimuths and coins of a chunk), which
+fills them in stream order, so the numbers are those of one call each.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass
 from typing import Tuple
@@ -93,16 +101,32 @@ _BLOCK = 64
 # slots) evaluated at once in a batch of blocks; bounds peak memory in dense
 # fields that the signal threshold barely thins.
 _CHUNK = 1 << 15
-# Most kept points evaluated at once: draws stay whole chunks, but their
-# points are tested in slices of at most this many, cut within and across
-# chunks and blocks, so the test's scratch arrays stay in cache.  Each point's
-# test is on its own, so the slicing never changes an output.
+# Most kept points tested at once: a window of whole blocks keeps at most
+# this many, and the chunks of a block that keeps more are tested in slices
+# of this many, so the test's scratch arrays stay in cache.  Each point's
+# test is on its own, so no output depends on the windows or slices.
 _POINTS = 1 << 12
 
 
+def _words(n: int) -> list:
+    """The 32-bit words of a non-negative integer, least significant first
+    and at least one, as ``SeedSequence`` reads an integer of its entropy."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer: {n}")
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def sub_rng(seed: int, domain: int, index: int) -> np.random.Generator:
-    """Dedicated substream for one block of one experiment domain."""
-    return np.random.default_rng((seed, domain, index))
+    """Dedicated substream for one block of one experiment domain: the
+    generator of ``default_rng((seed, domain, index))``, built from the
+    entropy words directly, which skips numpy's per-call seed coercion."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        np.array(_words(seed) + _words(domain) + _words(index), np.uint32))))
 
 
 def _batches(n: int):
@@ -128,7 +152,7 @@ def _gamma_below(rng: np.random.Generator, k: float, c, n: int) -> np.ndarray:
     """Per entry of ``c``, the first ``Gamma(k)`` proposal at most c; each
     round draws one proposal per entry still rejected, in entry order."""
     v = rng.gamma(k, size=n)
-    todo = np.flatnonzero(v > c)
+    todo = (v > c).nonzero()[0]
     while todo.size:
         g = rng.gamma(k, size=todo.size)
         ok = g <= _at(c, todo)
@@ -171,19 +195,39 @@ def _truncated_gamma(rng: np.random.Generator, k: float, c, n: int
     proposals first.
     """
     small = np.less(c, math.gamma(1.0 + k) ** (1.0 / k))
-    if not small.any():
+    # empirical_sop's one c puts a whole call on one side
+    n_small = int(np.count_nonzero(small)) if small.ndim else n * bool(small)
+    if not n_small:
         v = _gamma_below(rng, k, c, n)
         return v, (v / c) ** (k / 2.0)
-    if small.all():    # empirical_sop's one c puts a whole call on one side
+    if n_small == n:
         return _power_law_below(rng, k, c, n)
     v = np.empty(n)
     s = np.empty(n)
     large = ~small
-    v[large] = _gamma_below(rng, k, c[large], int(np.count_nonzero(large)))
+    v[large] = _gamma_below(rng, k, c[large], n - n_small)
     s[large] = (v[large] / c[large]) ** (k / 2.0)
-    v[small], s[small] = _power_law_below(rng, k, c[small],
-                                          int(np.count_nonzero(small)))
+    v[small], s[small] = _power_law_below(rng, k, c[small], n_small)
     return v, s
+
+
+def _thinning_scale(r_c: float, r_s: float, p_a, params: SystemParams,
+                    r_cut: float):
+    """The thinning scale ``c = sigma_e2 * x / p_a * r_cut^alpha`` of rows
+    sent with rates r_c and r_s at power ``p_a`` (one value or one per row),
+    where x = 2^(r_c - r_s) - 1 is the SINR an eavesdropper must beat;
+    ValidationError where it is not finite, which the kernel needs (a
+    kept-count mean at c = inf is NaN)."""
+    try:
+        c = (params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
+             * r_cut ** params.alpha)
+    except OverflowError:
+        c = math.inf
+    if not np.all(c < math.inf):
+        raise ValidationError(
+            f"rate gap r_c - r_s = {r_c - r_s} bits at r_cut = {r_cut} m is too "
+            f"large to simulate: sigma_e2*x/p_a*r_cut^alpha overflows")
+    return c
 
 
 def _kept_mean(c, params: SystemParams, r_cut: float):
@@ -222,50 +266,49 @@ def _beats_jamming(turn: np.ndarray, coin: np.ndarray, v: np.ndarray,
     return cross < noise
 
 
-def _kept_points(rngs, starts, kept: np.ndarray, c, k: float):
-    """Chunks of kept points, block by block: ``(owner, v, s, turn, coin)``.
-
-    Block ``i`` owns rows ``starts[i]:starts[i + 1]`` and draws from
-    ``rngs[i]``; its points come in owner order, in chunks of at most
-    ``_CHUNK`` (each chunk's positions, then its azimuths and coins).  Each
-    chunk's owners are formed from its own points, so memory stays bounded by
-    ``_CHUNK`` however many points a block keeps."""
-    rows = np.arange(kept.size)
-    # row i owns the points edges[i]:edges[i + 1] of the batch
-    edges = np.concatenate(([0], np.cumsum(kept)))
-    for rng, lo, hi in zip(rngs, starts, starts[1:]):
-        for start in range(edges[lo], edges[hi], _CHUNK):
-            if edges[hi] - edges[lo] <= _CHUNK:    # the whole block is one chunk
-                counts = kept[lo:hi]
-            else:    # each row's points clipped to this chunk's
-                counts = np.diff(edges[lo:hi + 1].clip(start, start + _CHUNK))
-            chunk = rows[lo:hi].repeat(counts)
-            v, s = _truncated_gamma(rng, k, _at(c, chunk), chunk.size)
-            yield chunk, v, s, rng.random(chunk.size), rng.random(chunk.size)
-
-
-def _mark_hits(outage: np.ndarray, group, p_b, params: SystemParams,
-               r_cut: float) -> None:
-    """Flag the rows that own a point of ``group`` (pieces of chunks of kept
-    points) whose SINR still exceeds x under jamming."""
-    owner, v, s, turn, coin = (group[0] if len(group) == 1 else
-                               (np.concatenate(x) for x in zip(*group)))
-    hit = _beats_jamming(turn, coin, v, r_cut * s, _at(p_b, owner), params)
-    outage[owner[hit]] = True
+def _windows(points):
+    """Windows of the kept points of a batch whose block ``i`` owns points
+    ``points[i]:points[i + 1]``: ``(first, stop, lo, hi)``, blocks
+    ``first:stop`` and their points ``lo:hi``.  A window is a run of
+    consecutive whole blocks that keep at most ``min(_POINTS, _CHUNK)``
+    points in all, or one chunk of a block that keeps more.  So a window
+    holds at most one chunk of each block, and a dense block is never copied
+    into a larger window."""
+    most = min(_POINTS, _CHUNK)
+    first, n = 0, len(points) - 1
+    while first < n:
+        lo = points[first]
+        if points[first + 1] - lo > most:
+            end = points[first + 1]
+            for start in range(lo, end, _CHUNK):
+                yield first, first + 1, start, min(start + _CHUNK, end)
+            first += 1
+            continue
+        stop = first + 1
+        while stop < n and points[stop + 1] - lo <= most:
+            stop += 1
+        if points[stop] > lo:
+            yield first, stop, lo, points[stop]
+        first = stop
 
 
 def _field_outages(rngs, starts, c, mean, p_b, params: SystemParams,
                    r_cut: float) -> np.ndarray:
     """Secrecy outage per row of a batch of blocks, for rows with thinning
-    scale ``c = sigma_e2 * x / p_a * r_cut^alpha``, kept-count mean ``mean``
+    scale ``c`` (:func:`_thinning_scale`), kept-count mean ``mean``
     (:func:`_kept_mean`) and jamming power ``p_b``, each per row or one
     value for every row.
 
     Block ``i`` owns rows ``starts[i]:starts[i + 1]`` and draws from
-    ``rngs[i]`` its kept counts, then the points of its jammed rows (see
-    :func:`_kept_points`).  The points are evaluated in slices of at most
-    ``_POINTS``, cut within and across chunks and blocks; each point's test
-    does not depend on its slice, so the outputs do not either.
+    ``rngs[i]`` its kept counts, then the points of its jammed rows in owner
+    order, in chunks of at most ``_CHUNK``: per chunk the truncated Gamma
+    draws, then one ``random`` whose first half are the half-azimuths and
+    second half the jamming coins.  The counts plan windows of points
+    (:func:`_windows`).  A window's owners come from one ``repeat``, and its
+    points' thinning scales and jamming powers from one index each; its
+    blocks draw in turn, and its points are tested in slices of at most
+    ``_POINTS``.  No point's test depends on its window or slice, so no
+    output does either.
     """
     # one mean draws the same counts as an array of it, at a third of the cost
     per_row = isinstance(mean, np.ndarray)
@@ -274,19 +317,33 @@ def _field_outages(rngs, starts, c, mean, p_b, params: SystemParams,
         for rng, lo, hi in zip(rngs, starts, starts[1:])])
     jammed = p_b > 0.0
     outage = (counts > 0) & np.logical_not(jammed)    # not ~: jammed may be a bool
-    group, held = [], 0
-    for points in _kept_points(rngs, starts, np.where(jammed, counts, 0), c,
-                               2.0 / params.alpha):
-        while held + points[0].size >= _POINTS:    # cut where the slice fills
-            cut = _POINTS - held
-            group.append(tuple(x[:cut] for x in points))
-            _mark_hits(outage, group, p_b, params, r_cut)
-            group, held = [], 0
-            points = tuple(x[cut:] for x in points)
-        group.append(points)
-        held += points[0].size
-    if held:
-        _mark_hits(outage, group, p_b, params, r_cut)
+    # row i owns the points edges[i]:edges[i + 1] of the batch
+    edges = np.concatenate(([0], np.cumsum(np.where(jammed, counts, 0))))
+    points = edges[starts].tolist()
+    k = 2.0 / params.alpha
+    for first, stop, lo, hi in _windows(points):
+        r0, r1 = starts[first], starts[stop]
+        owner = np.arange(r0, r1).repeat(np.diff(edges[r0:r1 + 1].clip(lo, hi)))
+        c_at, p_b_at = _at(c, owner), _at(p_b, owner)
+        v, s, turn, coin = [], [], [], []
+        for i in range(first, stop):    # block i's chunk, as window offsets
+            a, b = max(points[i], lo) - lo, min(points[i + 1], hi) - lo
+            if a == b:
+                continue
+            v_i, s_i = _truncated_gamma(rngs[i], k, _at(c_at, slice(a, b)), b - a)
+            u = rngs[i].random(2 * (b - a))
+            v.append(v_i)
+            s.append(s_i)
+            turn.append(u[:b - a])
+            coin.append(u[b - a:])
+        # a window of one chunk is tested in its draws, without a copy
+        v, s, turn, coin = (x[0] if len(x) == 1 else np.concatenate(x)
+                            for x in (v, s, turn, coin))
+        for at in range(0, hi - lo, _POINTS):
+            view = slice(at, at + _POINTS)
+            hit = _beats_jamming(turn[view], coin[view], v[view],
+                                 r_cut * s[view], _at(p_b_at, view), params)
+            outage[owner[view][hit]] = True
     return outage
 
 
@@ -369,15 +426,7 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     if not 0.0 < p_a < math.inf or not p_b >= 0.0:
         raise ValidationError(
             f"require finite p_a > 0 W and p_b >= 0 W, got p_a={p_a}, p_b={p_b}")
-    try:
-        c = (params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
-             * r_cut ** params.alpha)
-    except OverflowError:
-        c = math.inf
-    if not c < math.inf:    # the per-block kernel needs a finite thinning scale
-        raise ValidationError(
-            f"rate gap r_c - r_s = {r_c - r_s} bits at r_cut = {r_cut} m is too "
-            f"large to simulate: sigma_e2*x/p_a*r_cut^alpha overflows")
+    c = _thinning_scale(r_c, r_s, p_a, params, r_cut)
     mean = _kept_mean(c, params, r_cut)
     hits = 0
     for blocks, starts in _batches(n_trials):
@@ -438,23 +487,23 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
     _check_run_args("n_slots", n_slots, r_cut, seed)
 
     fd, hd = solution.fd, solution.hd
-    x_fd = 2.0 ** (fd.r_c - fd.r_s) - 1.0
-    x_hd = 2.0 ** (hd.r_c - hd.r_s) - 1.0
     loss = params.d_ab ** (-params.alpha)
 
     n_fd = n_hd = reliable_fd = reliable_hd = secrecy_outages = 0
     for blocks, starts in _batches(n_slots):
         rngs = [sub_rng(seed, 1, b) for b in blocks]
-        # per block: the main-channel gains' uniforms, then the SI gains';
-        # exponential by inverse CDF, which is stable across numpy versions
-        gains = [(rng.random(hi - lo), rng.random(hi - lo))
+        # per block one draw of uniforms: the main-channel gains', then the
+        # SI gains'; exponential by inverse CDF, stable across numpy versions
+        gains = [rng.random(2 * (hi - lo))
                  for rng, lo, hi in zip(rngs, starts, starts[1:])]
-        gamma_ab, gamma_bb = (-np.log1p(-np.concatenate(u)) for u in zip(*gains))
+        gamma_ab, gamma_bb = (-np.log1p(-np.concatenate(half)) for half in (
+            [u[:u.size // 2] for u in gains], [u[u.size // 2:] for u in gains]))
         is_fd, is_hd, p_a, p_b = decide_slots(gamma_ab, gamma_bb, solution, params)
         tx = is_fd | is_hd
-        c = (params.sigma_e2 * np.where(is_fd, x_fd, x_hd)[tx] / p_a[tx]
-             * r_cut ** params.alpha)
-        tx_starts = np.concatenate(([0], np.cumsum(tx)))[starts]
+        c = np.where(is_fd[tx], *(
+            _thinning_scale(group.r_c, group.r_s, p_a[tx], params, r_cut)
+            for group in (fd, hd)))
+        tx_starts = np.concatenate(([0], np.cumsum(tx)))[starts].tolist()
         secrecy_outages += int(np.count_nonzero(_batch_outages(
             rngs, tx_starts, c, _kept_mean(c, params, r_cut), p_b[tx], params,
             r_cut)))

@@ -29,7 +29,7 @@ from fdjam.params import FdParams, HdParams, SwitchedSolution, validate
 from fdjam.online import _BUDGET_RTOL, Action, Mode
 from fdjam.online import decide_slots
 from fdjam.sim import (_BLOCK, _CHUNK, _CONNECTION_RTOL, McEstimate, SimReport,
-                       _report, sub_rng)
+                       _report)
 
 
 def vi_defaults(**overrides) -> SystemParams:
@@ -272,7 +272,9 @@ def _exponential(rng: np.random.Generator, n: int | None = None):
 # The block-at-a-time Monte Carlo engine: each block of ``_BLOCK`` trials or
 # slots draws from its own substream and is evaluated on its own.  The
 # package evaluates batches of blocks together from the same draws, so it
-# must reproduce these loops bit for bit.
+# must reproduce these loops bit for bit.  The substreams come from numpy's
+# ``default_rng((seed, domain, block))`` itself, not from ``sim.sub_rng``,
+# so the package's own construction of them is checked too.
 # --------------------------------------------------------------------------
 
 def blocks(n: int):
@@ -338,7 +340,8 @@ def empirical_sop_blockwise(p_a: float, p_b: float, r_c: float, r_s: float,
     """:func:`fdjam.empirical_sop` one block at a time, for valid inputs."""
     a = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
     hits = sum(int(np.count_nonzero(field_outages_blockwise(
-        sub_rng(seed, 0, block), np.full(m, a), np.full(m, p_b), params, r_cut)))
+        np.random.default_rng((seed, 0, block)), np.full(m, a), np.full(m, p_b),
+        params, r_cut)))
         for block, m in blocks(n_trials))
     p = hits / n_trials
     return McEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n_trials),
@@ -354,7 +357,7 @@ def run_online_blockwise(solution: SwitchedSolution, params: SystemParams,
     loss = params.d_ab ** (-params.alpha)
     n_fd = n_hd = reliable_fd = reliable_hd = secrecy_outages = 0
     for block, m in blocks(n_slots):
-        rng = sub_rng(seed, 1, block)
+        rng = np.random.default_rng((seed, 1, block))
         gamma_ab = _exponential(rng, m)
         gamma_bb = _exponential(rng, m)
         is_fd, is_hd, p_a, p_b = decide_slots(gamma_ab, gamma_bb, solution, params)
@@ -423,11 +426,12 @@ def empirical_sop_reference(p_a: float, p_b: float, r_c: float, r_s: float,
                             params: SystemParams, n_trials: int, r_cut: float,
                             seed: int) -> McEstimate:
     """The unthinned, one-trial-at-a-time Monte Carlo SOP: trial i draws a
-    whole field from ``sub_rng(seed, 0, i)`` and compares its best SINR with
-    2^(r_c - r_s) - 1."""
+    whole field from ``default_rng((seed, 0, i))`` and compares its best
+    SINR with 2^(r_c - r_s) - 1."""
     x = 2.0 ** (r_c - r_s) - 1.0
     hits = sum(
-        max_eve_sinr(*draw_field(sub_rng(seed, 0, i), params.lambda_e, r_cut),
+        max_eve_sinr(*draw_field(np.random.default_rng((seed, 0, i)),
+                                 params.lambda_e, r_cut),
                      p_a, p_b, params) > x
         for i in range(n_trials))
     p = hits / n_trials
@@ -486,8 +490,8 @@ def sample_eve_field(params: SystemParams, r_cut: float, rng_seed: int) -> EveFi
     with :func:`draw_field`."""
     if r_cut <= 0.0:
         raise ValidationError(f"r_cut must be > 0 m: {r_cut}")
-    d_ak2, theta, g_a, g_b = draw_field(sub_rng(rng_seed, 0, 0),
-                                        params.lambda_e, r_cut)
+    d_ak2, theta, g_a, g_b = draw_field(
+        np.random.default_rng((rng_seed, 0, 0)), params.lambda_e, r_cut)
     return EveField(d_ak=np.sqrt(d_ak2), theta_k=theta,
                     gamma_ak=g_a, gamma_bk=g_b)
 

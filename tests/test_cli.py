@@ -729,6 +729,13 @@ def _fd_with(s, **entries):
     (lambda s: {**s, "fd": {k: v for k, v in s["fd"].items() if k != "p_b_w"}},
      "solution field fd.p_b_w is missing"),
     (lambda s: {**s, "omega_s": True}, "omega_s"),
+    # a flag is a JSON boolean: a string, a number or null is not one
+    (lambda s: {**s, "capped_fd": "false"},
+     "solution field capped_fd must be true or false: 'false'"),
+    (lambda s: {**s, "degenerate_fd": 0},
+     "solution field degenerate_fd must be true or false: 0"),
+    (lambda s: {**s, "capped_fd": None},
+     "solution field capped_fd must be true or false: None"),
 ])
 def test_simulate_malformed_solution_exits_1_naming_the_field(
         base_config, tmp_path, capsys, edit, named):
@@ -740,6 +747,39 @@ def test_simulate_malformed_solution_exits_1_naming_the_field(
     err = capsys.readouterr().err
     assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("flags, written", [
+    ({}, {"degenerate_fd": False, "capped_fd": False}),
+    ({"degenerate_fd": False, "capped_fd": True},
+     {"degenerate_fd": False, "capped_fd": True}),
+])
+def test_simulate_reads_solution_flags_as_written(base_config, tmp_path, flags,
+                                                  written):
+    # an absent flag reads as false; a present one is written back as read
+    sol, out = tmp_path / "sol.json", tmp_path / "report.json"
+    assert main(["optimize", "--config", base_config, "--out", str(sol)]) == 0
+    solution = json.loads(sol.read_text())["solution"]
+    del solution["degenerate_fd"], solution["capped_fd"]
+    sol.write_text(json.dumps({**solution, **flags}))
+    assert main(["simulate", "--config", base_config, "--solution", str(sol),
+                 "--slots", "100", "--out", str(out)]) == 0
+    echoed = json.loads(out.read_text())["solution"]
+    assert {key: echoed[key] for key in written} == written
+
+
+def test_simulate_beyond_the_thinning_range_exits_1(tmp_path, capsys):
+    # r_cut^alpha overflows a double: one line naming the radius, as
+    # validate-sop gives, not a traceback
+    cfg = tmp_path / "huge_disk.ini"
+    cfg.write_text(BASE_INI.replace("r_cut_m = 600", "r_cut_m = 1e100"))
+    sol = tmp_path / "sol.json"
+    assert main(["optimize", "--config", str(cfg), "--out", str(sol)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--solution", str(sol),
+                 "--slots", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
+    assert "at r_cut = 1e+100 m is too large to simulate" in err
 
 
 def test_simulate_deterministic(base_config, tmp_path):

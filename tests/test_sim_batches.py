@@ -65,8 +65,9 @@ def _chunk_of_seven(monkeypatch):
 
 
 def _slices_of_five(monkeypatch):
-    """Evaluate kept points five at a time: slices cut every chunk of more
-    than five points and carry a remainder into the next chunk or block."""
+    """Test kept points five at a time: a window of whole blocks keeps at
+    most five points, and a block that keeps more is tested in slices of
+    five."""
     monkeypatch.setattr(sim, "_POINTS", 5)
 
 
@@ -177,6 +178,80 @@ def test_run_online_reports_the_over_budget_slot_of_a_later_block():
         run_online_blockwise(BAD_SOLUTION, ONLINE_PARAMS, 640, 2000.0, 13)
     with pytest.raises(ValidationError, match=re.escape(str(ref.value))):
         run_online(BAD_SOLUTION, ONLINE_PARAMS, 640, 2000.0, 13)
+
+
+def _windows_spy(monkeypatch):
+    """Keep every batch on the calling thread in one ``_field_outages`` call
+    and record, per call, each block's kept-point edges and the windows
+    planned from them."""
+    monkeypatch.setattr(sim, "_workers", lambda: 1)
+    plans = []
+    plan = sim._windows
+
+    def spy(points):
+        windows = list(plan(points))
+        plans.append((points, windows))
+        return iter(windows)
+    monkeypatch.setattr(sim, "_windows", spy)
+    return plans
+
+
+def _assert_every_kind_of_window(plans):
+    """Some batch is cut into several windows, some window is a run of
+    blocks, and some block keeps more than a chunk."""
+    assert any(len(windows) > 1 for _, windows in plans)
+    assert any(stop - first > 1 for _, windows in plans
+               for first, stop, _, _ in windows)
+    assert any(b - a > sim._CHUNK for points, _ in plans
+               for a, b in zip(points, points[1:]))
+
+
+# the first key word needs two 32-bit words of entropy
+@pytest.mark.parametrize("seed", [31, 2 ** 32 + 31])
+def test_empirical_sop_across_windows_equals_blockwise_loop(monkeypatch, seed):
+    # 3 blocks of two trials a batch, about 4 kept points a block: runs of
+    # blocks of at most five points, and blocks of more than seven
+    _blocks_of_two(monkeypatch)
+    _slices_of_five(monkeypatch)
+    plans = _windows_spy(monkeypatch)
+    args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=6e-6), 600, 800.0, seed)
+    assert empirical_sop(*args) == empirical_sop_blockwise(*args)
+    _assert_every_kind_of_window(plans)
+
+
+@pytest.mark.parametrize("seed", [32, 2 ** 32 + 32])
+def test_run_online_across_windows_equals_blockwise_loop(monkeypatch, seed):
+    _blocks_of_two(monkeypatch)
+    _slices_of_five(monkeypatch)
+    plans = _windows_spy(monkeypatch)
+    args = (ONLINE_SOLUTION, vi_defaults(lambda_e=1e-3, epsilon=0.05), 600,
+            50.0, seed)
+    assert run_online(*args) == run_online_blockwise(*args)
+    _assert_every_kind_of_window(plans)
+
+
+# seeds and block indices of one, two and four 32-bit words, numpy integers
+EDGE_KEYS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 100 + 3, 10 ** 12,
+             np.int64(7), np.uint64(2 ** 64 - 1), np.uint32(2 ** 32 - 1),
+             np.int8(3)]
+
+
+@pytest.mark.parametrize("seed", EDGE_KEYS, ids=repr)
+def test_substreams_equal_default_rng(seed):
+    for domain in (0, 1):
+        for block in EDGE_KEYS:
+            assert (sim.sub_rng(seed, domain, block).bit_generator.state
+                    == np.random.default_rng(
+                        (seed, domain, block)).bit_generator.state)
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError),
+                                          (None, TypeError)])
+def test_substreams_reject_what_default_rng_rejects(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng((seed, 0, 0))
+    with pytest.raises(error):
+        sim.sub_rng(seed, 0, 0)
 
 
 def _fan_out(monkeypatch, workers):
