@@ -64,7 +64,7 @@ where c >= Gamma(1+k)^(1/k), rounds of area-uniform positions and
 acceptance uniforms elsewhere), then the half-azimuths, then the jamming
 coins.  Consecutive uniforms come from one ``Generator.random`` call (the
 two gain vectors of a block; the azimuths and coins of a chunk), which
-fills them in stream order, so the numbers are those of one call each.
+fills them in stream order: the same numbers as one call per vector.
 """
 
 from __future__ import annotations
