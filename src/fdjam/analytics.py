@@ -355,7 +355,7 @@ def hd_weight(mu_b: float, rho: float) -> float:
     rho = 0 (perfect suppression) is taken as the limit: the receiver always
     jams when mu_b > 0; the mu_b = 0 corner keeps the half-duplex branch.
     """
-    if mu_b < 0.0:
+    if not mu_b >= 0.0:
         raise ValidationError(f"mu_b must be >= 0: {mu_b}")
     if not 0.0 <= rho <= 1.0:
         raise ValidationError(f"rho out of [0,1]: {rho}")

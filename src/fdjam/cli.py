@@ -104,7 +104,7 @@ def _cmd_optimize(args: argparse.Namespace, config: Config) -> str:
         "step2_residual": step2.residual,
         "step2_iterations": step2.iterations,
         "hd_residual": hd.residual,
-        "mu_b_grid_points": int(config.grid.mu_b_steps) + 1,
+        "mu_b_grid_points": len(config.grid.mu_b_values()),
     }
     notes = []
     if config.system.rho == 0.0:
@@ -145,6 +145,10 @@ def _parse_float_list(text: str, flag: str, ok, rule: str) -> List[float]:
     return values
 
 
+# validate-sop's density range when --lambda-list is absent, by flag dest
+_LAMBDA_RANGE = {"lambda_min": 1e-6, "lambda_max": 1e-2, "lambda_steps": 25}
+
+
 def _cmd_validate_sop(args: argparse.Namespace, config: Config) -> str:
     """One row per (distance, density): the fixed-node quadrature, the
     small-separation closed form and, with ``--trials`` > 0, the Monte Carlo
@@ -152,24 +156,28 @@ def _cmd_validate_sop(args: argparse.Namespace, config: Config) -> str:
     # checked here, not by validate(): a density of 0 is a valid row
     d_abs = _parse_float_list(args.d_ab, "--d-ab", lambda d: 0.0 < d < math.inf,
                               "a list of finite distances > 0 m")
-    if args.lambda_list:
+    # the densities come from the list or from the range, never both
+    span = {dest: getattr(args, dest) for dest in _LAMBDA_RANGE}
+    if args.lambda_list is not None:
+        for dest, v in span.items():
+            _check_flag(v is None, "--" + dest.replace("_", "-"),
+                        "left out with --lambda-list", v)
         lambdas = _parse_float_list(args.lambda_list, "--lambda-list",
                                     lambda v: 0.0 <= v < math.inf,
                                     "a list of finite densities >= 0")
     else:
-        for flag, v in (("--lambda-min", args.lambda_min),
-                        ("--lambda-max", args.lambda_max)):
+        lam_min, lam_max, steps = (_LAMBDA_RANGE[dest] if v is None else v
+                                   for dest, v in span.items())
+        for flag, v in (("--lambda-min", lam_min), ("--lambda-max", lam_max)):
             _check_flag(0.0 < v < math.inf, flag, "finite and > 0", v)
-        _check_flag(args.lambda_steps >= 1, "--lambda-steps", ">= 1", args.lambda_steps)
-        _check_flag(args.lambda_max >= args.lambda_min, "--lambda-max",
-                    f">= --lambda-min ({args.lambda_min})", args.lambda_max)
+        _check_flag(steps >= 1, "--lambda-steps", ">= 1", steps)
+        _check_flag(lam_max >= lam_min, "--lambda-max",
+                    f">= --lambda-min ({lam_min})", lam_max)
         # one row would keep --lambda-min only
-        _check_flag(args.lambda_steps >= 2 or args.lambda_min == args.lambda_max,
-                    "--lambda-steps", ">= 2 when --lambda-min < --lambda-max",
-                    args.lambda_steps)
-        lambdas = np.logspace(math.log10(args.lambda_min),
-                              math.log10(args.lambda_max),
-                              args.lambda_steps).tolist()
+        _check_flag(steps >= 2 or lam_min == lam_max, "--lambda-steps",
+                    ">= 2 when --lambda-min < --lambda-max", steps)
+        lambdas = np.logspace(math.log10(lam_min), math.log10(lam_max),
+                              steps).tolist()
     _check_flag(args.trials >= 0, "--trials", ">= 0", args.trials)
     _check_flag(args.seed >= 0, "--seed", ">= 0", args.seed)
     for flag, v in (("--p-a-w", args.p_a_w), ("--rate-gap", args.rate_gap)):
@@ -215,15 +223,10 @@ def _sweep_point(task) -> Dict:
     base, grid, variable, value, index = task
     row: Dict = {"index": index, "variable": variable, "value": value,
                  "value_db": None, "error": None}
-    params = base if variable in ("mu_b", "p_b") \
-        else replace(base, **{variable: value})
+    forced = {f"forced_{variable}": value} if variable in ("mu_b", "p_b") else {}
+    params = base if forced else replace(base, **{variable: value})
     try:
-        if variable == "mu_b":
-            solution = optimize(params, grid, forced_mu_b=value)
-        elif variable == "p_b":
-            solution = optimize(params, grid, forced_p_b=value)
-        else:
-            solution = optimize(params, grid)
+        solution = optimize(params, grid, **forced)
     except (ValidationError, InfeasibleError) as exc:
         row["error"] = str(exc)
         return row
@@ -315,11 +318,17 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="tabulate exact/approximate/Monte Carlo outage")
     p_val.add_argument("--d-ab", default="0.2,10,30",
                        help="comma-separated link distances in meters")
-    p_val.add_argument("--lambda-min", type=float, default=1e-6)
-    p_val.add_argument("--lambda-max", type=float, default=1e-2)
-    p_val.add_argument("--lambda-steps", type=int, default=25)
-    p_val.add_argument("--lambda-list", default=None,
-                       help="explicit comma-separated densities (overrides the range)")
+    p_val.add_argument("--lambda-min", type=float, help=(
+        f"smallest density of the log range "
+        f"(default {_LAMBDA_RANGE['lambda_min']:g})"))
+    p_val.add_argument("--lambda-max", type=float, help=(
+        f"largest density of the log range "
+        f"(default {_LAMBDA_RANGE['lambda_max']:g})"))
+    p_val.add_argument("--lambda-steps", type=int, help=(
+        f"densities in the log range (default {_LAMBDA_RANGE['lambda_steps']})"))
+    p_val.add_argument("--lambda-list", default=None, help=(
+        "explicit comma-separated densities, instead of the range "
+        "(not with --lambda-min, --lambda-max or --lambda-steps)"))
     p_val.add_argument("--p-a-w", type=float, default=0.1,
                        help="fixed transmit power in watts")
     p_val.add_argument("--p-b-w", type=float, default=1.0,

@@ -1,6 +1,7 @@
 """INI configuration for scenarios, search grids, and sweeps.
 
-Schema ([system] is required, the other sections are optional):
+Schema ([system] is required, the other sections are optional, and no
+other section is accepted):
 
     [system]                 ; all nine fields required, one spelling each
     alpha            = 4.0
@@ -76,6 +77,8 @@ _FIELDS: Dict[str, Tuple[Optional[str], str, str]] = {
     "mu_b": (None, "mu_b", "ratio"),
     "p_b": (None, "p_b", "power"),
 }
+# The sections a config may hold, in table order; any other is an error.
+_SECTIONS = tuple(dict.fromkeys(s for s, _, _ in _FIELDS.values() if s))
 
 # Units with a dB form: key suffixes (dB, linear) and conversions.  Powers
 # are dBm or watts, ratios plain dB or linear; other units have one spelling.
@@ -211,6 +214,11 @@ def _take_section(sec: Dict[str, str], section: str,
 def load_config(path: str) -> Config:
     """Parse and validate a configuration file."""
     cp = _read(path)
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ValidationError(
+                f"config has unknown section [{name}]; the sections are "
+                + ", ".join(f"[{s}]" for s in _SECTIONS))
     if not cp.has_section("system"):
         raise ValidationError("config missing required [system] section")
 

@@ -106,9 +106,9 @@ def v_of_y(y: float, u: float) -> float:
     v(y) = (1+y) * exp(-1/(u*(1+y))) - 1; strictly increasing in y, negative
     at y = 0, v(y) < y everywhere, and v(y) -> y as u -> infinity.
     """
-    if y < 0.0:
+    if not y >= 0.0:
         raise ValidationError(f"y must be >= 0: {y}")
-    if u <= 0.0:
+    if not u > 0.0:
         raise ValidationError(f"u must be > 0: {u}")
     return (1.0 + y) * math.exp(-1.0 / (u * (1.0 + y))) - 1.0
 
@@ -134,7 +134,7 @@ class Step1Result:
 
 
 def _check_mu_b(mu_b: float) -> None:
-    if mu_b < 0.0:
+    if not mu_b >= 0.0:
         raise ValidationError(f"mu_b must be >= 0: {mu_b}")
 
 
@@ -152,7 +152,7 @@ def solve_step1(p_b: float, mu_b: float, params: SystemParams) -> Step1Result:
     level drops out of u.
     """
     validate(params)
-    if p_b < 0.0:
+    if not p_b >= 0.0:
         raise ValidationError(f"p_b must be >= 0 W: {p_b}")
     _check_mu_b(mu_b)
     return _step1(p_b, mu_b, _Outage(params))
@@ -363,10 +363,10 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     is reused from a single step-1 solve at p_b = mu_b = 0 (without jamming
     it does not depend on mu_b), and the two are combined with the
     mode-occupancy weights.  The smallest mu_b wins ties, making the search
-    deterministic.  ``forced_mu_b`` replaces the grid by that one threshold.
-    The inputs are checked, and the outage budget formed, once, here; every
-    mu_b visited shares one outage root per jamming power, remembered only
-    for this call.
+    deterministic.  ``forced_mu_b`` replaces the grid by that one threshold,
+    solved directly: its own error reaches the caller.  The inputs are
+    checked, and the outage budget formed, once, here; every mu_b visited
+    shares one outage root per jamming power, remembered only for this call.
 
     The throughput has a single peak over the grid, so a Fibonacci search
     finds it from about ten of its points; the result equals that of a
@@ -386,6 +386,8 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     validate(params)
     grid = grid or GridSpec()
     grid.check(params)
+    if forced_mu_b is not None and not 0.0 <= forced_mu_b < math.inf:
+        raise ValidationError(f"forced mu_b must be finite and >= 0: {forced_mu_b}")
     if forced_p_b is not None and not 0.0 < forced_p_b <= params.p_b_max:
         raise ValidationError(
             f"forced p_b must be in (0, p_b_max]: {forced_p_b}")
@@ -403,7 +405,6 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
     def point(i: int):
         """(omega_s, omega_fd, omega_hd, mu_b, record) at grid index i."""
         mu_b = mu_b_grid[i]
-        _check_mu_b(mu_b)   # only a forced mu_b can fail
         if forced_p_b is not None:
             step1 = _step1(forced_p_b, mu_b, outage)
             record = Step2Result(p_b_dagger=forced_p_b, capped=False,
@@ -419,6 +420,8 @@ def optimize(params: SystemParams, grid: Optional[GridSpec] = None, *,
         candidates = [point(i) for i in
                       _peak_bracket(lambda i: point(i)[0], len(mu_b_grid))]
     except (InfeasibleError, ValidationError):
+        if forced_mu_b is not None:
+            raise   # the grid's one point: no scan, its own error
         candidates = []
         for i, mu_b in enumerate(mu_b_grid):
             try:

@@ -26,45 +26,47 @@ A trial is an outage iff some kept point wins its coin; without jamming
 every kept point does, and no point is drawn.  The estimator is exact in
 distribution for the truncated field.
 
-Reproducibility and parallelism contract: trials (domain 0) and on-line
-slots (domain 1) are grouped in blocks of ``_BLOCK`` consecutive indices,
-and block ``b`` of a run with master seed ``s`` draws from the dedicated
-substream ``default_rng((s, domain, b))`` (:func:`sub_rng` builds the same
-generator from the key's 32-bit words, at lower cost).  A (seed, numpy
-version, block size) triple pins every result bit for bit; a different
-block size gives different (equally valid) numbers.  Results do not depend
-on evaluation order, so runs can be sharded across workers as long as every
-shard holds whole blocks.  The engine uses this itself: each block draws
-from its own substream, but up to ``_CHUNK`` consecutive trials or slots are
-evaluated together as one batch (gains, slot rule, thinning, jamming coins,
-outage and reliability tests), with the same outputs as one block at a
-time.  The kept counts, which each block draws first, plan windows of kept
-points: runs of consecutive whole blocks that keep at most ``_POINTS``
-(4,096) points together, or one chunk of a block that keeps more.  A
-window's owners, thinning scales and jamming powers are formed at once,
-its blocks draw their points in turn, and its points are tested in slices
-of at most ``_POINTS``; no output depends on the windows or slices.
-``empirical_sop`` holds its powers fixed, so it forms the thinning scale,
-the kept-count mean and the jamming power once per call and broadcasts them;
-``run_online`` passes one value per transmitting slot through the same
-kernel.  A batch whose jammed rows are expected to keep enough points is
-split into contiguous groups of whole blocks, evaluated on worker threads,
-one group per CPU the process may use (``taskset`` restricts them) and at
-least ``_POINTS`` expected points per group.  The substreams are created on
-the calling thread and the groups' outages are joined in block order, so
-every output is the same on any number of CPUs; there is no option for it.
+Draw contract.  Trials (domain 0) and on-line slots (domain 1) are grouped
+in blocks of ``_BLOCK`` consecutive indices, and block ``b`` of a run with
+master seed ``s`` draws from its own substream ``default_rng((s, domain,
+b))`` (:func:`sub_rng` builds the same generator from the key's 32-bit
+words, at lower cost).  A (seed, numpy version, block size) triple pins
+every result bit for bit; another block size draws different, equally valid
+numbers.  A block draws in a fixed order: the on-line simulator first draws
+the main-channel gains, then the self-interference gains, one per slot, by
+inverse CDF ``-log1p(-U)``; then, for the trials or transmitting slots in
+index order, the kept counts (Poisson); then the points of jammed rows in
+owner order, in chunks of ``_CHUNK`` points: per chunk the truncated
+Gamma(k) draws (rounds of ``Generator.gamma`` proposals where
+c >= Gamma(1+k)^(1/k), rounds of area-uniform positions and acceptance
+uniforms elsewhere), then the half-azimuths, then the jamming coins.
+Consecutive uniforms come from one ``Generator.random`` call (the two gain
+vectors of a block; the azimuths and coins of a chunk), which fills them in
+stream order: the same numbers as one call per vector.
 
-Per-block draw order (fixed, part of the contract): the on-line simulator
-first draws the main-channel gains, then the self-interference gains, one
-per slot, by inverse CDF ``-log1p(-U)``; then, for the trials or
-transmitting slots in index order, the kept counts (Poisson); then the
-points of jammed trials in owner order, in chunks of ``_CHUNK`` points: per
-chunk the truncated Gamma(k) draws (rounds of ``Generator.gamma`` proposals
-where c >= Gamma(1+k)^(1/k), rounds of area-uniform positions and
-acceptance uniforms elsewhere), then the half-azimuths, then the jamming
-coins.  Consecutive uniforms come from one ``Generator.random`` call (the
-two gain vectors of a block; the azimuths and coins of a chunk), which
-fills them in stream order: the same numbers as one call per vector.
+Evaluation.  No output depends on the order in which blocks, rows or points
+are evaluated, so a run can be sharded across workers as long as every
+shard holds whole blocks.  The engine itself groups the work three ways,
+with the same outputs as one block at a time and no option for any of them:
+
+* batches: up to ``_CHUNK`` consecutive rows of whole blocks are evaluated
+  together (gains, slot rule, thinning, jamming coins, outage and
+  reliability tests); their substreams are made on the calling thread;
+* windows and slices: the kept counts, which each block draws first, plan
+  windows of points (:func:`_windows`), runs of consecutive whole blocks
+  that keep at most ``_POINTS`` points in all, or one chunk of a block that
+  keeps more; a window's blocks draw their points in turn, and its points
+  are tested in slices of at most ``_POINTS``;
+* thread groups: a batch is split into contiguous groups of whole blocks
+  on worker threads, at most one per CPU the process may use (``taskset``
+  restricts them) and at least ``_POINTS`` expected kept points of jammed
+  rows per group, and the groups' outages are joined in block order, so
+  every output is the same on any number of CPUs.
+
+``empirical_sop`` holds its powers fixed, so it forms the thinning scale,
+the kept-count mean and the jamming power once per call and broadcasts
+them; ``run_online`` passes one value per transmitting slot through the
+same kernel.
 """
 
 from __future__ import annotations
@@ -101,10 +103,8 @@ _BLOCK = 64
 # slots) evaluated at once in a batch of blocks; bounds peak memory in dense
 # fields that the signal threshold barely thins.
 _CHUNK = 1 << 15
-# Most kept points tested at once: a window of whole blocks keeps at most
-# this many, and the chunks of a block that keeps more are tested in slices
-# of this many, so the test's scratch arrays stay in cache.  Each point's
-# test is on its own, so no output depends on the windows or slices.
+# Most kept points tested at once (windows and slices), so the test's
+# scratch arrays stay in cache.
 _POINTS = 1 << 12
 
 
@@ -129,17 +129,18 @@ def sub_rng(seed: int, domain: int, index: int) -> np.random.Generator:
         np.array(_words(seed) + _words(domain) + _words(index), np.uint32))))
 
 
-def _batches(n: int):
-    """Batches of consecutive whole blocks for ``n`` trials or slots, each of
-    at most ``_CHUNK`` rows and at least one block: ``(blocks, starts)``,
-    the block indices and each block's first row within the batch, closed
-    by the batch's row count."""
+def _batches(n: int, seed: int, domain: int):
+    """Batches of consecutive whole blocks for ``n`` trials or slots of one
+    domain, each of at most ``_CHUNK`` rows and at least one block:
+    ``(rngs, starts)``, the blocks' substreams and each block's first row
+    within the batch, closed by the batch's row count."""
     per = max(1, _CHUNK // _BLOCK)
     n_blocks = -(-n // _BLOCK)
     for first in range(0, n_blocks, per):
         blocks = range(first, min(first + per, n_blocks))
         rows = min(n, blocks.stop * _BLOCK) - first * _BLOCK
-        yield blocks, [*range(0, rows, _BLOCK), rows]
+        yield ([sub_rng(seed, domain, b) for b in blocks],
+               [*range(0, rows, _BLOCK), rows])
 
 
 def _at(x, index):
@@ -148,9 +149,11 @@ def _at(x, index):
     return x[index] if isinstance(x, np.ndarray) else x
 
 
-def _gamma_below(rng: np.random.Generator, k: float, c, n: int) -> np.ndarray:
-    """Per entry of ``c``, the first ``Gamma(k)`` proposal at most c; each
-    round draws one proposal per entry still rejected, in entry order."""
+def _gamma_below(rng: np.random.Generator, k: float, c, n: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per entry of ``c``, the first ``Gamma(k)`` proposal ``v`` at most c,
+    and its ``(v / c)^(k/2)``; each round draws one proposal per entry still
+    rejected, in entry order."""
     v = rng.gamma(k, size=n)
     todo = (v > c).nonzero()[0]
     while todo.size:
@@ -158,7 +161,7 @@ def _gamma_below(rng: np.random.Generator, k: float, c, n: int) -> np.ndarray:
         ok = g <= _at(c, todo)
         v[todo[ok]] = g[ok]
         todo = todo[~ok]
-    return v
+    return v, (v / c) ** (k / 2.0)
 
 
 def _power_law_below(rng: np.random.Generator, k: float, c, n: int
@@ -198,15 +201,12 @@ def _truncated_gamma(rng: np.random.Generator, k: float, c, n: int
     # empirical_sop's one c puts a whole call on one side
     n_small = int(np.count_nonzero(small)) if small.ndim else n * bool(small)
     if not n_small:
-        v = _gamma_below(rng, k, c, n)
-        return v, (v / c) ** (k / 2.0)
+        return _gamma_below(rng, k, c, n)
     if n_small == n:
         return _power_law_below(rng, k, c, n)
     v = np.empty(n)
     s = np.empty(n)
-    large = ~small
-    v[large] = _gamma_below(rng, k, c[large], n - n_small)
-    s[large] = (v[large] / c[large]) ** (k / 2.0)
+    v[~small], s[~small] = _gamma_below(rng, k, c[~small], n - n_small)
     v[small], s[small] = _power_law_below(rng, k, c[small], n_small)
     return v, s
 
@@ -241,29 +241,12 @@ def _beats_jamming(turn: np.ndarray, coin: np.ndarray, v: np.ndarray,
                    d_ak: np.ndarray, p_b, params: SystemParams) -> np.ndarray:
     """Per kept point: does its SINR still exceed x under jamming ``p_b``?
     ``turn`` and ``coin`` are the point's half-azimuth (in half turns) and
-    jamming-coin uniforms.
-
-    It evaluates, operation for operation, ``d_bk2 = (d_ak - d_ab)^2 +
-    4 d_ab d_ak sin(pi turn)^2``, ``noise = sigma_e2 * d_bk2^(alpha/2)`` and
-    ``coin * (noise + v p_b) < noise``, in place in two scratch arrays; only
-    the operands of multiplications and additions swap, which leaves IEEE
-    results exact.
-    """
+    jamming-coin uniforms, ``d_ak`` its distance to the transmitter, and
+    ``d_bk2`` is its squared distance to the jammer."""
     d_ab = params.d_ab
-    noise = np.multiply(turn, math.pi)
-    np.sin(noise, out=noise)
-    np.square(noise, out=noise)
-    cross = np.multiply(d_ak, 4.0 * d_ab)
-    cross *= noise
-    np.subtract(d_ak, d_ab, out=noise)
-    np.square(noise, out=noise)
-    noise += cross
-    noise **= params.alpha / 2.0
-    noise *= params.sigma_e2
-    np.multiply(v, p_b, out=cross)
-    cross += noise
-    cross *= coin
-    return cross < noise
+    d_bk2 = (d_ak - d_ab) ** 2 + 4.0 * d_ab * d_ak * np.sin(math.pi * turn) ** 2
+    noise = params.sigma_e2 * d_bk2 ** (params.alpha / 2.0)
+    return coin * (noise + v * p_b) < noise
 
 
 def _windows(points):
@@ -297,18 +280,8 @@ def _field_outages(rngs, starts, c, mean, p_b, params: SystemParams,
     """Secrecy outage per row of a batch of blocks, for rows with thinning
     scale ``c`` (:func:`_thinning_scale`), kept-count mean ``mean``
     (:func:`_kept_mean`) and jamming power ``p_b``, each per row or one
-    value for every row.
-
-    Block ``i`` owns rows ``starts[i]:starts[i + 1]`` and draws from
-    ``rngs[i]`` its kept counts, then the points of its jammed rows in owner
-    order, in chunks of at most ``_CHUNK``: per chunk the truncated Gamma
-    draws, then one ``random`` whose first half are the half-azimuths and
-    second half the jamming coins.  The counts plan windows of points
-    (:func:`_windows`).  A window's owners come from one ``repeat``, and its
-    points' thinning scales and jamming powers from one index each; its
-    blocks draw in turn, and its points are tested in slices of at most
-    ``_POINTS``.  No point's test depends on its window or slice, so no
-    output does either.
+    value for every row.  Block ``i`` owns rows ``starts[i]:starts[i + 1]``
+    and draws from ``rngs[i]`` as the module's draw contract states.
     """
     # one mean draws the same counts as an array of it, at a third of the cost
     per_row = isinstance(mean, np.ndarray)
@@ -356,17 +329,11 @@ def _workers() -> int:
 
 def _batch_outages(rngs, starts, c, mean, p_b, params: SystemParams,
                    r_cut: float) -> np.ndarray:
-    """:func:`_field_outages` of a batch of blocks, with contiguous groups of
-    whole blocks evaluated on worker threads.
-
-    It forms ``groups = min(workers, blocks, expected kept points //
-    _POINTS)`` (the kept points of jammed rows), so a batch that keeps too
-    few points to pay for a thread stays on the calling thread.  Each block
-    still draws only from its own substream, in its own order, and the
-    groups' outages are joined in block order, so no output depends on the
-    number of groups.  numpy fills arrays from a ``Generator`` and runs float
-    ufuncs without holding the GIL, which is where the groups overlap.  The
-    substreams are created by the caller, on the calling thread.
+    """:func:`_field_outages` of a batch of blocks, in contiguous groups of
+    whole blocks on worker threads; a batch that keeps too few points to pay
+    for a thread stays on the calling thread.  numpy fills arrays from a
+    ``Generator`` and runs float ufuncs without holding the GIL, which is
+    where the groups overlap.
     """
     # one mean may serve every row, hence the broadcast
     expected = np.broadcast_to(np.where(p_b > 0.0, mean, 0.0), starts[-1]).sum()
@@ -429,9 +396,8 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     c = _thinning_scale(r_c, r_s, p_a, params, r_cut)
     mean = _kept_mean(c, params, r_cut)
     hits = 0
-    for blocks, starts in _batches(n_trials):
-        outage = _batch_outages([sub_rng(seed, 0, b) for b in blocks], starts,
-                                c, mean, p_b, params, r_cut)
+    for rngs, starts in _batches(n_trials, seed, 0):
+        outage = _batch_outages(rngs, starts, c, mean, p_b, params, r_cut)
         hits += int(np.count_nonzero(outage))
     p = hits / n_trials
     return McEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n_trials),
@@ -490,8 +456,7 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
     loss = params.d_ab ** (-params.alpha)
 
     n_fd = n_hd = reliable_fd = reliable_hd = secrecy_outages = 0
-    for blocks, starts in _batches(n_slots):
-        rngs = [sub_rng(seed, 1, b) for b in blocks]
+    for rngs, starts in _batches(n_slots, seed, 1):
         # per block one draw of uniforms: the main-channel gains', then the
         # SI gains'; exponential by inverse CDF, stable across numpy versions
         gains = [rng.random(2 * (hi - lo))

@@ -373,6 +373,12 @@ def test_throughput_corner_cases():
     assert throughput_hd(1.0, 0.0, w, 0.5) == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("mu_b", [-1.0, math.nan])
+def test_hd_weight_rejects_a_negative_or_nan_switch_level(mu_b):
+    with pytest.raises(ValidationError, match=f"mu_b must be >= 0: {mu_b}"):
+        hd_weight(mu_b, 1e-7)
+
+
 def test_perfect_suppression_limits():
     assert hd_weight(0.0, 0.0) == 1.0
     assert hd_weight(1e-9, 0.0) == 0.0

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,12 @@ VSOP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10"]
     (VSOP + ["--lambda-min", "1e-2", "--lambda-max", "1e-6"], "--lambda-max"),
     (VSOP + ["--lambda-min", "1e-6", "--lambda-max", "1e-2", "--lambda-steps", "1"],
      "--lambda-steps"),
+    (VSOP + ["--lambda-list", "1e-4", "--lambda-min", "1e-6"],
+     "--lambda-min must be left out with --lambda-list"),
+    (VSOP + ["--lambda-max", "1e-2", "--lambda-list", "1e-4"],
+     "--lambda-max must be left out with --lambda-list"),
+    (VSOP + ["--lambda-list", "1e-4", "--lambda-steps", "25"],
+     "--lambda-steps must be left out with --lambda-list"),
 ])
 def test_bad_flag_exits_1_naming_it(argv, named, capsys):
     assert main(argv) == 1
@@ -563,6 +570,25 @@ steps = 3
     writer.writeheader()
     writer.writerows(rows)
     assert text == "\n".join(comments) + "\n" + buf.getvalue()
+
+
+def test_sweep_rows_report_a_forced_switch_level_s_own_error(tmp_path):
+    # a linear mu_b sweep from below 0: row 0 is rejected by name, and the
+    # level 1e300, where the secrecy rate underflows, keeps that message
+    cfg = _sweep_config(tmp_path, """
+[sweep]
+variable = mu_b
+min = -1e-6
+max = 1e300
+steps = 2
+""")
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _read_csv(str(out))
+    assert rows[0]["error"] == "forced mu_b must be finite and >= 0: -1e-06"
+    assert rows[1]["error"].startswith("secrecy rate underflows")
 
 
 # ---------------------------------------------------------------- recompute

@@ -157,6 +157,17 @@ def test_unknown_fix_key_is_an_unknown_sweep_key(tmp_path, capsys):
     assert capsys.readouterr().err == f"fdjam: validation error: {message}\n"
 
 
+def test_unknown_section_exits_1_naming_it(tmp_path, capsys):
+    # a misspelt [sim] must not run at the default r_cut
+    path = _write(tmp_path, FULL.replace("[sim]", "[simulation]"))
+    message = ("config has unknown section [simulation]; the sections are "
+               "[system], [grid], [sim], [sweep]")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_config(path)
+    assert main(["optimize", "--config", path]) == 1
+    assert capsys.readouterr().err == f"fdjam: validation error: {message}\n"
+
+
 def test_report_header_keys_and_order():
     # artifact bytes depend on this order: it is the table order
     assert list(resolved_dict(load_config(str(DEFAULT_INI)))) == [

@@ -1,4 +1,4 @@
-"""Smoke test: the quick demos run to completion against the package."""
+"""Smoke test: every demo runs to completion against the package."""
 
 import os
 import subprocess
@@ -10,8 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_design_walkthrough.py",
-                                  "03_mode_comparison.py"])
+@pytest.mark.parametrize("demo", ["01_outage_validation.py",
+                                  "02_design_walkthrough.py",
+                                  "03_mode_comparison.py",
+                                  "04_slot_simulation.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -60,6 +60,15 @@ def test_v_of_y_shape():
     assert v_of_y(5.0, 1e15) == pytest.approx(5.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("y, u, message", [
+    (-1.0, 1.0, "y must be >= 0: -1.0"), (math.nan, 1.0, "y must be >= 0: nan"),
+    (1.0, 0.0, "u must be > 0: 0.0"), (1.0, math.nan, "u must be > 0: nan"),
+])
+def test_v_of_y_rejects_out_of_domain_inputs(y, u, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        v_of_y(y, u)
+
+
 # ---------------------------------------------------------------- step 1
 
 def test_step1_matches_brute_force_grid():
@@ -119,8 +128,12 @@ def test_step1_rejects_invalid_params():
         solve_step1(VI_PB, VI_MU_B, dataclasses.replace(vi_defaults(), epsilon=0.0))
     with pytest.raises(ValidationError, match=r"p_b must be >= 0 W: -1.0"):
         solve_step1(-1.0, VI_MU_B, vi_defaults())
+    with pytest.raises(ValidationError, match=r"p_b must be >= 0 W: nan"):
+        solve_step1(math.nan, VI_MU_B, vi_defaults())
     with pytest.raises(ValidationError, match=r"mu_b must be >= 0: -1e-08"):
         solve_step1(VI_PB, -1e-8, vi_defaults())
+    with pytest.raises(ValidationError, match=r"mu_b must be >= 0: nan"):
+        solve_step1(VI_PB, math.nan, vi_defaults())
 
 
 def test_step2_rejects_invalid_params():
@@ -128,6 +141,8 @@ def test_step2_rejects_invalid_params():
         solve_step2(VI_MU_B, dataclasses.replace(vi_defaults(), epsilon=0.0))
     with pytest.raises(ValidationError, match=r"mu_b must be >= 0: -1e-08"):
         solve_step2(-1e-8, vi_defaults())
+    with pytest.raises(ValidationError, match=r"mu_b must be >= 0: nan"):
+        solve_step2(math.nan, vi_defaults())
     with pytest.raises(ValidationError,
                        match=r"grid requires 0 < mu_b_min <= mu_b_max"):
         solve_step2(VI_MU_B, vi_defaults(), GridSpec(mu_b_min=0.0))
@@ -305,6 +320,23 @@ def test_optimize_forced_jamming_power():
     assert sol.fd.p_b == 2e-3
     with pytest.raises(ValidationError):
         optimize(p, forced_p_b=2.0 * p.p_b_max)
+
+
+@pytest.mark.parametrize("mu_b", [-1.0, math.nan, math.inf])
+def test_optimize_rejects_a_forced_switch_level_by_name(mu_b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"forced mu_b must be finite and >= 0: {mu_b}")):
+            optimize(vi_defaults(lambda_e=1e-5, epsilon=0.05), forced_mu_b=mu_b)
+
+
+def test_optimize_raises_a_forced_switch_level_s_own_error():
+    # the jamming term p_b * mu_b swamps u: the secrecy rate underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InfeasibleError, match="^secrecy rate underflows"):
+            optimize(vi_defaults(lambda_e=1e-5, epsilon=0.05), forced_mu_b=1e300)
 
 
 def test_optimize_carries_its_solver_records():
