@@ -83,7 +83,7 @@ class GridSpec:
                 f"[{self.mu_b_min}, {self.mu_b_max}]")
         if self.mu_b_steps < 1:
             raise ValidationError(f"mu_b_steps must be >= 1: {self.mu_b_steps}")
-        if self.p_b_floor <= 0.0:
+        if not self.p_b_floor > 0.0:
             raise ValidationError(f"p_b_floor must be > 0 W: {self.p_b_floor}")
         if params.p_b_max <= 0.0:
             raise ValidationError(

@@ -26,6 +26,28 @@ A trial is an outage iff some kept point wins its coin; without jamming
 every kept point does, and no point is drawn.  The estimator is exact in
 distribution for the truncated field.
 
+Jamming-side thinning (``empirical_sop`` only).  The coin probability is
+1 / (1 + q (d_ak / d_bk)^alpha), with q = x * p_b / p_a, and since
+d_bk <= d_ak + d_ab it is at most p_out = 1 / (1 + q (r_in / (r_in +
+d_ab))^alpha) wherever d_ak >= r_in.  So the kept points split into two
+independent fields whose hit intensities add up to the one field's
+(thinning by a dominating intensity):
+
+* the outer field covers the whole disk with the same scale c and
+  positions, and a kept-count mean scaled by p_out; a point at d_ak >= r_in
+  is a hit iff ``coin * p_out * (noise + v * p_b) < noise``, a point
+  inside r_in tests the plain coin;
+* the inner field covers the disk of radius r_in, with scale
+  c_in = c * (r_in / r_cut)^alpha and kept-count mean
+  lambda_e * pi * r_in^2 * 1F1(k; k+1; -c_in) * (1 - p_out), and tests the
+  plain coin.
+
+r_in is the point of the grid d_ab * 2^(j/2), j >= -4, below r_cut with
+the fewest expected kept points per trial, and the split is used only
+where it at least halves them (:func:`_fields`); otherwise, and in
+``run_online``, the one field is drawn as before.  At strong jamming most
+of the far field's points, which would lose their coin, are never drawn.
+
 Draw contract.  Trials (domain 0) and on-line slots (domain 1) are grouped
 in blocks of ``_BLOCK`` consecutive indices, and block ``b`` of a run with
 master seed ``s`` draws from its own substream ``default_rng((s, domain,
@@ -42,7 +64,9 @@ c >= Gamma(1+k)^(1/k), rounds of area-uniform positions and acceptance
 uniforms elsewhere), then the half-azimuths, then the jamming coins.
 Consecutive uniforms come from one ``Generator.random`` call (the two gain
 vectors of a block; the azimuths and coins of a chunk), which fills them in
-stream order: the same numbers as one call per vector.
+stream order: the same numbers as one call per vector.  Where
+``empirical_sop`` splits the field, each block draws the outer field's
+counts and points in that order, then the inner field's.
 
 Evaluation.  No output depends on the order in which blocks, rows or points
 are evaluated, so a run can be sharded across workers as long as every
@@ -63,10 +87,11 @@ with the same outputs as one block at a time and no option for any of them:
   rows per group, and the groups' outages are joined in block order, so
   every output is the same on any number of CPUs.
 
-``empirical_sop`` holds its powers fixed, so it forms the thinning scale,
-the kept-count mean and the jamming power once per call and broadcasts
-them; ``run_online`` passes one value per transmitting slot through the
-same kernel.
+``empirical_sop`` holds its powers fixed, so it forms each field's thinning
+scale and kept-count mean, and the jamming power, once per call and
+broadcasts them, evaluating a batch one field after the other;
+``run_online`` passes one value per transmitting slot through the same
+kernel.
 """
 
 from __future__ import annotations
@@ -237,6 +262,34 @@ def _kept_mean(c, params: SystemParams, r_cut: float):
     return params.lambda_e * math.pi * r_cut * r_cut * hyp1f1(k, k + 1.0, -c)
 
 
+def _fields(c: float, mean: float, q: float, params: SystemParams,
+            r_cut: float) -> list:
+    """The fields ``empirical_sop`` draws, in draw order, each as ``(c,
+    mean, radius, bound)``: its thinning scale, kept-count mean, disk radius
+    and outer coin bound ``(r_in, p_out)`` or None, for one field of scale
+    ``c`` and mean ``mean`` at jamming weight ``q = x * p_b / p_a``.  The
+    module docstring states the split and its rule."""
+    one = [(c, mean, r_cut, None)]
+    if not q > 0.0:    # no jamming, or x = 0 (NaN at p_b = inf)
+        return one
+    alpha, d_ab = params.alpha, params.d_ab
+    best = None
+    j = -4
+    while (r_in := d_ab * 2.0 ** (j / 2.0)) < r_cut:
+        p_out = 1.0 / (1.0 + q * (r_in / (r_in + d_ab)) ** alpha)
+        c_in = c * (r_in / r_cut) ** alpha
+        mean_in = _kept_mean(c_in, params, r_in) * (1.0 - p_out)
+        points = mean * p_out + mean_in
+        if best is None or points < best[0]:
+            best = (points, r_in, p_out, c_in, mean_in)
+        j += 1
+    if best is None or not 0.0 < 2.0 * best[0] <= mean:
+        return one
+    _, r_in, p_out, c_in, mean_in = best
+    return [(c, mean * p_out, r_cut, (r_in, p_out)),
+            (c_in, mean_in, r_in, None)]
+
+
 def _beats_jamming(turn: np.ndarray, coin: np.ndarray, v: np.ndarray,
                    d_ak: np.ndarray, p_b, params: SystemParams) -> np.ndarray:
     """Per kept point: does its SINR still exceed x under jamming ``p_b``?
@@ -276,11 +329,13 @@ def _windows(points):
 
 
 def _field_outages(rngs, starts, c, mean, p_b, params: SystemParams,
-                   r_cut: float) -> np.ndarray:
+                   radius: float, bound=None) -> np.ndarray:
     """Secrecy outage per row of a batch of blocks, for rows with thinning
     scale ``c`` (:func:`_thinning_scale`), kept-count mean ``mean``
     (:func:`_kept_mean`) and jamming power ``p_b``, each per row or one
-    value for every row.  Block ``i`` owns rows ``starts[i]:starts[i + 1]``
+    value for every row, on a disk of radius ``radius``; with ``bound =
+    (r_in, p_out)``, a point at d_ak >= r_in wins its coin with probability
+    1 / ((1 + t) * p_out).  Block ``i`` owns rows ``starts[i]:starts[i + 1]``
     and draws from ``rngs[i]`` as the module's draw contract states.
     """
     # one mean draws the same counts as an array of it, at a third of the cost
@@ -314,8 +369,12 @@ def _field_outages(rngs, starts, c, mean, p_b, params: SystemParams,
                             for x in (v, s, turn, coin))
         for at in range(0, hi - lo, _POINTS):
             view = slice(at, at + _POINTS)
-            hit = _beats_jamming(turn[view], coin[view], v[view],
-                                 r_cut * s[view], _at(p_b_at, view), params)
+            d_ak, coin_v = radius * s[view], coin[view]
+            if bound is not None:
+                r_in, p_out = bound
+                coin_v = coin_v * np.where(d_ak < r_in, 1.0, p_out)
+            hit = _beats_jamming(turn[view], coin_v, v[view], d_ak,
+                                 _at(p_b_at, view), params)
             outage[owner[view][hit]] = True
     return outage
 
@@ -328,7 +387,7 @@ def _workers() -> int:
 
 
 def _batch_outages(rngs, starts, c, mean, p_b, params: SystemParams,
-                   r_cut: float) -> np.ndarray:
+                   radius: float, bound=None) -> np.ndarray:
     """:func:`_field_outages` of a batch of blocks, in contiguous groups of
     whole blocks on worker threads; a batch that keeps too few points to pay
     for a thread stays on the calling thread.  numpy fills arrays from a
@@ -339,7 +398,7 @@ def _batch_outages(rngs, starts, c, mean, p_b, params: SystemParams,
     expected = np.broadcast_to(np.where(p_b > 0.0, mean, 0.0), starts[-1]).sum()
     groups = min(_workers(), len(rngs), int(expected // _POINTS))
     if groups <= 1:
-        return _field_outages(rngs, starts, c, mean, p_b, params, r_cut)
+        return _field_outages(rngs, starts, c, mean, p_b, params, radius, bound)
     from concurrent.futures import ThreadPoolExecutor    # only a fan-out needs it
 
     def group(g: int) -> np.ndarray:
@@ -347,7 +406,8 @@ def _batch_outages(rngs, starts, c, mean, p_b, params: SystemParams,
         rows = slice(starts[first], starts[stop])
         return _field_outages(
             rngs[first:stop], [s - rows.start for s in starts[first:stop + 1]],
-            _at(c, rows), _at(mean, rows), _at(p_b, rows), params, r_cut)
+            _at(c, rows), _at(mean, rows), _at(p_b, rows), params, radius,
+            bound)
 
     with ThreadPoolExecutor(groups) as pool:
         return np.concatenate(list(pool.map(group, range(groups))))
@@ -394,10 +454,13 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
         raise ValidationError(
             f"require finite p_a > 0 W and p_b >= 0 W, got p_a={p_a}, p_b={p_b}")
     c = _thinning_scale(r_c, r_s, p_a, params, r_cut)
-    mean = _kept_mean(c, params, r_cut)
+    fields = _fields(c, _kept_mean(c, params, r_cut),
+                     (2.0 ** (r_c - r_s) - 1.0) * p_b / p_a, params, r_cut)
     hits = 0
     for rngs, starts in _batches(n_trials, seed, 0):
-        outage = _batch_outages(rngs, starts, c, mean, p_b, params, r_cut)
+        outage = np.logical_or.reduce([
+            _batch_outages(rngs, starts, c_f, mean_f, p_b, params, radius, bound)
+            for c_f, mean_f, radius, bound in fields])
         hits += int(np.count_nonzero(outage))
     p = hits / n_trials
     return McEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n_trials),

@@ -18,7 +18,7 @@ def dbm_to_watts(x_dbm: float) -> float:
 
 def watts_to_dbm(p_watts: float) -> float:
     """Convert a power from watts to dBm. Requires p_watts > 0."""
-    if p_watts <= 0.0:
+    if not p_watts > 0.0:
         raise ValueError(f"power must be > 0 W to express in dBm, got {p_watts}")
     return 10.0 * math.log10(p_watts * 1e3)
 
@@ -32,6 +32,6 @@ def db_to_linear(x_db: float) -> float:
 
 def linear_to_db(v: float) -> float:
     """Convert a dimensionless linear ratio to dB. Requires v > 0."""
-    if v <= 0.0:
+    if not v > 0.0:
         raise ValueError(f"ratio must be > 0 to express in dB, got {v}")
     return 10.0 * math.log10(v)

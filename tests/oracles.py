@@ -10,6 +10,7 @@ seeded generator so the same scenarios reproduce everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -310,15 +311,17 @@ def truncated_gamma_blockwise(rng: np.random.Generator, k: float, c: np.ndarray
     return v, s
 
 
-def field_outages_blockwise(rng: np.random.Generator, a: np.ndarray,
-                            p_b: np.ndarray, params: SystemParams,
-                            r_cut: float) -> np.ndarray:
-    """Secrecy outage per row of one block: kept counts, then the jammed
-    rows' points in chunks of ``_CHUNK`` (positions, azimuths, coins)."""
-    c = a * r_cut ** params.alpha
+def field_outages_blockwise(rng: np.random.Generator, c: np.ndarray,
+                            mean: np.ndarray, p_b: np.ndarray,
+                            params: SystemParams, radius: float,
+                            bound: Optional[tuple] = None) -> np.ndarray:
+    """Secrecy outage per row of one block, for a field of thinning scales
+    ``c`` and kept-count means ``mean`` on the disk of radius ``radius``:
+    kept counts, then the jammed rows' points in chunks of ``_CHUNK``
+    (positions, azimuths, coins).  With ``bound = (r_in, p_out)`` a point at
+    d_ak >= r_in tests its coin times p_out."""
     k = 2.0 / params.alpha
-    counts = rng.poisson(
-        params.lambda_e * math.pi * r_cut * r_cut * hyp1f1(k, k + 1.0, -c))
+    counts = rng.poisson(mean)
     jammed = p_b > 0.0
     owner = np.repeat(np.flatnonzero(jammed), counts[jammed])
     outage = (counts > 0) & ~jammed
@@ -326,23 +329,72 @@ def field_outages_blockwise(rng: np.random.Generator, a: np.ndarray,
         rows = owner[start:start + _CHUNK]
         v, s = truncated_gamma_blockwise(rng, k, c[rows])
         half_theta = math.pi * rng.random(v.size)
-        d_ak, d_ab = r_cut * s, params.d_ab
+        d_ak, d_ab = radius * s, params.d_ab
         d_bk2 = (d_ak - d_ab) ** 2 + 4.0 * d_ab * d_ak * np.sin(half_theta) ** 2
         noise = params.sigma_e2 * d_bk2 ** (params.alpha / 2.0)
-        hit = rng.random(v.size) * (noise + v * p_b[rows]) < noise
+        coin = rng.random(v.size)
+        if bound is not None:
+            coin = coin * np.where(d_ak < bound[0], 1.0, bound[1])
+        hit = coin * (noise + v * p_b[rows]) < noise
         outage |= np.bincount(rows[hit], minlength=c.size) > 0
     return outage
+
+
+def kept_mean(c: np.ndarray, params: SystemParams, radius: float) -> np.ndarray:
+    """Mean kept count of a field of thinning scales ``c`` on a disk."""
+    k = 2.0 / params.alpha
+    return (params.lambda_e * math.pi * radius * radius
+            * hyp1f1(k, k + 1.0, -c))
+
+
+def split_fields(a: float, q: float, params: SystemParams, r_cut: float,
+                 m: int) -> list:
+    """The fields ``empirical_sop`` draws for ``m`` trials at thinning
+    coefficient ``a`` and jamming weight ``q``, as keyword arguments of
+    :func:`field_outages_blockwise`: the outer field on the whole disk,
+    its count mean scaled by p_out = 1 / (1 + q (r_in / (r_in + d_ab))^alpha),
+    then the inner field on the disk of radius r_in, its count mean scaled
+    by 1 - p_out.  r_in is the point of the grid d_ab * 2^(j/2), j >= -4,
+    below r_cut that gives the fewest expected points per trial; one
+    unscaled field where no q > 0 or no r_in at least halves them."""
+    c = np.full(m, a * r_cut ** params.alpha)
+    mean = kept_mean(c, params, r_cut)
+    one = [dict(c=c, mean=mean, radius=r_cut)]
+    if not q > 0.0:
+        return one
+    best = None
+    for j in itertools.count(-4):
+        r_in = params.d_ab * 2.0 ** (j / 2.0)
+        if r_in >= r_cut:
+            break
+        p_out = 1.0 / (1.0 + q * (r_in / (r_in + params.d_ab)) ** params.alpha)
+        c_in = c * (r_in / r_cut) ** params.alpha
+        mean_in = kept_mean(c_in, params, r_in) * (1.0 - p_out)
+        points = float(mean[0] * p_out + mean_in[0])
+        if best is None or points < best[0]:
+            best = (points, r_in, p_out, c_in, mean_in)
+    if best is None or not 0.0 < 2.0 * best[0] <= mean[0]:
+        return one
+    _, r_in, p_out, c_in, mean_in = best
+    return [dict(c=c, mean=mean * p_out, radius=r_cut, bound=(r_in, p_out)),
+            dict(c=c_in, mean=mean_in, radius=r_in)]
 
 
 def empirical_sop_blockwise(p_a: float, p_b: float, r_c: float, r_s: float,
                             params: SystemParams, n_trials: int, r_cut: float,
                             seed: int) -> McEstimate:
-    """:func:`fdjam.empirical_sop` one block at a time, for valid inputs."""
-    a = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
-    hits = sum(int(np.count_nonzero(field_outages_blockwise(
-        np.random.default_rng((seed, 0, block)), np.full(m, a), np.full(m, p_b),
-        params, r_cut)))
-        for block, m in blocks(n_trials))
+    """:func:`fdjam.empirical_sop` one block at a time, for valid inputs:
+    each block draws its outer field, then its inner field."""
+    x = 2.0 ** (r_c - r_s) - 1.0
+    a = params.sigma_e2 * x / p_a
+    hits = 0
+    for block, m in blocks(n_trials):
+        rng = np.random.default_rng((seed, 0, block))
+        outage = np.zeros(m, bool)
+        for field in split_fields(a, x * p_b / p_a, params, r_cut, m):
+            outage |= field_outages_blockwise(rng, p_b=np.full(m, p_b),
+                                              params=params, **field)
+        hits += int(np.count_nonzero(outage))
     p = hits / n_trials
     return McEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / n_trials),
                       n_trials=n_trials)
@@ -362,9 +414,10 @@ def run_online_blockwise(solution: SwitchedSolution, params: SystemParams,
         gamma_bb = _exponential(rng, m)
         is_fd, is_hd, p_a, p_b = decide_slots(gamma_ab, gamma_bb, solution, params)
         tx = is_fd | is_hd
-        a = params.sigma_e2 * np.where(is_fd, x_fd, x_hd)[tx] / p_a[tx]
-        secrecy_outages += int(np.count_nonzero(
-            field_outages_blockwise(rng, a, p_b[tx], params, r_cut)))
+        c = (params.sigma_e2 * np.where(is_fd, x_fd, x_hd)[tx] / p_a[tx]
+             * r_cut ** params.alpha)
+        secrecy_outages += int(np.count_nonzero(field_outages_blockwise(
+            rng, c, kept_mean(c, params, r_cut), p_b[tx], params, r_cut)))
         c_b = np.log2(1.0 + p_a * gamma_ab * loss
                       / (params.sigma_b2 + params.rho * p_b * gamma_bb))
         reliable = c_b >= np.where(is_fd, fd.r_c, hd.r_c) * (1.0 - _CONNECTION_RTOL)

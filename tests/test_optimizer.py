@@ -516,6 +516,12 @@ def test_grid_spec_validation():
         GridSpec(mu_b_min=1e-3, mu_b_max=1e-5).check(p)
 
 
+@pytest.mark.parametrize("floor", [0.0, -1.0, math.nan])
+def test_optimize_rejects_a_jamming_floor_that_is_not_positive(floor):
+    with pytest.raises(ValidationError, match=f"p_b_floor must be > 0 W: {floor}"):
+        optimize(vi_defaults(), GridSpec(p_b_floor=floor))
+
+
 # ------------------------------------------- searches against full scans
 
 def _search_scenarios():

@@ -252,6 +252,98 @@ def test_thinning_stays_finite_where_it_barely_thins(monkeypatch):
     assert abs(est.value - ref.value) <= 3.0 * math.hypot(est.stderr, ref.stderr)
 
 
+# ---------------------------------------------------------------- two fields
+
+SPLIT_R_CUT = 400.0
+
+
+def _strongly_jammed(alpha, d_ab, q=100.0):
+    """Powers and parameters at rate gap 3 bits (x = 7) and jamming weight
+    q = x * p_b / p_a, where the field has thinning scale 2 on a 400 m disk
+    and keeps 20 points per trial without jamming."""
+    base = vi_defaults(alpha=alpha, d_ab=d_ab)
+    p_a = base.sigma_e2 * 7.0 * SPLIT_R_CUT ** alpha / 2.0
+    k = 2.0 / alpha
+    params = dataclasses.replace(base, lambda_e=20.0 / (
+        math.pi * SPLIT_R_CUT ** 2 * hyp1f1(k, k + 1.0, -2.0)))
+    return p_a, q * p_a / 7.0, params
+
+
+def _fields_of(p_a, p_b, params):
+    """The fields ``empirical_sop`` draws at rates (4, 1) on SPLIT_R_CUT."""
+    c = sim._thinning_scale(4.0, 1.0, p_a, params, SPLIT_R_CUT)
+    return sim._fields(c, _kept_mean(c, params, SPLIT_R_CUT),
+                       7.0 * p_b / p_a, params, SPLIT_R_CUT)
+
+
+def _record_fields(monkeypatch):
+    """Record the fields of every ``empirical_sop`` call."""
+    seen = []
+    choose = sim._fields
+
+    def spy(*args):
+        seen.append(choose(*args))
+        return seen[-1]
+    monkeypatch.setattr(sim, "_fields", spy)
+    return seen
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+@pytest.mark.parametrize("d_ab", [1.0, 10.0, 50.0])
+def test_outer_coin_bound_holds_beyond_r_in(alpha, d_ab):
+    # the coin probability 1 / (1 + q (d_ak/d_bk)^alpha), with d_bk by the
+    # law of cosines, is at most p_out at every d_ak >= r_in and azimuth,
+    # and reaches it at d_ak = r_in, theta = pi
+    p_a, p_b, params = _strongly_jammed(alpha, d_ab)
+    (_, _, radius, (r_in, p_out)), (_, _, inner, bound) = _fields_of(p_a, p_b, params)
+    assert radius == SPLIT_R_CUT and inner == r_in and bound is None
+    rng = np.random.default_rng(51)
+    d_ak = np.concatenate(([r_in, SPLIT_R_CUT],
+                           rng.uniform(r_in, SPLIT_R_CUT, 2000)))[:, None]
+    theta = np.concatenate(([0.0, math.pi], rng.uniform(0.0, math.pi, 2000)))
+    d_bk = np.sqrt(d_ak ** 2 + d_ab ** 2 - 2.0 * d_ak * d_ab * np.cos(theta))
+    with np.errstate(divide="ignore"):    # r_in = d_ab, theta = 0: on the jammer
+        coin = 1.0 / (1.0 + 7.0 * p_b / p_a * (d_ak / d_bk) ** alpha)
+    assert coin.max() <= p_out * (1.0 + 1e-12)
+    assert coin[0, 1] == pytest.approx(p_out, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+@pytest.mark.parametrize("d_ab", [1.0, 10.0, 50.0])
+def test_two_fields_match_unthinned_reference(alpha, d_ab, monkeypatch):
+    p_a, p_b, params = _strongly_jammed(alpha, d_ab)
+    seen = _record_fields(monkeypatch)
+    args = (p_a, p_b, 4.0, 1.0, params, 4000, SPLIT_R_CUT, 33)
+    est = empirical_sop(*args)
+    assert [len(fields) for fields in seen] == [2]
+    ref = empirical_sop_reference(*args)
+    assert abs(est.value - ref.value) \
+        <= 3.0 * math.hypot(est.stderr, ref.stderr), (est.value, ref.value)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.05])
+def test_unsplit_calls_equal_the_one_field_engine(q, monkeypatch):
+    # without jamming, or with jamming too weak for the split to halve the
+    # points, every draw is the one field's
+    p_a, p_b, params = _strongly_jammed(4.0, 10.0, q)
+    assert len(_fields_of(p_a, p_b, params)) == 1
+    args = (p_a, p_b, 4.0, 1.0, params, 3000, SPLIT_R_CUT, 34)
+    split = empirical_sop(*args)
+    monkeypatch.setattr(sim, "_fields", lambda c, mean, _q, _params, r_cut:
+                        [(c, mean, r_cut, None)])
+    assert split == empirical_sop(*args)
+
+
+def test_infinite_jamming_has_no_outage(monkeypatch):
+    seen = _record_fields(monkeypatch)
+    with _warnings_raise():
+        est = empirical_sop(P_A, math.inf, R_C, R_S, vi_defaults(lambda_e=1e-3),
+                            n_trials=2000, r_cut=800.0, seed=35)
+    assert est.value == 0.0
+    # no outer point: its coin bound is 0
+    assert seen[0][0][1] == 0.0 and seen[0][0][3][1] == 0.0
+
+
 def test_empirical_sop_argument_checks():
     p = vi_defaults()
     with pytest.raises(ValidationError):

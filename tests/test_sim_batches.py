@@ -71,10 +71,13 @@ def _slices_of_five(monkeypatch):
     monkeypatch.setattr(sim, "_POINTS", 5)
 
 
-def _kept_count_mean(params, r_c, r_s, r_cut):
-    """An empirical_sop trial's mean kept count at power P_A."""
+def _field_means(params, r_c, r_s, r_cut):
+    """An empirical_sop trial's mean kept count per field at powers P_A and
+    P_B."""
     c = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / P_A * r_cut ** params.alpha
-    return sim._kept_mean(c, params, r_cut)
+    q = (2.0 ** (r_c - r_s) - 1.0) * P_B / P_A
+    return [float(mean) for _, mean, _, _ in sim._fields(
+        c, sim._kept_mean(c, params, r_cut), q, params, r_cut)]
 
 
 @pytest.mark.parametrize("case, params, r_c, r_s, n, r_cut", [
@@ -83,13 +86,14 @@ def _kept_count_mean(params, r_c, r_s, r_cut):
     # two batches
     ("two batches", vi_defaults(lambda_e=1e-5), 4.0, 1.0,
      sim._CHUNK + 1000, 800.0),
-    # about 42,000 kept points per block: more than one chunk
-    ("dense", vi_defaults(lambda_e=2e-3), 4.0, 1.0, 130, 800.0),
+    # about 43,000 kept points per block in the outer field: more than one
+    # chunk
+    ("dense", vi_defaults(lambda_e=6e-2), 4.0, 1.0, 130, 800.0),
     # c <= 1e-6: area-uniform proposals only
     ("barely thinned", vi_defaults(), 2.001, 2.0, 2000, 100.0),
-    # A2's densest row: about 21,000 kept points per block, in one chunk
+    # about 14,000 kept points per block in the outer field, in one chunk
     # that is evaluated in slices of _POINTS
-    ("one chunk, many slices", vi_defaults(lambda_e=1e-3), 4.0, 1.0, 200, 800.0),
+    ("one chunk, many slices", vi_defaults(lambda_e=2e-2), 4.0, 1.0, 200, 800.0),
 ])
 def test_empirical_sop_equals_blockwise_loop(case, params, r_c, r_s, n, r_cut,
                                              regimes):
@@ -110,13 +114,13 @@ def test_empirical_sop_in_chunks_of_seven_equals_blockwise_loop(monkeypatch):
     assert empirical_sop(*args) == empirical_sop_blockwise(*args)
 
 
-@pytest.mark.parametrize("lambda_e, below_ten", [(1e-5, True), (1e-4, False)])
+@pytest.mark.parametrize("lambda_e, below_ten", [(1e-5, True), (1e-3, False)])
 def test_empirical_sop_in_both_poisson_regimes_equals_blockwise_loop(
         lambda_e, below_ten):
     # numpy draws a Poisson count by multiplying uniforms below a mean of 10
     # and by transformed rejection at and above it
     params = vi_defaults(lambda_e=lambda_e)
-    assert (_kept_count_mean(params, 4.0, 1.0, 800.0) < 10.0) == below_ten
+    assert (max(_field_means(params, 4.0, 1.0, 800.0)) < 10.0) == below_ten
     args = (P_A, P_B, 4.0, 1.0, params, 1000, 800.0, 25)
     assert empirical_sop(*args) == empirical_sop_blockwise(*args)
 
@@ -209,12 +213,13 @@ def _assert_every_kind_of_window(plans):
 # the first key word needs two 32-bit words of entropy
 @pytest.mark.parametrize("seed", [31, 2 ** 32 + 31])
 def test_empirical_sop_across_windows_equals_blockwise_loop(monkeypatch, seed):
-    # 3 blocks of two trials a batch, about 4 kept points a block: runs of
-    # blocks of at most five points, and blocks of more than seven
+    # 3 blocks of two trials a batch, about 4 kept points a block in the
+    # two fields: runs of blocks of at most five points, and blocks of more
+    # than seven
     _blocks_of_two(monkeypatch)
     _slices_of_five(monkeypatch)
     plans = _windows_spy(monkeypatch)
-    args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=6e-6), 600, 800.0, seed)
+    args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1.2e-4), 600, 800.0, seed)
     assert empirical_sop(*args) == empirical_sop_blockwise(*args)
     _assert_every_kind_of_window(plans)
 
@@ -295,7 +300,8 @@ def _assert_fanned_out(calls, workers, blocks=None):
 @pytest.mark.parametrize("case, lambda_e, n, blocks_of_two", [
     ("one batch", 1e-4, 300, False),
     ("two batches", 1e-5, sim._CHUNK + 1000, False),
-    ("chunks of seven", 1e-4, 300, True),
+    # 6 trials a batch: the outer field keeps enough points for 3 groups
+    ("chunks of seven", 1e-3, 300, True),
 ])
 def test_empirical_sop_in_block_groups_equals_blockwise_loop(
         monkeypatch, workers, case, lambda_e, n, blocks_of_two):
@@ -326,11 +332,12 @@ def test_run_online_in_block_groups_equals_blockwise_loop(
 
 def test_batches_below_the_fan_out_threshold_stay_on_the_calling_thread(
         monkeypatch):
-    # 1,250 trials of 3.3 expected kept points: one slice of 4,096, one group
+    # 1,250 trials of 0.11 and 0.05 expected kept points in the outer and
+    # inner fields: one slice of 4,096 and one group each
     calls = _fan_out(monkeypatch, 4)
     monkeypatch.setattr(sim, "_POINTS", 1 << 12)
     empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-5), 1250, 800.0, 5)
-    assert calls == [(threading.get_ident(), 20)]
+    assert calls == [(threading.get_ident(), 20)] * 2
 
 
 def test_no_thread_outlives_a_call(monkeypatch, tmp_path):
@@ -388,10 +395,10 @@ def test_an_error_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
 
 
 def test_a_dense_trial_holds_memory_bounded_by_the_chunk():
-    # about 1.7 million kept points in one trial, all in block 0: their owner
-    # indices alone would take 13 MiB at once
-    params = vi_defaults(lambda_e=5.0)
-    kept = _kept_count_mean(params, 4.0, 1.0, 800.0)
+    # about 1.7 million kept points in the outer field of one trial, all in
+    # block 0: their owner indices alone would take 13 MiB at once
+    params = vi_defaults(lambda_e=150.0)
+    kept = max(_field_means(params, 4.0, 1.0, 800.0))
     bound = 16 * 8 * sim._CHUNK
     assert kept * 8 > 3 * bound
     tracemalloc.start()

@@ -31,3 +31,12 @@ def test_rejects_nonsense():
         watts_to_dbm(-1.0)
     with pytest.raises(ValueError):
         linear_to_db(0.0)
+
+
+@pytest.mark.parametrize("convert, message", [
+    (watts_to_dbm, "power must be > 0 W to express in dBm, got nan"),
+    (linear_to_db, "ratio must be > 0 to express in dB, got nan"),
+])
+def test_rejects_nan(convert, message):
+    with pytest.raises(ValueError, match=message):
+        convert(math.nan)
