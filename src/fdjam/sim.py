@@ -70,22 +70,17 @@ counts and points in that order, then the inner field's.
 
 Evaluation.  No output depends on the order in which blocks, rows or points
 are evaluated, so a run can be sharded across workers as long as every
-shard holds whole blocks.  The engine itself groups the work three ways,
-with the same outputs as one block at a time and no option for any of them:
+shard holds whole blocks.  The engine itself groups the work two ways, with
+the same outputs as one block at a time and no option for either:
 
 * batches: up to ``_CHUNK`` consecutive rows of whole blocks are evaluated
   together (gains, slot rule, thinning, jamming coins, outage and
-  reliability tests); their substreams are made on the calling thread;
+  reliability tests);
 * windows and slices: the kept counts, which each block draws first, plan
   windows of points (:func:`_windows`), runs of consecutive whole blocks
   that keep at most ``_POINTS`` points in all, or one chunk of a block that
   keeps more; a window's blocks draw their points in turn, and its points
-  are tested in slices of at most ``_POINTS``;
-* thread groups: a batch is split into contiguous groups of whole blocks
-  on worker threads, at most one per CPU the process may use (``taskset``
-  restricts them) and at least ``_POINTS`` expected kept points of jammed
-  rows per group, and the groups' outages are joined in block order, so
-  every output is the same on any number of CPUs.
+  are tested in slices of at most ``_POINTS``.
 
 ``empirical_sop`` holds its powers fixed, so it forms each field's thinning
 scale and kept-count mean, and the jamming power, once per call and
@@ -99,7 +94,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import os
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -299,7 +293,10 @@ def _beats_jamming(turn: np.ndarray, coin: np.ndarray, v: np.ndarray,
     d_ab = params.d_ab
     d_bk2 = (d_ak - d_ab) ** 2 + 4.0 * d_ab * d_ak * np.sin(math.pi * turn) ** 2
     noise = params.sigma_e2 * d_bk2 ** (params.alpha / 2.0)
-    return coin * (noise + v * p_b) < noise
+    # at rate gap 0 (v = 0) under p_b = inf, v * p_b is NaN and fails the
+    # test, as it should: the SINR under infinite jamming is 0
+    with np.errstate(invalid="ignore"):
+        return coin * (noise + v * p_b) < noise
 
 
 def _windows(points):
@@ -379,40 +376,6 @@ def _field_outages(rngs, starts, c, mean, p_b, params: SystemParams,
     return outage
 
 
-def _workers() -> int:
-    """The CPUs this process may run on (``taskset`` restricts them)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _batch_outages(rngs, starts, c, mean, p_b, params: SystemParams,
-                   radius: float, bound=None) -> np.ndarray:
-    """:func:`_field_outages` of a batch of blocks, in contiguous groups of
-    whole blocks on worker threads; a batch that keeps too few points to pay
-    for a thread stays on the calling thread.  numpy fills arrays from a
-    ``Generator`` and runs float ufuncs without holding the GIL, which is
-    where the groups overlap.
-    """
-    # one mean may serve every row, hence the broadcast
-    expected = np.broadcast_to(np.where(p_b > 0.0, mean, 0.0), starts[-1]).sum()
-    groups = min(_workers(), len(rngs), int(expected // _POINTS))
-    if groups <= 1:
-        return _field_outages(rngs, starts, c, mean, p_b, params, radius, bound)
-    from concurrent.futures import ThreadPoolExecutor    # only a fan-out needs it
-
-    def group(g: int) -> np.ndarray:
-        first, stop = len(rngs) * g // groups, len(rngs) * (g + 1) // groups
-        rows = slice(starts[first], starts[stop])
-        return _field_outages(
-            rngs[first:stop], [s - rows.start for s in starts[first:stop + 1]],
-            _at(c, rows), _at(mean, rows), _at(p_b, rows), params, radius,
-            bound)
-
-    with ThreadPoolExecutor(groups) as pool:
-        return np.concatenate(list(pool.map(group, range(groups))))
-
-
 def _check_run_args(count_name: str, count: int, r_cut: float, seed: int
                     ) -> None:
     """Check a run's trial or slot count, disk radius and master seed before
@@ -459,7 +422,7 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     hits = 0
     for rngs, starts in _batches(n_trials, seed, 0):
         outage = np.logical_or.reduce([
-            _batch_outages(rngs, starts, c_f, mean_f, p_b, params, radius, bound)
+            _field_outages(rngs, starts, c_f, mean_f, p_b, params, radius, bound)
             for c_f, mean_f, radius, bound in fields])
         hits += int(np.count_nonzero(outage))
     p = hits / n_trials
@@ -532,7 +495,7 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
             _thinning_scale(group.r_c, group.r_s, p_a[tx], params, r_cut)
             for group in (fd, hd)))
         tx_starts = np.concatenate(([0], np.cumsum(tx)))[starts].tolist()
-        secrecy_outages += int(np.count_nonzero(_batch_outages(
+        secrecy_outages += int(np.count_nonzero(_field_outages(
             rngs, tx_starts, c, _kept_mean(c, params, r_cut), p_b[tx], params,
             r_cut)))
 

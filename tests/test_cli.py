@@ -903,10 +903,13 @@ def test_reused_parser_leaves_no_state_behind(tmp_path, monkeypatch, capsys):
 def test_validate_sop_and_simulate_never_load_scipy_optimize(tmp_path):
     # only step 2's brentq needs scipy.optimize, which is slow to import, and
     # only sweep --jobs > 1 needs concurrent.futures.process (and with it
-    # multiprocessing), which no other fdjam module imports
+    # multiprocessing), which no other fdjam module imports; the Monte Carlo
+    # engine runs on the calling thread, also in a field dense enough to keep
+    # thousands of points per batch, so concurrent.futures.thread stays out
     design = tmp_path / "design.json"
     assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
     both = ["scipy.optimize", "concurrent.futures.process"]
+    threads = both + ["concurrent.futures.thread"]
     script = f"""
 import sys
 import fdjam.cli
@@ -914,6 +917,9 @@ assert not set({both!r}) & set(sys.modules), "loaded by import fdjam.cli"
 for argv, unloaded in (
         (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
           "--trials", "64"], {both!r}),
+        (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
+          "--lambda-list", "1e-3", "--p-a-w", "0.1", "--p-b-w", "1.0",
+          "--rate-gap", "3", "--trials", "1250"], {threads!r}),
         (["simulate", "--config", {DEFAULT_INI!r}, "--solution",
           {str(design)!r}, "--slots", "64"], {both!r}),
         (["sweep", "--config", {SWEEP_INI!r}, "--jobs", "1"],

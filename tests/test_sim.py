@@ -344,6 +344,15 @@ def test_infinite_jamming_has_no_outage(monkeypatch):
     assert seen[0][0][1] == 0.0 and seen[0][0][3][1] == 0.0
 
 
+def test_infinite_jamming_at_rate_gap_zero_has_no_outage():
+    # x = 0 keeps every point with v = 0, and v * p_b is 0 * inf; the SINR
+    # under infinite jamming is 0, which beats no threshold
+    with _warnings_raise():
+        est = empirical_sop(P_A, math.inf, 2.0, 2.0, vi_defaults(lambda_e=1e-3),
+                            n_trials=500, r_cut=800.0, seed=36)
+    assert est.value == 0.0
+
+
 def test_empirical_sop_argument_checks():
     p = vi_defaults()
     with pytest.raises(ValidationError):

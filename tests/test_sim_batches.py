@@ -1,12 +1,11 @@
 """The batched Monte Carlo engine against the block-at-a-time loops it
-replaced: every estimate and report must be equal bit for bit, also when a
-batch's blocks are evaluated in groups on worker threads."""
+replaced: every estimate and report must be equal bit for bit, also when
+smaller chunks, blocks and slices cut the work into many batches, windows
+and slices."""
 
 import math
 import re
-import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +14,10 @@ import fdjam.sim as sim
 import oracles
 from fdjam import (FdParams, SwitchedSolution, ValidationError, dbm_to_watts,
                    empirical_sop, optimize, run_online)
-from fdjam.cli import main
 
 from oracles import (empirical_sop_blockwise, run_online_blockwise,
                      vi_defaults)
 
-DEFAULT_INI = str(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
 P_A = dbm_to_watts(20.0)
 P_B = dbm_to_watts(30.0)
 
@@ -62,6 +59,14 @@ def regimes(monkeypatch):
 def _chunk_of_seven(monkeypatch):
     monkeypatch.setattr(sim, "_CHUNK", 7)
     monkeypatch.setattr(oracles, "_CHUNK", 7)
+
+
+def _blocks_of_two(monkeypatch):
+    """Blocks of two rows in chunks of seven points: three blocks a batch,
+    and most blocks cut into several chunks."""
+    _chunk_of_seven(monkeypatch)
+    monkeypatch.setattr(sim, "_BLOCK", 2)
+    monkeypatch.setattr(oracles, "_BLOCK", 2)
 
 
 def _slices_of_five(monkeypatch):
@@ -125,12 +130,16 @@ def test_empirical_sop_in_both_poisson_regimes_equals_blockwise_loop(
     assert empirical_sop(*args) == empirical_sop_blockwise(*args)
 
 
-@pytest.mark.parametrize("chunk_of_seven, lambda_e, n", [
-    (False, 1e-5, 1000), (False, 1e-4, 300), (True, 1e-4, 300)])
+@pytest.mark.parametrize("shape, lambda_e, n", [
+    (None, 1e-5, 1000), (None, 1e-4, 300), (_chunk_of_seven, 1e-4, 300),
+    # two batches
+    (None, 1e-5, sim._CHUNK + 1000),
+    # 6 trials a batch, whose outer field keeps several windows of points
+    (_blocks_of_two, 1e-3, 300)])
 def test_empirical_sop_in_slices_of_five_equals_blockwise_loop(
-        monkeypatch, chunk_of_seven, lambda_e, n):
-    if chunk_of_seven:
-        _chunk_of_seven(monkeypatch)
+        monkeypatch, shape, lambda_e, n):
+    if shape:
+        shape(monkeypatch)
     _slices_of_five(monkeypatch)
     args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=lambda_e), n, 800.0, 26)
     assert empirical_sop(*args) == empirical_sop_blockwise(*args)
@@ -165,13 +174,17 @@ def test_run_online_in_chunks_of_seven_equals_blockwise_loop(monkeypatch):
     assert run_online(*args) == run_online_blockwise(*args)
 
 
-@pytest.mark.parametrize("chunk_of_seven", [False, True])
-def test_run_online_in_slices_of_five_equals_blockwise_loop(monkeypatch,
-                                                            chunk_of_seven):
-    if chunk_of_seven:
-        _chunk_of_seven(monkeypatch)
+@pytest.mark.parametrize("shape, params, n, r_cut", [
+    (None, DENSE_PARAMS, 1000, 50.0), (_chunk_of_seven, DENSE_PARAMS, 1000, 50.0),
+    # two batches
+    (None, ONLINE_PARAMS, sim._CHUNK + 1000, 2000.0),
+    (_blocks_of_two, DENSE_PARAMS, 1000, 50.0)])
+def test_run_online_in_slices_of_five_equals_blockwise_loop(
+        monkeypatch, shape, params, n, r_cut):
+    if shape:
+        shape(monkeypatch)
     _slices_of_five(monkeypatch)
-    args = (ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 28)
+    args = (ONLINE_SOLUTION, params, n, r_cut, 28)
     assert run_online(*args) == run_online_blockwise(*args)
 
 
@@ -185,10 +198,8 @@ def test_run_online_reports_the_over_budget_slot_of_a_later_block():
 
 
 def _windows_spy(monkeypatch):
-    """Keep every batch on the calling thread in one ``_field_outages`` call
-    and record, per call, each block's kept-point edges and the windows
-    planned from them."""
-    monkeypatch.setattr(sim, "_workers", lambda: 1)
+    """Record, per ``_field_outages`` call, each block's kept-point edges and
+    the windows planned from them."""
     plans = []
     plan = sim._windows
 
@@ -257,141 +268,6 @@ def test_substreams_reject_what_default_rng_rejects(seed, error):
         np.random.default_rng((seed, 0, 0))
     with pytest.raises(error):
         sim.sub_rng(seed, 0, 0)
-
-
-def _fan_out(monkeypatch, workers):
-    """Run every batch on ``workers`` CPUs, whatever the host has, with five
-    expected kept points enough to pay for a thread; return the
-    ``(thread, blocks)`` of every ``_field_outages`` call."""
-    monkeypatch.setattr(sim, "_workers", lambda: workers)
-    _slices_of_five(monkeypatch)
-    calls = []
-    evaluate = sim._field_outages
-
-    def spy(rngs, *args):
-        calls.append((threading.get_ident(), len(rngs)))
-        return evaluate(rngs, *args)
-    monkeypatch.setattr(sim, "_field_outages", spy)
-    return calls
-
-
-def _blocks_of_two(monkeypatch):
-    """Blocks of two rows in chunks of seven points: three blocks a batch,
-    and most blocks cut into several chunks."""
-    _chunk_of_seven(monkeypatch)
-    monkeypatch.setattr(sim, "_BLOCK", 2)
-    monkeypatch.setattr(oracles, "_BLOCK", 2)
-
-
-def _assert_fanned_out(calls, workers, blocks=None):
-    """Some groups ran off the calling thread; a first batch of ``blocks``
-    blocks was split into ``min(workers, blocks)`` groups, there."""
-    assert {t for t, _ in calls} - {threading.get_ident()}
-    if blocks is not None:
-        groups = min(workers, blocks)
-        first = calls[:groups]    # the groups of one batch start in any order
-        assert threading.get_ident() not in {t for t, _ in first}
-        assert sorted(m for _, m in first) == sorted(
-            blocks * (g + 1) // groups - blocks * g // groups
-            for g in range(groups))
-
-
-@pytest.mark.parametrize("workers", [2, 3, 7])
-@pytest.mark.parametrize("case, lambda_e, n, blocks_of_two", [
-    ("one batch", 1e-4, 300, False),
-    ("two batches", 1e-5, sim._CHUNK + 1000, False),
-    # 6 trials a batch: the outer field keeps enough points for 3 groups
-    ("chunks of seven", 1e-3, 300, True),
-])
-def test_empirical_sop_in_block_groups_equals_blockwise_loop(
-        monkeypatch, workers, case, lambda_e, n, blocks_of_two):
-    if blocks_of_two:
-        _blocks_of_two(monkeypatch)
-    calls = _fan_out(monkeypatch, workers)
-    args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=lambda_e), n, 800.0, 29)
-    assert empirical_sop(*args) == empirical_sop_blockwise(*args), case
-    _assert_fanned_out(calls, workers, 3 if blocks_of_two else
-                       min(-(-n // sim._BLOCK), sim._CHUNK // sim._BLOCK))
-
-
-@pytest.mark.parametrize("workers", [2, 3, 7])
-@pytest.mark.parametrize("case, params, n, r_cut, blocks_of_two", [
-    ("one batch", DENSE_PARAMS, 1000, 50.0, False),
-    ("two batches", ONLINE_PARAMS, sim._CHUNK + 1000, 2000.0, False),
-    ("chunks of seven", DENSE_PARAMS, 1000, 50.0, True),
-])
-def test_run_online_in_block_groups_equals_blockwise_loop(
-        monkeypatch, workers, case, params, n, r_cut, blocks_of_two):
-    if blocks_of_two:
-        _blocks_of_two(monkeypatch)
-    calls = _fan_out(monkeypatch, workers)
-    args = (ONLINE_SOLUTION, params, n, r_cut, 30)
-    assert run_online(*args) == run_online_blockwise(*args), case
-    _assert_fanned_out(calls, workers)
-
-
-def test_batches_below_the_fan_out_threshold_stay_on_the_calling_thread(
-        monkeypatch):
-    # 1,250 trials of 0.11 and 0.05 expected kept points in the outer and
-    # inner fields: one slice of 4,096 and one group each
-    calls = _fan_out(monkeypatch, 4)
-    monkeypatch.setattr(sim, "_POINTS", 1 << 12)
-    empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-5), 1250, 800.0, 5)
-    assert calls == [(threading.get_ident(), 20)] * 2
-
-
-def test_no_thread_outlives_a_call(monkeypatch, tmp_path):
-    calls = _fan_out(monkeypatch, 3)
-    before = threading.active_count()
-    empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300, 800.0, 7)
-    assert threading.active_count() == before
-    assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10",
-                 "--lambda-list", "1e-5,1e-4", "--trials", "300",
-                 "--out", str(tmp_path / "sop.csv")]) == 0
-    assert threading.active_count() == before
-    _assert_fanned_out(calls, 3)
-
-
-def test_substreams_are_created_on_the_calling_thread(monkeypatch):
-    calls = _fan_out(monkeypatch, 3)
-    threads = []
-    create = sim.sub_rng
-
-    def spy(*key):
-        threads.append(threading.get_ident())
-        return create(*key)
-    monkeypatch.setattr(sim, "sub_rng", spy)
-    empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300, 800.0, 8)
-    run_online(ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 8)
-    assert len(threads) == 5 + 16
-    assert set(threads) == {threading.get_ident()}
-    _assert_fanned_out(calls, 3)
-
-
-def test_an_error_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
-    calls = _fan_out(monkeypatch, 2)
-    create, draw = sim.sub_rng, sim._truncated_gamma
-    second = []
-
-    def create_spy(seed, domain, index):
-        rng = create(seed, domain, index)
-        if index == 1:
-            second.append(rng)
-        return rng
-
-    def fail_on_second_block(rng, *args):
-        if rng is second[0]:
-            raise ArithmeticError("second block")
-        return draw(rng, *args)
-    monkeypatch.setattr(sim, "sub_rng", create_spy)
-    monkeypatch.setattr(sim, "_truncated_gamma", fail_on_second_block)
-    with pytest.raises(ArithmeticError) as err:
-        empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300,
-                      800.0, 9)
-    assert type(err.value) is ArithmeticError
-    assert str(err.value) == "second block"
-    # the other group may be cancelled before it starts
-    _assert_fanned_out(calls, 2)
 
 
 def test_a_dense_trial_holds_memory_bounded_by_the_chunk():
