@@ -5,7 +5,9 @@ and slices."""
 
 import math
 import re
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +16,12 @@ import fdjam.sim as sim
 import oracles
 from fdjam import (FdParams, SwitchedSolution, ValidationError, dbm_to_watts,
                    empirical_sop, optimize, run_online)
+from fdjam.cli import main
 
 from oracles import (empirical_sop_blockwise, run_online_blockwise,
                      vi_defaults)
 
+DEFAULT_INI = str(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
 P_A = dbm_to_watts(20.0)
 P_B = dbm_to_watts(30.0)
 
@@ -268,6 +272,118 @@ def test_substreams_reject_what_default_rng_rejects(seed, error):
         np.random.default_rng((seed, 0, 0))
     with pytest.raises(error):
         sim.sub_rng(seed, 0, 0)
+
+
+# slices of one point, of two, of one less than a chunk of seven, of a whole
+# chunk, and of more than a chunk, which windows cap at the chunk
+SLICE_SIZES = [1, 2, 6, 7, 1 << 16]
+
+
+@pytest.mark.parametrize("points", SLICE_SIZES)
+def test_empirical_sop_in_any_slice_size_equals_blockwise_loop(monkeypatch,
+                                                               points):
+    # 6 trials a batch, whose outer field keeps blocks of several chunks
+    _blocks_of_two(monkeypatch)
+    monkeypatch.setattr(sim, "_POINTS", points)
+    args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-3), 300, 800.0, 29)
+    assert empirical_sop(*args) == empirical_sop_blockwise(*args)
+
+
+@pytest.mark.parametrize("points", SLICE_SIZES)
+def test_run_online_in_any_slice_size_equals_blockwise_loop(monkeypatch,
+                                                            points):
+    _blocks_of_two(monkeypatch)
+    monkeypatch.setattr(sim, "_POINTS", points)
+    args = (ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 30)
+    assert run_online(*args) == run_online_blockwise(*args)
+
+
+def _no_thread_starts(monkeypatch):
+    def start(thread):
+        raise AssertionError(f"started {thread!r}")
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
+@pytest.mark.parametrize("case", ["sparse", "dense", "online", "cli"])
+def test_the_engine_starts_no_thread(monkeypatch, tmp_path, case):
+    # "dense": 1,250 trials at 1e-3 keep about 14,000 points in the outer
+    # field of one batch
+    _no_thread_starts(monkeypatch)
+    if case == "sparse":
+        empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300,
+                      800.0, 7)
+    elif case == "dense":
+        empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-3), 1250,
+                      800.0, 7)
+    elif case == "online":
+        run_online(ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 7)
+    else:
+        assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10",
+                     "--lambda-list", "1e-5,1e-3", "--trials", "1250",
+                     "--out", str(tmp_path / "sop.csv")]) == 0
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (1250, [20, 20]),
+    # two batches
+    (sim._CHUNK + 1000, [512, 512, 16, 16])])
+def test_each_field_of_a_batch_is_evaluated_in_one_call(monkeypatch, n,
+                                                        blocks):
+    calls = []
+    evaluate = sim._field_outages
+
+    def spy(rngs, *args):
+        calls.append(len(rngs))
+        return evaluate(rngs, *args)
+    monkeypatch.setattr(sim, "_field_outages", spy)
+    lambda_e = 1e-3 if n < sim._CHUNK else 1e-5
+    empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=lambda_e), n,
+                  800.0, 5)
+    assert calls == blocks
+
+
+def test_substreams_are_created_once_per_block_on_the_calling_thread(
+        monkeypatch):
+    _slices_of_five(monkeypatch)
+    threads = []
+    create = sim.sub_rng
+
+    def spy(*key):
+        threads.append(threading.get_ident())
+        return create(*key)
+    monkeypatch.setattr(sim, "sub_rng", spy)
+    empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300, 800.0, 8)
+    run_online(ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 8)
+    assert len(threads) == 5 + 16
+    assert set(threads) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("run", ["empirical_sop", "run_online"])
+def test_an_error_in_a_block_reaches_the_caller_unchanged(monkeypatch, run):
+    _slices_of_five(monkeypatch)
+    create, draw = sim.sub_rng, sim._truncated_gamma
+    second = []
+
+    def create_spy(seed, domain, index):
+        rng = create(seed, domain, index)
+        if index == 1:
+            second.append(rng)
+        return rng
+
+    def fail_on_second_block(rng, *args):
+        if rng is second[0]:
+            raise ArithmeticError("second block")
+        return draw(rng, *args)
+    monkeypatch.setattr(sim, "sub_rng", create_spy)
+    monkeypatch.setattr(sim, "_truncated_gamma", fail_on_second_block)
+    with pytest.raises(ArithmeticError) as err:
+        if run == "empirical_sop":
+            empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300,
+                          800.0, 9)
+        else:
+            run_online(ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 9)
+    assert type(err.value) is ArithmeticError
+    assert str(err.value) == "second block"
 
 
 def test_a_dense_trial_holds_memory_bounded_by_the_chunk():
