@@ -64,6 +64,10 @@ _TAIL_EXPONENT = 50.0
 # Smallest radial decay coefficient a: the tail nodes reach a*u^(alpha/2) =
 # _TAIL_EXPONENT, so below this u^(alpha/2) overflows and J comes out wrong.
 _MIN_DECAY = _TAIL_EXPONENT / sys.float_info.max
+# Link distances whose square is a normal double: beyond them the squared
+# distances to the receiver overflow, or underflow to 0/0 next to it.
+_MIN_LINK = math.sqrt(sys.float_info.min)
+_MAX_LINK = math.sqrt(sys.float_info.max)
 # Fixed-node rule for J (composite Gauss-Legendre; Davis & Rabinowitz,
 # Methods of Numerical Integration, 1984): 12 nodes per panel on both axes.
 _GL_NODES, _GL_WEIGHTS = roots_legendre(12)
@@ -98,7 +102,8 @@ def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) ->
     Independent of ``lambda_e``, so a table over the eavesdropper density
     forms it once per geometry (:func:`_cdf_column`).  Raises
     :class:`ValidationError` when the radial decay coefficient
-    sigma_e2*x/p_a is below 50/DBL_MAX, where J cannot be formed in doubles.
+    sigma_e2*x/p_a is below 50/DBL_MAX, or d_ab^2 is not a normal double,
+    where J cannot be formed in doubles.
 
     One tensor-product composite Gauss-Legendre rule over t = ln u, with
     u = (eavesdropper-to-transmitter distance)^2, integrating u*f dt, and
@@ -132,6 +137,11 @@ def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) ->
         raise ValidationError(
             f"radial decay coefficient sigma_e2*x/p_a = {a!r} is below "
             f"{_MIN_DECAY!r}, where the exposure integral overflows")
+    if not _MIN_LINK <= d_ab <= _MAX_LINK:
+        raise ValidationError(
+            f"d_ab = {d_ab!r} m is outside [{_MIN_LINK!r}, {_MAX_LINK!r}] m, "
+            f"where the exposure integral's squared distances leave double "
+            f"range")
     half = alpha / 2.0
     t_link = 2.0 * math.log(d_ab)
     t_decay = -math.log(a) / half

@@ -10,6 +10,8 @@ to one slot.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
@@ -43,6 +45,20 @@ class Action:
     mode: Mode
     p_a: float = 0.0
     p_b: float = 0.0
+
+
+def _path_gain(params: SystemParams) -> float:
+    """The main channel's path gain d_ab^-alpha; ValidationError where it is
+    not a normal double, as the transmit power it sets would overflow."""
+    try:
+        gain = params.d_ab ** (-params.alpha)
+    except OverflowError:
+        gain = math.inf
+    if not sys.float_info.min <= gain < math.inf:
+        raise ValidationError(
+            f"path gain d_ab^-alpha = {gain} at d_ab = {params.d_ab} m and "
+            f"alpha = {params.alpha} is outside the normal double range")
+    return gain
 
 
 def decide_slots(gamma_ab: np.ndarray, gamma_bb: np.ndarray,
@@ -81,7 +97,7 @@ def decide_slots(gamma_ab: np.ndarray, gamma_bb: np.ndarray,
                      params.sigma_b2)
     rate = np.where(is_fd, 2.0 ** fd.r_c - 1.0, 2.0 ** hd.r_c - 1.0)
     p_a = np.zeros(gamma_ab.shape)
-    p_a[tx] = rate[tx] * noise[tx] / (gamma_ab[tx] * params.d_ab ** (-params.alpha))
+    p_a[tx] = rate[tx] * noise[tx] / (gamma_ab[tx] * _path_gain(params))
     over = np.flatnonzero(p_a > params.p_a_max * (1.0 + _BUDGET_RTOL))
     if over.size:
         raise ValidationError(

@@ -163,9 +163,18 @@ def _step1(p_b: float, mu_b: float, outage: _Outage) -> Step1Result:
     checking its inputs."""
     params = outage.params
     yz_star, iterations = outage.root(p_b)
-    d_pow = params.d_ab ** params.alpha
+    try:
+        d_pow = params.d_ab ** params.alpha
+    except OverflowError:
+        raise InfeasibleError(
+            f"path loss d_ab^alpha overflows: d_ab={params.d_ab}, "
+            f"alpha={params.alpha}") from None
     u = d_pow * (params.sigma_b2 + p_b * mu_b) / params.p_a_max
     varpi = d_pow * mu_b / params.p_a_max
+    if u == 0.0:
+        raise InfeasibleError(
+            f"power scale u = d_ab^alpha*(sigma_b2 + p_b*mu_b)/p_a_max "
+            f"underflows to 0: d_ab={params.d_ab}, alpha={params.alpha}")
 
     log1p_yz = math.log1p(yz_star)
     c_rhs = -math.log(u) - log1p_yz

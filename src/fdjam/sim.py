@@ -49,10 +49,10 @@ where it at least halves them (:func:`_fields`); otherwise, and in
 of the far field's points, which would lose their coin, are never drawn.
 
 Draw contract.  Trials (domain 0) and on-line slots (domain 1) are grouped
-in blocks of ``_BLOCK`` consecutive indices, and block ``b`` of a run with
-master seed ``s`` draws from its own substream ``default_rng((s, domain,
-b))`` (:func:`sub_rng` builds the same generator from the key's 32-bit
-words, at lower cost).  A (seed, numpy version, block size) triple pins
+in blocks of ``_BLOCK`` (256) consecutive indices, and block ``b`` of a run
+with master seed ``s`` draws from its own substream ``default_rng((s,
+domain, b))`` (:func:`sub_rng` builds the same generator from the key's
+32-bit words, at lower cost).  A (seed, numpy version, block size) triple pins
 every result bit for bit; another block size draws different, equally valid
 numbers.  A block draws in a fixed order: the on-line simulator first draws
 the main-channel gains, then the self-interference gains, one per slot, by
@@ -101,7 +101,7 @@ import numpy as np
 from scipy.special import hyp1f1
 
 from .errors import ValidationError
-from .online import decide_slots
+from .online import decide_slots, _path_gain
 from .params import SwitchedSolution, SystemParams
 
 __all__ = [
@@ -116,8 +116,12 @@ __all__ = [
 # Trials or slots per substream.  The block size pins every Monte Carlo
 # output (another size draws different, equally valid numbers) and is
 # written into the artifacts, so it is part of the reproducibility contract,
-# not a speed setting.
-_BLOCK = 64
+# not a speed setting.  Each block pays a fixed cost (its substream, one
+# Poisson call and one truncated-gamma and uniform call per field), which
+# at 64 rows was most of a sparse row's time; 256 cuts it 4x, and 1,024 is
+# no faster.  Peak memory does not grow with the block: windows, _POINTS
+# slices and per-chunk draws bound it by the chunk.
+_BLOCK = 256
 # Kept eavesdroppers drawn at once within a block, and rows (trials or
 # slots) evaluated at once in a batch of blocks; bounds peak memory in dense
 # fields that the signal threshold barely thins.
@@ -251,9 +255,18 @@ def _thinning_scale(r_c: float, r_s: float, p_a, params: SystemParams,
 
 def _kept_mean(c, params: SystemParams, r_cut: float):
     """The mean number of eavesdroppers able to beat x without jamming, per
-    row or for one thinning scale."""
+    row or for one thinning scale; ValidationError where scipy cannot form
+    it (1F1(k; k+1; -c) lies in (0, 1] at every finite c, but scipy returns
+    NaN at c = 1e11 and alpha = 50, and 0 at c = 1e250 and alpha = 4)."""
     k = 2.0 / params.alpha
-    return params.lambda_e * math.pi * r_cut * r_cut * hyp1f1(k, k + 1.0, -c)
+    f = hyp1f1(k, k + 1.0, -c)
+    if not (f > 0.0).all():
+        bad = np.ravel(c)[np.flatnonzero(~(f > 0.0))[0]]
+        raise ValidationError(
+            f"thinning scale sigma_e2*x/p_a*r_cut^alpha = {float(bad)} at "
+            f"alpha = {params.alpha} is too large to simulate: its "
+            f"kept-eavesdropper mean cannot be formed")
+    return params.lambda_e * math.pi * r_cut * r_cut * f
 
 
 def _fields(c: float, mean: float, q: float, params: SystemParams,
@@ -479,7 +492,7 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
     _check_run_args("n_slots", n_slots, r_cut, seed)
 
     fd, hd = solution.fd, solution.hd
-    loss = params.d_ab ** (-params.alpha)
+    loss = _path_gain(params)
 
     n_fd = n_hd = reliable_fd = reliable_hd = secrecy_outages = 0
     for rngs, starts in _batches(n_slots, seed, 1):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import warnings
 
@@ -328,6 +329,25 @@ def test_exposure_integral_rejects_decay_below_double_range(alpha):
     with pytest.raises(ValidationError, match="decay coefficient"):
         exposure_integral(0.99 * x, P_A, 0.0, p)
     assert exposure_integral(0.99 * x, P_A, math.inf, p) == 0.0
+
+
+@pytest.mark.parametrize("d_ab", [1e-200, 1e200])
+def test_exposure_integral_rejects_a_link_beyond_double_range(d_ab):
+    # where d_ab^2 is not a normal double the squared distances next to the
+    # receiver underflow to 0/0 (J came out NaN) or overflow; at the bound J
+    # is finite and equals its limit: the co-located link's J for a tiny
+    # link, the unjammed J for a huge one
+    tiny = d_ab < 1.0
+    bound = analytics._MIN_LINK if tiny else analytics._MAX_LINK
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                divide="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(f"d_ab = {d_ab!r} m")):
+            exposure_integral(X, P_A, P_B, fig_params(d_ab=d_ab))
+        j = exposure_integral(X, P_A, P_B, fig_params(d_ab=bound))
+        limit = (exposure_integral(X, P_A, P_B, fig_params(d_ab=1e-100)) if tiny
+                 else exposure_integral(X, P_A, 0.0, fig_params()))
+    assert j == pytest.approx(limit, rel=1e-12)
 
 
 # ------------------------------------------------- Monte Carlo equivalence

@@ -262,7 +262,7 @@ def test_validate_sop_monte_carlo_brackets_quadrature(base_config, tmp_path):
                  "--lambda-list", "1e-4", "--trials", "3000", "--seed", "6",
                  "--out", str(out)]) == 0
     comments, rows = _read_csv(str(out))
-    assert "# block_size = 64" in comments
+    assert "# block_size = 256" in comments
     row = rows[0]
     assert abs(float(row["sop_mc"]) - float(row["sop_exact"])) \
         <= 3.0 * float(row["mc_stderr"])
@@ -424,6 +424,94 @@ def test_validate_sop_noise_below_exposure_range_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fdjam: validation error: radial decay coefficient")
     assert err.count("\n") == 1
+
+
+def _with_system(tmp_path, **keys):
+    """default.ini with some of its [system] lines replaced."""
+    text = Path(DEFAULT_INI).read_text()
+    for key, value in keys.items():
+        old = next(line for line in text.splitlines()
+                   if line.startswith(key + " ="))
+        text = text.replace(old, f"{key} = {value}")
+    cfg = tmp_path / "system.ini"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+@pytest.mark.parametrize("d_ab", ["1e-200", "1e200"])
+def test_validate_sop_link_beyond_exposure_range_exits_1(d_ab, capsys):
+    # J came out NaN (an empty sop_exact cell, exit 0) or warned of overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(VSOP[:-1] + [d_ab, "--lambda-list", "1e-4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fdjam: validation error: d_ab = {float(d_ab)!r} m")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d_ab, named", [("1e-80", "power scale u"),
+                                         ("1e80", "path loss d_ab^alpha")])
+def test_optimize_at_an_extreme_link_distance_exits_2(tmp_path, capsys, d_ab,
+                                                      named):
+    cfg = _with_system(tmp_path, d_ab_m=d_ab)
+    assert main(["optimize", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: infeasible: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_sweep_rows_at_extreme_link_distances_carry_their_error(tmp_path):
+    cfg = _sweep_config(tmp_path, """
+[sweep]
+variable = d_ab
+min = 1e-80
+max = 1e80
+steps = 3
+scale = log
+""")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _read_csv(str(out))
+    assert "power scale u" in rows[0]["error"]
+    assert rows[1]["error"] == "" and float(rows[1]["omega_s"]) > 0.0
+    assert "path loss d_ab^alpha" in rows[2]["error"]
+
+
+@pytest.mark.parametrize("d_ab", ["1e-80", "1e80"])
+def test_simulate_at_an_extreme_link_distance_exits_1(tmp_path, capsys, d_ab):
+    design = tmp_path / "design.json"
+    assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
+    cfg = _with_system(tmp_path, d_ab_m=d_ab)
+    assert main(["simulate", "--config", cfg, "--solution", str(design),
+                 "--slots", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: path gain d_ab^-alpha")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate-sop", "simulate"])
+def test_kept_mean_beyond_scipy_exits_1(tmp_path, capsys, command):
+    # at alpha = 50 scipy's 1F1(k; k+1; -c) is NaN from c ~ 1e11, which
+    # numpy's Poisson sampler rejected with a traceback
+    if command == "validate-sop":
+        argv = ["validate-sop", "--config", _with_system(tmp_path, alpha=50),
+                "--d-ab", "10", "--lambda-list", "1e-4", "--trials", "50"]
+    else:
+        # half duplex only, on a 1 m link in a 2 m disk: c ~ 5e14 * gamma_ab
+        cfg = _with_system(tmp_path, alpha=50, d_ab_m=1.0)
+        cfg = Path(cfg)
+        cfg.write_text(cfg.read_text().replace("r_cut_m = 2000", "r_cut_m = 2"))
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({
+            "mu_b": 0.0, "fd": {"r_c": 4.0, "r_s": 1.0, "mu_a": 1e-8, "p_b_w": 0.01},
+            "hd": {"r_c": 4.0, "r_s": 1.0, "mu_a": 1e-8},
+            "omega_s": 0.0, "omega_fd": 0.0, "omega_hd": 0.0}))
+        argv = ["simulate", "--config", str(cfg), "--solution", str(design),
+                "--slots", "500"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: thinning scale ")
+    assert "alpha = 50.0" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -693,7 +781,7 @@ def test_simulate_round_trip(base_config, tmp_path):
     assert counts["fd"] + counts["hd"] + counts["silent"] == 2000
     assert rep["connection_outages"] == 0
     assert data["simulation"]["r_cut_m"] == pytest.approx(600.0)
-    assert data["simulation"]["block_size"] == 64
+    assert data["simulation"]["block_size"] == 256
 
 
 # perfect suppression (rho = 0) where the design picks mu_b = 0, the pure

@@ -173,3 +173,10 @@ def test_slot_kernel_equals_scalar_reference_bit_for_bit():
                     Mode.SILENT, Mode.SILENT, Mode.SILENT]
     # the FD gate at the tie saturates the budget
     assert p_a[n] == pytest.approx(PARAMS.p_a_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("d_ab", [1e-80, 1e80])
+def test_decide_rejects_a_path_gain_beyond_double_range(d_ab):
+    # d_ab^-alpha overflows, or is subnormal, where the power would overflow
+    with pytest.raises(ValidationError, match=re.escape("path gain d_ab^-alpha")):
+        decide(1.0, 0.0, SOLUTION, dataclasses.replace(PARAMS, d_ab=d_ab))

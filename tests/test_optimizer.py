@@ -728,3 +728,13 @@ def test_optimize_reports_a_fully_infeasible_grid(monkeypatch):
         optimize(p)
     assert str(exc.value) == \
         "every switch-threshold grid point infeasible (61 tried)"
+
+
+@pytest.mark.parametrize("d_ab, named", [
+    # d_ab^alpha = 1e-320 leaves u = d_ab^alpha*sigma_b2/p_a_max at 0
+    (1e-80, "power scale u"),
+    # d_ab^alpha overflows
+    (1e80, "path loss d_ab^alpha")])
+def test_optimize_names_what_an_extreme_link_distance_breaks(d_ab, named):
+    with pytest.raises(InfeasibleError, match=re.escape(named)):
+        optimize(vi_defaults(d_ab=d_ab))

@@ -193,12 +193,14 @@ def test_run_online_in_slices_of_five_equals_blockwise_loop(
 
 
 def test_run_online_reports_the_over_budget_slot_of_a_later_block():
-    # at seed 13 the first slot that breaks the budget is in block 2
-    run_online_blockwise(BAD_SOLUTION, ONLINE_PARAMS, 128, 2000.0, 13)
+    # at seed 11 the first slot that breaks the budget is in block 1: the
+    # first block of slots passes, and five blocks of slots raise there
+    one, five = sim._BLOCK, 5 * sim._BLOCK
+    run_online_blockwise(BAD_SOLUTION, ONLINE_PARAMS, one, 2000.0, 11)
     with pytest.raises(ValidationError, match="p_a_max") as ref:
-        run_online_blockwise(BAD_SOLUTION, ONLINE_PARAMS, 640, 2000.0, 13)
+        run_online_blockwise(BAD_SOLUTION, ONLINE_PARAMS, five, 2000.0, 11)
     with pytest.raises(ValidationError, match=re.escape(str(ref.value))):
-        run_online(BAD_SOLUTION, ONLINE_PARAMS, 640, 2000.0, 13)
+        run_online(BAD_SOLUTION, ONLINE_PARAMS, five, 2000.0, 11)
 
 
 def _windows_spy(monkeypatch):
@@ -323,10 +325,16 @@ def test_the_engine_starts_no_thread(monkeypatch, tmp_path, case):
                      "--out", str(tmp_path / "sop.csv")]) == 0
 
 
+def _blocks(n):
+    """Blocks that ``n`` trials fill."""
+    return -(-n // sim._BLOCK)
+
+
+# blocks per batch: one batch, and two (a full batch of _CHUNK rows, then
+# the blocks of the last 1,000)
 @pytest.mark.parametrize("n, blocks", [
-    (1250, [20, 20]),
-    # two batches
-    (sim._CHUNK + 1000, [512, 512, 16, 16])])
+    (1250, [_blocks(1250)]),
+    (sim._CHUNK + 1000, [sim._CHUNK // sim._BLOCK, _blocks(1000)])])
 def test_each_field_of_a_batch_is_evaluated_in_one_call(monkeypatch, n,
                                                         blocks):
     calls = []
@@ -339,7 +347,8 @@ def test_each_field_of_a_batch_is_evaluated_in_one_call(monkeypatch, n,
     lambda_e = 1e-3 if n < sim._CHUNK else 1e-5
     empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=lambda_e), n,
                   800.0, 5)
-    assert calls == blocks
+    # the outer field's call, then the inner field's, per batch
+    assert calls == [size for size in blocks for _ in range(2)]
 
 
 def test_substreams_are_created_once_per_block_on_the_calling_thread(
@@ -354,7 +363,7 @@ def test_substreams_are_created_once_per_block_on_the_calling_thread(
     monkeypatch.setattr(sim, "sub_rng", spy)
     empirical_sop(P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1e-4), 300, 800.0, 8)
     run_online(ONLINE_SOLUTION, DENSE_PARAMS, 1000, 50.0, 8)
-    assert len(threads) == 5 + 16
+    assert len(threads) == _blocks(300) + _blocks(1000)
     assert set(threads) == {threading.get_ident()}
 
 
