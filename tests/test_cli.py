@@ -427,7 +427,7 @@ def test_validate_sop_noise_below_exposure_range_exits_1(tmp_path, capsys):
 
 
 def _with_system(tmp_path, **keys):
-    """default.ini with some of its [system] lines replaced."""
+    """default.ini with some of its ``key = value`` lines replaced."""
     text = Path(DEFAULT_INI).read_text()
     for key, value in keys.items():
         old = next(line for line in text.splitlines()
@@ -498,15 +498,13 @@ def test_kept_mean_beyond_scipy_exits_1(tmp_path, capsys, command):
                 "--d-ab", "10", "--lambda-list", "1e-4", "--trials", "50"]
     else:
         # half duplex only, on a 1 m link in a 2 m disk: c ~ 5e14 * gamma_ab
-        cfg = _with_system(tmp_path, alpha=50, d_ab_m=1.0)
-        cfg = Path(cfg)
-        cfg.write_text(cfg.read_text().replace("r_cut_m = 2000", "r_cut_m = 2"))
+        cfg = _with_system(tmp_path, alpha=50, d_ab_m=1.0, r_cut_m=2)
         design = tmp_path / "design.json"
         design.write_text(json.dumps({
             "mu_b": 0.0, "fd": {"r_c": 4.0, "r_s": 1.0, "mu_a": 1e-8, "p_b_w": 0.01},
             "hd": {"r_c": 4.0, "r_s": 1.0, "mu_a": 1e-8},
             "omega_s": 0.0, "omega_fd": 0.0, "omega_hd": 0.0}))
-        argv = ["simulate", "--config", str(cfg), "--solution", str(design),
+        argv = ["simulate", "--config", cfg, "--solution", str(design),
                 "--slots", "500"]
     assert main(argv) == 1
     err = capsys.readouterr().err
