@@ -172,7 +172,10 @@ def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) ->
     root_u = np.exp(0.5 * t)
     d_bk2 = (((root_u - d_ab) ** 2)[:, None]
              + (4.0 * d_ab * root_u)[:, None] * sin2)
-    jam = 1.0 / (1.0 + q * (u[:, None] / d_bk2) ** half)
+    # q*(u/d_bk2)^half overflows where the factor is below 1/DBL_MAX, or deep
+    # in the notch next to the receiver; 1/(1 + inf) = 0 leaves J unchanged
+    with np.errstate(over="ignore"):
+        jam = 1.0 / (1.0 + q * (u[:, None] / d_bk2) ** half)
     radial = w * u * np.exp(-a * u ** half)
     return float(2.0 * (radial @ jam @ theta_w))
 

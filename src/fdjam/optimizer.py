@@ -194,13 +194,14 @@ def _step1(p_b: float, mu_b: float, outage: _Outage) -> Step1Result:
     omega_tilde = r_s * math.exp(-mu_a)
 
     # Residual of the optimality equation: plug v(y*) back into the
-    # outage-constraint left side and compare with tau (relative).
-    v_root = v_of_y(y_star, u)
-    if v_root > 0.0:
-        lhs = outage.log_exposure(math.log(v_root), p_b)
-        residual = abs(math.expm1(lhs - outage.log_tau))
-    else:
-        residual = math.inf
+    # outage-constraint left side and compare with tau (relative); inf where
+    # a logarithm's argument is 0 or below: v(y*) <= 0, or sigma_e2/p_a_max
+    # underflowing to 0.
+    try:
+        lhs = outage.log_exposure(math.log(v_of_y(y_star, u)), p_b)
+    except ValueError:
+        lhs = math.inf
+    residual = abs(math.expm1(lhs - outage.log_tau))
 
     # The first-order condition makes r_s equal 1/((1+y)*u*ln2); the product
     # with exp(-u*y) is the second closed form of omega_tilde.
@@ -250,19 +251,13 @@ def _derivative_sign(p_b: float, r1: Step1Result, outage: _Outage) -> float:
     solution ``r1`` at ``p_b``.
 
     Equals u*v^2*(1+y)/(w*(1+v)) - varpi*y after exact cancellation of the
-    varpi/u terms; the first term is formed in log form to survive extreme y.
+    varpi/u terms; the first term is formed in log form to survive extreme y,
+    and is +inf where it leaves double range.
     """
-    return math.exp(_log_gain(p_b, r1, outage)) - r1.varpi * r1.y_star
-
-
-def _residual_eq_step2(p_b: float, r1: Step1Result, outage: _Outage) -> float:
-    """Relative residual of the stationarity condition at p_b, from the
-    step-1 solution ``r1`` there; nan without a switch level (varpi = 0)."""
-    varpi = r1.varpi
-    if varpi == 0.0:
-        return math.nan
-    return abs(math.expm1(math.log(varpi) + math.log(r1.y_star)
-                          - _log_gain(p_b, r1, outage)))
+    try:
+        return math.exp(_log_gain(p_b, r1, outage)) - r1.varpi * r1.y_star
+    except OverflowError:
+        return math.inf
 
 
 def solve_step2(mu_b: float, params: SystemParams,
@@ -272,7 +267,7 @@ def solve_step2(mu_b: float, params: SystemParams,
     The derivative bracket has at most one sign change, from + to -
     (quasi-concavity), over [floor, p_b_max] with floor = min(p_b_floor,
     p_b_max).  A derivative that is <= 0 already at the floor means jamming
-    only hurts (degenerate FD: the floor is reported); one still > 0 at the
+    only hurts (degenerate FD: the floor is reported); one still >= 0 at the
     budget means the budget binds (capped).  Otherwise the two end signs
     bracket the change, which Brent's method refines on ln p_b.
     """
@@ -300,7 +295,7 @@ def _step2(mu_b: float, grid: GridSpec, outage: _Outage) -> Step2Result:
     floor, p_max = min(grid.p_b_floor, params.p_b_max), params.p_b_max
     if sign_at(floor) <= 0.0:
         p_dag, capped, degenerate, iters = floor, False, True, 0
-    elif floor == p_max or sign_at(p_max) > 0.0:
+    elif floor == p_max or sign_at(p_max) >= 0.0:
         p_dag, capped, degenerate, iters = p_max, True, False, 0
     else:
         # brentq on t = ln p_b; its ends map back to the powers solved
@@ -327,7 +322,10 @@ def _step2(mu_b: float, grid: GridSpec, outage: _Outage) -> Step2Result:
         p_dag, capped, degenerate, iters = power(t_root), False, False, info.iterations
 
     step1 = step1_at(p_dag)
-    residual = math.nan if (capped or degenerate) else _residual_eq_step2(p_dag, step1, outage)
+    # relative residual of the stationarity condition varpi*y = gain at an
+    # interior root, where varpi > 0: without it the sign is never negative
+    residual = math.nan if (capped or degenerate) else abs(math.expm1(
+        math.log(step1.varpi) + math.log(step1.y_star) - _log_gain(p_dag, step1, outage)))
     return Step2Result(p_b_dagger=p_dag, capped=capped, degenerate=degenerate,
                        step1=step1, residual=residual, iterations=iters)
 

@@ -14,7 +14,10 @@ sampler draws the thinned process directly (independent thinning of a PPP):
 
 * the kept count per trial is Poisson with mean
   lambda_e * pi * r_cut^2 * 1F1(k; k+1; -c), with k = 2/alpha and
-  c = a * r_cut^alpha (finite at a = 0, where nothing is thinned);
+  c = a * r_cut^alpha, formed as lambda_e * pi * r_cut^2 * Gamma(1+k) *
+  c^(-k) * P(k, c) (DLMF 8.5.1; P is the regularized lower incomplete gamma
+  function), which is defined at every finite c >= 0 (at a = 0 nothing is
+  thinned and the mean is lambda_e * pi * r_cut^2);
 * a kept point's v is Gamma(k) truncated to [0, c], and its distance is
   r_cut * (v / c)^(1/alpha);
 * by memorylessness gamma_ak = v + Exp(1).  Under jamming power p_b the
@@ -98,7 +101,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import hyp1f1
+from scipy.special import gammainc
 
 from .errors import ValidationError
 from .online import decide_slots, _path_gain
@@ -239,8 +242,11 @@ def _thinning_scale(r_c: float, r_s: float, p_a, params: SystemParams,
     """The thinning scale ``c = sigma_e2 * x / p_a * r_cut^alpha`` of rows
     sent with rates r_c and r_s at power ``p_a`` (one value or one per row),
     where x = 2^(r_c - r_s) - 1 is the SINR an eavesdropper must beat;
-    ValidationError where it is not finite, which the kernel needs (a
-    kept-count mean at c = inf is NaN)."""
+    ValidationError where a power is 0 (x/0 is undefined) or c is not
+    finite, which the kernel needs (the kept-count mean at c = inf would
+    read 0, not its finite limit)."""
+    if not np.all(p_a > 0.0):
+        raise ValidationError(f"transmit power 0 W at rates r_c = {r_c}, r_s = {r_s}")
     try:
         c = (params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
              * r_cut ** params.alpha)
@@ -253,20 +259,26 @@ def _thinning_scale(r_c: float, r_s: float, p_a, params: SystemParams,
     return c
 
 
+# Below this thinning scale 1F1(k; k+1; -c) > 1 - c/2 rounds to 1, and
+# c^(-k) may overflow (at a subnormal c for alpha near 2).
+_C_MIN = 2.0 ** -54
+
+
+def _kept_share(k: float, c):
+    """1F1(k; k+1; -c) = Gamma(1+k) * c^(-k) * P(k, c) at c >= _C_MIN."""
+    return math.gamma(1.0 + k) * c ** -k * gammainc(k, c)
+
+
 def _kept_mean(c, params: SystemParams, r_cut: float):
-    """The mean number of eavesdroppers able to beat x without jamming, per
-    row or for one thinning scale; ValidationError where scipy cannot form
-    it (1F1(k; k+1; -c) lies in (0, 1] at every finite c, but scipy returns
-    NaN at c = 1e11 and alpha = 50, and 0 at c = 1e250 and alpha = 4)."""
+    """The mean number of eavesdroppers able to beat x without jamming,
+    lambda_e * pi * r_cut^2 * 1F1(k; k+1; -c), per row or for one thinning
+    scale, which stays a scalar (``empirical_sop`` forms one per candidate
+    inner radius); finite and positive at every finite c >= 0."""
     k = 2.0 / params.alpha
-    f = hyp1f1(k, k + 1.0, -c)
-    if not (f > 0.0).all():
-        bad = np.ravel(c)[np.flatnonzero(~(f > 0.0))[0]]
-        raise ValidationError(
-            f"thinning scale sigma_e2*x/p_a*r_cut^alpha = {float(bad)} at "
-            f"alpha = {params.alpha} is too large to simulate: its "
-            f"kept-eavesdropper mean cannot be formed")
-    return params.lambda_e * math.pi * r_cut * r_cut * f
+    area = params.lambda_e * math.pi * r_cut * r_cut
+    if isinstance(c, np.ndarray):
+        return np.where(c < _C_MIN, area, area * _kept_share(k, np.maximum(c, _C_MIN)))
+    return area * _kept_share(k, c) if c >= _C_MIN else area
 
 
 def _fields(c: float, mean: float, q: float, params: SystemParams,

@@ -399,6 +399,12 @@ def test_hd_weight_rejects_a_negative_or_nan_switch_level(mu_b):
         hd_weight(mu_b, 1e-7)
 
 
+@pytest.mark.parametrize("rho", [-1e-9, 1.5, math.nan])
+def test_hd_weight_rejects_suppression_outside_0_1(rho):
+    with pytest.raises(ValidationError, match=re.escape(f"rho out of [0,1]: {rho}")):
+        hd_weight(1e-9, rho)
+
+
 def test_perfect_suppression_limits():
     assert hd_weight(0.0, 0.0) == 1.0
     assert hd_weight(1e-9, 0.0) == 0.0

@@ -398,6 +398,10 @@ VSOP = ["validate-sop", "--config", DEFAULT_INI, "--d-ab", "10"]
      "--lambda-max must be left out with --lambda-list"),
     (VSOP + ["--lambda-list", "1e-4", "--lambda-steps", "25"],
      "--lambda-steps must be left out with --lambda-list"),
+    (VSOP + ["--lambda-list", "1e-4", "--d-ab", "10,ten"],
+     "--d-ab: '10,ten' is not a comma-separated list of numbers"),
+    (["simulate", "--config", DEFAULT_INI, "--solution", MISSING_DIR_OUT],
+     f"cannot read solution {MISSING_DIR_OUT}"),
 ])
 def test_bad_flag_exits_1_naming_it(argv, named, capsys):
     assert main(argv) == 1
@@ -490,9 +494,11 @@ def test_simulate_at_an_extreme_link_distance_exits_1(tmp_path, capsys, d_ab):
 
 
 @pytest.mark.parametrize("command", ["validate-sop", "simulate"])
-def test_kept_mean_beyond_scipy_exits_1(tmp_path, capsys, command):
-    # at alpha = 50 scipy's 1F1(k; k+1; -c) is NaN from c ~ 1e11, which
-    # numpy's Poisson sampler rejected with a traceback
+def test_kept_mean_at_alpha_50_runs(tmp_path, capsys, command):
+    # at alpha = 50 the thinning scales reach c ~ 1e11-1e15, where scipy's
+    # 1F1(k; k+1; -c) was NaN and both commands exited 1; the incomplete
+    # gamma form of the kept-count mean is defined at every c
+    out = tmp_path / "out"
     if command == "validate-sop":
         argv = ["validate-sop", "--config", _with_system(tmp_path, alpha=50),
                 "--d-ab", "10", "--lambda-list", "1e-4", "--trials", "50"]
@@ -506,10 +512,115 @@ def test_kept_mean_beyond_scipy_exits_1(tmp_path, capsys, command):
             "omega_s": 0.0, "omega_fd": 0.0, "omega_hd": 0.0}))
         argv = ["simulate", "--config", cfg, "--solution", str(design),
                 "--slots", "500"]
-    assert main(argv) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "validate-sop":
+        comments, rows = _read_csv(str(out))
+        assert any("alpha = 50.0" in line for line in comments)
+        assert [float(r["lambda_e"]) for r in rows] == [1e-4]
+        assert 0.0 <= float(rows[0]["sop_mc"]) <= 1.0
+        assert float(rows[0]["mc_stderr"]) >= 0.0
+    else:
+        data = json.loads(out.read_text())
+        assert data["config"]["alpha"] == 50.0
+        rep = data["report"]
+        counts = rep["mode_counts"]
+        assert counts["fd"] == 0 and counts["hd"] + counts["silent"] == 500
+        assert rep["transmissions"] == counts["hd"] > 0
+        assert 0 <= rep["secrecy_outages"] <= rep["transmissions"]
+
+
+def test_simulate_rates_below_double_resolution_exit_1_naming_them(tmp_path,
+                                                                   capsys):
+    # the alpha = 50 design of default.ini has r_c ~ 1.4e-40 bits, so a slot's
+    # power and x are both 0: the thinning scale is 0/0, not an overflow
+    cfg = _with_system(tmp_path, alpha=50)
+    design = tmp_path / "design.json"
+    assert main(["optimize", "--config", cfg, "--out", str(design)]) == 0
+    r_c = json.loads(design.read_text())["solution"]["hd"]["r_c"]
+    assert 0.0 < r_c < 1e-30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--solution", str(design),
+                     "--slots", "1000"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("fdjam: validation error: thinning scale ")
-    assert "alpha = 50.0" in err and err.count("\n") == 1
+    assert err.startswith(
+        f"fdjam: validation error: transmit power 0 W at rates r_c = {r_c!r}, r_s = ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p_b, sop", [("1e300", 0.0), ("1e-300", 0.9999999999999964)])
+def test_validate_sop_at_extreme_jamming_weights_does_not_warn(capsys, p_b, sop):
+    # q*(u/d_bk2)^half overflowed to inf in J's jamming factor, whose value
+    # 1/(1 + inf) = 0 was right but came with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate-sop", "--config", DEFAULT_INI, "--d-ab", "1",
+                     "--lambda-list", "1e-4", "--p-a-w", "0.1",
+                     "--p-b-w", p_b]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _, rows = _read_csv_text(captured.out)
+    assert float(rows[0]["sop_exact"]) == sop
+
+
+# finite, valid scenarios on which optimize ended in a traceback: the step-2
+# gain u*v^2*(1+y)/(w*(1+v)) overflowed math.exp, and sigma_e2/p_a_max
+# underflowed to 0 under the step-1 residual's logarithm
+EXTREME_DESIGNS = {
+    "gain_overflow": ("""\
+[system]
+alpha = 2.843850291696735
+d_ab_m = 458191968.4845962
+lambda_e_per_m2 = 3.2828460986098293e-167
+epsilon = 4.983968630348912e-160
+sigma_b2_w = 9.396959523251615e-108
+sigma_e2_w = 2.039461912238344e-291
+rho = 8.593657553887055e-99
+p_a_max_w = 2.083378863671586e-114
+p_b_max_w = 1.818357854615973e-262
+[grid]
+mu_b_min = 1.3179861565160286e-130
+mu_b_max = 2.970287522971772e+166
+mu_b_steps = 45
+p_b_floor_w = 2.2875338911843017e+61
+"""),
+    "residual_underflow": ("""\
+[system]
+alpha = 5.625723896680595
+d_ab_m = 13789576.506597444
+lambda_e_per_m2 = 2.4740631911262218e-54
+epsilon = 1.4936689000003738e-37
+sigma_b2_w = 1.2620746066141661e-148
+sigma_e2_w = 6.247285903790332e-161
+rho = 5.814834541583595e-68
+p_a_max_w = 5.48308847538279e+163
+p_b_max_w = 1.0365923224136974e+79
+[grid]
+mu_b_min = 1.3268102077067219e-56
+mu_b_max = 1.235510293885845e+55
+mu_b_steps = 13
+p_b_floor_w = 1.5955575642589e+93
+"""),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_DESIGNS)
+def test_optimize_designs_extreme_finite_configs(tmp_path, capsys, name):
+    cfg = tmp_path / "extreme.ini"
+    cfg.write_text(EXTREME_DESIGNS[name])
+    out = tmp_path / "design.json"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads(out.read_text())
+    if name == "gain_overflow":
+        # an overflowing gain is a derivative sign of +inf: the budget binds
+        assert data["solution"]["capped_fd"] is True
+    else:
+        # a residual that cannot be formed is inf, written as null
+        assert data["diagnostics"]["step1_residual"] is None
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])

@@ -136,6 +136,15 @@ scale = dB
     ("r_cut_m = 2000", "r_cut_m = nan", "[sim] r_cut_m"),
     ("steps = 7", "steps = nan", "[sweep] steps"),
     ("rho_db = -70", "rho_db = -70\nrho = 0", "[system] give rho"),
+    ("mu_b_steps = 60", "mu_b_steps = 0", "mu_b_steps must be >= 1: 0"),
+    ("r_cut_m = 2000", "r_cut_m = 0", "[sim] r_cut_m must be > 0: 0.0"),
+    ("r_cut_m = 2000", "r_cut_m = -5", "[sim] r_cut_m must be > 0: -5.0"),
+    ("variable = p_a_max", "variable = r_cut",
+     "sweep variable 'r_cut' is not a [system] field, mu_b or p_b"),
+    ("variable = p_a_max\n", "", "[sweep] missing required key variable"),
+    ("max = 20", "max = -10", "sweep requires min < max, got [-10.0, -10.0]"),
+    ("scale = dB", "scale = octave", "sweep scale 'octave' not in linear/log/dB"),
+    ("scale = dB", "scale = log", "log sweep requires min > 0: -10.0"),
 ])
 def test_bad_value_exits_1_naming_its_key(tmp_path, capsys, old, new, named):
     text = DEFAULT_INI.read_text(encoding="utf-8") + SWEEP_BLOCK
@@ -144,6 +153,21 @@ def test_bad_value_exits_1_naming_its_key(tmp_path, capsys, old, new, named):
     err = capsys.readouterr().err
     assert err.startswith("fdjam: validation error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[sim]\nr_cut_m = 600\n", "config missing required [system] section"),
+    (None, "cannot read config "),
+], ids=["no_system_section", "unreadable"])
+def test_config_without_a_scenario_exits_1(tmp_path, capsys, text, message):
+    # an unreadable path is a directory: open() fails with an OSError
+    path = str(tmp_path) if text is None else _write(tmp_path, text)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_config(path)
+    assert main(["optimize", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fdjam: validation error: {message}")
+    assert err.count("\n") == 1
 
 
 def test_unknown_fix_key_is_an_unknown_sweep_key(tmp_path, capsys):

@@ -179,6 +179,39 @@ def test_rate_solvers_fail_only_with_package_errors_on_extreme_inputs():
             assert 0.0 < rates.r_s <= rates.r_c < math.inf
 
 
+def test_optimize_fails_only_with_package_errors_on_extreme_inputs():
+    # every value log-uniform over most of double range: a design either
+    # comes out or ends in one of the package's own errors.  An overflowing
+    # step-2 gain (OverflowError) and sigma_e2/p_a_max underflowing under
+    # the step-1 residual's logarithm (ValueError) escaped on about 1 % of
+    # such scenarios each
+    rng = np.random.default_rng(20261020)
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    designs = 0
+    for _ in range(2000):
+        params = SystemParams(
+            alpha=float(rng.uniform(2.0, 8.0)), d_ab=log_uniform(-10.0, 10.0),
+            lambda_e=log_uniform(-300.0, 300.0), epsilon=log_uniform(-300.0, 0.0),
+            sigma_b2=log_uniform(-300.0, 300.0), sigma_e2=log_uniform(-300.0, 300.0),
+            rho=log_uniform(-300.0, 0.0), p_a_max=log_uniform(-300.0, 300.0),
+            p_b_max=log_uniform(-300.0, 300.0))
+        mu_b_min, mu_b_max = sorted(log_uniform(-300.0, 300.0) for _ in range(2))
+        grid = GridSpec(mu_b_min=mu_b_min, mu_b_max=mu_b_max,
+                        mu_b_steps=int(rng.integers(1, 61)),
+                        p_b_floor=log_uniform(-300.0, 300.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")    # infeasible grid points
+            try:
+                optimize(params, grid)
+            except (InfeasibleError, ValidationError):
+                continue
+        designs += 1
+    assert designs > 200
+
+
 # ---------------------------------------------------------------- step 2
 
 def test_step2_interior_matches_grid_scan():
@@ -206,6 +239,62 @@ def test_step2_caps_at_budget():
     p = dataclasses.replace(interior_params(1e-4, 1e-3), p_b_max=dbm_to_watts(0.0))
     s2 = solve_step2(1e-9, p)
     assert s2.capped and s2.p_b_dagger == p.p_b_max
+
+
+def test_step2_sign_of_zero_at_the_budget_is_capped():
+    # without a switch level (varpi = 0) the sign exp(ln gain) is never
+    # negative, but here the gain underflows to 0 at the budget: brentq took
+    # that end as an interior root, whose residual needs ln varpi
+    p = SystemParams(
+        alpha=7.408036626724904, d_ab=18.08979872932033,
+        lambda_e=1.7475076522409014e-143, sigma_b2=4.084052601548702e-122,
+        sigma_e2=1.996375812671972e+78, rho=1.6261387809345069e-124,
+        epsilon=8.963622545692112e-151, p_a_max=6.560301319934751e+124,
+        p_b_max=2.6181939833939122e+284)
+    grid = GridSpec(p_b_floor=3.563687542124881e-278)
+    sign = {p_b: fdjam.optimizer._derivative_sign(
+        p_b, solve_step1(p_b, 0.0, p), fdjam.analytics._Outage(p))
+        for p_b in (grid.p_b_floor, p.p_b_max)}
+    assert sign[grid.p_b_floor] > 0.0 and sign[p.p_b_max] == 0.0
+    s2 = solve_step2(0.0, p, grid)
+    assert s2.capped and not s2.degenerate and s2.p_b_dagger == p.p_b_max
+    assert math.isnan(s2.residual) and s2.iterations == 0
+
+
+def _sign_nan_inside(floor, p_max):
+    """A derivative sign that is NaN strictly inside (floor, p_max)."""
+    sign = fdjam.optimizer._derivative_sign
+
+    def patched(p_b, r1, outage):
+        return sign(p_b, r1, outage) if p_b in (floor, p_max) else math.nan
+    return patched
+
+
+def _brentq_capped(*args, **kwargs):
+    raise RuntimeError("Failed to converge after 100 iterations, value is 0.5.")
+
+
+@pytest.mark.parametrize("failure", ["nan_sign", "iteration_cap"])
+def test_step2_names_a_jamming_power_root_that_brentq_cannot_find(monkeypatch,
+                                                                   failure):
+    # brentq raises ValueError at a NaN sign and RuntimeError at its
+    # iteration cap; neither is an input error, so step 2 reports the
+    # search range as infeasible
+    p, mu_b = interior_params(1e-4, 1e-2), 1e-9
+    floor = GridSpec().p_b_floor
+    assert not solve_step2(mu_b, p).capped
+    if failure == "nan_sign":
+        monkeypatch.setattr(fdjam.optimizer, "_derivative_sign",
+                            _sign_nan_inside(floor, p.p_b_max))
+        reason = "NaN"
+    else:
+        monkeypatch.setattr("scipy.optimize.brentq", _brentq_capped)
+        reason = "Failed to converge after 100 iterations"
+    with pytest.raises(InfeasibleError) as exc:
+        solve_step2(mu_b, p)
+    assert str(exc.value).startswith(
+        f"jamming-power root not found for p_b in [{floor:.6g}, {p.p_b_max:.6g}] W: ")
+    assert reason in str(exc.value)
 
 
 def test_step2_profile_quasi_concave():
@@ -514,6 +603,8 @@ def test_grid_spec_validation():
         GridSpec(mu_b_min=0.0).check(p)
     with pytest.raises(ValidationError):
         GridSpec(mu_b_min=1e-3, mu_b_max=1e-5).check(p)
+    with pytest.raises(ValidationError, match="mu_b_steps must be >= 1: 0"):
+        GridSpec(mu_b_steps=0).check(p)
 
 
 @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan])

@@ -15,8 +15,8 @@ from fdjam import (comparison_metrics, dbm_to_watts, empirical_sop, optimize,
 from fdjam.sim import (ModeCounts, _CHUNK, _beats_jamming, _kept_mean,
                        _truncated_gamma, sub_rng)
 
-from oracles import (blocks, empirical_sop_reference, sample_eve_field,
-                     vi_defaults)
+from oracles import (blocks, empirical_sop_reference, kept_mean,
+                     sample_eve_field, vi_defaults)
 
 P_A = dbm_to_watts(20.0)
 P_B = dbm_to_watts(30.0)
@@ -125,6 +125,77 @@ def test_kept_points_follow_the_thinned_intensity(alpha, c):
     ks = stats.kstest(d, lambda r: gammainc(k, c * (r / r_cut) ** alpha)
                       / gammainc(k, c))
     assert ks.pvalue > 1e-3, ks
+
+
+def _kept_means(c, params, radius):
+    """``_kept_mean`` at each scale of ``c``, by the scalar path (one call
+    per scale, which must return a scalar) and by one array call."""
+    scalar = [_kept_mean(float(ci), params, radius) for ci in c]
+    assert not any(isinstance(m, np.ndarray) for m in scalar)
+    return {"scalar": np.array(scalar),
+            "array": _kept_mean(np.asarray(c, dtype=float), params, radius)}
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
+def test_kept_mean_matches_the_hyp1f1_oracle(alpha):
+    # the incomplete-gamma form against scipy's 1F1 where 1F1 is accurate
+    p = vi_defaults(alpha=alpha, lambda_e=1e-4)
+    c = np.concatenate(([0.0], np.logspace(-20.0, 9.0, 59)))
+    expect = kept_mean(c, p, 300.0)
+    for path, got in _kept_means(c, p, 300.0).items():
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0, err_msg=path)
+
+
+def _kummer(k, c):
+    """1F1(k; k+1; -c) = e^-c * sum_n c^n / (k+1)_n (Kummer's transformation),
+    a sum of positive terms."""
+    term = total = 1.0
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= c / (k + n)
+        total += term
+    return math.exp(-c) * total
+
+
+KEPT_ALPHAS = [2.0, 2.2, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 35.0, 50.0]
+
+
+@pytest.mark.parametrize("alpha", KEPT_ALPHAS)
+def test_kept_mean_matches_the_kummer_series_up_to_40(alpha):
+    p = vi_defaults(alpha=alpha, lambda_e=1e-4)
+    c = [0.0, 1e-300, 1e-12, 1e-3, 0.1, 1.0, 2.5, 10.0, 28.7, 40.0]
+    area = p.lambda_e * math.pi * 300.0 ** 2
+    expect = [area * _kummer(2.0 / alpha, ci) for ci in c]
+    for path, got in _kept_means(c, p, 300.0).items():
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0, err_msg=path)
+
+
+@pytest.mark.parametrize("alpha", KEPT_ALPHAS)
+def test_kept_mean_is_the_whole_plane_limit_from_50(alpha):
+    # P(k, c) rounds to 1 from c = 50, leaving Gamma(1+k) * c^-k: at alpha = 50
+    # scipy's 1F1 was NaN from c ~ 1e11, and the simulators refused to run
+    p = vi_defaults(alpha=alpha, lambda_e=1e-4)
+    k = 2.0 / alpha
+    c = [50.0, 1e3, 1e9, 1e11, 1e100, 1e200, 1e308]
+    area = p.lambda_e * math.pi * 300.0 ** 2
+    expect = [area * math.gamma(1.0 + k) * ci ** -k for ci in c]
+    for path, got in _kept_means(c, p, 300.0).items():
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0, err_msg=path)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0, 50.0])
+def test_kept_mean_at_extreme_scales_is_finite_and_at_most_the_area(alpha):
+    # c^-k overflowed at a subnormal c for alpha = 2; c = 0 keeps every point
+    p = vi_defaults(alpha=alpha, lambda_e=1e-4)
+    area = p.lambda_e * math.pi * 300.0 ** 2
+    c = [0.0, 5e-324, 1e-310, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means = _kept_means(c, p, 300.0)
+    for path, got in means.items():
+        assert np.all(np.isfinite(got)) and np.all((got > 0.0) & (got <= area)), path
+        assert got[0] == area, path
 
 
 # ---------------------------------------------------------------- outage MC
@@ -417,6 +488,19 @@ def test_online_no_jamming_mode_when_switch_disabled():
     rep = run_online(sol, ONLINE_PARAMS, n_slots=4000, r_cut=400.0, seed=2)
     assert rep.mode_counts.fd == 0
     assert rep.mode_counts.hd + rep.mode_counts.silent == 4000
+
+
+def test_online_run_without_a_transmitting_slot_reports_no_outage():
+    # on-off thresholds no unit-mean exponential gain reaches: every slot is
+    # silent, and the conditional secrecy outage has no sample
+    high = dataclasses.replace(ONLINE_SOLUTION,
+                               fd=dataclasses.replace(ONLINE_SOLUTION.fd, mu_a=1e6),
+                               hd=dataclasses.replace(ONLINE_SOLUTION.hd, mu_a=1e6))
+    rep = run_online(high, ONLINE_PARAMS, n_slots=1000, r_cut=400.0, seed=2)
+    assert rep.mode_counts == ModeCounts(fd=0, hd=0, silent=1000)
+    assert rep.transmissions == rep.secrecy_outages == 0
+    assert rep.empirical_sop == rep.sop_stderr == 0.0
+    assert rep.empirical_tx_prob == rep.empirical_throughput == 0.0
 
 
 def test_online_transmission_probability_matches_design():
