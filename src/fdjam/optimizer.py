@@ -171,10 +171,11 @@ def _step1(p_b: float, mu_b: float, outage: _Outage) -> Step1Result:
             f"alpha={params.alpha}") from None
     u = d_pow * (params.sigma_b2 + p_b * mu_b) / params.p_a_max
     varpi = d_pow * mu_b / params.p_a_max
-    if u == 0.0:
+    if not 0.0 < u < math.inf:
         raise InfeasibleError(
             f"power scale u = d_ab^alpha*(sigma_b2 + p_b*mu_b)/p_a_max "
-            f"underflows to 0: d_ab={params.d_ab}, alpha={params.alpha}")
+            f"{'underflows to 0' if u == 0.0 else 'overflows'}: "
+            f"d_ab={params.d_ab}, alpha={params.alpha}, p_a_max={params.p_a_max}")
 
     log1p_yz = math.log1p(yz_star)
     c_rhs = -math.log(u) - log1p_yz

@@ -54,22 +54,21 @@ of the far field's points, which would lose their coin, are never drawn.
 Draw contract.  Trials (domain 0) and on-line slots (domain 1) are grouped
 in blocks of ``_BLOCK`` (256) consecutive indices, and block ``b`` of a run
 with master seed ``s`` draws from its own substream ``default_rng((s,
-domain, b))`` (:func:`sub_rng` builds the same generator from the key's
-32-bit words, at lower cost).  A (seed, numpy version, block size) triple pins
-every result bit for bit; another block size draws different, equally valid
-numbers.  A block draws in a fixed order: the on-line simulator first draws
-the main-channel gains, then the self-interference gains, one per slot, by
-inverse CDF ``-log1p(-U)``; then, for the trials or transmitting slots in
-index order, the kept counts (Poisson); then the points of jammed rows in
-owner order, in chunks of ``_CHUNK`` points: per chunk the truncated
-Gamma(k) draws (rounds of ``Generator.gamma`` proposals where
-c >= Gamma(1+k)^(1/k), rounds of area-uniform positions and acceptance
-uniforms elsewhere), then the half-azimuths, then the jamming coins.
-Consecutive uniforms come from one ``Generator.random`` call (the two gain
-vectors of a block; the azimuths and coins of a chunk), which fills them in
-stream order: the same numbers as one call per vector.  Where
-``empirical_sop`` splits the field, each block draws the outer field's
-counts and points in that order, then the inner field's.
+domain, b))`` (:func:`sub_rng`).  A (seed, numpy version, block size) triple
+pins every result bit for bit; another block size draws different, equally
+valid numbers.  A block draws in a fixed order: the on-line simulator first
+draws the main-channel gains, then the self-interference gains, one per
+slot, by inverse CDF ``-log1p(-U)``; then, for the trials or transmitting
+slots in index order, the kept counts (Poisson); then the points of jammed
+rows in owner order, in chunks of ``_CHUNK`` points: per chunk the truncated
+Gamma(k) draws (rounds of ``Generator.gamma`` proposals where c >=
+Gamma(1+k)^(1/k), rounds of area-uniform positions and acceptance uniforms
+elsewhere), then the half-azimuths, then the jamming coins.  Consecutive
+uniforms come from one ``Generator.random`` call (the two gain vectors of a
+block; the azimuths and coins of a chunk), which fills them in stream order:
+the same numbers as one call per vector.  Where ``empirical_sop`` splits the
+field, each block draws the outer field's counts and points in that order,
+then the inner field's.
 
 Evaluation.  No output depends on the order in which blocks, rows or points
 are evaluated, so a run can be sharded across workers as long as every
@@ -79,11 +78,11 @@ the same outputs as one block at a time and no option for either:
 * batches: up to ``_CHUNK`` consecutive rows of whole blocks are evaluated
   together (gains, slot rule, thinning, jamming coins, outage and
   reliability tests);
-* windows and slices: the kept counts, which each block draws first, plan
-  windows of points (:func:`_windows`), runs of consecutive whole blocks
-  that keep at most ``_POINTS`` points in all, or one chunk of a block that
-  keeps more; a window's blocks draw their points in turn, and its points
-  are tested in slices of at most ``_POINTS``.
+* windows: the kept counts, which each block draws first, plan windows of
+  points (:func:`_windows`), runs of consecutive whole blocks that keep at
+  most ``_POINTS`` points in all, or one chunk of a block that keeps more;
+  a window's blocks draw their points in turn, and its points are tested
+  together.
 
 ``empirical_sop`` holds its powers fixed, so it forms each field's thinning
 scale and kept-count mean, and the jamming power, once per call and
@@ -96,7 +95,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -122,37 +120,21 @@ __all__ = [
 # not a speed setting.  Each block pays a fixed cost (its substream, one
 # Poisson call and one truncated-gamma and uniform call per field), which
 # at 64 rows was most of a sparse row's time; 256 cuts it 4x, and 1,024 is
-# no faster.  Peak memory does not grow with the block: windows, _POINTS
-# slices and per-chunk draws bound it by the chunk.
+# no faster.  Peak memory does not grow with the block: windows and
+# per-chunk draws bound it by the chunk.
 _BLOCK = 256
 # Kept eavesdroppers drawn at once within a block, and rows (trials or
 # slots) evaluated at once in a batch of blocks; bounds peak memory in dense
 # fields that the signal threshold barely thins.
 _CHUNK = 1 << 15
-# Most kept points tested at once (windows and slices), so the test's
-# scratch arrays stay in cache.
+# Most kept points in a window of whole blocks, so the test's scratch arrays
+# stay in cache; a block that keeps more is tested a chunk at a time.
 _POINTS = 1 << 12
 
 
-def _words(n: int) -> list:
-    """The 32-bit words of a non-negative integer, least significant first
-    and at least one, as ``SeedSequence`` reads an integer of its entropy."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"expected non-negative integer: {n}")
-    words = [n & 0xFFFFFFFF]
-    while n > 0xFFFFFFFF:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
 def sub_rng(seed: int, domain: int, index: int) -> np.random.Generator:
-    """Dedicated substream for one block of one experiment domain: the
-    generator of ``default_rng((seed, domain, index))``, built from the
-    entropy words directly, which skips numpy's per-call seed coercion."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        np.array(_words(seed) + _words(domain) + _words(index), np.uint32))))
+    """Dedicated substream for one block of one experiment domain."""
+    return np.random.default_rng((seed, domain, index))
 
 
 def _batches(n: int, seed: int, domain: int):
@@ -389,15 +371,12 @@ def _field_outages(rngs, starts, c, mean, p_b, params: SystemParams,
         # a window of one chunk is tested in its draws, without a copy
         v, s, turn, coin = (x[0] if len(x) == 1 else np.concatenate(x)
                             for x in (v, s, turn, coin))
-        for at in range(0, hi - lo, _POINTS):
-            view = slice(at, at + _POINTS)
-            d_ak, coin_v = radius * s[view], coin[view]
-            if bound is not None:
-                r_in, p_out = bound
-                coin_v = coin_v * np.where(d_ak < r_in, 1.0, p_out)
-            hit = _beats_jamming(turn[view], coin_v, v[view], d_ak,
-                                 _at(p_b_at, view), params)
-            outage[owner[view][hit]] = True
+        d_ak = radius * s
+        if bound is not None:
+            r_in, p_out = bound
+            coin = coin * np.where(d_ak < r_in, 1.0, p_out)
+        hit = _beats_jamming(turn, coin, v, d_ak, p_b_at, params)
+        outage[owner[hit]] = True
     return outage
 
 

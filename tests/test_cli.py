@@ -453,11 +453,17 @@ def test_validate_sop_link_beyond_exposure_range_exits_1(d_ab, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("d_ab, named", [("1e-80", "power scale u"),
-                                         ("1e80", "path loss d_ab^alpha")])
-def test_optimize_at_an_extreme_link_distance_exits_2(tmp_path, capsys, d_ab,
-                                                      named):
-    cfg = _with_system(tmp_path, d_ab_m=d_ab)
+@pytest.mark.parametrize("overrides, named", [
+    pytest.param({"d_ab_m": "1e-80"}, "power scale u", id="1e-80-power scale u"),
+    pytest.param({"d_ab_m": "1e80"}, "path loss d_ab^alpha",
+                 id="1e80-path loss d_ab^alpha"),
+    # a finite d_ab^alpha = 1e280 over a 1e-60 W budget: u overflows
+    pytest.param({"d_ab_m": "1e70", "p_a_max_dbm": "-570"},
+                 "power scale u = d_ab^alpha*(sigma_b2 + p_b*mu_b)/p_a_max "
+                 "overflows", id="1e70-power scale u overflows")])
+def test_optimize_at_an_extreme_link_distance_exits_2(tmp_path, capsys,
+                                                      overrides, named):
+    cfg = _with_system(tmp_path, **overrides)
     assert main(["optimize", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("fdjam: infeasible: ") and err.count("\n") == 1
@@ -629,6 +635,21 @@ def test_help_and_version_exit_0(flag, capsys):
         main([flag])
     assert exc.value.code == 0
     assert "fdjam" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--version"], 0, "fdjam 0.1.0\n", ""),
+    (["optimize"], 1, "",
+     "fdjam: validation error: the following arguments are required: --config\n")])
+def test_module_run_exits_with_the_status_of_main(tmp_path, argv, code, out,
+                                                  err):
+    src = str(Path(fdjam.cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "fdjam.cli", *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 # ---------------------------------------------------------------- sweep

@@ -123,6 +123,20 @@ def test_rate_collapses_under_loose_outage_bound():
     assert r[1] < 1.0
 
 
+def test_step1_names_a_codeword_rate_beyond_the_representable_range():
+    # at 1e100 W over a 1e-206 W noise floor, ln(1 + y*) passes 700 and
+    # exp(ln(1 + y*)) would overflow; a noise floor ten times higher designs
+    p = SystemParams(alpha=4.0, d_ab=1.0, lambda_e=0.038, sigma_b2=1e-206,
+                     sigma_e2=1e-182, rho=1e-7, epsilon=0.1, p_a_max=1e100,
+                     p_b_max=1e-2)
+    with pytest.raises(InfeasibleError, match=re.escape(
+            "codeword rate beyond representable range: ln(1+y)=700.65")):
+        solve_step1(0.0, 0.0, p)
+    r1 = solve_step1(0.0, 0.0, dataclasses.replace(p, sigma_b2=1e-205))
+    assert r1.r_c == pytest.approx(1007.57, abs=0.01)
+    assert math.isfinite(r1.y_star) and r1.residual < 1e-9
+
+
 def test_step1_rejects_invalid_params():
     with pytest.raises(ValidationError):
         solve_step1(VI_PB, VI_MU_B, dataclasses.replace(vi_defaults(), epsilon=0.0))
@@ -821,11 +835,17 @@ def test_optimize_reports_a_fully_infeasible_grid(monkeypatch):
         "every switch-threshold grid point infeasible (61 tried)"
 
 
-@pytest.mark.parametrize("d_ab, named", [
+@pytest.mark.parametrize("overrides, named", [
     # d_ab^alpha = 1e-320 leaves u = d_ab^alpha*sigma_b2/p_a_max at 0
-    (1e-80, "power scale u"),
+    pytest.param({"d_ab": 1e-80}, "power scale u", id="1e-80-power scale u"),
     # d_ab^alpha overflows
-    (1e80, "path loss d_ab^alpha")])
-def test_optimize_names_what_an_extreme_link_distance_breaks(d_ab, named):
+    pytest.param({"d_ab": 1e80}, "path loss d_ab^alpha",
+                 id="1e+80-path loss d_ab^alpha"),
+    # d_ab^alpha = 1e280 is finite, but u overflows at a tiny power budget
+    pytest.param({"d_ab": 1e70, "p_a_max": 1e-60},
+                 "power scale u = d_ab^alpha*(sigma_b2 + p_b*mu_b)/p_a_max "
+                 "overflows: d_ab=1e+70, alpha=4.0, p_a_max=1e-60",
+                 id="1e+70-power scale u overflows")])
+def test_optimize_names_what_an_extreme_link_distance_breaks(overrides, named):
     with pytest.raises(InfeasibleError, match=re.escape(named)):
-        optimize(vi_defaults(d_ab=d_ab))
+        optimize(vi_defaults(**overrides))

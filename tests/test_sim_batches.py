@@ -1,7 +1,7 @@
 """The batched Monte Carlo engine against the block-at-a-time loops it
 replaced: every estimate and report must be equal bit for bit, also when
-smaller chunks, blocks and slices cut the work into many batches, windows
-and slices."""
+smaller chunks, blocks and window bounds cut the work into many batches and
+windows."""
 
 import math
 import re
@@ -73,10 +73,9 @@ def _blocks_of_two(monkeypatch):
     monkeypatch.setattr(oracles, "_BLOCK", 2)
 
 
-def _slices_of_five(monkeypatch):
-    """Test kept points five at a time: a window of whole blocks keeps at
-    most five points, and a block that keeps more is tested in slices of
-    five."""
+def _windows_of_five(monkeypatch):
+    """Bound windows of whole blocks at five kept points in all: a block
+    that keeps more is a window of its own, one chunk at a time."""
     monkeypatch.setattr(sim, "_POINTS", 5)
 
 
@@ -95,14 +94,15 @@ def _field_means(params, r_c, r_s, r_cut):
     # two batches
     ("two batches", vi_defaults(lambda_e=1e-5), 4.0, 1.0,
      sim._CHUNK + 1000, 800.0),
-    # about 43,000 kept points per block in the outer field: more than one
-    # chunk
+    # 130 trials in one block, which keeps about 87,000 points in the outer
+    # field: more than one chunk
     ("dense", vi_defaults(lambda_e=6e-2), 4.0, 1.0, 130, 800.0),
     # c <= 1e-6: area-uniform proposals only
     ("barely thinned", vi_defaults(), 2.001, 2.0, 2000, 100.0),
-    # about 14,000 kept points per block in the outer field, in one chunk
-    # that is evaluated in slices of _POINTS
-    ("one chunk, many slices", vi_defaults(lambda_e=2e-2), 4.0, 1.0, 200, 800.0),
+    # 200 trials in one block, which keeps about 45,000 points in the outer
+    # field and 20,000 in the inner: windows of a chunk or its remainder,
+    # far above _POINTS, each tested whole
+    ("chunk windows", vi_defaults(lambda_e=2e-2), 4.0, 1.0, 200, 800.0),
 ])
 def test_empirical_sop_equals_blockwise_loop(case, params, r_c, r_s, n, r_cut,
                                              regimes):
@@ -144,7 +144,7 @@ def test_empirical_sop_in_slices_of_five_equals_blockwise_loop(
         monkeypatch, shape, lambda_e, n):
     if shape:
         shape(monkeypatch)
-    _slices_of_five(monkeypatch)
+    _windows_of_five(monkeypatch)
     args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=lambda_e), n, 800.0, 26)
     assert empirical_sop(*args) == empirical_sop_blockwise(*args)
 
@@ -187,7 +187,7 @@ def test_run_online_in_slices_of_five_equals_blockwise_loop(
         monkeypatch, shape, params, n, r_cut):
     if shape:
         shape(monkeypatch)
-    _slices_of_five(monkeypatch)
+    _windows_of_five(monkeypatch)
     args = (ONLINE_SOLUTION, params, n, r_cut, 28)
     assert run_online(*args) == run_online_blockwise(*args)
 
@@ -234,7 +234,7 @@ def test_empirical_sop_across_windows_equals_blockwise_loop(monkeypatch, seed):
     # two fields: runs of blocks of at most five points, and blocks of more
     # than seven
     _blocks_of_two(monkeypatch)
-    _slices_of_five(monkeypatch)
+    _windows_of_five(monkeypatch)
     plans = _windows_spy(monkeypatch)
     args = (P_A, P_B, 4.0, 1.0, vi_defaults(lambda_e=1.2e-4), 600, 800.0, seed)
     assert empirical_sop(*args) == empirical_sop_blockwise(*args)
@@ -244,7 +244,7 @@ def test_empirical_sop_across_windows_equals_blockwise_loop(monkeypatch, seed):
 @pytest.mark.parametrize("seed", [32, 2 ** 32 + 32])
 def test_run_online_across_windows_equals_blockwise_loop(monkeypatch, seed):
     _blocks_of_two(monkeypatch)
-    _slices_of_five(monkeypatch)
+    _windows_of_five(monkeypatch)
     plans = _windows_spy(monkeypatch)
     args = (ONLINE_SOLUTION, vi_defaults(lambda_e=1e-3, epsilon=0.05), 600,
             50.0, seed)
@@ -276,12 +276,13 @@ def test_substreams_reject_what_default_rng_rejects(seed, error):
         sim.sub_rng(seed, 0, 0)
 
 
-# slices of one point, of two, of one less than a chunk of seven, of a whole
-# chunk, and of more than a chunk, which windows cap at the chunk
-SLICE_SIZES = [1, 2, 6, 7, 1 << 16]
+# windows of whole blocks bounded at one point, at two, at one less than a
+# chunk of seven, at a whole chunk, and at more than a chunk, which windows
+# cap at the chunk
+WINDOW_BOUNDS = [1, 2, 6, 7, 1 << 16]
 
 
-@pytest.mark.parametrize("points", SLICE_SIZES)
+@pytest.mark.parametrize("points", WINDOW_BOUNDS)
 def test_empirical_sop_in_any_slice_size_equals_blockwise_loop(monkeypatch,
                                                                points):
     # 6 trials a batch, whose outer field keeps blocks of several chunks
@@ -291,7 +292,7 @@ def test_empirical_sop_in_any_slice_size_equals_blockwise_loop(monkeypatch,
     assert empirical_sop(*args) == empirical_sop_blockwise(*args)
 
 
-@pytest.mark.parametrize("points", SLICE_SIZES)
+@pytest.mark.parametrize("points", WINDOW_BOUNDS)
 def test_run_online_in_any_slice_size_equals_blockwise_loop(monkeypatch,
                                                             points):
     _blocks_of_two(monkeypatch)
@@ -353,7 +354,7 @@ def test_each_field_of_a_batch_is_evaluated_in_one_call(monkeypatch, n,
 
 def test_substreams_are_created_once_per_block_on_the_calling_thread(
         monkeypatch):
-    _slices_of_five(monkeypatch)
+    _windows_of_five(monkeypatch)
     threads = []
     create = sim.sub_rng
 
@@ -369,7 +370,7 @@ def test_substreams_are_created_once_per_block_on_the_calling_thread(
 
 @pytest.mark.parametrize("run", ["empirical_sop", "run_online"])
 def test_an_error_in_a_block_reaches_the_caller_unchanged(monkeypatch, run):
-    _slices_of_five(monkeypatch)
+    _windows_of_five(monkeypatch)
     create, draw = sim.sub_rng, sim._truncated_gamma
     second = []
 

@@ -36,6 +36,8 @@ def test_rejects_nonsense():
 @pytest.mark.parametrize("convert, message", [
     (watts_to_dbm, "power must be > 0 W to express in dBm, got nan"),
     (linear_to_db, "ratio must be > 0 to express in dB, got nan"),
+    (db_to_linear, "dB value must be finite, got nan"),
+    (dbm_to_watts, "dBm value must be finite, got nan"),
 ])
 def test_rejects_nan(convert, message):
     with pytest.raises(ValueError, match=message):
