@@ -1,12 +1,13 @@
 """Closed-form and quadrature evaluation of the wiretap-side statistics.
 
-The quantity everything here revolves around is the CDF of the best
-eavesdropper's SINR when eavesdroppers form a homogeneous PPP of density
-``lambda_e`` around the transmitter, each one seeing the confidential signal
-attenuated over its own distance and the receiver's jamming attenuated over
-the (law-of-cosines) distance to the receiver, under unit-mean exponential
-fading on every path.  Averaging the per-point hit probability over the PPP
-gives
+The quantity everything here revolves around is the secrecy outage
+probability at rates r_c and r_s, 1 - F(x) at x = 2^(r_c - r_s) - 1, with F
+the CDF of the best eavesdropper's SINR when eavesdroppers form a
+homogeneous PPP of density ``lambda_e`` around the transmitter, each one
+seeing the confidential signal attenuated over its own distance and the
+receiver's jamming attenuated over the (law-of-cosines) distance to the
+receiver, under unit-mean exponential fading on every path.  Averaging the
+per-point hit probability over the PPP gives
 
     F(x) = exp( -lambda_e/2 * J(x) ),
 
@@ -53,9 +54,8 @@ from .params import SwitchedSolution, SystemParams
 
 __all__ = [
     "ComparisonMetrics", "exposure_integral", "field_beta", "exposure_budget",
-    "log_exposure_approx", "cdf_phi_e_exact",
-    "cdf_phi_e_approx", "sop_exact", "sop_approx", "hd_weight", "throughput_fd",
-    "throughput_hd", "comparison_metrics",
+    "log_exposure_approx", "sop_exact", "sop_approx", "hd_weight",
+    "throughput_fd", "throughput_hd", "comparison_metrics",
 ]
 
 # Tail cutoff for the radial integral: beyond u_cut the integrand is bounded
@@ -100,7 +100,7 @@ def exposure_integral(x: float, p_a: float, p_b: float, params: SystemParams) ->
     """J(x) such that the best-eavesdropper SINR CDF is exp(-lambda_e/2 * J).
 
     Independent of ``lambda_e``, so a table over the eavesdropper density
-    forms it once per geometry (:func:`_cdf_column`).  Raises
+    forms it once per geometry (:func:`_sop_column`).  Raises
     :class:`ValidationError` when the radial decay coefficient
     sigma_e2*x/p_a is below 50/DBL_MAX, or d_ab^2 is not a normal double,
     where J cannot be formed in doubles.
@@ -190,11 +190,6 @@ def _check_sinr_args(x: float, p_a: float, p_b: float) -> None:
         raise ValidationError(f"p_b must be >= 0 W: {p_b}")
 
 
-def cdf_phi_e_exact(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
-    """Best-eavesdropper SINR CDF by the fixed-node double quadrature of J."""
-    return _cdf_column(x, p_a, p_b, params, (params.lambda_e,), quadrature=True)[0]
-
-
 def field_beta(alpha: float) -> float:
     """Field geometry factor beta = (2*pi/alpha)*Gamma(2/alpha)."""
     return (2.0 * math.pi / alpha) * math.gamma(2.0 / alpha)
@@ -210,7 +205,7 @@ def log_exposure_approx(log_x: float, p_a: float, p_b: float,
                         params: SystemParams) -> float:
     """-ln(1 + p_b*x/p_a) - eta*ln(sigma_e2*x/p_a) at x = exp(log_x); takes
     ln x and checks nothing: it runs in the step-1 residual, through
-    :meth:`_Outage.log_exposure`, and in the closed-form CDF."""
+    :meth:`_Outage.log_exposure`, and in the closed-form SOP."""
     eta = 2.0 / params.alpha
     x = math.exp(log_x)
     return -math.log1p(x * p_b / p_a) - eta * (log_x + math.log(params.sigma_e2 / p_a))
@@ -304,28 +299,6 @@ class _Outage:
         return math.exp(t), steps
 
 
-def cdf_phi_e_approx(x: float, p_a: float, p_b: float, params: SystemParams) -> float:
-    """Best-eavesdropper SINR CDF, closed form for small d_ab:
-    exp(-beta*lambda_e*exp(L)), L from :func:`log_exposure_approx`."""
-    return _cdf_column(x, p_a, p_b, params, (params.lambda_e,), quadrature=False)[0]
-
-
-def _cdf_column(x: float, p_a: float, p_b: float, params: SystemParams,
-                lambdas: Sequence[float], quadrature: bool) -> List[float]:
-    """F(x) = exp(-lambda_e*E) at each density of ``lambdas`` (the one in
-    ``params`` is not read), by quadrature, E = J/2, or by the closed form,
-    E = beta*exp(L).  The density-free part is formed once; each density
-    costs one ``math.exp`` (not numpy's, which may differ in the last bit),
-    and the one-density public routes are this column's special case."""
-    if quadrature:
-        weight, exposure = 0.5, exposure_integral(x, p_a, p_b, params)
-    else:
-        _check_sinr_args(x, p_a, p_b)
-        weight = field_beta(params.alpha)
-        exposure = math.exp(log_exposure_approx(math.log(x), p_a, p_b, params))
-    return [_clamp01(math.exp(-(weight * lam * exposure))) for lam in lambdas]
-
-
 def _rate_threshold(r_c: float, r_s: float) -> float:
     if r_s >= r_c:
         raise ValidationError(f"require r_s < r_c, got r_s={r_s}, r_c={r_c}")
@@ -341,11 +314,20 @@ def _rate_threshold(r_c: float, r_s: float) -> float:
 def _sop_column(p_a: float, p_b: float, r_c: float, r_s: float,
                 params: SystemParams, lambdas: Sequence[float],
                 quadrature: bool) -> List[float]:
-    """Secrecy outage 1 - F(2^(r_c - r_s) - 1) at each density of
-    ``lambdas``, by the route of :func:`_cdf_column`: one J, or one
-    closed-form exposure, for the whole column."""
-    return [_clamp01(1.0 - f) for f in _cdf_column(
-        _rate_threshold(r_c, r_s), p_a, p_b, params, lambdas, quadrature)]
+    """Secrecy outage 1 - F(x), x = 2^(r_c - r_s) - 1 and
+    F(x) = exp(-lambda_e*E), at each density of ``lambdas`` (the one in
+    ``params`` is not read), by quadrature, E = J/2, or by the closed form,
+    E = beta*exp(L).  The density-free E is formed once; each density costs
+    one ``math.exp`` (not numpy's, which may differ in the last bit), and
+    the one-density public routes are this column's special case."""
+    x = _rate_threshold(r_c, r_s)
+    if quadrature:
+        weight, exposure = 0.5, exposure_integral(x, p_a, p_b, params)
+    else:
+        _check_sinr_args(x, p_a, p_b)
+        weight = field_beta(params.alpha)
+        exposure = math.exp(log_exposure_approx(math.log(x), p_a, p_b, params))
+    return [_clamp01(1.0 - math.exp(-(weight * lam * exposure))) for lam in lambdas]
 
 
 def sop_exact(p_a: float, p_b: float, r_c: float, r_s: float,

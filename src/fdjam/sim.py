@@ -219,26 +219,41 @@ def _truncated_gamma(rng: np.random.Generator, k: float, c, n: int
     return v, s
 
 
-def _thinning_scale(r_c: float, r_s: float, p_a, params: SystemParams,
-                    r_cut: float):
-    """The thinning scale ``c = sigma_e2 * x / p_a * r_cut^alpha`` of rows
-    sent with rates r_c and r_s at power ``p_a`` (one value or one per row),
-    where x = 2^(r_c - r_s) - 1 is the SINR an eavesdropper must beat;
-    ValidationError where a power is 0 (x/0 is undefined) or c is not
-    finite, which the kernel needs (the kept-count mean at c = inf would
-    read 0, not its finite limit)."""
-    if not np.all(p_a > 0.0):
-        raise ValidationError(f"transmit power 0 W at rates r_c = {r_c}, r_s = {r_s}")
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or inf past double range."""
     try:
-        c = (params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / p_a
-             * r_cut ** params.alpha)
+        return base ** exponent
     except OverflowError:
-        c = math.inf
-    if not np.all(c < math.inf):
-        raise ValidationError(
-            f"rate gap r_c - r_s = {r_c - r_s} bits at r_cut = {r_cut} m is too "
-            f"large to simulate: sigma_e2*x/p_a*r_cut^alpha overflows")
-    return c
+        return math.inf
+
+
+def _thinning_scale(rates, p_a, params: SystemParams, r_cut: float, pick=0):
+    """The thinning scale ``c = sigma_e2 * x / p_a * r_cut^alpha`` of rows
+    sent at power ``p_a`` with the rates ``rates[pick]`` (``p_a`` and
+    ``pick`` one value each or one per row; ``rates`` holds (r_c, r_s)
+    pairs), where x = 2^(r_c - r_s) - 1 is the SINR an eavesdropper must
+    beat.  Each pair's sigma_e2*x is formed once and read on its own rows
+    only, so a pair that no row picks cannot fail the call.
+    ValidationError, naming the first faulty row's rates, where a power is
+    0 (x/0 is undefined) or c is not finite, which the kernel needs (the
+    kept-count mean at c = inf would read 0, not its finite limit)."""
+    heads = [params.sigma_e2 * (_power(2.0, r_c - r_s) - 1.0) for r_c, r_s in rates]
+    per_row = isinstance(pick, np.ndarray)
+    ok = p_a > 0.0
+    if np.all(ok):
+        # an overflow to inf, or 0 * inf = NaN, is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = ((np.take(heads, pick) if per_row else heads[pick]) / p_a
+                 * _power(r_cut, params.alpha))
+        ok = c < math.inf
+        if np.all(ok):
+            return c
+        fault = ("rate gap r_c - r_s = {gap} bits at r_cut = {r_cut} m is too "
+                 "large to simulate: sigma_e2*x/p_a*r_cut^alpha overflows")
+    else:
+        fault = "transmit power 0 W at rates r_c = {r_c}, r_s = {r_s}"
+    r_c, r_s = rates[int(pick[np.argmin(ok)]) if per_row else pick]
+    raise ValidationError(fault.format(r_c=r_c, r_s=r_s, gap=r_c - r_s, r_cut=r_cut))
 
 
 # Below this thinning scale 1F1(k; k+1; -c) > 1 - c/2 rounds to 1, and
@@ -420,7 +435,7 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     if not 0.0 < p_a < math.inf or not p_b >= 0.0:
         raise ValidationError(
             f"require finite p_a > 0 W and p_b >= 0 W, got p_a={p_a}, p_b={p_b}")
-    c = _thinning_scale(r_c, r_s, p_a, params, r_cut)
+    c = _thinning_scale([(r_c, r_s)], p_a, params, r_cut)
     fields = _fields(c, _kept_mean(c, params, r_cut),
                      (2.0 ** (r_c - r_s) - 1.0) * p_b / p_a, params, r_cut)
     hits = 0
@@ -495,9 +510,8 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
             [u[:u.size // 2] for u in gains], [u[u.size // 2:] for u in gains]))
         is_fd, is_hd, p_a, p_b = decide_slots(gamma_ab, gamma_bb, solution, params)
         tx = is_fd | is_hd
-        c = np.where(is_fd[tx], *(
-            _thinning_scale(group.r_c, group.r_s, p_a[tx], params, r_cut)
-            for group in (fd, hd)))
+        c = _thinning_scale(((fd.r_c, fd.r_s), (hd.r_c, hd.r_s)), p_a[tx],
+                            params, r_cut, pick=is_hd[tx])
         tx_starts = np.concatenate(([0], np.cumsum(tx)))[starts].tolist()
         secrecy_outages += int(np.count_nonzero(_field_outages(
             rngs, tx_starts, c, _kept_mean(c, params, r_cut), p_b[tx], params,

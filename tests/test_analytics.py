@@ -12,8 +12,8 @@ from scipy.optimize import brentq
 from fdjam import (ValidationError, comparison_metrics, dbm_to_watts,
                    empirical_sop, hd_weight, sop_approx, sop_exact,
                    throughput_fd, throughput_hd)
-from fdjam.analytics import (_clamp01, cdf_phi_e_approx, cdf_phi_e_exact,
-                             _Outage, exposure_integral, log_exposure_approx)
+from fdjam.analytics import (_clamp01, _Outage, exposure_integral,
+                             log_exposure_approx)
 from fdjam.params import FdParams, HdParams, SwitchedSolution
 import fdjam.analytics as analytics
 
@@ -31,61 +31,77 @@ def fig_params(**overrides):
     return vi_defaults(p_a_max=P_A, p_b_max=P_B, **overrides)
 
 
+def rate_gap(x):
+    """The rate gap r_c - r_s whose SINR threshold 2^(r_c - r_s) - 1 is x,
+    to rounding."""
+    return math.log2(1.0 + x)
+
+
+# The best-eavesdropper SINR CDF F(x) is read through the SOP, 1 - F(x) at
+# x = 2^(r_c - r_s) - 1, the only way the program queries it.
+
 # ---------------------------------------------------------------- CDF limits
 
 def test_cdf_limits_exact():
     p = fig_params()
-    assert cdf_phi_e_exact(1e-4, P_A, P_B, p) < 1e-6
-    assert cdf_phi_e_exact(1e6, P_A, P_B, p) > 0.9999
+    assert 1.0 - sop_exact(P_A, P_B, 1.0 + rate_gap(1e-4), 1.0, p) < 1e-6
+    assert 1.0 - sop_exact(P_A, P_B, 1.0 + rate_gap(1e6), 1.0, p) > 0.9999
 
 
 def test_cdf_limits_approx():
     p = fig_params()
-    assert cdf_phi_e_approx(1e-4, P_A, P_B, p) < 1e-6
-    assert cdf_phi_e_approx(1e6, P_A, P_B, p) > 0.9999
-
-
-@pytest.mark.parametrize("cdf", [cdf_phi_e_exact, cdf_phi_e_approx])
-def test_cdf_nondecreasing_in_threshold(cdf):
-    p = fig_params()
-    values = [cdf(x, P_A, P_B, p) for x in np.logspace(-1, 3, 13)]
-    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-    assert all(0.0 <= v <= 1.0 for v in values)
+    assert 1.0 - sop_approx(P_A, P_B, 1.0 + rate_gap(1e-4), 1.0, p) < 1e-6
+    assert 1.0 - sop_approx(P_A, P_B, 1.0 + rate_gap(1e6), 1.0, p) > 0.9999
 
 
 def test_cdf_domain_error():
-    with pytest.raises(ValidationError):
-        cdf_phi_e_exact(0.0, P_A, P_B, fig_params())
-    with pytest.raises(ValidationError):
-        cdf_phi_e_approx(-1.0, P_A, P_B, fig_params())
+    # a rate gap of 2.2e-19 bits rounds x = 2^(r_c - r_s) - 1 to 0, outside
+    # the CDF's domain; r_s >= r_c (x <= 0) is refused before x is formed
+    r_s = 1e-3
+    r_c = math.nextafter(r_s, 1.0)
+    assert 2.0 ** (r_c - r_s) - 1.0 == 0.0
+    for sop in (sop_exact, sop_approx):
+        with pytest.raises(ValidationError, match="SINR threshold x"):
+            sop(P_A, P_B, r_c, r_s, fig_params())
+        with pytest.raises(ValidationError, match="require r_s < r_c"):
+            sop(P_A, P_B, r_s, r_c, fig_params())
 
 
 def test_approx_closed_form_reduces_without_jamming():
-    p = fig_params()
-    x = 5.0
-    expected = math.exp(-beta_of(p.alpha) * p.lambda_e
-                        * (p.sigma_e2 * x / P_A) ** (-2.0 / p.alpha))
-    assert cdf_phi_e_approx(x, P_A, 0.0, p) == pytest.approx(expected, rel=1e-12)
+    # at lambda_e = 1e-4 the outage is 1 - 8e-18, so sparser fields carry
+    # the comparison
+    r_c, r_s = 1.0 + rate_gap(5.0), 1.0
+    x = 2.0 ** (r_c - r_s) - 1.0
+    for lam in (1e-6, 1e-5, 1e-4):
+        p = fig_params(lambda_e=lam)
+        expected = 1.0 - math.exp(-beta_of(p.alpha) * p.lambda_e
+                                  * (p.sigma_e2 * x / P_A) ** (-2.0 / p.alpha))
+        assert sop_approx(P_A, 0.0, r_c, r_s, p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_exact_matches_approx_at_tiny_separation():
     p = fig_params(d_ab=0.2)
     for lam in (1e-5, 1e-4, 1e-3):
         q = dataclasses.replace(p, lambda_e=lam)
-        assert abs(cdf_phi_e_exact(X, P_A, P_B, q)
-                   - cdf_phi_e_approx(X, P_A, P_B, q)) < 1e-3
+        assert abs(sop_exact(P_A, P_B, R_C, R_S, q)
+                   - sop_approx(P_A, P_B, R_C, R_S, q)) < 1e-3
 
 
 def test_closed_form_is_the_paper_exposure():
-    # the log exposure over beta*lambda_e, and the CDF that reads it
+    # the log exposure over beta*lambda_e, and the SOP that reads it, over
+    # densities that put each threshold's outage away from 1
     p = fig_params()
-    for x in (1e-3, 0.7, X, 1e4):
+    for threshold in (1e-3, 0.7, X, 1e4):
+        r_c = 1.0 + rate_gap(threshold)
+        x = 2.0 ** (r_c - 1.0) - 1.0
         bound = ((1.0 + P_B * x / P_A) ** -1
                  * (p.sigma_e2 * x / P_A) ** (-2.0 / p.alpha))
         assert math.exp(log_exposure_approx(math.log(x), P_A, P_B, p)) \
             == pytest.approx(bound, rel=1e-12)
-        assert cdf_phi_e_approx(x, P_A, P_B, p) == pytest.approx(
-            math.exp(-beta_of(p.alpha) * p.lambda_e * bound), rel=1e-12)
+        for lam in (1e-6, 1e-5, 1e-4):
+            q = dataclasses.replace(p, lambda_e=lam)
+            assert sop_approx(P_A, P_B, r_c, 1.0, q) == pytest.approx(
+                1.0 - math.exp(-beta_of(p.alpha) * lam * bound), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
@@ -143,10 +159,17 @@ def test_sop_vanishes_without_eavesdroppers():
     assert sop_approx(P_A, P_B, 60.0, 1.0, fig_params()) < 1e-12
 
 
+# rate gaps of 1, 2, 3, 5 and 8 bits and those of a 13-point threshold grid
+# from x = 0.1 to 1000
+GAPS = sorted([1.0, 2.0, 3.0, 5.0, 8.0]
+              + [rate_gap(x) for x in np.logspace(-1, 3, 13)])
+
+
 def test_sop_monotone_in_rate_gap_and_powers():
     p = fig_params()
-    gaps = [sop_approx(P_A, P_B, 1.0 + g, 1.0, p) for g in (1, 2, 3, 5, 8)]
+    gaps = [sop_approx(P_A, P_B, 1.0 + g, 1.0, p) for g in GAPS]
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+    assert all(0.0 <= v <= 1.0 for v in gaps)
     in_pb = [sop_approx(P_A, pb, R_C, R_S, p) for pb in (0.0, 0.1, 1.0, 10.0)]
     assert all(a >= b for a, b in zip(in_pb, in_pb[1:]))
     in_pa = [sop_approx(pa, P_B, R_C, R_S, p) for pa in (0.01, 0.1, 1.0)]
@@ -158,8 +181,9 @@ def test_sop_monotone_in_rate_gap_and_powers():
 
 def test_exact_sop_monotone_in_rate_gap():
     p = fig_params()
-    values = [sop_exact(P_A, P_B, 1.0 + g, 1.0, p) for g in (2, 3, 5)]
+    values = [sop_exact(P_A, P_B, 1.0 + g, 1.0, p) for g in GAPS]
     assert all(a >= b for a, b in zip(values, values[1:]))
+    assert all(0.0 <= v <= 1.0 for v in values)
 
 
 def test_sop_agreement_at_baseline_distance():
@@ -375,8 +399,8 @@ def _mc_scenarios(n, seed):
 
 def test_exact_cdf_agrees_with_monte_carlo():
     for i, (params, p_a, p_b, x, r_cut) in enumerate(_mc_scenarios(5, seed=42)):
-        analytic = 1.0 - cdf_phi_e_exact(x, p_a, p_b, params)
-        r_c = 1.0 + math.log2(1.0 + x)
+        r_c = 1.0 + rate_gap(x)
+        analytic = sop_exact(p_a, p_b, r_c, 1.0, params)
         est = empirical_sop(p_a, p_b, r_c, 1.0, params, n_trials=5000,
                             r_cut=r_cut, seed=1000 + i)
         assert abs(est.value - analytic) <= 3.0 * max(est.stderr, 1e-4), \

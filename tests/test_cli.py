@@ -155,25 +155,26 @@ def test_infeasible_maps_to_exit_code_2(base_config, monkeypatch):
 
 
 def test_optimize_codeword_rate_beyond_double_range_exits_2(tmp_path, capsys):
-    # a vanishing outage bound pushes the half-duplex rate redundancy, and
-    # with it the codeword rate, past double range; the one-line error names
-    # the half-duplex group
+    # a huge transmit budget over a near-silent receiver pushes the
+    # half-duplex codeword rate past double range, with the outage root
+    # inside its window; the one-line error names the half-duplex group
     cfg = tmp_path / "huge_rate.ini"
     cfg.write_text("""\
 [system]
-alpha = 2.222424702851874
-d_ab_m = 84.11148891270575
-lambda_e_per_m2 = 1.5944075667651158e-12
-epsilon = 2.0806126910474596e-278
-sigma_b2_dbm = -142.52
-sigma_e2_dbm = -54.95
-rho_db = -31.62
-p_a_max_dbm = 69.49
-p_b_max_dbm = 4.43
+alpha = 4.0
+d_ab_m = 1.0
+lambda_e_per_m2 = 0.038
+epsilon = 0.1
+sigma_b2_w = 1e-206
+sigma_e2_w = 1e-182
+rho = 1e-7
+p_a_max_w = 1e100
+p_b_max_w = 1e-2
 """)
     assert main(["optimize", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("fdjam: infeasible: half-duplex group: ")
+    assert err.startswith("fdjam: infeasible: half-duplex group: codeword rate "
+                          "beyond representable range: ln(1+y)=700.65")
     assert err.count("\n") == 1
 
 
@@ -536,6 +537,34 @@ def test_kept_mean_at_alpha_50_runs(tmp_path, capsys, command):
         assert counts["fd"] == 0 and counts["hd"] + counts["silent"] == 500
         assert rep["transmissions"] == counts["hd"] > 0
         assert 0 <= rep["secrecy_outages"] <= rep["transmissions"]
+
+
+def test_simulate_idle_group_with_a_huge_rate_gap_runs(tmp_path, capsys):
+    # every slot jams, so the half-duplex group's 999-bit rate gap, whose
+    # thinning scale overflows, is never sent; it ended the run with exit 1
+    # after a numpy overflow warning
+    text = Path(DEFAULT_INI).read_text()
+    for old, new in (("sigma_e2_dbm = -90", "sigma_e2_w = 1e-3"),
+                     ("p_a_max_dbm = 10", "p_a_max_w = 10")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "loud.ini"
+    cfg.write_text(text)
+    reports = {}
+    for hd_r_c in (1000.0, 3.0):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({
+            "mu_b": 1.0,
+            "fd": {"r_c": 2.0, "r_s": 1.0, "mu_a": 0.1, "p_b_w": 1.0},
+            "hd": {"r_c": hd_r_c, "r_s": 1.0, "mu_a": 0.1},
+            "omega_s": 0.0, "omega_fd": 0.0, "omega_hd": 0.0}))
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--config", str(cfg), "--solution", str(design),
+                     "--slots", "2000", "--seed", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        reports[hd_r_c] = json.loads(out.read_text())["report"]
+    assert reports[1000.0] == reports[3.0]
+    assert reports[3.0]["mode_counts"] == {"fd": 1832, "hd": 0, "silent": 168}
 
 
 def test_simulate_rates_below_double_resolution_exit_1_naming_them(tmp_path,

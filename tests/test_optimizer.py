@@ -14,7 +14,7 @@ import fdjam.optimizer
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
                    dbm_to_watts, optimize, solve_step1, solve_step2, v_of_y)
 from fdjam.analytics import (comparison_metrics, hd_weight, log_exposure_approx,
-                             sop_approx)
+                             sop_approx, sop_exact)
 from fdjam.config import load_config
 from fdjam.params import solution_from_dict, solution_to_dict
 
@@ -461,6 +461,23 @@ def test_optimize_carries_its_solver_records():
 def _default_config():
     return load_config(str(Path(__file__).resolve().parents[1]
                            / "configs" / "default.ini"))
+
+
+@pytest.mark.parametrize("d_ab, fd_sop", [(10.0, 0.136093), (30.0, 0.257801)])
+def test_closed_form_design_breaks_epsilon_on_the_exact_outage(d_ab, fd_sop):
+    # a known fault, pinned so that it shows: the design meets epsilon on
+    # the closed-form outage, which holds for small d_ab only; on the
+    # quadrature its jamming group's worst case (p_a_max) exceeds epsilon
+    # = 0.1, while the half-duplex group (p_b = 0, where the two forms
+    # agree) meets it
+    config = _default_config()
+    p = dataclasses.replace(config.system, d_ab=d_ab)
+    sol = optimize(p, config.grid)
+    fd = sop_exact(p.p_a_max, sol.fd.p_b, sol.fd.r_c, sol.fd.r_s, p)
+    assert fd == pytest.approx(fd_sop, abs=1e-3)
+    assert fd > p.epsilon == 0.1
+    hd = sop_exact(p.p_a_max, 0.0, sol.hd.r_c, sol.hd.r_s, p)
+    assert hd <= p.epsilon * (1.0 + 1e-9)
 
 
 def test_step1_solves_per_default_design(monkeypatch):

@@ -342,7 +342,7 @@ def _strongly_jammed(alpha, d_ab, q=100.0):
 
 def _fields_of(p_a, p_b, params):
     """The fields ``empirical_sop`` draws at rates (4, 1) on SPLIT_R_CUT."""
-    c = sim._thinning_scale(4.0, 1.0, p_a, params, SPLIT_R_CUT)
+    c = sim._thinning_scale([(4.0, 1.0)], p_a, params, SPLIT_R_CUT)
     return sim._fields(c, _kept_mean(c, params, SPLIT_R_CUT),
                        7.0 * p_b / p_a, params, SPLIT_R_CUT)
 
@@ -479,6 +479,29 @@ def test_run_arguments_accept_numpy_integers():
 def test_empirical_sop_rejects_non_finite_powers(p_a, p_b):
     with pytest.raises(ValidationError, match="require finite p_a > 0 W and p_b >= 0 W"):
         empirical_sop(p_a, p_b, R_C, R_S, vi_defaults(), n_trials=10, **RUN_ARGS)
+
+
+def test_thinning_scale_overflow_is_a_validation_error_without_a_warning():
+    # sigma_e2*x/p_a*r_cut^alpha past double range on some rows of an array
+    # (x = 2^999 - 1, r_cut^alpha = 1.6e13): numpy warned of the overflow
+    # before the package's own error.  A pair no row picks cannot fail the
+    # call, and a faulty row names its own pair
+    p = vi_defaults(sigma_e2=1e-3)
+    rates = [(2.0, 1.0), (1000.0, 1.0)]
+    p_a = np.array([10.0, 1e-3, 10.0])
+    with _warnings_raise():
+        for call in (lambda: sim._thinning_scale(rates[1:], p_a, p, 2000.0),
+                     lambda: sim._thinning_scale(rates, p_a, p, 2000.0,
+                                                 pick=np.array([0, 1, 0]))):
+            with pytest.raises(ValidationError, match="rate gap r_c - r_s = 999.0 bits"):
+                call()
+        with pytest.raises(ValidationError, match=re.escape(
+                "transmit power 0 W at rates r_c = 1000.0, r_s = 1.0")):
+            sim._thinning_scale(rates, np.array([10.0, 10.0, 0.0]), p, 2000.0,
+                                pick=np.array([0, 0, 1]))
+        c = sim._thinning_scale(rates, p_a, p, 2000.0, pick=np.zeros(3, bool))
+    assert np.array_equal(c, sim._thinning_scale(rates[:1], p_a, p, 2000.0))
+    assert list(c) == [1e-3 * 1.0 / pa * 2000.0 ** 4 for pa in p_a]
 
 
 # ---------------------------------------------------------------- on-line
