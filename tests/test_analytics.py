@@ -54,6 +54,17 @@ def test_cdf_limits_approx():
     assert 1.0 - sop_approx(P_A, P_B, 1.0 + rate_gap(1e6), 1.0, p) > 0.9999
 
 
+@pytest.mark.parametrize("sop", [sop_exact, sop_approx],
+                         ids=["cdf_phi_e_exact", "cdf_phi_e_approx"])
+def test_cdf_nondecreasing_in_threshold(sop):
+    # F(x) = 1 - SOP at the rate gap log2(1 + x), through each outage route
+    p = fig_params()
+    values = [1.0 - sop(P_A, P_B, 1.0 + rate_gap(x), 1.0, p)
+              for x in np.logspace(-1, 3, 13)]
+    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    assert all(0.0 <= v <= 1.0 for v in values)
+
+
 def test_cdf_domain_error():
     # a rate gap of 2.2e-19 bits rounds x = 2^(r_c - r_s) - 1 to 0, outside
     # the CDF's domain; r_s >= r_c (x <= 0) is refused before x is formed
