@@ -304,11 +304,17 @@ def _rate_threshold(r_c: float, r_s: float) -> float:
         raise ValidationError(f"require r_s < r_c, got r_s={r_s}, r_c={r_c}")
     if r_s <= 0.0:
         raise ValidationError(f"r_s must be > 0: {r_s}")
+    gap = r_c - r_s
     try:
-        return 2.0 ** (r_c - r_s) - 1.0
+        x = 2.0 ** gap - 1.0
     except OverflowError:
-        raise ValidationError(f"rate gap r_c - r_s = {r_c - r_s} bits puts the "
+        raise ValidationError(f"rate gap r_c - r_s = {gap} bits puts the "
                               f"SINR threshold beyond double range") from None
+    if x == 0.0:
+        raise ValidationError(
+            f"rate gap r_c - r_s = {gap} bits (r_c={r_c}, r_s={r_s}) is below "
+            f"double resolution: 2^(r_c - r_s) rounds to 1")
+    return x
 
 
 def _sop_column(p_a: float, p_b: float, r_c: float, r_s: float,

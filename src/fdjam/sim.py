@@ -84,11 +84,11 @@ the same outputs as one block at a time and no option for either:
   a window's blocks draw their points in turn, and its points are tested
   together.
 
-``empirical_sop`` holds its powers fixed, so it forms each field's thinning
-scale and kept-count mean, and the jamming power, once per call and
-broadcasts them, evaluating a batch one field after the other;
-``run_online`` passes one value per transmitting slot through the same
-kernel.
+``empirical_sop`` holds its powers fixed, so :func:`_fields` forms every
+field's thinning scale and kept-count mean once per call, in one
+:func:`_kept_mean` call, and the kernel broadcasts them and the jamming
+power, evaluating a batch one field after the other; ``run_online`` passes
+one value per transmitting slot through the same kernel.
 """
 
 from __future__ import annotations
@@ -259,51 +259,57 @@ def _thinning_scale(rates, p_a, params: SystemParams, r_cut: float, pick=0):
 # Below this thinning scale 1F1(k; k+1; -c) > 1 - c/2 rounds to 1, and
 # c^(-k) may overflow (at a subnormal c for alpha near 2).
 _C_MIN = 2.0 ** -54
+# The largest mean numpy's Poisson sampler accepts.
+_POISSON_MAX = 9.223372006484771e18
 
 
-def _kept_share(k: float, c):
-    """1F1(k; k+1; -c) = Gamma(1+k) * c^(-k) * P(k, c) at c >= _C_MIN."""
-    return math.gamma(1.0 + k) * c ** -k * gammainc(k, c)
-
-
-def _kept_mean(c, params: SystemParams, r_cut: float):
+def _kept_mean(c: np.ndarray, params: SystemParams, radius) -> np.ndarray:
     """The mean number of eavesdroppers able to beat x without jamming,
-    lambda_e * pi * r_cut^2 * 1F1(k; k+1; -c), per row or for one thinning
-    scale, which stays a scalar (``empirical_sop`` forms one per candidate
-    inner radius); finite and positive at every finite c >= 0."""
+    lambda_e * pi * radius^2 * 1F1(k; k+1; -c) = lambda_e * pi * radius^2 *
+    Gamma(1+k) * c^(-k) * P(k, c), per thinning scale of ``c`` on a disk of
+    radius ``radius`` (one radius, or one per scale); finite and positive at
+    every finite c >= 0.  ValidationError, naming lambda_e and the largest
+    radius, where a mean is beyond numpy's Poisson sampler."""
     k = 2.0 / params.alpha
-    area = params.lambda_e * math.pi * r_cut * r_cut
-    if isinstance(c, np.ndarray):
-        return np.where(c < _C_MIN, area, area * _kept_share(k, np.maximum(c, _C_MIN)))
-    return area * _kept_share(k, c) if c >= _C_MIN else area
+    with np.errstate(over="ignore"):    # an infinite area is refused below
+        area = params.lambda_e * math.pi * radius * radius
+    s = np.maximum(c, _C_MIN)
+    mean = area * np.where(c < _C_MIN, 1.0,
+                           math.gamma(1.0 + k) * s ** -k * gammainc(k, s))
+    if not np.all(mean <= _POISSON_MAX):
+        raise ValidationError(
+            f"lambda_e = {params.lambda_e} per m^2 on a disk of radius "
+            f"{float(np.max(radius))} m is too dense to simulate: a mean kept "
+            f"count of {float(np.max(mean))} is beyond numpy's Poisson limit "
+            f"{_POISSON_MAX}")
+    return mean
 
 
-def _fields(c: float, mean: float, q: float, params: SystemParams,
-            r_cut: float) -> list:
+def _fields(c: float, q: float, params: SystemParams, r_cut: float) -> list:
     """The fields ``empirical_sop`` draws, in draw order, each as ``(c,
     mean, radius, bound)``: its thinning scale, kept-count mean, disk radius
-    and outer coin bound ``(r_in, p_out)`` or None, for one field of scale
-    ``c`` and mean ``mean`` at jamming weight ``q = x * p_b / p_a``.  The
-    module docstring states the split and its rule."""
-    one = [(c, mean, r_cut, None)]
-    if not q > 0.0:    # no jamming, or x = 0 (NaN at p_b = inf)
-        return one
+    and outer coin bound ``(r_in, p_out)`` or None, for rows of thinning
+    scale ``c`` at jamming weight ``q = x * p_b / p_a``.  One
+    :func:`_kept_mean` call forms the means of the whole disk and of every
+    candidate inner disk, and r_in is the first candidate with the fewest
+    expected points; the module docstring states the split and its rule."""
     alpha, d_ab = params.alpha, params.d_ab
-    best = None
-    j = -4
-    while (r_in := d_ab * 2.0 ** (j / 2.0)) < r_cut:
-        p_out = 1.0 / (1.0 + q * (r_in / (r_in + d_ab)) ** alpha)
-        c_in = c * (r_in / r_cut) ** alpha
-        mean_in = _kept_mean(c_in, params, r_in) * (1.0 - p_out)
-        points = mean * p_out + mean_in
-        if best is None or points < best[0]:
-            best = (points, r_in, p_out, c_in, mean_in)
-        j += 1
-    if best is None or not 0.0 < 2.0 * best[0] <= mean:
-        return one
-    _, r_in, p_out, c_in, mean_in = best
-    return [(c, mean * p_out, r_cut, (r_in, p_out)),
-            (c_in, mean_in, r_in, None)]
+    # j >= -4 while d_ab * 2^(j/2) < r_cut (r_cut / d_ab may overflow); no
+    # candidate without jamming, or at x = 0 (q is NaN at p_b = inf)
+    stop = 2.0 * (math.log2(r_cut) - math.log2(d_ab)) + 2.0 if q > 0.0 else -4.0
+    r_in = d_ab * 2.0 ** (np.arange(-4.0, stop) / 2.0)
+    r_in = r_in[r_in < r_cut]
+    c_in = c * (r_in / r_cut) ** alpha
+    mean = _kept_mean(np.append(c, c_in), params, np.append(r_cut, r_in))
+    p_out = 1.0 / (1.0 + q * (r_in / (r_in + d_ab)) ** alpha)
+    mean_in = mean[1:] * (1.0 - p_out)
+    points = mean[0] * p_out + mean_in
+    if points.size:
+        i = np.argmin(points)
+        if 0.0 < 2.0 * points[i] <= mean[0]:
+            return [(c, mean[0] * p_out[i], r_cut, (r_in[i], p_out[i])),
+                    (c_in[i], mean_in[i], r_in[i], None)]
+    return [(c, mean[0], r_cut, None)]
 
 
 def _beats_jamming(turn: np.ndarray, coin: np.ndarray, v: np.ndarray,
@@ -427,7 +433,9 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     2^(r_c - r_s) - 1.
 
     Transmit powers are held fixed across trials (this is the oracle for the
-    closed-form outage expressions, not the adaptive on-line scheme).
+    closed-form outage expressions, not the adaptive on-line scheme), so
+    the fields, with their thinning scales and kept-count means, are planned
+    once per call (:func:`_fields`) and serve every trial.
     """
     _check_run_args("n_trials", n_trials, r_cut, seed)
     if r_s > r_c:
@@ -436,8 +444,7 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
         raise ValidationError(
             f"require finite p_a > 0 W and p_b >= 0 W, got p_a={p_a}, p_b={p_b}")
     c = _thinning_scale([(r_c, r_s)], p_a, params, r_cut)
-    fields = _fields(c, _kept_mean(c, params, r_cut),
-                     (2.0 ** (r_c - r_s) - 1.0) * p_b / p_a, params, r_cut)
+    fields = _fields(c, (2.0 ** (r_c - r_s) - 1.0) * p_b / p_a, params, r_cut)
     hits = 0
     for rngs, starts in _batches(n_trials, seed, 0):
         outage = np.logical_or.reduce([

@@ -67,12 +67,15 @@ def test_cdf_nondecreasing_in_threshold(sop):
 
 def test_cdf_domain_error():
     # a rate gap of 2.2e-19 bits rounds x = 2^(r_c - r_s) - 1 to 0, outside
-    # the CDF's domain; r_s >= r_c (x <= 0) is refused before x is formed
+    # the CDF's domain, and the refusal names the rates and their gap;
+    # r_s >= r_c (x <= 0) is refused before x is formed
     r_s = 1e-3
     r_c = math.nextafter(r_s, 1.0)
     assert 2.0 ** (r_c - r_s) - 1.0 == 0.0
+    named = re.escape(f"rate gap r_c - r_s = {r_c - r_s} bits (r_c={r_c}, "
+                      f"r_s={r_s}) is below double resolution")
     for sop in (sop_exact, sop_approx):
-        with pytest.raises(ValidationError, match="SINR threshold x"):
+        with pytest.raises(ValidationError, match=named):
             sop(P_A, P_B, r_c, r_s, fig_params())
         with pytest.raises(ValidationError, match="require r_s < r_c"):
             sop(P_A, P_B, r_s, r_c, fig_params())

@@ -1055,6 +1055,31 @@ def test_simulate_beyond_the_thinning_range_exits_1(tmp_path, capsys):
     assert "at r_cut = 1e+100 m is too large to simulate" in err
 
 
+def test_validate_sop_beyond_the_poisson_limit_exits_1(capsys):
+    # numpy refuses a Poisson mean above about 9.2e18: one line naming the
+    # density and the disk, not a traceback
+    assert main(VSOP + ["--lambda-list", "1e300", "--trials", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: lambda_e = 1e+300 per m^2 "
+                          "on a disk of radius 2000.0 m is too dense")
+    assert err.count("\n") == 1
+
+
+def test_simulate_beyond_the_poisson_limit_exits_1(base_config, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "dense.ini"
+    cfg.write_text(BASE_INI.replace("lambda_e_per_m2 = 1e-5",
+                                    "lambda_e_per_m2 = 1e300"))
+    sol = tmp_path / "sol.json"
+    assert main(["optimize", "--config", base_config, "--out", str(sol)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--solution", str(sol),
+                 "--slots", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: lambda_e = 1e+300 per m^2 "
+                          "on a disk of radius 600.0 m is too dense")
+    assert err.count("\n") == 1
+
+
 def test_simulate_deterministic(base_config, tmp_path):
     sol_path = tmp_path / "sol.json"
     main(["optimize", "--config", base_config, "--out", str(sol_path)])

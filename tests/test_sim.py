@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -16,7 +17,7 @@ from fdjam.sim import (ModeCounts, _CHUNK, _beats_jamming, _kept_mean,
                        _truncated_gamma, sub_rng)
 
 from oracles import (blocks, empirical_sop_reference, kept_mean,
-                     sample_eve_field, vi_defaults)
+                     sample_eve_field, split_fields, vi_defaults)
 
 P_A = dbm_to_watts(20.0)
 P_B = dbm_to_watts(30.0)
@@ -127,23 +128,13 @@ def test_kept_points_follow_the_thinned_intensity(alpha, c):
     assert ks.pvalue > 1e-3, ks
 
 
-def _kept_means(c, params, radius):
-    """``_kept_mean`` at each scale of ``c``, by the scalar path (one call
-    per scale, which must return a scalar) and by one array call."""
-    scalar = [_kept_mean(float(ci), params, radius) for ci in c]
-    assert not any(isinstance(m, np.ndarray) for m in scalar)
-    return {"scalar": np.array(scalar),
-            "array": _kept_mean(np.asarray(c, dtype=float), params, radius)}
-
-
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
 def test_kept_mean_matches_the_hyp1f1_oracle(alpha):
     # the incomplete-gamma form against scipy's 1F1 where 1F1 is accurate
     p = vi_defaults(alpha=alpha, lambda_e=1e-4)
     c = np.concatenate(([0.0], np.logspace(-20.0, 9.0, 59)))
-    expect = kept_mean(c, p, 300.0)
-    for path, got in _kept_means(c, p, 300.0).items():
-        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0, err_msg=path)
+    np.testing.assert_allclose(_kept_mean(c, p, 300.0), kept_mean(c, p, 300.0),
+                               rtol=1e-13, atol=0.0)
 
 
 def _kummer(k, c):
@@ -164,11 +155,11 @@ KEPT_ALPHAS = [2.0, 2.2, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 35.0, 50.0]
 @pytest.mark.parametrize("alpha", KEPT_ALPHAS)
 def test_kept_mean_matches_the_kummer_series_up_to_40(alpha):
     p = vi_defaults(alpha=alpha, lambda_e=1e-4)
-    c = [0.0, 1e-300, 1e-12, 1e-3, 0.1, 1.0, 2.5, 10.0, 28.7, 40.0]
+    c = np.array([0.0, 1e-300, 1e-12, 1e-3, 0.1, 1.0, 2.5, 10.0, 28.7, 40.0])
     area = p.lambda_e * math.pi * 300.0 ** 2
     expect = [area * _kummer(2.0 / alpha, ci) for ci in c]
-    for path, got in _kept_means(c, p, 300.0).items():
-        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0, err_msg=path)
+    np.testing.assert_allclose(_kept_mean(c, p, 300.0), expect, rtol=1e-13,
+                               atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", KEPT_ALPHAS)
@@ -177,11 +168,11 @@ def test_kept_mean_is_the_whole_plane_limit_from_50(alpha):
     # scipy's 1F1 was NaN from c ~ 1e11, and the simulators refused to run
     p = vi_defaults(alpha=alpha, lambda_e=1e-4)
     k = 2.0 / alpha
-    c = [50.0, 1e3, 1e9, 1e11, 1e100, 1e200, 1e308]
+    c = np.array([50.0, 1e3, 1e9, 1e11, 1e100, 1e200, 1e308])
     area = p.lambda_e * math.pi * 300.0 ** 2
     expect = [area * math.gamma(1.0 + k) * ci ** -k for ci in c]
-    for path, got in _kept_means(c, p, 300.0).items():
-        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0, err_msg=path)
+    np.testing.assert_allclose(_kept_mean(c, p, 300.0), expect, rtol=1e-14,
+                               atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0, 50.0])
@@ -189,13 +180,12 @@ def test_kept_mean_at_extreme_scales_is_finite_and_at_most_the_area(alpha):
     # c^-k overflowed at a subnormal c for alpha = 2; c = 0 keeps every point
     p = vi_defaults(alpha=alpha, lambda_e=1e-4)
     area = p.lambda_e * math.pi * 300.0 ** 2
-    c = [0.0, 5e-324, 1e-310, 1e308]
+    c = np.array([0.0, 5e-324, 1e-310, 1e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        means = _kept_means(c, p, 300.0)
-    for path, got in means.items():
-        assert np.all(np.isfinite(got)) and np.all((got > 0.0) & (got <= area)), path
-        assert got[0] == area, path
+        got = _kept_mean(c, p, 300.0)
+    assert np.all(np.isfinite(got)) and np.all((got > 0.0) & (got <= area))
+    assert got[0] == area
 
 
 # ---------------------------------------------------------------- outage MC
@@ -343,8 +333,7 @@ def _strongly_jammed(alpha, d_ab, q=100.0):
 def _fields_of(p_a, p_b, params):
     """The fields ``empirical_sop`` draws at rates (4, 1) on SPLIT_R_CUT."""
     c = sim._thinning_scale([(4.0, 1.0)], p_a, params, SPLIT_R_CUT)
-    return sim._fields(c, _kept_mean(c, params, SPLIT_R_CUT),
-                       7.0 * p_b / p_a, params, SPLIT_R_CUT)
+    return sim._fields(c, 7.0 * p_b / p_a, params, SPLIT_R_CUT)
 
 
 def _record_fields(monkeypatch):
@@ -380,6 +369,30 @@ def test_outer_coin_bound_holds_beyond_r_in(alpha, d_ab):
 
 
 @pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+def test_fields_match_the_loop_oracle(alpha):
+    # one array call over every candidate inner disk plans the fields the
+    # oracle's loop plans, one hyp1f1 mean per candidate
+    seen = set()
+    for d_ab, r_cut, c, q in itertools.product(
+            (0.5, 10.0, 200.0), (50.0, 800.0, 5000.0), (1e-3, 2.0, 1e3),
+            (0.0, 1e-3, 1.0, 1e3, math.inf)):
+        params = vi_defaults(alpha=alpha, d_ab=d_ab)
+        got = sim._fields(c, q, params, r_cut)
+        expect = split_fields(c / r_cut ** alpha, q, params, r_cut, 1)
+        case = (d_ab, r_cut, c, q)
+        assert len(got) == len(expect), case
+        seen.add(len(got))
+        for (c_f, mean, radius, bound), field in zip(got, expect):
+            assert c_f == pytest.approx(field["c"][0], rel=1e-14, abs=0.0), case
+            assert mean == pytest.approx(field["mean"][0], rel=1e-12, abs=0.0), case
+            assert radius == pytest.approx(field["radius"], rel=1e-14, abs=0.0), case
+            assert (bound is None) == ("bound" not in field), case
+            if bound is not None:
+                assert bound == pytest.approx(field["bound"], rel=1e-14, abs=0.0), case
+    assert seen == {1, 2}
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
 @pytest.mark.parametrize("d_ab", [1.0, 10.0, 50.0])
 def test_two_fields_match_unthinned_reference(alpha, d_ab, monkeypatch):
     p_a, p_b, params = _strongly_jammed(alpha, d_ab)
@@ -400,8 +413,8 @@ def test_unsplit_calls_equal_the_one_field_engine(q, monkeypatch):
     assert len(_fields_of(p_a, p_b, params)) == 1
     args = (p_a, p_b, 4.0, 1.0, params, 3000, SPLIT_R_CUT, 34)
     split = empirical_sop(*args)
-    monkeypatch.setattr(sim, "_fields", lambda c, mean, _q, _params, r_cut:
-                        [(c, mean, r_cut, None)])
+    monkeypatch.setattr(sim, "_fields", lambda c, _q, params, r_cut: [
+        (c, _kept_mean(np.array([c]), params, r_cut)[0], r_cut, None)])
     assert split == empirical_sop(*args)
 
 

@@ -84,8 +84,7 @@ def _field_means(params, r_c, r_s, r_cut):
     P_B."""
     c = params.sigma_e2 * (2.0 ** (r_c - r_s) - 1.0) / P_A * r_cut ** params.alpha
     q = (2.0 ** (r_c - r_s) - 1.0) * P_B / P_A
-    return [float(mean) for _, mean, _, _ in sim._fields(
-        c, sim._kept_mean(c, params, r_cut), q, params, r_cut)]
+    return [float(mean) for _, mean, _, _ in sim._fields(c, q, params, r_cut)]
 
 
 @pytest.mark.parametrize("case, params, r_c, r_s, n, r_cut", [
