@@ -16,7 +16,9 @@ threshold the call visits.
 The throughput is quasi-concave in the jamming power: the single sign
 change of its derivative, bracketed by the floor and the budget, is found by
 Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
-1973; :func:`scipy.optimize.brentq`) on ln p_b (:func:`solve_step2`).  The
+1973) on ln p_b (:func:`solve_step2`).  :func:`_brentq` ports
+:func:`scipy.optimize.brentq` step for step, so roots and iteration counts
+are scipy's bit for bit and no command imports :mod:`scipy.optimize`.  The
 switch threshold is found on its grid by a Fibonacci search for the single
 peak of the throughput (:func:`optimize`), which returns exactly what an
 exhaustive scan of the grid returns.  Both searches are exact whenever the
@@ -261,6 +263,72 @@ def _derivative_sign(p_b: float, r1: Step1Result, outage: _Outage) -> float:
         return math.inf
 
 
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float
+            ) -> tuple[float, int]:
+    """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign, and
+    the iterations taken to find it.
+
+    Brent's method as :func:`scipy.optimize.brentq` runs it (its
+    ``brentq.c``, with its defaults), step for step, so the root and the
+    iteration count equal scipy's bit for bit; at a root on an end, where
+    scipy leaves its count unset, the count is 0.  ValueError where f is NaN
+    or f(a) and f(b) share a sign; RuntimeError after 100 iterations.
+    """
+    rtol, maxiter = 4.0 * math.ulp(1.0), 100
+
+    def at(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = at(xpre), at(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for i in range(1, maxiter + 1):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.nan     # C's inf or NaN: the test below bisects
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = at(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def solve_step2(mu_b: float, params: SystemParams,
                 grid: Optional[GridSpec] = None) -> Step2Result:
     """Maximize the step-1 throughput over the jamming power.
@@ -284,7 +352,7 @@ def _step2(mu_b: float, grid: GridSpec, outage: _Outage) -> Step2Result:
     checking its inputs."""
     params = outage.params
 
-    # step-1 solves by exact p_b, so no power is solved twice: brentq's end
+    # step-1 solves by exact p_b, so no power is solved twice: Brent's end
     # evaluations and the final solve at p_dag reuse solves already made
     @functools.cache
     def step1_at(p_b: float) -> Step1Result:
@@ -299,12 +367,8 @@ def _step2(mu_b: float, grid: GridSpec, outage: _Outage) -> Step2Result:
     elif floor == p_max or sign_at(p_max) >= 0.0:
         p_dag, capped, degenerate, iters = p_max, True, False, 0
     else:
-        # brentq on t = ln p_b; its ends map back to the powers solved
-        # above, not to exp(ln p) a few ulps away
-        # imported here so that validate-sop and simulate never load
-        # scipy.optimize, about a quarter of a second of import time
-        from scipy.optimize import brentq
-
+        # Brent's method on t = ln p_b; its ends map back to the powers
+        # solved above, not to exp(ln p) a few ulps away
         lo, hi = math.log(floor), math.log(p_max)
         ends = {lo: floor, hi: p_max}
 
@@ -312,15 +376,15 @@ def _step2(mu_b: float, grid: GridSpec, outage: _Outage) -> Step2Result:
             return ends.get(t) or math.exp(t)
 
         try:
-            t_root, info = brentq(lambda t: sign_at(power(t)), lo, hi,
-                                  xtol=_XTOL_LOG, full_output=True)
+            t_root, iters = _brentq(lambda t: sign_at(power(t)), lo, hi,
+                                    _XTOL_LOG)
         except (InfeasibleError, ValidationError):
             raise   # a step-1 failure keeps its own message
         except (ValueError, RuntimeError) as exc:
             raise InfeasibleError(
                 f"jamming-power root not found for p_b in "
                 f"[{floor:.6g}, {p_max:.6g}] W: {exc}") from exc
-        p_dag, capped, degenerate, iters = power(t_root), False, False, info.iterations
+        p_dag, capped, degenerate = power(t_root), False, False
 
     step1 = step1_at(p_dag)
     # relative residual of the stationarity condition varpi*y = gain at an

@@ -261,6 +261,9 @@ def _thinning_scale(rates, p_a, params: SystemParams, r_cut: float, pick=0):
 _C_MIN = 2.0 ** -54
 # The largest mean numpy's Poisson sampler accepts.
 _POISSON_MAX = 9.223372006484771e18
+# The most kept points ``empirical_sop`` draws in expectation per call:
+# more than a day of drawing at the engine's ~1e7 points/s per core.
+_DRAWN_MAX = 2.0 ** 40
 
 
 def _kept_mean(c: np.ndarray, params: SystemParams, radius) -> np.ndarray:
@@ -435,7 +438,9 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     Transmit powers are held fixed across trials (this is the oracle for the
     closed-form outage expressions, not the adaptive on-line scheme), so
     the fields, with their thinning scales and kept-count means, are planned
-    once per call (:func:`_fields`) and serve every trial.
+    once per call (:func:`_fields`) and serve every trial.  ValidationError,
+    naming lambda_e, r_cut and n_trials, where under jamming the trials
+    would draw more than 2^40 kept points in expectation.
     """
     _check_run_args("n_trials", n_trials, r_cut, seed)
     if r_s > r_c:
@@ -445,6 +450,13 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
             f"require finite p_a > 0 W and p_b >= 0 W, got p_a={p_a}, p_b={p_b}")
     c = _thinning_scale([(r_c, r_s)], p_a, params, r_cut)
     fields = _fields(c, (2.0 ** (r_c - r_s) - 1.0) * p_b / p_a, params, r_cut)
+    # without jamming no point is drawn, only the counts
+    drawn = n_trials * sum(float(mean) for _, mean, _, _ in fields)
+    if p_b > 0.0 and drawn > _DRAWN_MAX:
+        raise ValidationError(
+            f"lambda_e = {params.lambda_e} per m^2 on a disk of radius "
+            f"{r_cut} m is too dense to simulate: n_trials = {n_trials} would "
+            f"draw {drawn:.6g} kept points in expectation, more than 2^40")
     hits = 0
     for rngs, starts in _batches(n_trials, seed, 0):
         outage = np.logical_or.reduce([

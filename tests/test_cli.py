@@ -1065,6 +1065,19 @@ def test_validate_sop_beyond_the_poisson_limit_exits_1(capsys):
     assert err.count("\n") == 1
 
 
+def test_validate_sop_beyond_the_drawn_point_bound_exits_1(capsys):
+    # far below the Poisson limit, one jammed trial would still draw about
+    # 1.6e13 kept points, hours of work: one line naming the density, the
+    # disk and the trial count, not a run without end
+    assert main(VSOP + ["--lambda-list", "1e9", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdjam: validation error: lambda_e = 1000000000.0 "
+                          "per m^2 on a disk of radius 2000.0 m is too dense "
+                          "to simulate: n_trials = 1 would draw ")
+    assert err.endswith(" kept points in expectation, more than 2^40\n")
+    assert err.count("\n") == 1
+
+
 def test_simulate_beyond_the_poisson_limit_exits_1(base_config, tmp_path,
                                                    capsys):
     cfg = tmp_path / "dense.ini"
@@ -1172,12 +1185,13 @@ def test_reused_parser_leaves_no_state_behind(tmp_path, monkeypatch, capsys):
     assert reused == fresh
 
 
-def test_validate_sop_and_simulate_never_load_scipy_optimize(tmp_path):
-    # only step 2's brentq needs scipy.optimize, which is slow to import, and
-    # only sweep --jobs > 1 needs concurrent.futures.process (and with it
-    # multiprocessing), which no other fdjam module imports; the Monte Carlo
-    # engine runs on the calling thread, also in a field dense enough to keep
-    # thousands of points per batch, so concurrent.futures.thread stays out
+def test_no_command_loads_scipy_optimize(tmp_path):
+    # scipy.optimize is slow to import and no command needs it: step 2 runs
+    # its own port of brentq; only sweep --jobs > 1 needs
+    # concurrent.futures.process (and with it multiprocessing), which no
+    # other fdjam module imports; the Monte Carlo engine runs on the calling
+    # thread, also in a field dense enough to keep thousands of points per
+    # batch, so concurrent.futures.thread stays out
     design = tmp_path / "design.json"
     assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
     both = ["scipy.optimize", "concurrent.futures.process"]
@@ -1187,6 +1201,7 @@ import sys
 import fdjam.cli
 assert not set({both!r}) & set(sys.modules), "loaded by import fdjam.cli"
 for argv, unloaded in (
+        (["optimize", "--config", {DEFAULT_INI!r}], {both!r}),
         (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
           "--trials", "64"], {both!r}),
         (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
@@ -1194,8 +1209,7 @@ for argv, unloaded in (
           "--rate-gap", "3", "--trials", "1250"], {threads!r}),
         (["simulate", "--config", {DEFAULT_INI!r}, "--solution",
           {str(design)!r}, "--slots", "64"], {both!r}),
-        (["sweep", "--config", {SWEEP_INI!r}, "--jobs", "1"],
-         ["concurrent.futures.process"])):
+        (["sweep", "--config", {SWEEP_INI!r}, "--jobs", "1"], {both!r})):
     assert fdjam.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
     assert not set(unloaded) & set(sys.modules), "loaded by " + argv[0]
 """

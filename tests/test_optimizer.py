@@ -302,13 +302,92 @@ def test_step2_names_a_jamming_power_root_that_brentq_cannot_find(monkeypatch,
                             _sign_nan_inside(floor, p.p_b_max))
         reason = "NaN"
     else:
-        monkeypatch.setattr("scipy.optimize.brentq", _brentq_capped)
+        monkeypatch.setattr(fdjam.optimizer, "_brentq", _brentq_capped)
         reason = "Failed to converge after 100 iterations"
     with pytest.raises(InfeasibleError) as exc:
         solve_step2(mu_b, p)
     assert str(exc.value).startswith(
         f"jamming-power root not found for p_b in [{floor:.6g}, {p.p_b_max:.6g}] W: ")
     assert reason in str(exc.value)
+
+
+def _sign_family(kind: int, n: int, seed: int = 35):
+    """``n`` seeded sign functions of one kind, each with a bracket [a, b]
+    over which it changes sign, and a root tolerance."""
+    rng = np.random.default_rng((seed, kind))
+    for _ in range(n):
+        a = float(rng.uniform(-50.0, 10.0))
+        b = a + float(10.0 ** rng.uniform(-6.0, 2.0))
+        r, s = float(rng.uniform(a, b)), float(rng.choice([-1.0, 1.0]))
+        k, w = float(10.0 ** rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 1.0))
+        xtol = float(10.0 ** rng.uniform(-15.0, -3.0))
+        if kind == 0:       # of odd order at the root, and tiny: products
+            # of its values underflow, and the interpolation divides by 0
+            p = int(rng.integers(0, 3)) * 2 + 1
+            scale = float(10.0 ** rng.uniform(-300.0, 0.0))
+            f = lambda x, r=r, s=s, p=p, scale=scale: s * scale * (x - r) ** p
+        elif kind == 1:     # a staircase: flat stretches, no zero
+            f = lambda x, r=r, s=s, k=k: s * (math.floor(k * (x - r)) + 0.5)
+        elif kind == 2:     # clipped: flat beyond both levels
+            f = lambda x, r=r, s=s, k=k, w=w: s * min(max(k * (x - r) ** 3, -w),
+                                                      1.0 - w)
+        elif kind == 3:     # -inf and +inf beyond a point on each side
+            lo, hi = r - w * (r - a), r + w * (b - r)
+            f = lambda x, r=r, s=s, lo=lo, hi=hi: s * (
+                -math.inf if x < lo else math.inf if x > hi else (x - r) ** 3)
+        else:               # a saturating sign
+            f = lambda x, r=r, s=s, k=k: s * math.tanh(k * (x - r))
+        yield f, a, b, xtol
+
+
+def _search(solve):
+    """The root and iteration count a search returns, or its error's type
+    and message."""
+    try:
+        return solve()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _scipy_brentq(f, a, b, xtol):
+    from scipy.optimize import brentq
+    root, info = brentq(f, a, b, xtol=xtol, full_output=True)
+    return root, info.iterations
+
+
+@pytest.mark.parametrize("kind", range(5), ids=["tiny_odd_power", "staircase",
+                                                "clipped", "infinite_tails",
+                                                "saturating"])
+def test_brentq_port_equals_scipy_brentq(kind):
+    # the step-2 root search is a port of scipy's brentq, pinned to it here
+    # root for root, count for count and message for message (its iteration
+    # cap and a bracket [a, a] without a sign change included);
+    # scipy.optimize stays the reference, in tests only
+    for f, a, b, xtol in _sign_family(kind, 300):
+        for end in (b, a):
+            expected = _search(lambda: _scipy_brentq(f, a, end, xtol))
+            if 0.0 in (f(a), f(end)):   # a tiny value underflows: scipy
+                expected = expected[0], 0   # leaves its count unset
+            got = _search(lambda: fdjam.optimizer._brentq(f, a, end, xtol))
+            assert got == expected, (a, end, xtol)
+
+
+def test_brentq_port_equals_scipy_brentq_on_step2_signs(monkeypatch):
+    # every interior step-2 search of seeded random scenarios, on the very
+    # sign function solve_step2 passes (its step-1 solves are cached, so the
+    # second search sees the same values)
+    port, searches = fdjam.optimizer._brentq, []
+
+    def both(f, a, b, xtol):
+        found = port(f, a, b, xtol)
+        searches.append(found == _scipy_brentq(f, a, b, xtol))
+        return found
+
+    monkeypatch.setattr(fdjam.optimizer, "_brentq", both)
+    for sc in random_scenarios(100, seed=35):
+        for mu_b in np.logspace(-9.0, -5.0, 5):
+            solve_step2(float(mu_b), sc.params)
+    assert len(searches) >= 100 and all(searches)
 
 
 def test_step2_profile_quasi_concave():

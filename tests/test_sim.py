@@ -494,6 +494,21 @@ def test_empirical_sop_rejects_non_finite_powers(p_a, p_b):
         empirical_sop(p_a, p_b, R_C, R_S, vi_defaults(), n_trials=10, **RUN_ARGS)
 
 
+def test_empirical_sop_refuses_more_than_2_to_the_40_drawn_points():
+    # the bound is on the expected kept points of all trials together, and
+    # holds only under jamming: without it no point is drawn, only the counts
+    params, r_cut = vi_defaults(lambda_e=1e5), 2000.0
+    c = sim._thinning_scale([(R_C, R_S)], P_A, params, r_cut)
+    fields = sim._fields(c, (2.0 ** (R_C - R_S) - 1.0) * P_B / P_A, params, r_cut)
+    n = int(2.0 ** 40 / sum(float(mean) for _, mean, _, _ in fields)) + 1
+    assert 1 < n < 10_000
+    with pytest.raises(ValidationError, match=re.escape(
+            f"lambda_e = 100000.0 per m^2 on a disk of radius 2000.0 m is too "
+            f"dense to simulate: n_trials = {n} would draw ")):
+        empirical_sop(P_A, P_B, R_C, R_S, params, n, r_cut, seed=1)
+    assert empirical_sop(P_A, 0.0, R_C, R_S, params, n, r_cut, seed=1).value == 1.0
+
+
 def test_thinning_scale_overflow_is_a_validation_error_without_a_warning():
     # sigma_e2*x/p_a*r_cut^alpha past double range on some rows of an array
     # (x = 2^999 - 1, r_cut^alpha = 1.6e13): numpy warned of the overflow
