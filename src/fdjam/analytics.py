@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import InfeasibleError, ValidationError
 from .params import SwitchedSolution, SystemParams
@@ -69,8 +68,19 @@ _MIN_DECAY = _TAIL_EXPONENT / sys.float_info.max
 _MIN_LINK = math.sqrt(sys.float_info.min)
 _MAX_LINK = math.sqrt(sys.float_info.max)
 # Fixed-node rule for J (composite Gauss-Legendre; Davis & Rabinowitz,
-# Methods of Numerical Integration, 1984): 12 nodes per panel on both axes.
-_GL_NODES, _GL_WEIGHTS = roots_legendre(12)
+# Methods of Numerical Integration, 1984): 12 nodes per panel on both axes,
+# written as the bits of scipy.special.roots_legendre(12), which the tests
+# check (numpy's leggauss(12) differs in the last bits and would move J).
+_GL_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704749, -0.7699026741943047,
+    -0.5873179542866175, -0.36783149899818013, -0.12523340851146897,
+    0.12523340851146897, 0.36783149899818013, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704749, 0.9815606342467192])
+_GL_WEIGHTS = np.array([
+    0.04717533638651319, 0.10693932599531782, 0.16007832854334608,
+    0.20316742672306573, 0.2334925365383547, 0.2491470458134026,
+    0.2491470458134026, 0.2334925365383547, 0.20316742672306573,
+    0.16007832854334608, 0.10693932599531782, 0.04717533638651319])
 _PANEL_WIDTH = 1.0                # radial panel width near the scales, in t = ln u
 _LOW_EFOLDS = 40.0                # radial start below the smallest length scale
 _GRADE_MARGIN = 2.0               # panels double from this far below the scales

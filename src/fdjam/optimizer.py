@@ -7,8 +7,9 @@ and switch threshold, the throughput maximization over the rates reduces to
 two nested scalar roots in y = 2^r_c - 1 and yz = 2^(r_c - r_s) - 1.  The
 outage root pins yz; the first-order optimality condition pins y through
 the increasing map :func:`v_of_y`, in closed form by the Wright omega
-function (Corless and Jeffrey, "The Wright omega function", 2002;
-:func:`scipy.special.wrightomega`).  The half-duplex group is the same
+function (Corless and Jeffrey, "The Wright omega function", 2002), which
+:func:`_wrightomega` ports from :func:`scipy.special.wrightomega` step for
+step, bit for bit.  The half-duplex group is the same
 solution at p_b = 0 (:func:`solve_step1`).  The outage root depends on the
 jamming power only, so the object solves it once per power for every
 threshold the call visits.
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .analytics import _Outage, throughput_fd, throughput_hd
 from .errors import InfeasibleError, ValidationError
@@ -61,6 +61,8 @@ LN2 = math.log(2.0)
 
 # Root tolerance on the logarithm of the unknown (step 2).
 _XTOL_LOG = 1e-13
+# wright.cc's bound for a second Fritsch-Shafer-Crowley step, 72 * 2^-52
+_FSC_TOL = 72.0 * 2.0 ** -52
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -135,6 +137,42 @@ class Step1Result:
     varpi: float          # du/dp_b = d_ab^alpha*mu_b/p_a_max
 
 
+def _wrightomega(x: float) -> float:
+    """The Wright omega function at real ``x``: the w with w + ln w = x.
+
+    :func:`scipy.special.wrightomega` as its ``wright.cc`` computes it
+    (Lawrence, Corless and Jeffrey, ACM TOMS 38, 2012), step for step, so
+    the value equals scipy's bit for bit: exp(x) below -50 and x above 1e20
+    (where NaN and +-inf also land), else a starting guess on (-inf, -2),
+    [-2, 1) or [1, 1e20] and one Fritsch-Shafer-Crowley step, plus a second
+    where the first one's error bound exceeds 2^-52.
+    """
+    if math.isnan(x) or x > 1e20:
+        return x
+    if x < -50.0:
+        return math.exp(x)
+    if x < -2.0:
+        w = math.exp(x)
+    elif x < 1.0:
+        w = math.exp(2.0 * (x - 1.0) / 3.0)
+    else:
+        w = math.log(x)
+        w = x - w + w / x
+    # the step is written out twice, as in wright.cc: a loop costs a third
+    # more per call
+    r = x - w - math.log(w)
+    wp1 = w + 1.0
+    head = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+    w *= 1.0 + r / wp1 * (head - r) / (head - 2.0 * r)
+    if (abs((2.0 * w * w - 8.0 * w - 1.0) * abs(r) ** 4.0)
+            >= _FSC_TOL * abs(wp1) ** 6.0):
+        r = x - w - math.log(w)
+        wp1 = w + 1.0
+        head = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+        w *= 1.0 + r / wp1 * (head - r) / (head - 2.0 * r)
+    return w
+
+
 def _check_mu_b(mu_b: float) -> None:
     if not mu_b >= 0.0:
         raise ValidationError(f"mu_b must be >= 0: {mu_b}")
@@ -184,7 +222,7 @@ def _step1(p_b: float, mu_b: float, outage: _Outage) -> Step1Result:
     if c_rhs < -690.0:
         raise InfeasibleError(
             f"secrecy rate underflows: yz={yz_star}, u={u}, tau={outage.tau}")
-    z_star = float(wrightomega(c_rhs))
+    z_star = _wrightomega(c_rhs)
 
     log1p_y = log1p_yz + z_star
     if log1p_y > 700.0:

@@ -54,21 +54,22 @@ of the far field's points, which would lose their coin, are never drawn.
 Draw contract.  Trials (domain 0) and on-line slots (domain 1) are grouped
 in blocks of ``_BLOCK`` (256) consecutive indices, and block ``b`` of a run
 with master seed ``s`` draws from its own substream ``default_rng((s,
-domain, b))`` (:func:`sub_rng`).  A (seed, numpy version, block size) triple
-pins every result bit for bit; another block size draws different, equally
-valid numbers.  A block draws in a fixed order: the on-line simulator first
-draws the main-channel gains, then the self-interference gains, one per
-slot, by inverse CDF ``-log1p(-U)``; then, for the trials or transmitting
-slots in index order, the kept counts (Poisson); then the points of jammed
-rows in owner order, in chunks of ``_CHUNK`` points: per chunk the truncated
-Gamma(k) draws (rounds of ``Generator.gamma`` proposals where c >=
-Gamma(1+k)^(1/k), rounds of area-uniform positions and acceptance uniforms
-elsewhere), then the half-azimuths, then the jamming coins.  Consecutive
-uniforms come from one ``Generator.random`` call (the two gain vectors of a
-block; the azimuths and coins of a chunk), which fills them in stream order:
-the same numbers as one call per vector.  Where ``empirical_sop`` splits the
-field, each block draws the outer field's counts and points in that order,
-then the inner field's.
+domain, b))`` (:func:`sub_rng`).  A (seed, numpy version, scipy version,
+block size) tuple pins every result bit for bit: the scipy version through
+``scipy.special.gammainc``, which forms every kept-count mean.  Another
+block size draws different, equally valid numbers.  A block draws in a fixed
+order: the on-line simulator first draws the main-channel gains, then the
+self-interference gains, one per slot, by inverse CDF ``-log1p(-U)``; then,
+for the trials or transmitting slots in index order, the kept counts
+(Poisson); then the points of jammed rows in owner order, in chunks of
+``_CHUNK`` points: per chunk the truncated Gamma(k) draws (rounds of
+``Generator.gamma`` proposals where c >= Gamma(1+k)^(1/k), rounds of
+area-uniform positions and acceptance uniforms elsewhere), then the
+half-azimuths, then the jamming coins.  Consecutive uniforms come from one
+``Generator.random`` call (the two gain vectors of a block; the azimuths and
+coins of a chunk), which fills them in stream order: the same numbers as one
+call per vector.  Where ``empirical_sop`` splits the field, each block draws
+the outer field's counts and points in that order, then the inner field's.
 
 Evaluation.  No output depends on the order in which blocks, rows or points
 are evaluated, so a run can be sharded across workers as long as every
@@ -99,7 +100,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import ValidationError
 from .online import decide_slots, _path_gain
@@ -261,9 +261,22 @@ def _thinning_scale(rates, p_a, params: SystemParams, r_cut: float, pick=0):
 _C_MIN = 2.0 ** -54
 # The largest mean numpy's Poisson sampler accepts.
 _POISSON_MAX = 9.223372006484771e18
-# The most kept points ``empirical_sop`` draws in expectation per call:
-# more than a day of drawing at the engine's ~1e7 points/s per core.
+# The most kept points a run draws in expectation: more than a day of
+# drawing at the engine's ~1e7 points/s per core.
 _DRAWN_MAX = 2.0 ** 40
+
+
+def _check_drawn(drawn: float, params: SystemParams, r_cut: float,
+                 count_name: str, count: int) -> None:
+    """ValidationError, naming lambda_e, r_cut and the run's trial or slot
+    count, where ``drawn``, the kept points of a run's jammed rows in
+    expectation (``run_online``: those of its batches so far), exceeds
+    ``_DRAWN_MAX``."""
+    if drawn > _DRAWN_MAX:
+        raise ValidationError(
+            f"lambda_e = {params.lambda_e} per m^2 on a disk of radius "
+            f"{r_cut} m is too dense to simulate: {count_name} = {count} would "
+            f"draw {drawn:.6g} kept points in expectation, more than 2^40")
 
 
 def _kept_mean(c: np.ndarray, params: SystemParams, radius) -> np.ndarray:
@@ -273,6 +286,9 @@ def _kept_mean(c: np.ndarray, params: SystemParams, radius) -> np.ndarray:
     radius ``radius`` (one radius, or one per scale); finite and positive at
     every finite c >= 0.  ValidationError, naming lambda_e and the largest
     radius, where a mean is beyond numpy's Poisson sampler."""
+    # imported here, so that only the Monte Carlo commands load scipy
+    from scipy.special import gammainc
+
     k = 2.0 / params.alpha
     with np.errstate(over="ignore"):    # an infinite area is refused below
         area = params.lambda_e * math.pi * radius * radius
@@ -451,12 +467,9 @@ def empirical_sop(p_a: float, p_b: float, r_c: float, r_s: float,
     c = _thinning_scale([(r_c, r_s)], p_a, params, r_cut)
     fields = _fields(c, (2.0 ** (r_c - r_s) - 1.0) * p_b / p_a, params, r_cut)
     # without jamming no point is drawn, only the counts
-    drawn = n_trials * sum(float(mean) for _, mean, _, _ in fields)
-    if p_b > 0.0 and drawn > _DRAWN_MAX:
-        raise ValidationError(
-            f"lambda_e = {params.lambda_e} per m^2 on a disk of radius "
-            f"{r_cut} m is too dense to simulate: n_trials = {n_trials} would "
-            f"draw {drawn:.6g} kept points in expectation, more than 2^40")
+    if p_b > 0.0:
+        _check_drawn(n_trials * sum(float(mean) for _, mean, _, _ in fields),
+                     params, r_cut, "n_trials", n_trials)
     hits = 0
     for rngs, starts in _batches(n_trials, seed, 0):
         outage = np.logical_or.reduce([
@@ -512,7 +525,9 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
     eavesdropper field to test for secrecy outage against its own power and
     the active mode's rate gap.  Connection outages are counted (never
     expected: the transmit power is set to close the link budget exactly)
-    rather than silently ignored.
+    rather than silently ignored.  ValidationError, naming lambda_e, r_cut
+    and n_slots, before a batch whose jammed slots would take the run past
+    2^40 kept points in expectation.
     """
     _check_run_args("n_slots", n_slots, r_cut, seed)
 
@@ -520,6 +535,7 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
     loss = _path_gain(params)
 
     n_fd = n_hd = reliable_fd = reliable_hd = secrecy_outages = 0
+    drawn = 0.0
     for rngs, starts in _batches(n_slots, seed, 1):
         # per block one draw of uniforms: the main-channel gains', then the
         # SI gains'; exponential by inverse CDF, stable across numpy versions
@@ -532,9 +548,11 @@ def run_online(solution: SwitchedSolution, params: SystemParams, n_slots: int,
         c = _thinning_scale(((fd.r_c, fd.r_s), (hd.r_c, hd.r_s)), p_a[tx],
                             params, r_cut, pick=is_hd[tx])
         tx_starts = np.concatenate(([0], np.cumsum(tx)))[starts].tolist()
+        mean, p_b_tx = _kept_mean(c, params, r_cut), p_b[tx]
+        drawn += float(np.sum(mean, where=p_b_tx > 0.0))
+        _check_drawn(drawn, params, r_cut, "n_slots", n_slots)
         secrecy_outages += int(np.count_nonzero(_field_outages(
-            rngs, tx_starts, c, _kept_mean(c, params, r_cut), p_b[tx], params,
-            r_cut)))
+            rngs, tx_starts, c, mean, p_b_tx, params, r_cut)))
 
         c_b = np.log2(1.0 + p_a * gamma_ab * loss
                       / (params.sigma_b2 + params.rho * p_b * gamma_bb))

@@ -234,6 +234,16 @@ def _fixed_node_j(g):
     return exposure_integral(g["x"], g["p_a"], g["p_b"], params)
 
 
+
+def test_legendre_nodes_are_scipy_roots_legendre():
+    # J's 12 Gauss-Legendre nodes and weights are literals, pinned here
+    # element for element to scipy's (numpy's leggauss(12) differs in the
+    # last bits); scipy.special stays the reference, in tests only
+    from scipy.special import roots_legendre
+    nodes, weights = roots_legendre(12)
+    assert analytics._GL_NODES.tolist() == nodes.tolist()
+    assert analytics._GL_WEIGHTS.tolist() == weights.tolist()
+
 def test_exposure_integral_matches_adaptive_quadrature():
     rng = np.random.default_rng(20261018)
     for _ in range(120):

@@ -666,18 +666,23 @@ def test_help_and_version_exit_0(flag, capsys):
     assert "fdjam" in capsys.readouterr().out
 
 
+def _fresh_interpreter(args, **kwargs):
+    """``python *args`` in a fresh interpreter that imports this fdjam,
+    with a two-minute timeout."""
+    src = str(Path(fdjam.cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
 @pytest.mark.parametrize("argv, code, out, err", [
     (["--version"], 0, "fdjam 0.1.0\n", ""),
     (["optimize"], 1, "",
      "fdjam: validation error: the following arguments are required: --config\n")])
 def test_module_run_exits_with_the_status_of_main(tmp_path, argv, code, out,
                                                   err):
-    src = str(Path(fdjam.cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "fdjam.cli", *argv], env=env,
-                          cwd=tmp_path, capture_output=True, text=True,
-                          timeout=120)
+    done = _fresh_interpreter(["-m", "fdjam.cli", *argv], cwd=tmp_path)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
@@ -1093,6 +1098,28 @@ def test_simulate_beyond_the_poisson_limit_exits_1(base_config, tmp_path,
     assert err.count("\n") == 1
 
 
+def test_simulate_beyond_the_drawn_point_bound_exits_1(tmp_path):
+    # far below the Poisson limit, ten slots of the default design in a
+    # field of 1e9 eavesdroppers per m^2 would draw about 1.4e13 kept points
+    # and run for days: one line naming the density, the disk and the slot
+    # count, and no report.  Run in a subprocess, so that a regression ends
+    # in its timeout rather than hanging the suite
+    cfg = tmp_path / "dense.ini"
+    cfg.write_text(Path(DEFAULT_INI).read_text().replace(
+        "lambda_e_per_m2 = 1e-4", "lambda_e_per_m2 = 1e9"))
+    design, report = tmp_path / "design.json", tmp_path / "report.json"
+    assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
+    done = _fresh_interpreter(["-m", "fdjam.cli", "simulate", "--config",
+                               str(cfg), "--solution", str(design), "--slots",
+                               "10", "--out", str(report)])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(
+        "fdjam: validation error: lambda_e = 1000000000.0 per m^2 on a disk "
+        "of radius 2000.0 m is too dense to simulate: n_slots = 10 would draw ")
+    assert done.stderr.endswith(" kept points in expectation, more than 2^40\n")
+    assert done.stderr.count("\n") == 1
+    assert not report.exists()
+
 def test_simulate_deterministic(base_config, tmp_path):
     sol_path = tmp_path / "sol.json"
     main(["optimize", "--config", base_config, "--out", str(sol_path)])
@@ -1185,37 +1212,39 @@ def test_reused_parser_leaves_no_state_behind(tmp_path, monkeypatch, capsys):
     assert reused == fresh
 
 
-def test_no_command_loads_scipy_optimize(tmp_path):
-    # scipy.optimize is slow to import and no command needs it: step 2 runs
-    # its own port of brentq; only sweep --jobs > 1 needs
-    # concurrent.futures.process (and with it multiprocessing), which no
-    # other fdjam module imports; the Monte Carlo engine runs on the calling
-    # thread, also in a field dense enough to keep thousands of points per
-    # batch, so concurrent.futures.thread stays out
+def test_commands_load_only_the_scipy_they_need(tmp_path):
+    # scipy is slow to import: the design commands (optimize, sweep and the
+    # exact table) need none of it, as step 1 runs its own port of
+    # wrightomega and step 2 its own port of brentq, and J's Legendre nodes
+    # are literals; the Monte Carlo commands load scipy.special for gammainc
+    # only, and no command loads scipy.optimize.  Only sweep --jobs > 1
+    # needs concurrent.futures.process (and with it multiprocessing), which
+    # no other fdjam module imports; the Monte Carlo engine runs on the
+    # calling thread, also in a field dense enough to keep thousands of
+    # points per batch, so concurrent.futures.thread stays out
     design = tmp_path / "design.json"
     assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
     both = ["scipy.optimize", "concurrent.futures.process"]
+    design_only = both + ["scipy.special"]
     threads = both + ["concurrent.futures.thread"]
     script = f"""
 import sys
 import fdjam.cli
-assert not set({both!r}) & set(sys.modules), "loaded by import fdjam.cli"
+assert not set({design_only!r}) & set(sys.modules), "loaded by import fdjam.cli"
 for argv, unloaded in (
-        (["optimize", "--config", {DEFAULT_INI!r}], {both!r}),
+        (["optimize", "--config", {DEFAULT_INI!r}], {design_only!r}),
+        (["sweep", "--config", {SWEEP_INI!r}, "--jobs", "1"], {design_only!r}),
+        (["validate-sop", "--config", {DEFAULT_INI!r}, "--trials", "0"],
+         {design_only!r}),
         (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
           "--trials", "64"], {both!r}),
         (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
           "--lambda-list", "1e-3", "--p-a-w", "0.1", "--p-b-w", "1.0",
           "--rate-gap", "3", "--trials", "1250"], {threads!r}),
         (["simulate", "--config", {DEFAULT_INI!r}, "--solution",
-          {str(design)!r}, "--slots", "64"], {both!r}),
-        (["sweep", "--config", {SWEEP_INI!r}, "--jobs", "1"], {both!r})):
+          {str(design)!r}, "--slots", "64"], {both!r})):
     assert fdjam.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
     assert not set(unloaded) & set(sys.modules), "loaded by " + argv[0]
 """
-    src = str(Path(fdjam.cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _fresh_interpreter(["-c", script])
     assert done.returncode == 0, done.stderr

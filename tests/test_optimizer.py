@@ -311,6 +311,29 @@ def test_step2_names_a_jamming_power_root_that_brentq_cannot_find(monkeypatch,
     assert reason in str(exc.value)
 
 
+
+@pytest.mark.parametrize("error", [InfeasibleError, ValidationError])
+def test_step2_keeps_a_step1_error_raised_inside_the_brent_search(monkeypatch,
+                                                                  error):
+    # a step-1 solve that fails at a power strictly inside the bracket ends
+    # the search with its own error and message, not wrapped as a root that
+    # was not found
+    p, mu_b = interior_params(1e-4, 1e-2), 1e-9
+    floor, step1 = GridSpec().p_b_floor, fdjam.optimizer._step1
+    assert not solve_step2(mu_b, p).capped
+
+    def failing(p_b, mu_b, outage):
+        if p_b in (floor, p.p_b_max):
+            return step1(p_b, mu_b, outage)
+        raise error(f"step 1 fails at p_b = {p_b}")
+
+    monkeypatch.setattr(fdjam.optimizer, "_step1", failing)
+    with pytest.raises(error) as exc:
+        solve_step2(mu_b, p)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith("step 1 fails at p_b = ")
+    assert exc.value.__cause__ is None
+
 def _sign_family(kind: int, n: int, seed: int = 35):
     """``n`` seeded sign functions of one kind, each with a bracket [a, b]
     over which it changes sign, and a root tolerance."""
@@ -389,6 +412,36 @@ def test_brentq_port_equals_scipy_brentq_on_step2_signs(monkeypatch):
             solve_step2(float(mu_b), sc.params)
     assert len(searches) >= 100 and all(searches)
 
+
+
+@pytest.mark.parametrize("root_at", ["a", "b"])
+def test_brentq_port_returns_a_root_on_an_end_at_once(root_at):
+    # f exactly 0 at an end: that end, with no iteration (scipy returns the
+    # same root and leaves its count unset)
+    a, b = (2.0, 3.0) if root_at == "a" else (1.0, 2.0)
+    f = lambda x: x - 2.0
+    assert fdjam.optimizer._brentq(f, a, b, 1e-12) == (2.0, 0)
+    assert _scipy_brentq(f, a, b, 1e-12)[0] == 2.0
+
+
+def test_wrightomega_port_equals_scipy_wrightomega():
+    # step 1's Wright omega function is a port of scipy's, pinned to it here
+    # bit for bit (NaN for NaN); scipy.special stays the reference, in tests
+    # only.  The inputs: uniform on [-60, 60]; -700...700 in steps of 0.37;
+    # +-10^(-12...25); +-0, +-inf, NaN, and the branch edges -50, -2, 1 and
+    # 1e20 with their neighbours
+    from scipy.special import wrightomega
+    rng = np.random.default_rng(36)
+    edges = np.array([-50.0, -2.0, 1.0, 1e20, -1e20])
+    x = np.concatenate([
+        rng.uniform(-60.0, 60.0, 200_000), np.arange(-700.0, 700.0, 0.37),
+        np.multiply.outer([1.0, -1.0], 10.0 ** np.linspace(-12.0, 25.0, 50_000)).ravel(),
+        np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
+        [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    port = np.array([fdjam.optimizer._wrightomega(v) for v in x.tolist()])
+    expected = wrightomega(x)
+    assert np.array_equal(port, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(port), np.signbit(expected))
 
 def test_step2_profile_quasi_concave():
     for lam, eps, mu_b in [(1e-4, 1e-3, 1e-9), (1e-4, 0.1, 1e-7), (1e-12, 0.1, 1e-7)]:

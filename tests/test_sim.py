@@ -509,6 +509,37 @@ def test_empirical_sop_refuses_more_than_2_to_the_40_drawn_points():
     assert empirical_sop(P_A, 0.0, R_C, R_S, params, n, r_cut, seed=1).value == 1.0
 
 
+
+def test_online_run_refuses_more_than_2_to_the_40_drawn_points(monkeypatch):
+    # the bound is on the running sum of the kept-count means of the jammed
+    # slots, checked once per batch before its points are drawn; a run of
+    # HD slots only draws no point and sums 0
+    n, seen, check = 2 * sim._CHUNK + 100, [], sim._check_drawn
+
+    def recorded(drawn, *args):
+        seen.append(drawn)
+        check(drawn, *args)
+
+    monkeypatch.setattr(sim, "_check_drawn", recorded)
+    run_online(ONLINE_SOLUTION, ONLINE_PARAMS, n, 500.0, seed=1)
+    assert len(seen) == 3 and 0.0 < seen[0] < seen[1] < seen[2]
+    sums = seen[:]
+
+    monkeypatch.setattr(sim, "_DRAWN_MAX", (sums[0] + sums[1]) / 2.0)
+    seen.clear()
+    with pytest.raises(ValidationError, match=re.escape(
+            f"lambda_e = 1e-05 per m^2 on a disk of radius 500.0 m is too "
+            f"dense to simulate: n_slots = {n} would draw {sums[1]:.6g} kept "
+            f"points in expectation, more than 2^40")):
+        run_online(ONLINE_SOLUTION, ONLINE_PARAMS, n, 500.0, seed=1)
+    assert seen == sums[:2]
+
+    monkeypatch.setattr(sim, "_DRAWN_MAX", 0.0)
+    seen.clear()
+    hd_only = optimize(ONLINE_PARAMS, forced_mu_b=0.0)
+    assert run_online(hd_only, ONLINE_PARAMS, n, 500.0, seed=1).mode_counts.fd == 0
+    assert seen == [0.0, 0.0, 0.0]
+
 def test_thinning_scale_overflow_is_a_validation_error_without_a_warning():
     # sigma_e2*x/p_a*r_cut^alpha past double range on some rows of an array
     # (x = 2^999 - 1, r_cut^alpha = 1.6e13): numpy warned of the overflow
