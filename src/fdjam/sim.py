@@ -14,10 +14,13 @@ sampler draws the thinned process directly (independent thinning of a PPP):
 
 * the kept count per trial is Poisson with mean
   lambda_e * pi * r_cut^2 * 1F1(k; k+1; -c), with k = 2/alpha and
-  c = a * r_cut^alpha, formed as lambda_e * pi * r_cut^2 * Gamma(1+k) *
-  c^(-k) * P(k, c) (DLMF 8.5.1; P is the regularized lower incomplete gamma
-  function), which is defined at every finite c >= 0 (at a = 0 nothing is
-  thinned and the mean is lambda_e * pi * r_cut^2);
+  c = a * r_cut^alpha, which is defined at every finite c >= 0 (at a = 0
+  nothing is thinned and the mean is lambda_e * pi * r_cut^2).  Below
+  c = 38 it is summed as Kummer's series e^-c * sum_n c^n / (k+1)_n, whose
+  terms are all positive; from there on it is the whole plane's
+  Gamma(1+k) * c^(-k), as 1F1(k; k+1; -c) = Gamma(1+k) * c^(-k) * P(k, c)
+  (DLMF 8.5.1; P is the regularized lower incomplete gamma function) and
+  P(k, c) rounds to 1 there;
 * a kept point's v is Gamma(k) truncated to [0, c], and its distance is
   r_cut * (v / c)^(1/alpha);
 * by memorylessness gamma_ak = v + Exp(1).  Under jamming power p_b the
@@ -54,22 +57,21 @@ of the far field's points, which would lose their coin, are never drawn.
 Draw contract.  Trials (domain 0) and on-line slots (domain 1) are grouped
 in blocks of ``_BLOCK`` (256) consecutive indices, and block ``b`` of a run
 with master seed ``s`` draws from its own substream ``default_rng((s,
-domain, b))`` (:func:`sub_rng`).  A (seed, numpy version, scipy version,
-block size) tuple pins every result bit for bit: the scipy version through
-``scipy.special.gammainc``, which forms every kept-count mean.  Another
-block size draws different, equally valid numbers.  A block draws in a fixed
-order: the on-line simulator first draws the main-channel gains, then the
-self-interference gains, one per slot, by inverse CDF ``-log1p(-U)``; then,
-for the trials or transmitting slots in index order, the kept counts
-(Poisson); then the points of jammed rows in owner order, in chunks of
-``_CHUNK`` points: per chunk the truncated Gamma(k) draws (rounds of
-``Generator.gamma`` proposals where c >= Gamma(1+k)^(1/k), rounds of
-area-uniform positions and acceptance uniforms elsewhere), then the
-half-azimuths, then the jamming coins.  Consecutive uniforms come from one
-``Generator.random`` call (the two gain vectors of a block; the azimuths and
-coins of a chunk), which fills them in stream order: the same numbers as one
-call per vector.  Where ``empirical_sop`` splits the field, each block draws
-the outer field's counts and points in that order, then the inner field's.
+domain, b))`` (:func:`sub_rng`).  A (seed, numpy version, block size) tuple
+pins every result bit for bit.  Another block size draws different, equally
+valid numbers.  A block draws in a fixed order: the on-line simulator first
+draws the main-channel gains, then the self-interference gains, one per
+slot, by inverse CDF ``-log1p(-U)``; then, for the trials or transmitting
+slots in index order, the kept counts (Poisson); then the points of jammed
+rows in owner order, in chunks of ``_CHUNK`` points: per chunk the truncated
+Gamma(k) draws (rounds of ``Generator.gamma`` proposals where c >=
+Gamma(1+k)^(1/k), rounds of area-uniform positions and acceptance uniforms
+elsewhere), then the half-azimuths, then the jamming coins.  Consecutive
+uniforms come from one ``Generator.random`` call (the two gain vectors of a
+block; the azimuths and coins of a chunk), which fills them in stream order:
+the same numbers as one call per vector.  Where ``empirical_sop`` splits the
+field, each block draws the outer field's counts and points in that order,
+then the inner field's.
 
 Evaluation.  No output depends on the order in which blocks, rows or points
 are evaluated, so a run can be sharded across workers as long as every
@@ -256,9 +258,11 @@ def _thinning_scale(rates, p_a, params: SystemParams, r_cut: float, pick=0):
     raise ValidationError(fault.format(r_c=r_c, r_s=r_s, gap=r_c - r_s, r_cut=r_cut))
 
 
-# Below this thinning scale 1F1(k; k+1; -c) > 1 - c/2 rounds to 1, and
-# c^(-k) may overflow (at a subnormal c for alpha near 2).
-_C_MIN = 2.0 ** -54
+# From this thinning scale on Q(k, c) <= e^-c < 2^-54 for k = 2/alpha <= 1,
+# so P(k, c) = 1 - Q(k, c) rounds to 1 and the kept-count mean is the
+# whole plane's, Gamma(1+k) * c^(-k); below it Kummer's series sums in
+# at most ~100 terms.
+_C_PLANE = 38.0
 # The largest mean numpy's Poisson sampler accepts.
 _POISSON_MAX = 9.223372006484771e18
 # The most kept points a run draws in expectation: more than a day of
@@ -279,22 +283,37 @@ def _check_drawn(drawn: float, params: SystemParams, r_cut: float,
             f"draw {drawn:.6g} kept points in expectation, more than 2^40")
 
 
+def _kummer(k: float, c: float) -> float:
+    """1F1(k; k+1; -c) = e^-c * sum_n c^n / (k+1)_n (Kummer's transformation),
+    a sum of positive terms, to 2^-53 of the sum; exactly 1.0 below
+    c = 2^-54."""
+    term = total = 1.0
+    n = k
+    while term >= 2.0 ** -53 * total:
+        n += 1.0
+        term *= c / n
+        total += term
+    return math.exp(-c) * total
+
+
 def _kept_mean(c: np.ndarray, params: SystemParams, radius) -> np.ndarray:
     """The mean number of eavesdroppers able to beat x without jamming,
-    lambda_e * pi * radius^2 * 1F1(k; k+1; -c) = lambda_e * pi * radius^2 *
-    Gamma(1+k) * c^(-k) * P(k, c), per thinning scale of ``c`` on a disk of
-    radius ``radius`` (one radius, or one per scale); finite and positive at
+    lambda_e * pi * radius^2 * 1F1(k; k+1; -c), per thinning scale of ``c``
+    on a disk of radius ``radius`` (one radius, or one per scale): Kummer's
+    series below c = 38 (:func:`_kummer`), and from there on the whole
+    plane's Gamma(1+k) * c^(-k), where the regularized incomplete gamma
+    function P(k, c) of DLMF 8.5.1 rounds to 1.  Finite and positive at
     every finite c >= 0.  ValidationError, naming lambda_e and the largest
     radius, where a mean is beyond numpy's Poisson sampler."""
-    # imported here, so that only the Monte Carlo commands load scipy
-    from scipy.special import gammainc
-
     k = 2.0 / params.alpha
-    with np.errstate(over="ignore"):    # an infinite area is refused below
-        area = params.lambda_e * math.pi * radius * radius
-    s = np.maximum(c, _C_MIN)
-    mean = area * np.where(c < _C_MIN, 1.0,
-                           math.gamma(1.0 + k) * s ** -k * gammainc(k, s))
+    near = c < _C_PLANE
+    share = np.empty(c.shape)
+    share[near] = [_kummer(k, ci) for ci in c[near].tolist()]
+    # an infinite mean is refused below; a subnormal one (c^-k at c ~ 1e308
+    # for alpha near 2) is still a mean
+    with np.errstate(over="ignore", under="ignore"):
+        share[~near] = math.gamma(1.0 + k) * c[~near] ** -k
+        mean = params.lambda_e * math.pi * radius * radius * share
     if not np.all(mean <= _POISSON_MAX):
         raise ValidationError(
             f"lambda_e = {params.lambda_e} per m^2 on a disk of radius "

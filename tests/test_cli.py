@@ -503,8 +503,8 @@ def test_simulate_at_an_extreme_link_distance_exits_1(tmp_path, capsys, d_ab):
 @pytest.mark.parametrize("command", ["validate-sop", "simulate"])
 def test_kept_mean_at_alpha_50_runs(tmp_path, capsys, command):
     # at alpha = 50 the thinning scales reach c ~ 1e11-1e15, where scipy's
-    # 1F1(k; k+1; -c) was NaN and both commands exited 1; the incomplete
-    # gamma form of the kept-count mean is defined at every c
+    # 1F1(k; k+1; -c) was NaN and both commands exited 1; the kept-count
+    # mean, the whole plane's Gamma(1+k) * c^-k there, is defined at every c
     out = tmp_path / "out"
     if command == "validate-sop":
         argv = ["validate-sop", "--config", _with_system(tmp_path, alpha=50),
@@ -1212,39 +1212,41 @@ def test_reused_parser_leaves_no_state_behind(tmp_path, monkeypatch, capsys):
     assert reused == fresh
 
 
-def test_commands_load_only_the_scipy_they_need(tmp_path):
-    # scipy is slow to import: the design commands (optimize, sweep and the
-    # exact table) need none of it, as step 1 runs its own port of
-    # wrightomega and step 2 its own port of brentq, and J's Legendre nodes
-    # are literals; the Monte Carlo commands load scipy.special for gammainc
-    # only, and no command loads scipy.optimize.  Only sweep --jobs > 1
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is slow to import and no command needs it: step 1 runs its own
+    # port of wrightomega and step 2 its own port of brentq, J's Legendre
+    # nodes are literals, and the Monte Carlo kept-count mean sums Kummer's
+    # series; scipy stays the tests' reference.  Only sweep --jobs > 1
     # needs concurrent.futures.process (and with it multiprocessing), which
     # no other fdjam module imports; the Monte Carlo engine runs on the
     # calling thread, also in a field dense enough to keep thousands of
     # points per batch, so concurrent.futures.thread stays out
     design = tmp_path / "design.json"
     assert main(["optimize", "--config", DEFAULT_INI, "--out", str(design)]) == 0
-    both = ["scipy.optimize", "concurrent.futures.process"]
-    design_only = both + ["scipy.special"]
-    threads = both + ["concurrent.futures.thread"]
+    process = ["concurrent.futures.process"]
+    threads = process + ["concurrent.futures.thread"]
     script = f"""
 import sys
 import fdjam.cli
-assert not set({design_only!r}) & set(sys.modules), "loaded by import fdjam.cli"
+def scipy_free(step):
+    loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    assert not loaded, "loaded by " + step + ": " + ", ".join(sorted(loaded))
+scipy_free("import fdjam.cli")
 for argv, unloaded in (
-        (["optimize", "--config", {DEFAULT_INI!r}], {design_only!r}),
-        (["sweep", "--config", {SWEEP_INI!r}, "--jobs", "1"], {design_only!r}),
+        (["optimize", "--config", {DEFAULT_INI!r}], {process!r}),
+        (["sweep", "--config", {SWEEP_INI!r}, "--jobs", "1"], {process!r}),
         (["validate-sop", "--config", {DEFAULT_INI!r}, "--trials", "0"],
-         {design_only!r}),
+         {process!r}),
         (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
-          "--trials", "64"], {both!r}),
+          "--trials", "64"], {process!r}),
         (["validate-sop", "--config", {DEFAULT_INI!r}, "--d-ab", "10",
           "--lambda-list", "1e-3", "--p-a-w", "0.1", "--p-b-w", "1.0",
           "--rate-gap", "3", "--trials", "1250"], {threads!r}),
         (["simulate", "--config", {DEFAULT_INI!r}, "--solution",
-          {str(design)!r}, "--slots", "64"], {both!r})):
+          {str(design)!r}, "--slots", "64"], {process!r})):
     assert fdjam.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
     assert not set(unloaded) & set(sys.modules), "loaded by " + argv[0]
+    scipy_free(argv[0])
 """
     done = _fresh_interpreter(["-c", script])
     assert done.returncode == 0, done.stderr

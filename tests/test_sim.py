@@ -130,13 +130,17 @@ def test_kept_points_follow_the_thinned_intensity(alpha, c):
 
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
 def test_kept_mean_matches_the_hyp1f1_oracle(alpha):
-    # the incomplete-gamma form against scipy's 1F1 where 1F1 is accurate
+    # the kept-count mean against scipy's 1F1 where 1F1 is accurate
     p = vi_defaults(alpha=alpha, lambda_e=1e-4)
     c = np.concatenate(([0.0], np.logspace(-20.0, 9.0, 59)))
     np.testing.assert_allclose(_kept_mean(c, p, 300.0), kept_mean(c, p, 300.0),
                                rtol=1e-13, atol=0.0)
 
 
+# No longer an independent check: below c = 38 sim._kept_mean sums this same
+# series (to 2^-53 of the sum, not 1e-17), so the tests against it pin the
+# cut-off and the stopping rule; scipy's hyp1f1 and gammainc are the
+# independent references.
 def _kummer(k, c):
     """1F1(k; k+1; -c) = e^-c * sum_n c^n / (k+1)_n (Kummer's transformation),
     a sum of positive terms."""
@@ -150,6 +154,27 @@ def _kummer(k, c):
 
 
 KEPT_ALPHAS = [2.0, 2.2, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 35.0, 50.0]
+
+
+@pytest.mark.parametrize("alpha", KEPT_ALPHAS)
+def test_kept_mean_matches_the_gammainc_form(alpha):
+    # the mean as scipy's gammainc formed it: equal bit for bit from c = 38,
+    # where P(k, c) rounds to 1 and both are the whole plane's
+    # Gamma(1+k) * c^-k, and the area itself below c = 2^-54
+    p = vi_defaults(alpha=alpha, lambda_e=1e-4)
+    k = 2.0 / alpha
+    area = p.lambda_e * math.pi * 300.0 ** 2
+    c = np.concatenate((np.logspace(-16.0, 300.0), np.linspace(0.0, 60.0),
+                        [np.nextafter(38.0, 0.0), 38.0, 5e-324, 1e-310]))
+    got = _kept_mean(c, p, 300.0)
+    tiny = c < 2.0 ** -54
+    assert {0.0, 5e-324, 1e-310} <= set(c[tiny]) and np.all(got[tiny] == area)
+    s = c[~tiny]
+    expect = area * (math.gamma(1.0 + k) * s ** -k * gammainc(k, s))
+    np.testing.assert_allclose(got[~tiny], expect, rtol=1e-14, atol=0.0)
+    plane = s >= 38.0
+    assert np.count_nonzero(plane) > 50
+    assert np.all(got[~tiny][plane] == expect[plane])
 
 
 @pytest.mark.parametrize("alpha", KEPT_ALPHAS)
@@ -177,12 +202,12 @@ def test_kept_mean_is_the_whole_plane_limit_from_50(alpha):
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0, 50.0])
 def test_kept_mean_at_extreme_scales_is_finite_and_at_most_the_area(alpha):
-    # c^-k overflowed at a subnormal c for alpha = 2; c = 0 keeps every point
+    # c^-k overflowed at a subnormal c for alpha = 2; c = 0 keeps every point;
+    # a series summed in numpy underflowed at tiny c
     p = vi_defaults(alpha=alpha, lambda_e=1e-4)
     area = p.lambda_e * math.pi * 300.0 ** 2
-    c = np.array([0.0, 5e-324, 1e-310, 1e308])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    c = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e308])
+    with _warnings_raise():
         got = _kept_mean(c, p, 300.0)
     assert np.all(np.isfinite(got)) and np.all((got > 0.0) & (got <= area))
     assert got[0] == area
