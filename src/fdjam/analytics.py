@@ -48,8 +48,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
-from .params import SwitchedSolution, SystemParams
+from .params import (InfeasibleError, SwitchedSolution, SystemParams,
+                     ValidationError)
 
 __all__ = [
     "ComparisonMetrics", "exposure_integral", "field_beta", "exposure_budget",

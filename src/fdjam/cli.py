@@ -33,9 +33,9 @@ import numpy as np
 from . import __version__
 from .analytics import _sop_column, comparison_metrics
 from .config import Config, _value_db, load_config, resolved_dict, sweep_values
-from .errors import InfeasibleError, ValidationError
 from .optimizer import optimize
-from .params import solution_from_dict, solution_to_dict
+from .params import (InfeasibleError, ValidationError, solution_from_dict,
+                     solution_to_dict)
 from .sim import _BLOCK, empirical_sop, run_online
 
 __all__ = ["main"]

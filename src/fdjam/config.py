@@ -14,7 +14,7 @@ other section is accepted):
     p_a_max_dbm      = 10      ; or p_a_max_w
     p_b_max_dbm      = 10      ; or p_b_max_w
 
-    [grid]                   ; optional, defaults in fdjam.optimizer.GridSpec
+    [grid]                   ; optional, defaults in fdjam.params.GridSpec
     mu_b_min_db      = -100    ; or mu_b_min (linear)
     mu_b_max_db      = -50     ; or mu_b_max
     mu_b_steps       = 60
@@ -46,10 +46,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .optimizer import GridSpec
-from .params import SystemParams, validate
-from .units import dbm_to_watts, db_to_linear, linear_to_db, watts_to_dbm
+from .params import (GridSpec, SystemParams, ValidationError, db_to_linear,
+                     dbm_to_watts, linear_to_db, validate, watts_to_dbm)
 
 __all__ = ["SweepSpec", "Config", "load_config", "sweep_values", "resolved_dict"]
 
@@ -113,9 +111,17 @@ class SweepSpec:
             raise ValidationError(f"sweep steps must be >= 2: {self.steps}")
         if self.scale not in ("linear", "log", "dB"):
             raise ValidationError(f"sweep scale {self.scale!r} not in linear/log/dB")
-        if self.scale == "dB" and _FIELDS[self.variable][2] not in _TO_DB:
-            raise ValidationError(
-                f"sweep variable {self.variable!r} has no dB representation")
+        if self.scale == "dB":
+            unit = _FIELDS[self.variable][2]
+            if unit not in _TO_DB:
+                raise ValidationError(
+                    f"sweep variable {self.variable!r} has no dB representation")
+            for key, value in (("min", self.vmin), ("max", self.vmax)):
+                try:
+                    _FROM_DB[unit](value)
+                except OverflowError as exc:
+                    raise ValidationError(
+                        f"[sweep] {key} = {value} overflows in linear units") from exc
         if self.scale == "log" and self.vmin <= 0.0:
             raise ValidationError(f"log sweep requires min > 0: {self.vmin}")
         return self

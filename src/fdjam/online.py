@@ -18,8 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .params import SwitchedSolution, SystemParams
+from .params import SwitchedSolution, SystemParams, ValidationError
 
 __all__ = ["Mode", "Action", "decide", "decide_slots"]
 

@@ -28,7 +28,7 @@ assume it.
 
 A root outside its window, a root search that does not converge, and an
 outage budget or a rate beyond double range raise
-:class:`~fdjam.errors.InfeasibleError` naming the quantity and its window.
+:class:`~fdjam.params.InfeasibleError` naming the quantity and its window.
 """
 
 from __future__ import annotations
@@ -36,21 +36,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .analytics import _Outage, throughput_fd, throughput_hd
-from .errors import InfeasibleError, ValidationError
-from .params import (FdParams, HdParams, SwitchedSolution, SystemParams,
-                     validate)
-from .units import dbm_to_watts
+from .params import (FdParams, GridSpec, HdParams, InfeasibleError,
+                     Step1Result, Step2Result, SwitchedSolution, SystemParams,
+                     ValidationError, validate)
 
 __all__ = [
-    "GridSpec",
-    "Step1Result",
-    "Step2Result",
     "v_of_y",
     "solve_step1",
     "solve_step2",
@@ -63,40 +56,6 @@ LN2 = math.log(2.0)
 _XTOL_LOG = 1e-13
 # wright.cc's bound for a second Fritsch-Shafer-Crowley step, 72 * 2^-52
 _FSC_TOL = 72.0 * 2.0 ** -52
-
-@dataclass(frozen=True)
-class GridSpec:
-    """The mode-switch threshold grid and the jamming-power search range.
-
-    ``mu_b_steps`` logarithmic points cover [mu_b_min, mu_b_max], with the
-    pure-HD point mu_b = 0 always prepended.  The jamming power is searched
-    over [p_b_floor, p_b_max] (the floor capped at the budget); the floor
-    also serves as the reported power when the throughput decreases over the
-    whole range (degenerate FD).
-    """
-
-    mu_b_min: float = 1e-10
-    mu_b_max: float = 1e-5
-    mu_b_steps: int = 60
-    p_b_floor: float = dbm_to_watts(-10.0)
-
-    def check(self, params: SystemParams) -> None:
-        if not 0.0 < self.mu_b_min <= self.mu_b_max:
-            raise ValidationError(
-                f"grid requires 0 < mu_b_min <= mu_b_max, got "
-                f"[{self.mu_b_min}, {self.mu_b_max}]")
-        if self.mu_b_steps < 1:
-            raise ValidationError(f"mu_b_steps must be >= 1: {self.mu_b_steps}")
-        if not self.p_b_floor > 0.0:
-            raise ValidationError(f"p_b_floor must be > 0 W: {self.p_b_floor}")
-        if params.p_b_max <= 0.0:
-            raise ValidationError(
-                f"p_b_max must be > 0 W to design the jamming mode: {params.p_b_max}")
-
-    def mu_b_values(self) -> np.ndarray:
-        log_pts = np.logspace(math.log10(self.mu_b_min),
-                              math.log10(self.mu_b_max), self.mu_b_steps)
-        return np.concatenate(([0.0], log_pts))
 
 
 # --------------------------------------------------------------------------
@@ -115,26 +74,6 @@ def v_of_y(y: float, u: float) -> float:
     if not u > 0.0:
         raise ValidationError(f"u must be > 0: {u}")
     return (1.0 + y) * math.exp(-1.0 / (u * (1.0 + y))) - 1.0
-
-
-@dataclass(frozen=True)
-class Step1Result:
-    """Optimal rates and on-off threshold for fixed jamming power and switch level."""
-
-    y_star: float         # 2^r_c - 1 at the optimum
-    yz_star: float        # 2^(r_c - r_s) - 1 pinned by the outage constraint
-    r_c: float            # codeword rate [bits/s/Hz]
-    r_s: float            # secrecy rate [bits/s/Hz]
-    mu_a: float           # on-off threshold, = u * y_star
-    omega_tilde: float    # r_s * exp(-mu_a)
-    residual: float       # relative residual of the optimality equation at y_star
-    omega_forms_gap: float  # relative gap between the two closed forms of omega_tilde
-    iterations: int       # Newton steps of the solve that found yz (0 at
-                          # p_b = 0, where it is closed form); a design makes
-                          # one per p_b, shared by every mu_b (the rates are
-                          # closed-form)
-    u: float              # d_ab^alpha*(sigma_b2 + p_b*mu_b)/p_a_max
-    varpi: float          # du/dp_b = d_ab^alpha*mu_b/p_a_max
 
 
 def _wrightomega(x: float) -> float:
@@ -258,18 +197,6 @@ def _step1(p_b: float, mu_b: float, outage: _Outage) -> Step1Result:
 # --------------------------------------------------------------------------
 # step 2: jamming power
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Step2Result:
-    """Optimal jamming power for a given switch threshold."""
-
-    p_b_dagger: float       # chosen jamming power [W]
-    capped: bool            # p_b_dagger == p_b_max (interior root above budget)
-    degenerate: bool        # throughput decreases over the whole range; floor used
-    step1: Step1Result      # rates/threshold at p_b_dagger
-    residual: float         # relative residual of the stationarity equation
-    iterations: int         # Brent iterations refining the sign change, else 0
-
 
 def _log_gain(p_b: float, r1: Step1Result, outage: _Outage) -> float:
     """ln of the gain u*v^2*(1+y)/(w*(1+v)) in the step-2 stationarity

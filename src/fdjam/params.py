@@ -1,4 +1,16 @@
-"""Domain types for the switched FD/HD jamming-receiver link design.
+"""The package's base module: the values every stage shares.
+
+It holds the scenario (:class:`SystemParams`, :func:`validate`), the
+package's two error types, the dB/linear converters, the design grid
+(:class:`GridSpec`), the solver's step records (:class:`Step1Result`,
+:class:`Step2Result`), and the design output (:class:`SwitchedSolution`)
+with its (de)serialization.  Every other module imports from here, and
+this module from no other.
+
+The package computes in linear units: watts for powers and plain ratios for
+gains and thresholds.  Decibel values appear only where configs are read and
+reports are written, and the four converters here are the only place the
+conversion happens.
 
 All types are immutable value objects.  Construction performs no checking;
 call :func:`validate` (done automatically by the config loader and the
@@ -11,23 +23,72 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import Any, Dict, Optional
 
-from .errors import ValidationError
-from .units import linear_to_db, watts_to_dbm
-
-if TYPE_CHECKING:
-    from .optimizer import Step1Result, Step2Result
+import numpy as np
 
 __all__ = [
+    "ValidationError",
+    "InfeasibleError",
+    "dbm_to_watts",
+    "watts_to_dbm",
+    "db_to_linear",
+    "linear_to_db",
     "SystemParams",
     "FdParams",
     "HdParams",
+    "GridSpec",
+    "Step1Result",
+    "Step2Result",
     "SwitchedSolution",
     "validate",
     "solution_to_dict",
     "solution_from_dict",
 ]
+
+
+class ValidationError(ValueError):
+    """A parameter, configuration entry, or argument violates its contract.
+
+    The message always names the offending field or flag.
+    """
+
+
+class InfeasibleError(RuntimeError):
+    """A root has no sign change in its window, a closed form leaves double
+    range, or the problem has no feasible point.
+
+    The message names the quantity and its window (or the offending derived
+    value), so the caller can see where the design left the feasible range.
+    """
+
+
+def dbm_to_watts(x_dbm: float) -> float:
+    """Convert a power from dBm to watts (0 dBm = 1 mW)."""
+    if not math.isfinite(x_dbm):
+        raise ValueError(f"dBm value must be finite, got {x_dbm}")
+    return 10.0 ** (x_dbm / 10.0) * 1e-3
+
+
+def watts_to_dbm(p_watts: float) -> float:
+    """Convert a power from watts to dBm. Requires p_watts > 0."""
+    if not p_watts > 0.0:
+        raise ValueError(f"power must be > 0 W to express in dBm, got {p_watts}")
+    return 10.0 * math.log10(p_watts * 1e3)
+
+
+def db_to_linear(x_db: float) -> float:
+    """Convert a dimensionless ratio from dB to linear (x -> 10^(x/10))."""
+    if not math.isfinite(x_db):
+        raise ValueError(f"dB value must be finite, got {x_db}")
+    return 10.0 ** (x_db / 10.0)
+
+
+def linear_to_db(v: float) -> float:
+    """Convert a dimensionless linear ratio to dB. Requires v > 0."""
+    if not v > 0.0:
+        raise ValueError(f"ratio must be > 0 to express in dB, got {v}")
+    return 10.0 * math.log10(v)
 
 
 @dataclass(frozen=True)
@@ -98,6 +159,73 @@ class HdParams:
     r_c: float
     r_s: float
     mu_a: float
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """The mode-switch threshold grid and the jamming-power search range.
+
+    ``mu_b_steps`` logarithmic points cover [mu_b_min, mu_b_max], with the
+    pure-HD point mu_b = 0 always prepended.  The jamming power is searched
+    over [p_b_floor, p_b_max] (the floor capped at the budget); the floor
+    also serves as the reported power when the throughput decreases over the
+    whole range (degenerate FD).
+    """
+
+    mu_b_min: float = 1e-10
+    mu_b_max: float = 1e-5
+    mu_b_steps: int = 60
+    p_b_floor: float = dbm_to_watts(-10.0)
+
+    def check(self, params: SystemParams) -> None:
+        if not 0.0 < self.mu_b_min <= self.mu_b_max:
+            raise ValidationError(
+                f"grid requires 0 < mu_b_min <= mu_b_max, got "
+                f"[{self.mu_b_min}, {self.mu_b_max}]")
+        if self.mu_b_steps < 1:
+            raise ValidationError(f"mu_b_steps must be >= 1: {self.mu_b_steps}")
+        if not self.p_b_floor > 0.0:
+            raise ValidationError(f"p_b_floor must be > 0 W: {self.p_b_floor}")
+        if params.p_b_max <= 0.0:
+            raise ValidationError(
+                f"p_b_max must be > 0 W to design the jamming mode: {params.p_b_max}")
+
+    def mu_b_values(self) -> np.ndarray:
+        log_pts = np.logspace(math.log10(self.mu_b_min),
+                              math.log10(self.mu_b_max), self.mu_b_steps)
+        return np.concatenate(([0.0], log_pts))
+
+
+@dataclass(frozen=True)
+class Step1Result:
+    """Optimal rates and on-off threshold for fixed jamming power and switch level."""
+
+    y_star: float         # 2^r_c - 1 at the optimum
+    yz_star: float        # 2^(r_c - r_s) - 1 pinned by the outage constraint
+    r_c: float            # codeword rate [bits/s/Hz]
+    r_s: float            # secrecy rate [bits/s/Hz]
+    mu_a: float           # on-off threshold, = u * y_star
+    omega_tilde: float    # r_s * exp(-mu_a)
+    residual: float       # relative residual of the optimality equation at y_star
+    omega_forms_gap: float  # relative gap between the two closed forms of omega_tilde
+    iterations: int       # Newton steps of the solve that found yz (0 at
+                          # p_b = 0, where it is closed form); a design makes
+                          # one per p_b, shared by every mu_b (the rates are
+                          # closed-form)
+    u: float              # d_ab^alpha*(sigma_b2 + p_b*mu_b)/p_a_max
+    varpi: float          # du/dp_b = d_ab^alpha*mu_b/p_a_max
+
+
+@dataclass(frozen=True)
+class Step2Result:
+    """Optimal jamming power for a given switch threshold."""
+
+    p_b_dagger: float       # chosen jamming power [W]
+    capped: bool            # p_b_dagger == p_b_max (interior root above budget)
+    degenerate: bool        # throughput decreases over the whole range; floor used
+    step1: Step1Result      # rates/threshold at p_b_dagger
+    residual: float         # relative residual of the stationarity equation
+    iterations: int         # Brent iterations refining the sign change, else 0
 
 
 @dataclass(frozen=True)

@@ -103,9 +103,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ValidationError
 from .online import decide_slots, _path_gain
-from .params import SwitchedSolution, SystemParams
+from .params import SwitchedSolution, SystemParams, ValidationError
 
 __all__ = [
     "McEstimate",

@@ -25,8 +25,9 @@ from scipy.special import hyp1f1, roots_legendre, wrightomega
 from fdjam import (GridSpec, InfeasibleError, SystemParams, ValidationError,
                    dbm_to_watts, solve_step1, solve_step2)
 from fdjam.analytics import _Outage, throughput_fd, throughput_hd
-from fdjam.optimizer import Step1Result, Step2Result, _derivative_sign
-from fdjam.params import FdParams, HdParams, SwitchedSolution, validate
+from fdjam.optimizer import _derivative_sign
+from fdjam.params import (FdParams, HdParams, Step1Result, Step2Result,
+                          SwitchedSolution, validate)
 from fdjam.online import _BUDGET_RTOL, Action, Mode
 from fdjam.online import decide_slots
 from fdjam.sim import (_BLOCK, _CHUNK, _CONNECTION_RTOL, McEstimate, SimReport,

@@ -17,11 +17,11 @@ import pytest
 from fdjam.analytics import comparison_metrics, sop_approx, sop_exact
 from fdjam.cli import main
 from fdjam.config import load_config
-from fdjam.errors import InfeasibleError, ValidationError
-from fdjam.optimizer import GridSpec, optimize, solve_step1, solve_step2
-from fdjam.params import SystemParams, solution_from_dict, solution_to_dict
+from fdjam.optimizer import optimize, solve_step1, solve_step2
+from fdjam.params import (GridSpec, InfeasibleError, SystemParams,
+                          ValidationError, solution_from_dict,
+                          solution_to_dict, watts_to_dbm)
 from fdjam.sim import empirical_sop, run_online
-from fdjam.units import watts_to_dbm
 import fdjam.cli
 
 DEFAULT_INI = str(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
@@ -692,6 +692,26 @@ def _sweep_config(tmp_path, sweep_block):
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(BASE_INI + sweep_block)
     return str(cfg)
+
+
+def test_sweep_db_endpoint_past_double_range_exits_1(tmp_path):
+    # 4000 dBm is past double range in watts: the config is refused before
+    # any row runs, so numpy never warns of an overflow on stderr
+    cfg = _sweep_config(tmp_path, """
+[sweep]
+variable = p_a_max
+min = -10
+max = 4000
+steps = 3
+scale = dB
+""")
+    out = tmp_path / "sweep.csv"
+    done = _fresh_interpreter(["-m", "fdjam.cli", "sweep", "--config", cfg,
+                               "--out", str(out)])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("fdjam: validation error: [sweep] max = 4000.0 "
+                           "overflows in linear units\n")
+    assert not out.exists()
 
 
 def test_sweep_switch_threshold_shows_mode_crossover(tmp_path):

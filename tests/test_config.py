@@ -145,6 +145,9 @@ scale = dB
     ("max = 20", "max = -10", "sweep requires min < max, got [-10.0, -10.0]"),
     ("scale = dB", "scale = octave", "sweep scale 'octave' not in linear/log/dB"),
     ("scale = dB", "scale = log", "log sweep requires min > 0: -10.0"),
+    ("max = 20", "max = 4000", "[sweep] max = 4000.0 overflows in linear units"),
+    ("min = -10\nmax = 20", "min = 3090\nmax = 3100",
+     "[sweep] min = 3090.0 overflows in linear units"),
 ])
 def test_bad_value_exits_1_naming_its_key(tmp_path, capsys, old, new, named):
     text = DEFAULT_INI.read_text(encoding="utf-8") + SWEEP_BLOCK
